@@ -3,17 +3,19 @@
 The character range of sigma-invariant classes is the integer span of
 nine vectors in (Q + Q*theta + iQ + iQ*theta)^6.  Flattening each slot
 over the basis {1, theta} x {1, i} turns "is v an integral combination?"
-into an exact 24 x 9 rational linear system, solved by Gaussian
-elimination over Fractions.  theta is irrational, so {1, theta} is
-independent over Q and the flattening is faithful.
+into an exact 24 x 9 rational linear system.  It is eliminated once over
+Fractions; every solve and every integral combination after that runs in
+integer arithmetic over a common denominator.  theta is irrational, so
+{1, theta} is independent over Q and the flattening is faithful.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .theta import ThetaParam
 from .traces import T4Vector
@@ -32,7 +34,9 @@ class KScalar:
 
     def __post_init__(self):
         for f in ("a", "b", "c", "d"):
-            object.__setattr__(self, f, Fraction(getattr(self, f)))
+            x = getattr(self, f)
+            if type(x) is not Fraction:
+                object.__setattr__(self, f, Fraction(x))
 
     @classmethod
     def of(cls, a: Rat = 0, b: Rat = 0, c: Rat = 0, d: Rat = 0) -> "KScalar":
@@ -166,11 +170,12 @@ _MATRIX: Tuple[Tuple[Fraction, ...], ...] = tuple(
 )
 
 
-def _elimination_transform() -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, Fraction], ...], ...]]:
-    """One-time RREF of [M | I]: pivot columns plus the 24 x 24 transform E.
+def _elimination_transform() -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, int], ...], ...], int]:
+    """One-time RREF of [M | I]: pivot columns, the 24 x 24 transform E and its denominator.
 
-    E is stored row-sparse; row r of E applied to any rhs gives the value
-    of the r-th reduced row, so solving M x = rhs is a single sparse apply.
+    E is stored row-sparse as integer numerators over one common
+    denominator; row r of E applied to any rhs gives the value of the r-th
+    reduced row, so solving M x = rhs is a single sparse apply.
     """
     rows = [list(r) + [Fraction(int(i == j)) for j in range(24)] for i, r in enumerate(_MATRIX)]
     pivots: list[int] = []
@@ -188,53 +193,61 @@ def _elimination_transform() -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, Fr
                 rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
         pivots.append(col)
         rank += 1
+    den = math.lcm(*(v.denominator for row in rows for v in row[9:]))
     transform = tuple(
-        tuple((j, row[9 + j]) for j in range(24) if row[9 + j] != 0) for row in rows
+        tuple((j, int(row[9 + j] * den)) for j in range(24) if row[9 + j] != 0) for row in rows
     )
-    return tuple(pivots), transform
+    return tuple(pivots), transform, den
 
 
-_PIVOTS, _TRANSFORM = _elimination_transform()
+_PIVOTS, _TRANSFORM, _TRANSFORM_DEN = _elimination_transform()
 
 
-def _solve_exact(rhs: Sequence[Fraction]) -> Optional[Tuple[Fraction, ...]]:
+def _solve_exact(rhs: Sequence[Rat]) -> Optional[Tuple[Fraction, ...]]:
     """Solve M x = rhs over Q for the 24 x 9 basis matrix; None if inconsistent."""
-    reduced = [sum((coef * rhs[j] for j, coef in row), Fraction(0)) for row in _TRANSFORM]
+    rhs_den = math.lcm(*(x.denominator for x in rhs))
+    nums = [x.numerator * (rhs_den // x.denominator) for x in rhs]
+    reduced = [sum(coef * nums[j] for j, coef in row) for row in _TRANSFORM]
     rank = len(_PIVOTS)
-    if any(reduced[r] for r in range(rank, 24)):
+    if any(reduced[rank:]):
         return None
+    den = _TRANSFORM_DEN * rhs_den
     solution = [Fraction(0)] * 9
     for r, col in enumerate(_PIVOTS):
-        solution[col] = reduced[r]
+        solution[col] = Fraction(reduced[r], den)
     return tuple(solution)
 
 
 def basis_rank() -> int:
     """Rank of the nine basis vectors over Q (exact)."""
-    rows = [list(r) for r in _MATRIX]
-    rank = 0
-    for col in range(9):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [v / lead for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    return len(_PIVOTS)
+
+
+def _numerators(v: ChernVector, den: int) -> Tuple[Tuple[int, int], ...]:
+    """The nonzero entries of den * v.flatten() as (index, integer) pairs; den clears v."""
+    return tuple(
+        (i, x.numerator * (den // x.denominator)) for i, x in enumerate(v.flatten()) if x
+    )
+
+
+def _combination(terms: Iterable[Tuple[int, Tuple[Tuple[int, int], ...]]], den: int) -> ChernVector:
+    """sum n * row / den over (n, row) pairs of sparse integer rows from :func:`_numerators`."""
+    acc = [0] * 24
+    for n, row in terms:
+        if n:
+            for i, x in row:
+                acc[i] += n * x
+    flat = [Fraction(x, den) for x in acc]
+    return ChernVector(*(KScalar(*flat[i : i + 4]) for i in range(0, 24, 4)))
+
+
+# Every basis entry lies in (1/2)Z.
+_BASIS_NUMERATORS = tuple(_numerators(v, 2) for v in _BASIS)
 
 
 def recompose(coords: K0Coordinates) -> ChernVector:
     """The exact integral combination sum N_j V_j."""
-    out = ChernVector(*([KSCALAR_ZERO] * 6))
-    for n, v in zip(coords, _BASIS):
-        if n:
-            out = out + v.scale(n)
-    return out
+    return _combination(zip(coords, _BASIS_NUMERATORS), 2)
 
 
 @dataclass(frozen=True)
@@ -322,9 +335,8 @@ def semiflat_membership(v: ChernVector, theta: ThetaParam) -> MembershipDecision
         return MembershipDecision(False, reason="psi11-nonzero", coordinates=res.coordinates)
     n = res.coordinates
     # cross-check the linear relations forced by the vanishing slots
-    assert n.n6 == n.n3 and n.n5 == n.n2 and n.n7 == n.n9 - n.n3 and n.n8 == 2 * n.n2 + n.n3, (
-        "decomposition violates the semiflat constraint relations"
-    )
+    if not (n.n6 == n.n3 and n.n5 == n.n2 and n.n7 == n.n9 - n.n3 and n.n8 == 2 * n.n2 + n.n3):
+        raise AssertionError("decomposition violates the semiflat constraint relations")
     trace = trace_of(n)
     if theta.sign_linear(trace.a, trace.b) <= 0:
         return MembershipDecision(False, reason="nonpositive-trace", coordinates=n, trace=trace)
@@ -443,10 +455,10 @@ class SynthesisRecipe:
     flat_trace: KScalar
 
     def total(self) -> ChernVector:
-        out = _generator_vector((0, 0, 0), self.flat_trace)
-        for g in self.generators:
-            out = out + g.vector.scale(g.count)
-        return out
+        terms = [(1, _generator_vector((0, 0, 0), self.flat_trace))]
+        terms += [(g.count, g.vector) for g in self.generators]
+        den = math.lcm(*(x.denominator for _, v in terms for x in v.flatten()))
+        return _combination(((n, _numerators(v, den)) for n, v in terms), den)
 
     def to_json(self) -> dict:
         return {

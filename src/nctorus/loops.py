@@ -29,9 +29,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
-import numpy as np
-
 from .theta import ThetaParam
+
+
+class _LazyNumpy:
+    """Stands in for numpy until its first use, then puts numpy in its place.
+
+    Importing the package for its exact layers alone then neither waits
+    for numpy nor holds its memory.
+    """
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 DEFAULT_GRID = 4096
 MIN_GRID = 256

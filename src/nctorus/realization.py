@@ -471,21 +471,6 @@ def _realize_cyclic(t: TraceValue, theta: ThetaParam, depth: int) -> CyclicCert:
     return CyclicCert(target=t, flat=flat)
 
 
-def _floor_ratio(theta: ThetaParam, num: TraceValue, den: TraceValue) -> int:
-    """floor(num / den) for positive theta-linear values, exact."""
-    est = int(num.value(theta) / den.value(theta))
-    # adjust with exact comparisons: k <= num/den < k+1
-    def le(k: int) -> bool:  # k*den <= num
-        return theta.sign_linear(num.a - k * den.a, num.b - k * den.b) >= 0
-
-    k = est
-    while not le(k):
-        k -= 1
-    while le(k + 1):
-        k += 1
-    return k
-
-
 def _realize_semicyclic(t: TraceValue, theta: ThetaParam, depth: int) -> SemicyclicCert:
     if t.in_subgroup(2):
         half = TraceValue(t.a // 2, t.b // 2)
@@ -509,7 +494,7 @@ def _realize_semicyclic(t: TraceValue, theta: ThetaParam, depth: int) -> Semicyc
             "no-bracketing-convergents: no convergent step fits between the target and 1/2; "
             "raise the search depth"
         )
-    k = _floor_ratio(theta, t, gap) + 1
+    k = theta.floor_ratio(t.a, t.b, gap.a, gap.b) + 1
     bound = gap.scale(k)
     if not (bound.in_open_interval(theta, 0, Fraction(1, 2)) and theta.sign_linear(bound.a - t.a, bound.b - t.b) > 0):
         raise InternalAssertion("even bound selection failed")

@@ -4,7 +4,9 @@ A :class:`ThetaParam` stores a finite prefix of the continued-fraction
 expansion of an irrational number in (0, 1).  Consecutive convergents
 bracket the number by rationals, so questions like "is a + b*theta
 positive?" are answered exactly at some finite depth (a + b*theta is
-never zero for integer (a, b) != (0, 0) when theta is irrational).
+never zero for integer (a, b) != (0, 0) when theta is irrational).  The
+brackets are nested, so every such question is put, in integer
+arithmetic, to the tightest stored bracket alone.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ def _cf_terms_of_fraction(x: Fraction, limit: int = 128) -> list[int]:
 
 def _sign(x: Rat) -> int:
     return (x > 0) - (x < 0)
+
+
+def _rational(x) -> Rat:
+    """x itself when int or Fraction, else its exact Fraction."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -164,50 +171,81 @@ class ThetaParam:
         """Double-precision value."""
         return float(self.rational_approx())
 
+    @cached_property
+    def _bracket(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The narrowest of :meth:`brackets` as integer pairs (p, q), q > 0.
+
+        The convergent brackets are nested and the clipped ones lie inside
+        the interval, so every bracket contains this one: a linear sign that
+        any bracket settles, this one settles too.
+        """
+        lo, hi = min(self.brackets(), key=lambda bracket: bracket[1] - bracket[0])
+        return (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+
     # ---------------------------------------------------------- exact queries
 
     def sign_linear(self, a: Rat, b: Rat) -> int:
         """Exact sign of a + b*theta.  Returns 0 only for a = b = 0."""
-        a, b = Fraction(a), Fraction(b)
+        a, b = _rational(a), _rational(b)
         if b == 0:
             return _sign(a)
-        for lo, hi in self.brackets():
-            v1, v2 = a + b * lo, a + b * hi
-            if v1 > 0 and v2 > 0:
-                return 1
-            if v1 < 0 and v2 < 0:
-                return -1
+        # times the positive a.denominator * b.denominator: integers A + B*theta
+        A, B = a.numerator * b.denominator, b.numerator * a.denominator
+        # at an endpoint p/q, A + B*p/q has the sign of A*q + B*p
+        (p1, q1), (p2, q2) = self._bracket
+        v1, v2 = A * q1 + B * p1, A * q2 + B * p2
+        if v1 > 0 and v2 > 0:
+            return 1
+        if v1 < 0 and v2 < 0:
+            return -1
         raise PrecisionExhausted(
             f"insufficient-cf-data: cannot settle sign of {a} + {b}*theta"
         )
 
     def in_open_interval(self, a: Rat, b: Rat, lo: Rat, hi: Rat) -> bool:
         """Exact test of lo < a + b*theta < hi for rational lo, hi."""
+        a = _rational(a)
         return (
-            self.sign_linear(Fraction(a) - Fraction(lo), b) > 0
-            and self.sign_linear(Fraction(a) - Fraction(hi), b) < 0
+            self.sign_linear(a - _rational(lo), b) > 0
+            and self.sign_linear(a - _rational(hi), b) < 0
         )
+
+    def floor_ratio(self, a: Rat, b: Rat, c: Rat, d: Rat) -> int:
+        """floor((a + b*theta) / (c + d*theta)), exact, for c + d*theta > 0."""
+        a, b, c, d = (_rational(x) for x in (a, b, c, d))
+        p, q = self._bracket[0]
+        den = c * q + d * p
+        if den <= 0:
+            # the denominator changes sign inside the bracket
+            raise PrecisionExhausted(
+                f"insufficient-cf-data: cannot settle sign of {c} + {d}*theta"
+            )
+        # n is the floor at the endpoint p/q.  Two signs that settle on the
+        # bracket make it the floor on all of it, theta included; a sign
+        # that does not settle raises.
+        n = (a * q + b * p) // den
+        if self.sign_linear(a - n * c, b - n * d) >= 0 > self.sign_linear(
+            a - (n + 1) * c, b - (n + 1) * d
+        ):
+            return n
+        raise AssertionError(f"floor {n} at a bracket endpoint is not the floor on the bracket")
 
     def floor_linear(self, b: Rat) -> int:
         """floor(b * theta), exact."""
-        b = Fraction(b)
-        if b == 0:
-            return 0
-        n = math.floor(float(b) * self.value)
-        while self.sign_linear(-(n + 1), b) > 0:
-            n += 1
-        while self.sign_linear(-n, b) < 0:
-            n -= 1
-        return n
+        return self.floor_ratio(0, b, 1, 0)
 
     # ------------------------------------------------------------- reflection
 
     def reflect(self) -> "ThetaParam":
         """The parameter 1 - theta (used to normalize signs of trace values)."""
+        return self._reflected
+
+    @cached_property
+    def _reflected(self) -> "ThetaParam":
         a = self.cf_terms
+        if not a or a == (1,):
+            raise PrecisionExhausted("insufficient-cf-data: prefix too short to reflect")
         if a[0] == 1:
-            if len(a) < 2:
-                raise PrecisionExhausted("insufficient-cf-data: prefix too short to reflect")
             new = (a[1] + 1,) + a[2:]
         else:
             new = (1, a[0] - 1) + a[1:]

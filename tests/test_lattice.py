@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus.algebra import ONE
 from nctorus.lattice import (
+    KSCALAR_ZERO,
     ChernParseError,
     ChernVector,
     Genus,
@@ -25,6 +30,7 @@ from nctorus.lattice import (
     semiflat_membership,
     synthesis_recipe,
     trace_of,
+    _solve_exact,
 )
 from nctorus.theta import ThetaParam
 from nctorus.traces import chern_T4
@@ -315,3 +321,105 @@ def test_chern_from_t4_rejects_phase_slots():
 
     with pytest.raises(ValueError):
         chern_from_t4(chern_T4(sigma_average(U)))
+
+
+# ------------------------------------------ references kept from the Fraction solver
+
+
+def reference_solve(rhs):
+    """Gauss-Jordan elimination of [M | rhs] over Fractions; None if inconsistent."""
+    basis = [v.flatten() for v in basis_vectors()]
+    rows = [[Fraction(col[r]) for col in basis] + [Fraction(rhs[r])] for r in range(24)]
+    pivots = []
+    for col in range(9):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, 24) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[rank] = [v / rows[rank][col] for v in rows[rank]]
+        for r in range(24):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    if any(rows[r][9] for r in range(len(pivots), 24)):
+        return None
+    sol = [Fraction(0)] * 9
+    for r, col in enumerate(pivots):
+        sol[col] = rows[r][9]
+    return tuple(sol)
+
+
+def reference_combination(terms):
+    """sum n * v by ChernVector.scale and __add__, one term at a time."""
+    out = ChernVector(*([KSCALAR_ZERO] * 6))
+    for n, v in terms:
+        if n:
+            out = out + v.scale(n)
+    return out
+
+
+_coord = st.sampled_from(range(13)).flatmap(lambda e: st.integers(-(10**e), 10**e))
+_coords = st.lists(_coord, min_size=9, max_size=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coords)
+def test_recompose_decompose_match_references(coords):
+    coords = K0Coordinates(*coords)
+    v = recompose(coords)
+    assert v == reference_combination(zip(coords, basis_vectors()))
+    assert _solve_exact(v.flatten()) == reference_solve(v.flatten()) == tuple(coords)
+    res = decompose(v)
+    assert res and res.coordinates == coords
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(max_denominator=12).filter(lambda x: abs(x) < 10**6), min_size=9, max_size=9))
+def test_solve_exact_matches_reference_on_rational_span(coords):
+    v = reference_combination(zip(coords, basis_vectors()))
+    assert _solve_exact(v.flatten()) == reference_solve(v.flatten()) == tuple(coords)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.fractions(max_denominator=6), min_size=24, max_size=24),
+    st.lists(st.integers(0, 23), max_size=3),
+)
+def test_solve_exact_matches_reference_off_span(rhs, zeros):
+    # zeroing a few entries makes consistent systems likelier
+    for i in zeros:
+        rhs[i] = Fraction(0)
+    assert _solve_exact(rhs) == reference_solve(rhs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=5, max_size=5))
+def test_synthesis_total_matches_reference(free):
+    v = recompose(semiflat_coordinates(*free))
+    if not semiflat_membership(v, GOLDEN):
+        return
+    r = synthesis_recipe(v, GOLDEN)
+    flat = ChernVector(r.flat_trace, *([KSCALAR_ZERO] * 5))
+    assert r.total() == reference_combination([(1, flat)] + [(g.count, g.vector) for g in r.generators]) == v
+
+
+def test_membership_cross_check_survives_optimized_mode():
+    # a decomposition that breaks the semiflat relations must raise even under -O
+    code = """
+import nctorus.lattice as lat
+v = lat.parse_chern("(2t;0,0;1,1,2)")
+bad = lat.K0Coordinates(0, 0, 0, 0, 0, 1, 1, 0, 1)
+lat.decompose = lambda _v: lat.DecomposeResult("ok", coordinates=bad)
+try:
+    lat.semiflat_membership(v, lat.ThetaParam.preset("golden"))
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert "raised: decomposition violates the semiflat constraint relations" in out.stdout

@@ -1,7 +1,9 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus.theta import PrecisionExhausted, ThetaParam, parse_theta
 
@@ -96,3 +98,141 @@ def test_convergent_depth_errors():
     th = ThetaParam.from_cf([1, 1, 1])
     with pytest.raises(PrecisionExhausted):
         th.convergents_pq(10)
+
+
+def test_reflect_of_empty_prefix_is_precision_exhausted():
+    with pytest.raises(PrecisionExhausted):
+        parse_theta("0.5").reflect()
+    with pytest.raises(PrecisionExhausted):
+        ThetaParam.from_cf([1]).reflect()
+
+
+def test_reflect_is_cached():
+    th = ThetaParam.preset("sqrt2")
+    assert th.reflect() is th.reflect()
+
+
+def test_floor_linear_large_multiplier_is_exact_and_fast():
+    th = ThetaParam.preset("golden")
+    b = 10**30
+    start = time.perf_counter()
+    got = th.floor_linear(b)
+    assert time.perf_counter() - start < 1.0
+    # b*theta = (sqrt(5 b^2) - b) / 2 and sqrt(5 b^2) is irrational
+    assert got == (math.isqrt(5 * b * b) - b) // 2
+    assert th.floor_linear(-b) == -got - 1
+
+
+def test_floor_linear_beyond_the_prefix_is_precision_exhausted():
+    with pytest.raises(PrecisionExhausted):
+        ThetaParam.preset("golden").floor_linear(10**400)
+
+
+def test_sign_linear_zero_on_every_theta():
+    for th in THETAS:
+        assert th.sign_linear(0, 0) == 0
+        assert th.sign_linear(Fraction(0), Fraction(0, 7)) == 0
+
+
+# ----------------------------------------------- references kept from the Fraction walk
+
+
+def reference_sign_linear(th, a, b):
+    """The bracket walk from depth 0 over Fractions that sign_linear replaced."""
+    a, b = Fraction(a), Fraction(b)
+    if b == 0:
+        return (a > 0) - (a < 0)
+    for lo, hi in th.brackets():
+        v1, v2 = a + b * lo, a + b * hi
+        if v1 > 0 and v2 > 0:
+            return 1
+        if v1 < 0 and v2 < 0:
+            return -1
+    raise PrecisionExhausted("reference walk exhausted")
+
+
+def reference_floor_ratio(th, a, b, c, d):
+    """floor((a + b*theta) / (c + d*theta)) by a linear walk of reference signs."""
+    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
+    r = MIDPOINTS[th]
+    k = math.floor((a + b * r) / (c + d * r))
+    while reference_sign_linear(th, a - k * c, b - k * d) < 0:
+        k -= 1
+    while reference_sign_linear(th, a - (k + 1) * c, b - (k + 1) * d) >= 0:
+        k += 1
+    return k
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+THETAS = (
+    ThetaParam.preset("golden"),
+    ThetaParam.preset("sqrt2"),
+    parse_theta("cf:" + ",".join(["100"] * 40)),
+    parse_theta("0.6180339887"),
+    ThetaParam.preset("golden").reflect(),
+    parse_theta("0.4142"),
+    ThetaParam.from_cf([1, 2, 3, 4, 5, 6]),
+    # an interval wider than the prefix: its clipped brackets are the tighter ones
+    ThetaParam(cf_terms=(1,) * 30, interval=(Fraction(3, 5), Fraction(7, 10))),
+)
+# the middle of each theta's narrowest bracket
+MIDPOINTS = {th: sum(min(th.brackets(), key=lambda br: br[1] - br[0])) / 2 for th in THETAS}
+
+# magnitudes spread evenly over 10^0 .. 10^40
+_big = st.sampled_from(range(41)).flatmap(lambda e: st.integers(-(10**e), 10**e))
+_rational = st.one_of(
+    _big,
+    st.builds(Fraction, _big, st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def linear_probe(draw):
+    """(theta, a, b) with a + b*theta often within a few units of zero."""
+    th = draw(st.sampled_from(THETAS))
+    b = draw(_rational)
+    if draw(st.booleans()):
+        a = -math.floor(b * MIDPOINTS[th]) + draw(st.integers(-2, 2))
+        a += draw(st.sampled_from((0, Fraction(1, 3), Fraction(-1, 2))))
+    else:
+        a = draw(_rational)
+    return th, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_probe())
+def test_sign_linear_matches_reference_walk(probe):
+    th, a, b = probe
+    assert outcome(th.sign_linear, a, b) == outcome(reference_sign_linear, th, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(THETAS), _rational)
+def test_floor_linear_matches_reference(th, b):
+    assert outcome(th.floor_linear, b) == outcome(reference_floor_ratio, th, 0, b, 1, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(THETAS),
+    st.integers(-(10**12), 10**12),
+    st.integers(-(10**12), 10**12),
+    st.integers(1, 10**6),
+    st.integers(-(10**6), 10**6),
+)
+def test_floor_ratio_matches_reference(th, a, b, c, d):
+    # c + d*theta > 0 with c >= |d| + 1 since 0 < theta < 1
+    c += abs(d)
+    assert outcome(th.floor_ratio, a, b, c, d) == outcome(reference_floor_ratio, th, a, b, c, d)
+
+
+def test_floor_ratio_integral_quotient():
+    th = ThetaParam.preset("golden")
+    assert th.floor_ratio(6, 9, 2, 3) == 3
+    assert th.floor_ratio(-6, -9, 2, 3) == -3
