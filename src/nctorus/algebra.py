@@ -8,6 +8,18 @@ coefficients and all arithmetic is exact.  L is treated as a free
 transcendental: theta is irrational, so no relation among its powers is
 imposed.
 
+Storage.  An Element is one flat dict  (m, n, k) -> (re, im)  of integer
+Gaussian numerators over one positive denominator d, standing for
+sum (re + im*i)/d L^k U^m V^n; a PhaseScalar is the same with keys k.  The
+form is canonical: no zero entry is stored and gcd(d, all numerators) = 1,
+so equality and hashing are plain dict and tuple comparisons.  Products
+multiply the denominators, sums bring both sides to the lcm of theirs, and
+each result is reduced by one gcd; arithmetic, the automorphisms, traces
+and text output never build a Fraction.  GaussRational, the public
+coefficient type, appears only at the boundary: ``PhaseScalar(mapping)``
+reads it, ``PhaseScalar.items()`` builds it, and the parser and
+``numeric_eval`` go through those two.
+
 All operations return new values; nothing is mutated in place.
 """
 
@@ -16,7 +28,8 @@ from __future__ import annotations
 import cmath
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Tuple, Union
+from math import gcd, lcm
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .theta import ThetaParam
 
@@ -71,19 +84,8 @@ class GaussRational:
         return f"GaussRational({self.re}, {self.im})"
 
     def __str__(self) -> str:
-        def rat(x: Fraction) -> str:
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-        if self.im == 0:
-            return rat(self.re)
-        if self.re == 0:
-            return f"{rat(self.im)}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{rat(self.re)}{sign}{rat(abs(self.im))}i"
-
-
-_QG_ZERO = GaussRational(0)
-_QG_ONE = GaussRational(1)
+        (a, da), (b, db) = self.re.as_integer_ratio(), self.im.as_integer_ratio()
+        return _gauss_str(a * db, b * da, da * db)
 
 
 class Monomial(NamedTuple):
@@ -93,21 +95,58 @@ class Monomial(NamedTuple):
     n: int
 
 
+# ------------------------------------------------------------ integer store
+#
+# A store is a dict key -> (re, im) of integer numerators together with one
+# positive denominator d.  Keys are k (PhaseScalar) or (m, n, k) (Element).
+
+
+def _canonical(c: dict, d: int) -> Tuple[dict, int]:
+    """Drop zero entries and divide out gcd(d, all numerators)."""
+    if (0, 0) in c.values():
+        c = {key: v for key, v in c.items() if v != (0, 0)}
+    if not c:
+        return c, 1
+    if d != 1:
+        g = d
+        for a, b in c.values():
+            g = gcd(g, a, b)
+            if g == 1:
+                return c, d
+        c = {key: (a // g, b // g) for key, (a, b) in c.items()}
+        d //= g
+    return c, d
+
+
+def _scaled(c: dict, f: int) -> dict:
+    return c if f == 1 else {key: (a * f, b * f) for key, (a, b) in c.items()}
+
+
+def _sum(c1: dict, d1: int, c2: dict, d2: int) -> Tuple[dict, int]:
+    d = lcm(d1, d2)
+    c = dict(_scaled(c1, d // d1))
+    get = c.get
+    for key, (a, b) in _scaled(c2, d // d2).items():
+        old = get(key)
+        c[key] = (a, b) if old is None else (old[0] + a, old[1] + b)
+    return _canonical(c, d)
+
+
 class PhaseScalar:
     """A Laurent polynomial  sum_k c_k L^k  with Gaussian-rational c_k.
 
-    L = e(theta/4); zero coefficients are never stored, so equality is
-    plain coefficient-wise comparison.
+    L = e(theta/4).  Stored as k -> (re, im) integer numerators over one
+    shared denominator, in canonical form (see the module docstring).
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_d")
 
     def __init__(self, coeffs: Mapping[int, GaussRational] = ()):
-        c = {}
-        for k, v in dict(coeffs).items():
-            if v:
-                c[int(k)] = v
+        pairs = [(int(k), v.re.as_integer_ratio(), v.im.as_integer_ratio()) for k, v in dict(coeffs).items()]
+        d = lcm(*(den for _, (_, da), (_, db) in pairs for den in (da, db)))
+        c, d = _canonical({k: (a * (d // da), b * (d // db)) for k, (a, da), (b, db) in pairs}, d)
         object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_d", d)
 
     def __setattr__(self, *args):
         raise AttributeError("PhaseScalar is immutable")
@@ -116,16 +155,16 @@ class PhaseScalar:
 
     @classmethod
     def zero(cls) -> "PhaseScalar":
-        return cls()
+        return _phase({}, 1)
 
     @classmethod
     def one(cls) -> "PhaseScalar":
-        return cls({0: _QG_ONE})
+        return _phase({0: (1, 0)}, 1)
 
     @classmethod
     def lam(cls, k: int = 1) -> "PhaseScalar":
         """The phase L^k."""
-        return cls({k: _QG_ONE})
+        return _phase({k: (1, 0)}, 1)
 
     @classmethod
     def of(cls, value: Union[int, Fraction, GaussRational, "PhaseScalar"]) -> "PhaseScalar":
@@ -133,78 +172,85 @@ class PhaseScalar:
             return value
         if isinstance(value, GaussRational):
             return cls({0: value})
-        return cls({0: GaussRational(value)})
+        num, den = value.as_integer_ratio()
+        return _phase({0: (num, 0)} if num else {}, den)
 
     # ------------------------------------------------------------ arithmetic
 
     def items(self) -> Iterable[Tuple[int, GaussRational]]:
-        return self._c.items()
+        d = self._d
+        return {k: GaussRational(Fraction(a, d), Fraction(b, d)) for k, (a, b) in self._c.items()}.items()
 
     def __add__(self, other: "PhaseScalar") -> "PhaseScalar":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            w = c.get(k, _QG_ZERO) + v
-            if w:
-                c[k] = w
-            else:
-                c.pop(k, None)
-        return PhaseScalar(c)
+        return _phase(*_sum(self._c, self._d, other._c, other._d))
 
     def __sub__(self, other: "PhaseScalar") -> "PhaseScalar":
         return self + (-other)
 
     def __neg__(self) -> "PhaseScalar":
-        return PhaseScalar({k: -v for k, v in self._c.items()})
+        return _phase({k: (-a, -b) for k, (a, b) in self._c.items()}, self._d)
 
     def __mul__(self, other: "PhaseScalar") -> "PhaseScalar":
-        c: dict[int, GaussRational] = {}
-        for k1, v1 in self._c.items():
-            for k2, v2 in other._c.items():
-                k = k1 + k2
-                w = c.get(k, _QG_ZERO) + v1 * v2
-                if w:
-                    c[k] = w
-                else:
-                    c.pop(k, None)
-        return PhaseScalar(c)
+        return (Element.monomial(0, 0, self) * Element.monomial(0, 0, other)).coefficient(0, 0)
 
     def shifted(self, k: int) -> "PhaseScalar":
         """Multiplication by L^k."""
-        return PhaseScalar({kk + k: v for kk, v in self._c.items()})
+        return _phase({kk + k: v for kk, v in self._c.items()}, self._d)
 
     def conjugate(self) -> "PhaseScalar":
         """Complex conjugation: L^k -> L^(-k), coefficients conjugated."""
-        return PhaseScalar({-k: v.conjugate() for k, v in self._c.items()})
+        return _phase({-k: (a, -b) for k, (a, b) in self._c.items()}, self._d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseScalar):
             return NotImplemented
-        return self._c == other._c
+        return self._d == other._d and self._c == other._c
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        return hash((self._d, frozenset(self._c.items())))
 
     def __bool__(self) -> bool:
         return bool(self._c)
 
     def __repr__(self) -> str:
-        return f"PhaseScalar({self._c!r})"
+        return f"PhaseScalar({dict(self.items())!r})"
 
     def __str__(self) -> str:
         return phase_to_text(self)
 
 
-class Element:
-    """A finite normal-ordered Laurent polynomial  sum_{(m,n)} c_{mn} U^m V^n."""
+def _phase(c: dict, d: int) -> PhaseScalar:
+    """A PhaseScalar over a store that is already canonical."""
+    s = object.__new__(PhaseScalar)
+    _PHASE_C(s, c)
+    _PHASE_D(s, d)
+    return s
 
-    __slots__ = ("_t",)
+
+_PHASE_C = PhaseScalar._c.__set__
+_PHASE_D = PhaseScalar._d.__set__
+
+
+class Element:
+    """A finite normal-ordered Laurent polynomial  sum_{(m,n)} c_{mn} U^m V^n.
+
+    Stored as (m, n, k) -> (re, im) integer numerators over one shared
+    denominator, in canonical form (see the module docstring).
+    """
+
+    __slots__ = ("_t", "_d")
 
     def __init__(self, terms: Mapping[Monomial, PhaseScalar] = ()):
+        items = [(mono, coef) for mono, coef in dict(terms).items() if coef]
+        d = lcm(*(coef._d for _, coef in items))
         t = {}
-        for mono, coef in dict(terms).items():
-            if coef:
-                t[Monomial(*mono)] = coef
+        for (m, n), coef in items:
+            f = d // coef._d
+            for k, (a, b) in coef._c.items():
+                t[(m, n, k)] = (a * f, b * f)
+        t, d = _canonical(t, d)
         object.__setattr__(self, "_t", t)
+        object.__setattr__(self, "_d", d)
 
     def __setattr__(self, *args):
         raise AttributeError("Element is immutable")
@@ -213,26 +259,32 @@ class Element:
 
     @classmethod
     def zero(cls) -> "Element":
-        return cls()
+        return _element({}, 1)
 
     @classmethod
     def one(cls) -> "Element":
-        return cls({Monomial(0, 0): PhaseScalar.one()})
+        return _element({(0, 0, 0): (1, 0)}, 1)
 
     @classmethod
     def monomial(cls, m: int, n: int, coef: Union[int, Fraction, GaussRational, PhaseScalar] = 1) -> "Element":
-        return cls({Monomial(m, n): PhaseScalar.of(coef)})
+        s = PhaseScalar.of(coef)
+        return _element({(m, n, k): v for k, v in s._c.items()}, s._d)
 
     # --------------------------------------------------------------- queries
 
     def terms(self) -> Iterable[Tuple[Monomial, PhaseScalar]]:
-        return self._t.items()
+        groups: dict[Monomial, dict] = {}
+        for (m, n, k), v in self._t.items():
+            groups.setdefault(Monomial(m, n), {})[k] = v
+        d = self._d
+        return {mono: _phase(*_canonical(c, d)) for mono, c in groups.items()}.items()
 
     def coefficient(self, m: int, n: int) -> PhaseScalar:
-        return self._t.get(Monomial(m, n), PhaseScalar.zero())
+        c = {k: v for (mm, nn, k), v in self._t.items() if mm == m and nn == n}
+        return _phase(*_canonical(c, self._d))
 
     def support(self) -> tuple[Monomial, ...]:
-        return tuple(sorted(self._t))
+        return tuple(Monomial(m, n) for m, n in sorted({(m, n) for m, n, _ in self._t}))
 
     def __bool__(self) -> bool:
         return bool(self._t)
@@ -240,49 +292,37 @@ class Element:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self._t == other._t
+        return self._d == other._d and self._t == other._t
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._t.items()))
+        return hash((self._d, frozenset(self._t.items())))
 
     # ------------------------------------------------------------ arithmetic
 
     def __add__(self, other: "Element") -> "Element":
-        t = dict(self._t)
-        for mono, coef in other._t.items():
-            w = t.get(mono, PhaseScalar.zero()) + coef
-            if w:
-                t[mono] = w
-            else:
-                t.pop(mono, None)
-        return Element(t)
+        return _element(*_sum(self._t, self._d, other._t, other._d))
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        return Element({mono: -coef for mono, coef in self._t.items()})
+        return _element({key: (-a, -b) for key, (a, b) in self._t.items()}, self._d)
 
     def scale(self, scalar: Union[int, Fraction, GaussRational, PhaseScalar]) -> "Element":
-        s = PhaseScalar.of(scalar)
-        return Element({mono: coef * s for mono, coef in self._t.items()})
+        return self * Element.monomial(0, 0, scalar)
 
     def __mul__(self, other: "Element") -> "Element":
-        acc: dict[Monomial, dict[int, GaussRational]] = {}
-        for (m1, n1), p1 in self._t.items():
-            for (m2, n2), p2 in other._t.items():
-                shift = 4 * n1 * m2  # V^{n1} U^{m2} = L^{4 n1 m2} U^{m2} V^{n1}
-                key = Monomial(m1 + m2, n1 + n2)
-                bucket = acc.setdefault(key, {})
-                for k1, c1 in p1._c.items():
-                    for k2, c2 in p2._c.items():
-                        k = k1 + k2 + shift
-                        w = bucket.get(k, _QG_ZERO) + c1 * c2
-                        if w:
-                            bucket[k] = w
-                        else:
-                            bucket.pop(k, None)
-        return Element({mono: PhaseScalar(bucket) for mono, bucket in acc.items() if bucket})
+        acc: dict[tuple[int, int, int], tuple[int, int]] = {}
+        get = acc.get
+        right = [(m2, n2, k2, a2, b2) for (m2, n2, k2), (a2, b2) in other._t.items()]
+        for (m1, n1, k1), (a1, b1) in self._t.items():
+            shift = 4 * n1  # V^{n1} U^{m2} = L^{4 n1 m2} U^{m2} V^{n1}
+            for m2, n2, k2, a2, b2 in right:
+                key = (m1 + m2, n1 + n2, k1 + k2 + shift * m2)
+                re_, im_ = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                old = get(key)
+                acc[key] = (re_, im_) if old is None else (old[0] + re_, old[1] + im_)
+        return _element(*_canonical(acc, self._d * other._d))
 
     def __pow__(self, n: int) -> "Element":
         if n < 0:
@@ -294,16 +334,25 @@ class Element:
 
     def star(self) -> "Element":
         """The adjoint:  (c U^m V^n)* = conj(c) L^{4mn} U^{-m} V^{-n}."""
-        t: dict[Monomial, PhaseScalar] = {}
-        for (m, n), coef in self._t.items():
-            t[Monomial(-m, -n)] = coef.conjugate().shifted(4 * m * n)
-        return Element(t)
+        return _element({(-m, -n, 4 * m * n - k): (a, -b) for (m, n, k), (a, b) in self._t.items()}, self._d)
 
     def __repr__(self) -> str:
         return f"Element({element_to_text(self)!r})"
 
     def __str__(self) -> str:
         return element_to_text(self)
+
+
+def _element(t: dict, d: int) -> Element:
+    """An Element over a store that is already canonical."""
+    x = object.__new__(Element)
+    _ELEMENT_T(x, t)
+    _ELEMENT_D(x, d)
+    return x
+
+
+_ELEMENT_T = Element._t.__set__
+_ELEMENT_D = Element._d.__set__
 
 
 U = Element.monomial(1, 0)
@@ -354,21 +403,19 @@ def apply_automorphism(which: str, x: Element) -> Element:
            sigma(U^m V^n) = L^{-4mn} U^n V^{-m}.
     flip:  U -> U^{-1}, V -> V^{-1}; flip = sigma^2.
     gamma: U -> -U, V -> -V (parity).
+
+    Each maps distinct keys (m, n, k) to distinct keys, so the result
+    keeps x's denominator and stays canonical.
     """
-    t: dict[Monomial, PhaseScalar] = {}
     if which == "sigma":
-        for (m, n), coef in x._t.items():
-            mono = Monomial(n, -m)
-            t[mono] = t.get(mono, PhaseScalar.zero()) + coef.shifted(-4 * m * n)
+        t = {(n, -m, k - 4 * m * n): v for (m, n, k), v in x._t.items()}
     elif which == "flip":
-        for (m, n), coef in x._t.items():
-            t[Monomial(-m, -n)] = coef
+        t = {(-m, -n, k): v for (m, n, k), v in x._t.items()}
     elif which == "gamma":
-        for (m, n), coef in x._t.items():
-            t[Monomial(m, n)] = coef if (m + n) % 2 == 0 else -coef
+        t = {key: v if (key[0] + key[1]) % 2 == 0 else (-v[0], -v[1]) for key, v in x._t.items()}
     else:
         raise ValueError(f"unknown automorphism {which!r} (expected one of {AUTOMORPHISMS})")
-    return Element(t)
+    return _element(t, x._d)
 
 
 def sigma_average(g: Element) -> Element:
@@ -384,6 +431,18 @@ def sigma_average(g: Element) -> Element:
 def canonical_trace(x: Element) -> PhaseScalar:
     """Coefficient of the identity monomial; a trace, invariant under sigma and gamma."""
     return x.coefficient(0, 0)
+
+
+def monomial_functional(x: Element, exponent: Callable[[int, int], Optional[int]]) -> PhaseScalar:
+    """The linear functional U^m V^n -> L^{exponent(m, n)} (0 where it is None), applied to x."""
+    acc: dict[int, tuple[int, int]] = {}
+    get = acc.get
+    for (m, n, k), (a, b) in x._t.items():
+        e = exponent(m, n)
+        if e is not None:
+            old = get(k + e)
+            acc[k + e] = (a, b) if old is None else (old[0] + a, old[1] + b)
+    return _phase(*_canonical(acc, x._d))
 
 
 def numeric_eval(s: PhaseScalar, theta: ThetaParam) -> complex:
@@ -405,17 +464,21 @@ def numeric_eval(s: PhaseScalar, theta: ThetaParam) -> complex:
 # ------------------------------------------------------------- serialization
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _rat_str(num: int, den: int = 1) -> str:
+    """The rational num/den (den > 0) in lowest terms: ``3`` or ``-1/2``."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _coef_str(c: GaussRational) -> str:
-    if c.im == 0:
-        return f"({_rat_str(c.re)})"
-    if c.re == 0:
-        return f"({_rat_str(c.im)}i)"
-    sign = "+" if c.im > 0 else "-"
-    return f"({_rat_str(c.re)}{sign}{_rat_str(abs(c.im))}i)"
+def _gauss_str(a: int, b: int, d: int) -> str:
+    """The Gaussian rational (a + b*i)/d: ``3``, ``-1/2i`` or ``1/2+3i``."""
+    if b == 0:
+        return _rat_str(a, d)
+    if a == 0:
+        return f"{_rat_str(b, d)}i"
+    sign = "+" if b > 0 else "-"
+    return f"{_rat_str(a, d)}{sign}{_rat_str(abs(b), d)}i"
 
 
 def _power_str(sym: str, k: int) -> str:
@@ -432,7 +495,7 @@ def phase_to_text(s: PhaseScalar) -> str:
         return "0"
     parts = []
     for k in sorted(s._c):
-        piece = _coef_str(s._c[k])
+        piece = f"({_gauss_str(*s._c[k], s._d)})"
         lam = _power_str("L", k)
         parts.append(f"{piece}{lam}" if lam else piece)
     return " + ".join(parts)
@@ -441,22 +504,22 @@ def phase_to_text(s: PhaseScalar) -> str:
 def element_to_text(x: Element) -> str:
     """Canonical text form: ``(re+imi)L^k U^m V^n`` terms joined by ``+``.
 
-    An element whose coefficient at one monomial has several L-powers
-    prints as several terms sharing that monomial; parsing adds them
-    back together, so the round trip is lossless.
+    Terms are sorted by (m, n), then k.  An element whose coefficient at
+    one monomial has several L-powers prints as several terms sharing that
+    monomial; parsing adds them back together, so the round trip is
+    lossless.
     """
     if not x:
         return "0"
     parts = []
-    for mono in x.support():
-        coef = x._t[mono]
-        for k in sorted(coef._c):
-            factors = [_coef_str(coef._c[k])]
-            for sym, e in (("L", k), ("U", mono.m), ("V", mono.n)):
-                piece = _power_str(sym, e)
-                if piece:
-                    factors.append(piece)
-            parts.append(" ".join(factors))
+    for key in sorted(x._t):
+        m, n, k = key
+        factors = [f"({_gauss_str(*x._t[key], x._d)})"]
+        for sym, e in (("L", k), ("U", m), ("V", n)):
+            piece = _power_str(sym, e)
+            if piece:
+                factors.append(piece)
+        parts.append(" ".join(factors))
     return " + ".join(parts)
 
 
@@ -584,12 +647,10 @@ def _parse_term(ts: _Tokens) -> Element:
     while True:
         tok = ts.peek()
         if tok == "*":
-            ts.take()
-            continue
-        if tok in ("(", "i", "L", "U", "V") or (tok and tok[0].isdigit()):
-            out = out * _parse_atom(ts)
-        else:
+            ts.take()  # an explicit product sign must be followed by a factor
+        elif not (tok in ("(", "i", "L", "U", "V") or (tok and tok[0].isdigit())):
             return out
+        out = out * _parse_atom(ts)
 
 
 def parse_element(text: str) -> Element:

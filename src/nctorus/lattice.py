@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
+from .algebra import _rat_str
 from .theta import ThetaParam
 from .traces import T4Vector
 
@@ -508,17 +509,13 @@ def synthesis_recipe(v: ChernVector, theta: ThetaParam) -> SynthesisRecipe:
 # ------------------------------------------------------------- serialization
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def kscalar_to_text(s: KScalar) -> str:
     """Render like ``4+2t``, ``-1/2+1/2i``, ``2t``; t stands for theta."""
     parts: list[str] = []
     for coef, suffix in ((s.a, ""), (s.b, "t"), (s.c, "i"), (s.d, "ti")):
         if coef == 0:
             continue
-        body = _rat_str(abs(coef))
+        body = _rat_str(*abs(coef).as_integer_ratio())
         if suffix and body == "1":
             body = ""
         piece = f"{body}{suffix}"
@@ -530,6 +527,7 @@ def kscalar_to_text(s: KScalar) -> str:
 
 
 _KS_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|ti|it|[ti+\-])")
+_KS_SLOTS = {"t": 1, "i": 2, "ti": 3, "it": 3}
 
 
 class ChernParseError(ValueError):
@@ -537,11 +535,14 @@ class ChernParseError(ValueError):
 
 
 def parse_kscalar(text: str) -> KScalar:
-    """Parse the ``a+bt+ci+dti`` grammar."""
+    """Parse the ``a+bt+ci+dti`` grammar.
+
+    One optional sign may lead; every later atom needs exactly one sign
+    before it, and the text may not end in a sign.
+    """
     pos = 0
     total = [Fraction(0)] * 4
-    sign = 1
-    expect_atom = True
+    sign = None  # the sign read since the last atom, if any
     saw_any = False
     while pos < len(text):
         m = _KS_TOKEN.match(text, pos)
@@ -549,30 +550,27 @@ def parse_kscalar(text: str) -> KScalar:
             if text[pos:].strip():
                 raise ChernParseError(f"unexpected character {text[pos]!r} at {pos}")
             break
-        tok = m.group(1)
+        tok, start = m.group(1), m.start(1)
         pos = m.end()
-        if tok in "+-":
-            if expect_atom and saw_any:
-                raise ChernParseError(f"misplaced sign at {pos}")
+        if tok in ("+", "-"):
+            if sign is not None:
+                raise ChernParseError(f"second sign in a row at {start}")
             sign = -1 if tok == "-" else 1
-            expect_atom = True
             continue
-        if tok in ("t", "i", "ti", "it"):
-            coef = Fraction(sign)
-            slot = {"t": 1, "i": 2, "ti": 3, "it": 3}[tok]
-            total[slot] += coef
-        else:
-            coef = sign * Fraction(tok)
+        if saw_any and sign is None:
+            raise ChernParseError(f"missing sign before {tok!r} at {start}")
+        coef = Fraction(sign or 1)
+        if tok not in _KS_SLOTS:
+            coef *= Fraction(tok)
             rest = _KS_TOKEN.match(text, pos)
-            if rest and rest.group(1) in ("t", "i", "ti", "it"):
-                slot = {"t": 1, "i": 2, "ti": 3, "it": 3}[rest.group(1)]
-                total[slot] += coef
+            if rest and rest.group(1) in _KS_SLOTS:
+                tok = rest.group(1)
                 pos = rest.end()
-            else:
-                total[0] += coef
-        sign = 1
-        expect_atom = False
+        total[_KS_SLOTS.get(tok, 0)] += coef
+        sign = None
         saw_any = True
+    if sign is not None:
+        raise ChernParseError("trailing sign")
     if not saw_any:
         raise ChernParseError("empty scalar")
     return KScalar(*total)

@@ -32,6 +32,7 @@ from .algebra import (
     PhaseScalar,
     apply_automorphism,
     canonical_trace,
+    monomial_functional,
     phase_to_text,
 )
 
@@ -65,22 +66,12 @@ def phi_eval(ij: str, x: Element) -> PhaseScalar:
     if ij not in PHI_INDICES:
         raise ValueError(f"unknown phi index {ij!r} (expected one of {PHI_INDICES})")
     i, j = int(ij[0]), int(ij[1])
-    out = PhaseScalar.zero()
-    for (m, n), coef in x.terms():
-        k = _phi_monomial(i, j, m, n)
-        if k is not None:
-            out = out + coef.shifted(k)
-    return out
+    return monomial_functional(x, lambda m, n: _phi_monomial(i, j, m, n))
 
 
 def psi_eval(jk: str, x: Element) -> PhaseScalar:
     """Evaluate the order-four twisted trace psi_jk on an element."""
-    out = PhaseScalar.zero()
-    for (m, n), coef in x.terms():
-        k = _psi_monomial(jk, m, n)
-        if k is not None:
-            out = out + coef.shifted(k)
-    return out
+    return monomial_functional(x, lambda m, n: _psi_monomial(jk, m, n))
 
 
 @dataclass(frozen=True)

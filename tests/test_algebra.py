@@ -318,6 +318,29 @@ def test_parse_error_has_position():
         parse_element("")
 
 
+def test_parse_rejects_dangling_product_sign():
+    for text, pos in (("U *", 3), ("U * + V", 4), ("U**V", 2), ("* U", 0), ("(1/2) * ", 8)):
+        with pytest.raises(ElementParseError) as err:
+            parse_element(text)
+        assert err.value.pos == pos, text
+
+
+def test_parse_keeps_explicit_and_implicit_products():
+    assert parse_element("U * V") == parse_element("U V") == U * V
+    assert parse_element("2 3 U") == parse_element("2 * 3 * U") == U.scale(6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(), st.sampled_from(("*", "+", "-", "^", "(")))
+def test_hypothesis_text_roundtrip_and_junk_suffix(x, junk):
+    text = element_to_text(x)
+    assert parse_element(text) == x
+    with pytest.raises(ElementParseError):
+        parse_element(text + junk)
+    with pytest.raises(ElementParseError):
+        parse_element(f"{text} {junk}")
+
+
 def test_roundtrip_random_elements(rng):
     for _ in range(200):
         x = random_element(rng)

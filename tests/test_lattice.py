@@ -304,6 +304,29 @@ def test_kscalar_text_roundtrip():
         assert parse_kscalar(kscalar_to_text(s)) == s
 
 
+def test_parse_kscalar_rejects_lax_text():
+    for text in ("2 3", "tt", "1+", "--1", "1 - -2", "+", "2t t", "1 2t"):
+        with pytest.raises(ChernParseError):
+            parse_kscalar(text)
+    assert parse_kscalar("-1") == KScalar.of(-1)
+    assert parse_kscalar(" 2 t ") == KScalar.of(0, 2)
+
+
+_ks_rat = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(KScalar.of, _ks_rat, _ks_rat, _ks_rat, _ks_rat),
+    st.sampled_from(("+", "-", "*", "^", "(", "/", " 7", "x")),
+)
+def test_hypothesis_kscalar_roundtrip_and_junk_suffix(s, junk):
+    text = kscalar_to_text(s)
+    assert parse_kscalar(text) == s
+    with pytest.raises(ChernParseError):
+        parse_kscalar(text + junk)
+
+
 def test_chern_text_roundtrip():
     v = parse_chern("(2t; 1/2-1/2i, 0; -1, 0, 3/2)")
     assert parse_chern(chern_to_text(v)) == v
