@@ -48,6 +48,9 @@ class GaussRational:
     def __setattr__(self, *args):
         raise AttributeError("GaussRational is immutable")
 
+    def __reduce__(self):
+        return GaussRational, (self.re, self.im)
+
     def __add__(self, other: "GaussRational") -> "GaussRational":
         return GaussRational(self.re + other.re, self.im + other.im)
 
@@ -150,6 +153,9 @@ class PhaseScalar:
 
     def __setattr__(self, *args):
         raise AttributeError("PhaseScalar is immutable")
+
+    def __reduce__(self):
+        return _phase, (self._c, self._d)
 
     # ------------------------------------------------------------- factories
 
@@ -254,6 +260,9 @@ class Element:
 
     def __setattr__(self, *args):
         raise AttributeError("Element is immutable")
+
+    def __reduce__(self):
+        return _element, (self._t, self._d)
 
     # ------------------------------------------------------------- factories
 

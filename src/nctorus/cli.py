@@ -164,28 +164,18 @@ def cmd_verify(args) -> int:
 def cmd_pr_build(args) -> int:
     theta = parse_theta(args.theta)
     try:
-        e = loops.pr_build(
-            args.r,
-            args.s,
-            theta,
-            flip_symmetric=args.flip,
-            n=args.grid,
-            eps=args.eps,
-            offset=args.offset,
+        e, gates = loops._build_projection(
+            args.r, args.s, theta, args.flip, args.grid, args.eps, args.offset, loops.MAX_GRID
         )
     except (loops.AlphaOutOfRange, loops.InvalidBumpWidth, loops.ResidualExceeded) as exc:
         raise DomainRejection(str(exc)) from exc
-    gates = loops.projection_gates(
-        e, (args.r * theta.value + args.s) if args.flip else (args.r * theta.value + args.s) % 1.0,
-        args.flip,
-    )
     report = loops.loop_invariants(e, theta, args.r)
     record = {
         "r": args.r,
         "s": args.s,
         "flip_symmetric": args.flip,
         "grid": e.n,
-        "alpha": (args.r * theta.value + args.s) if args.flip else (args.r * theta.value + args.s) % 1.0,
+        "alpha": loops.projection_alpha(args.r, args.s, theta, args.flip),
         "residuals": {
             "square": gates.square_residual,
             "adjoint": gates.adjoint_residual,

@@ -21,6 +21,18 @@ Fourier tails, i.e. ~1e-4 interpolation error).  g is computed as
 sqrt(B(u) B(1-u))/(B(u)+B(1-u)) straight from the branches; going
 through sqrt(f - f^2) would lose half the working precision to
 cancellation next to the plateau.
+
+Every shift goes through the spectrum: a product transforms each right
+coefficient once and builds one phase vector e(m*a*beta) per V-power a of
+the left factor (the vector for -a is the conjugate of the one for +a), so
+a product of two 3-term elements costs 3 forward and 6 inverse FFTs and
+one complex exp.  projection_gates shares its phase table between e*e and
+e* (13 FFTs, one exp per attempt); loop_invariants transforms each
+coefficient once for all four slots.  The results equal the plain
+shift-per-term formulas bit for bit.  Spectra and phases live for one call
+only, never on a CircleFunction or a LoopElement: a failed build's element
+can outlive its call until the cyclic garbage collector runs (a kept
+traceback references it), and anything cached on it would live as long.
 """
 
 from __future__ import annotations
@@ -76,6 +88,10 @@ class ResidualExceeded(ArithmeticError):
     """Projection gates failed even on the largest allowed grid."""
 
 
+def _freqs(n: int) -> np.ndarray:
+    return np.fft.fftfreq(n, 1.0 / n).astype(int)
+
+
 def _check_grid(n: int) -> int:
     if n < MIN_GRID or n & (n - 1):
         raise ValueError(f"grid size must be a power of two >= {MIN_GRID}, got {n}")
@@ -96,6 +112,9 @@ class CircleFunction:
 
     def __setattr__(self, *args):
         raise AttributeError("CircleFunction is immutable")
+
+    def __reduce__(self):
+        return CircleFunction, (self.samples,)
 
     @property
     def n(self) -> int:
@@ -147,7 +166,7 @@ class CircleFunction:
 
     def freqs(self) -> np.ndarray:
         """Integer frequencies in FFT order (Nyquist bin counted as -N/2)."""
-        return np.fft.fftfreq(self.n, 1.0 / self.n).astype(int)
+        return _freqs(self.n)
 
     def coeffs(self) -> np.ndarray:
         """Discrete Fourier coefficients c_m of sum c_m e(m t), FFT order."""
@@ -199,6 +218,9 @@ class LoopElement:
     def __setattr__(self, *args):
         raise AttributeError("LoopElement is immutable")
 
+    def __reduce__(self):
+        return LoopElement, (self.beta, self.coeffs, self.n)
+
     def coefficient(self, k: int) -> CircleFunction:
         return self.coeffs.get(k, CircleFunction.zero(self.n))
 
@@ -249,25 +271,54 @@ class LoopElement:
         return cls(float(data["beta"]), coeffs, int(data["n"]))
 
 
-def loop_mul(x: LoopElement, y: LoopElement) -> LoopElement:
-    """(f V^a)(h V^b) = f * (h shifted by a*beta) V^{a+b}, extended bilinearly."""
-    x._compatible(y)
+def _phase_table(n: int, beta: float, shifts: Iterable[int]) -> Dict[int, np.ndarray]:
+    """{a: e(m*a*beta) over the FFT frequencies m} for the nonzero a in ``shifts``.
+
+    One complex exp per |a|; the vector for -a is the conjugate of the one
+    for +a, which equals the directly computed one bit for bit.
+    """
+    wanted = set(shifts)
+    freqs = _freqs(n)
+    table: Dict[int, np.ndarray] = {}
+    for a in {abs(a) for a in wanted if a}:
+        phase = np.exp(2j * np.pi * freqs * (a * beta))
+        if a in wanted:
+            table[a] = phase
+        if -a in wanted:
+            table[-a] = np.conj(phase)
+    return table
+
+
+def _mul(x: LoopElement, y: LoopElement, phases: Mapping[int, np.ndarray]) -> LoopElement:
+    """loop_mul of compatible operands; ``phases`` covers every nonzero V-power of x."""
+    spectra = {b: np.fft.fft(hb.samples) for b, hb in y.coeffs.items()} if any(x.coeffs) else {}
     acc: Dict[int, CircleFunction] = {}
     for a, fa in x.coeffs.items():
         for b, hb in y.coeffs.items():
-            term = fa * (hb.shift(a * x.beta) if a else hb)
+            term = CircleFunction(fa.samples * np.fft.ifft(spectra[b] * phases[a])) if a else fa * hb
             k = a + b
             acc[k] = acc[k] + term if k in acc else term
     return LoopElement(x.beta, acc, x.n)
 
 
-def loop_star(x: LoopElement) -> LoopElement:
-    """(f V^a)* = conj(f) shifted by -a*beta, times V^{-a}."""
+def _star(x: LoopElement, phases: Mapping[int, np.ndarray]) -> LoopElement:
+    """loop_star; ``phases`` covers -a for every nonzero V-power a of x."""
     out: Dict[int, CircleFunction] = {}
     for a, fa in x.coeffs.items():
-        g = fa.conj()
-        out[-a] = g.shift(-a * x.beta) if a else g
+        g = np.conj(fa.samples)
+        out[-a] = CircleFunction(np.fft.ifft(np.fft.fft(g) * phases[-a]) if a else g)
     return LoopElement(x.beta, out, x.n)
+
+
+def loop_mul(x: LoopElement, y: LoopElement) -> LoopElement:
+    """(f V^a)(h V^b) = f * (h shifted by a*beta) V^{a+b}, extended bilinearly."""
+    x._compatible(y)
+    return _mul(x, y, _phase_table(x.n, x.beta, x.coeffs))
+
+
+def loop_star(x: LoopElement) -> LoopElement:
+    """(f V^a)* = conj(f) shifted by -a*beta, times V^{-a}."""
+    return _star(x, _phase_table(x.n, x.beta, (-a for a in x.coeffs)))
 
 
 def flip_apply(e: LoopElement) -> LoopElement:
@@ -401,12 +452,64 @@ def assemble_projection(
 
 
 def projection_gates(e: LoopElement, alpha: float, flip_symmetric: bool) -> BuildGates:
-    ee = loop_mul(e, e)
-    square = (ee - e).snorm()
-    adjoint = (loop_star(e) - e).snorm()
+    # e*e and e* shift by the same +-a*beta: one phase table serves both
+    phases = _phase_table(e.n, e.beta, [s * a for a in e.coeffs for s in (1, -1)])
+    square = (_mul(e, e, phases) - e).snorm()
+    adjoint = (_star(e, phases) - e).snorm()
     flip_res = (flip_apply(e) - e).snorm() if flip_symmetric else None
     trace = abs(e.coefficient(0).mean().real - alpha)
     return BuildGates(square, adjoint, flip_res, trace)
+
+
+def projection_alpha(r: int, s: int, theta: ThetaParam, flip_symmetric: bool) -> float:
+    """The trace alpha of the build: r*theta + s, taken mod 1 for plain builds."""
+    alpha = r * theta.value + s
+    return alpha if flip_symmetric else alpha % 1.0
+
+
+def _build_projection(
+    r: int,
+    s: int,
+    theta: ThetaParam,
+    flip_symmetric: bool,
+    n: int,
+    eps: Optional[float],
+    offset: float,
+    max_n: int,
+) -> Tuple[LoopElement, BuildGates]:
+    """pr_build, returning the accepted element together with its gates."""
+    if r < 1:
+        raise ValueError("r must be a positive integer")
+    if flip_symmetric:
+        # exact interval check on r*theta + s
+        if not theta.in_open_interval(Fraction(s), r, Fraction(1, 2), 1):
+            raise AlphaOutOfRange(
+                f"alpha-out-of-range: r*theta + s = {r}*theta{s:+d} is not in (1/2, 1)"
+            )
+        if offset not in (0.0, 0.5):
+            raise ValueError("flip-symmetric builds admit only offsets 0 and 1/2")
+    alpha = projection_alpha(r, s, theta, flip_symmetric)
+    beta = (r * theta.value) % 1.0
+    grid = _check_grid(n)
+    while True:
+        e = assemble_projection(
+            alpha, beta, n=grid, eps=eps, centered=flip_symmetric, offset=offset
+        )
+        gates = projection_gates(e, alpha, flip_symmetric)
+        ok = (
+            gates.square_residual <= SQUARE_RESIDUAL_GATE
+            and gates.adjoint_residual <= ADJOINT_RESIDUAL_GATE
+            and gates.trace_error <= TRACE_GATE
+            and (gates.flip_residual is None or gates.flip_residual <= FLIP_RESIDUAL_GATE)
+        )
+        if ok:
+            return e, gates
+        if grid * 4 > max_n:
+            raise ResidualExceeded(
+                f"residual-exceeded: gates {gates} not met at grid {grid} "
+                f"(limit {max_n}); the grid is too coarse for this bump"
+            )
+        grid *= 4
 
 
 def pr_build(
@@ -430,40 +533,7 @@ def pr_build(
     when applicable) drive automatic grid refinement x4 up to ``max_n``;
     if the gates still fail, ResidualExceeded is raised.
     """
-    if r < 1:
-        raise ValueError("r must be a positive integer")
-    if flip_symmetric:
-        # exact interval check on r*theta + s
-        if not theta.in_open_interval(Fraction(s), r, Fraction(1, 2), 1):
-            raise AlphaOutOfRange(
-                f"alpha-out-of-range: r*theta + s = {r}*theta{s:+d} is not in (1/2, 1)"
-            )
-        if offset not in (0.0, 0.5):
-            raise ValueError("flip-symmetric builds admit only offsets 0 and 1/2")
-        alpha = r * theta.value + s
-    else:
-        alpha = (r * theta.value + s) % 1.0
-    beta = (r * theta.value) % 1.0
-    grid = _check_grid(n)
-    while True:
-        e = assemble_projection(
-            alpha, beta, n=grid, eps=eps, centered=flip_symmetric, offset=offset
-        )
-        gates = projection_gates(e, alpha, flip_symmetric)
-        ok = (
-            gates.square_residual <= SQUARE_RESIDUAL_GATE
-            and gates.adjoint_residual <= ADJOINT_RESIDUAL_GATE
-            and gates.trace_error <= TRACE_GATE
-            and (gates.flip_residual is None or gates.flip_residual <= FLIP_RESIDUAL_GATE)
-        )
-        if ok:
-            return e
-        if grid * 4 > max_n:
-            raise ResidualExceeded(
-                f"residual-exceeded: gates {gates} not met at grid {grid} "
-                f"(limit {max_n}); the grid is too coarse for this bump"
-            )
-        grid *= 4
+    return _build_projection(r, s, theta, flip_symmetric, n, eps, offset, max_n)[0]
 
 
 # ----------------------------------------------------------------- invariants
@@ -481,9 +551,6 @@ class InvariantReport:
     tau: float
     raw: Tuple[complex, complex, complex, complex]
     rounded: Tuple[Optional[Fraction], ...]
-
-    def rounded_vector(self) -> Tuple[Optional[Fraction], ...]:
-        return self.rounded
 
     def to_json(self) -> dict:
         return {
@@ -507,22 +574,27 @@ def loop_invariants(e: LoopElement, theta: ThetaParam, r: int) -> InvariantRepor
     sum over k = j (2), rm = i (2) of c_{k,m} e(-theta*r*m*k/2);
     tau is the mean of the V^0 coefficient.
     """
-    tv = theta.value
     tau = e.coefficient(0).mean().real
+    m = _freqs(e.n)
+    # Each coefficient's spectrum times its phase e(-theta*r*m*k/2), built
+    # once and shared by the two slots of its parity; one exp per |k|.
+    step = -1j * np.pi * theta.value * r
+    phases: Dict[int, np.ndarray] = {}
+    for k in {abs(k) for k in e.coeffs if k}:
+        phases[k] = np.exp(step * m * k)
+        phases[-k] = np.conj(phases[k])
+    terms = {k: f.coeffs() * phases[k] if k else f.coeffs() for k, f in e.coeffs.items()}
     raw = []
     for i in (0, 1):
+        sel = (r * m - i) % 2 == 0
+        if not np.any(sel):
+            raw.extend((0j, 0j))
+            continue
         for j in (0, 1):
             total = 0j
-            for k, f in e.coeffs.items():
-                if (k - j) % 2 != 0:
-                    continue
-                c = f.coeffs()
-                m = f.freqs()
-                sel = (r * m - i) % 2 == 0
-                if not np.any(sel):
-                    continue
-                phases = np.exp(-1j * np.pi * tv * r * m[sel] * k)
-                total += complex(np.sum(c[sel] * phases))
+            for k, t in terms.items():
+                if (k - j) % 2 == 0:
+                    total += complex(np.sum(t[sel]))
             raw.append(total)
     raw_t = (raw[0], raw[1], raw[2], raw[3])  # (00, 01, 10, 11)
     return InvariantReport(

@@ -633,6 +633,8 @@ class _Verifier:
     def cyclic(self, node: CyclicCert, path: str) -> None:
         th = self.theta
         self.check(node.target.in_open_interval(th, 0, Fraction(1, 4)), path, "target not in (0, 1/4)")
+        if not self.check(isinstance(node.flat, FlatCert), path, "cyclic needs a flat inner"):
+            return
         self.check(
             (node.flat.target.a, node.flat.target.b) == (4 * node.target.a, 4 * node.target.b),
             path,
@@ -672,6 +674,8 @@ class _Verifier:
     def semiflat(self, node: SemiflatCert, path: str) -> None:
         self.check(node.target.in_subgroup(2), path, "target not in 2Z + 2Z*theta")
         self.check(node.target.in_open_interval(self.theta, 0, 1), path, "target not in (0, 1)")
+        if not self.check(isinstance(node.inner, SemicyclicCert), path, "semiflat needs a semicyclic inner"):
+            return
         self.check(
             (node.target.a, node.target.b) == (2 * node.inner.target.a, 2 * node.inner.target.b),
             path,
@@ -858,8 +862,15 @@ class CertificateFormatError(ValueError):
     pass
 
 
+def _int(value) -> int:
+    """A JSON integer; bools, floats and strings are format errors, not coerced."""
+    if type(value) is not int:
+        raise CertificateFormatError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _trace_from_json(d: dict) -> TraceValue:
-    return TraceValue(int(d["a"]), int(d["b"]))
+    return TraceValue(_int(d["a"]), _int(d["b"]))
 
 
 def certificate_from_json(data: dict) -> Certificate:
@@ -872,7 +883,7 @@ def certificate_from_json(data: dict) -> Certificate:
             legs = tuple(
                 OrbitFlat(
                     ApproximantCyclic(
-                        int(leg["leaf"]["k"]), int(leg["leaf"]["p"]), int(leg["leaf"]["q"])
+                        _int(leg["leaf"]["k"]), _int(leg["leaf"]["p"]), _int(leg["leaf"]["q"])
                     )
                 )
                 for leg in data["legs"]
@@ -881,13 +892,13 @@ def certificate_from_json(data: dict) -> Certificate:
                 raise CertificateFormatError("flat node needs exactly two legs")
             return FlatCert(
                 target=target,
-                k=int(data["k"]),
-                n=int(data["n"]),
-                m=int(data["m"]),
-                low=Convergent(int(data["low"]["p"]), int(data["low"]["q"])),
-                high=Convergent(int(data["high"]["p"]), int(data["high"]["q"])),
-                a=int(data["a"]),
-                b=int(data["b"]),
+                k=_int(data["k"]),
+                n=_int(data["n"]),
+                m=_int(data["m"]),
+                low=Convergent(_int(data["low"]["p"]), _int(data["low"]["q"])),
+                high=Convergent(_int(data["high"]["p"]), _int(data["high"]["q"])),
+                a=_int(data["a"]),
+                b=_int(data["b"]),
                 legs=legs,
             )
         if node == "cyclic":
@@ -900,16 +911,16 @@ def certificate_from_json(data: dict) -> Certificate:
             return SemiflatCert(target=target, inner=certificate_from_json(data["inner"]))
         if node == "fourier-invariant":
             legs = [
-                EmbeddingLeg(int(l["m1"]), int(l["m2"]), int(l["n_shift"])) for l in data["legs"]
+                EmbeddingLeg(_int(l["m1"]), _int(l["m2"]), _int(l["n_shift"])) for l in data["legs"]
             ]
             if len(legs) != 2:
                 raise CertificateFormatError("fourier-invariant node needs exactly two legs")
             return FourierInvariantCert(
                 target=target,
-                squares=FourSquares(*(int(x) for x in data["squares"])),
+                squares=FourSquares(*(_int(x) for x in data["squares"])),
                 leg1=legs[0],
                 leg2=legs[1],
-                k=int(data["k"]),
+                k=_int(data["k"]),
                 branch=data["branch"],
             )
         raise CertificateFormatError(f"unknown node tag {node!r}")

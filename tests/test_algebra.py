@@ -389,3 +389,24 @@ def test_from_decimal_float_input():
     th = ThetaParam.from_decimal(0.6180339887498949)
     assert th.sign_linear(-1, 2) > 0
     assert abs(th.value - 0.6180339887498949) < 1e-15
+
+
+# --------------------------------------------------------- pickle and copy
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: GaussRational(Fraction(-3, 4), Fraction(5, 6)),
+    lambda rng: PhaseScalar({-2: GaussRational(Fraction(1, 3)), 5: GaussRational(0, Fraction(-7, 2))}),
+    lambda rng: random_element(rng),
+], ids=["GaussRational", "PhaseScalar", "Element"])
+def test_pickle_and_copy_round_trip(make, rng):
+    import copy
+    import pickle
+
+    x = make(rng)
+    for back in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(back) is type(x)
+        assert back == x and hash(back) == hash(x)
+        assert str(back) == str(x)
+        with pytest.raises(AttributeError):
+            back.re = 0

@@ -110,6 +110,27 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert code == 2 and rec["ok"] is False
 
 
+def test_verify_rejects_non_integer_field(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    run(capsys, "realize", "--kind", "flat", "--trace", "8t-4", "-o", str(path))
+    payload = json.loads(path.read_text())
+    payload["certificate"]["a"] += 0.9
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and "expected an integer" in err
+
+
+def test_verify_rejects_child_of_wrong_node_type(tmp_path, capsys):
+    flat, semiflat = tmp_path / "flat.json", tmp_path / "semiflat.json"
+    run(capsys, "realize", "--kind", "flat", "--trace", "8t-4", "-o", str(flat))
+    run(capsys, "realize", "--kind", "semiflat", "--trace", "4t-2", "-o", str(semiflat))
+    payload = json.loads(semiflat.read_text())
+    payload["certificate"]["inner"] = json.loads(flat.read_text())["certificate"]
+    semiflat.write_text(json.dumps(payload))
+    code, rec, _ = run_json(capsys, "verify", str(semiflat))
+    assert code == 2 and rec["ok"] is False
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/cert.json")
     assert code == 2

@@ -105,6 +105,24 @@ def test_snorm_submultiplicative():
         assert loop_mul(x, y).snorm() <= x.snorm() * y.snorm() * (1 + 1e-9)
 
 
+def test_pickle_and_copy_round_trip():
+    import copy
+    import pickle
+
+    x = random_loop(random.Random(22), GOLDEN.value, n=512)
+    f = x.coeffs[next(iter(x.coeffs))]
+    for back in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert type(back) is CircleFunction and np.array_equal(back.samples, f.samples)
+        with pytest.raises(AttributeError):
+            back.samples = None
+    for back in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(back) is LoopElement and (back.beta, back.n) == (x.beta, x.n)
+        assert list(back.coeffs) == list(x.coeffs)
+        assert all(np.array_equal(back.coeffs[k].samples, g.samples) for k, g in x.coeffs.items())
+        with pytest.raises(AttributeError):
+            back.beta = 0.0
+
+
 def test_loop_json_roundtrip():
     rng = random.Random(20)
     x = random_loop(rng, SQRT2.value, n=512)

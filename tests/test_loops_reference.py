@@ -1,0 +1,219 @@
+"""The loop algebra against the plain shift-per-term formulas it replaces.
+
+``loops`` transforms each coefficient once per call and builds one phase
+vector per V-power.  The functions below are the direct transcription of
+the product, adjoint, gate and invariant formulas: every term shifted on
+its own, every invariant slot with its own transform and phases.  The two
+must agree bit for bit, not merely within a tolerance.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nctorus import loops
+from nctorus.loops import (
+    BuildGates,
+    CircleFunction,
+    LoopElement,
+    ResidualExceeded,
+    assemble_projection,
+    flip_apply,
+    loop_invariants,
+    loop_mul,
+    loop_star,
+    pr_build,
+    projection_gates,
+)
+from nctorus.theta import ThetaParam
+from test_loops import random_loop
+
+GOLDEN = ThetaParam.preset("golden")
+SQRT2 = ThetaParam.preset("sqrt2")
+
+
+# ------------------------------------------------------------------ reference
+
+
+def ref_shift(f, s):
+    spectrum = np.fft.fft(f.samples)
+    phase = np.exp(2j * np.pi * f.freqs() * s)
+    return CircleFunction(np.fft.ifft(spectrum * phase))
+
+
+def ref_loop_mul(x, y):
+    acc = {}
+    for a, fa in x.coeffs.items():
+        for b, hb in y.coeffs.items():
+            term = fa * (ref_shift(hb, a * x.beta) if a else hb)
+            k = a + b
+            acc[k] = acc[k] + term if k in acc else term
+    return LoopElement(x.beta, acc, x.n)
+
+
+def ref_loop_star(x):
+    out = {}
+    for a, fa in x.coeffs.items():
+        g = fa.conj()
+        out[-a] = ref_shift(g, -a * x.beta) if a else g
+    return LoopElement(x.beta, out, x.n)
+
+
+def ref_projection_gates(e, alpha, flip_symmetric):
+    square = (ref_loop_mul(e, e) - e).snorm()
+    adjoint = (ref_loop_star(e) - e).snorm()
+    flip_res = (flip_apply(e) - e).snorm() if flip_symmetric else None
+    trace = abs(e.coefficient(0).mean().real - alpha)
+    return BuildGates(square, adjoint, flip_res, trace)
+
+
+def ref_loop_invariants(e, theta, r):
+    tv = theta.value
+    tau = e.coefficient(0).mean().real
+    raw = []
+    for i in (0, 1):
+        for j in (0, 1):
+            total = 0j
+            for k, f in e.coeffs.items():
+                if (k - j) % 2 != 0:
+                    continue
+                c = f.coeffs()
+                m = f.freqs()
+                sel = (r * m - i) % 2 == 0
+                if not np.any(sel):
+                    continue
+                phases = np.exp(-1j * np.pi * tv * r * m[sel] * k)
+                total += complex(np.sum(c[sel] * phases))
+            raw.append(total)
+    return float(tau), tuple(raw), tuple(loops._round_quarter(z) for z in raw)
+
+
+def assert_identical(x, y):
+    assert (x.n, x.beta) == (y.n, y.beta)
+    assert list(x.coeffs) == list(y.coeffs)
+    for k in x.coeffs:
+        assert np.array_equal(x.coeffs[k].samples, y.coeffs[k].samples), f"coefficient {k} differs"
+
+
+def assert_same_invariants(e, theta, r):
+    rep = loop_invariants(e, theta, r)
+    assert (rep.tau, rep.raw, rep.rounded) == ref_loop_invariants(e, theta, r)
+
+
+# ------------------------------------------------------------ random elements
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.sampled_from([GOLDEN, SQRT2]),
+    r=st.integers(1, 40),
+    n=st.sampled_from([256, 512, 1024]),
+    kmax=st.integers(0, 3),
+)
+def test_random_loops_match_reference(seed, theta, r, n, kmax):
+    rng = random.Random(seed)
+    beta = (r * theta.value) % 1.0
+    x = random_loop(rng, beta, n=n, kmax=kmax)
+    y = random_loop(rng, beta, n=n, kmax=kmax)
+    assert_identical(loop_mul(x, y), ref_loop_mul(x, y))
+    assert_identical(loop_mul(x, x), ref_loop_mul(x, x))
+    assert_identical(loop_star(x), ref_loop_star(x))
+    assert projection_gates(x, 0.5, True) == ref_projection_gates(x, 0.5, True)
+    assert_same_invariants(x, theta, r)
+
+
+# --------------------------------------------------------------- bump builds
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096, 16384])
+@pytest.mark.parametrize("theta", [GOLDEN, SQRT2], ids=["golden", "sqrt2"])
+def test_bump_builds_match_reference(theta, n):
+    rng = random.Random(n)
+    for r, s, centered in ((6, -3, True), (3, -1, True), (4, -1, True), (9, -3, True), (2, 0, False),
+                           (rng.randint(1, 40), rng.randint(-40, 40), False)):
+        alpha = r * theta.value + s
+        if not centered or not 0.5 < alpha < 1:
+            alpha %= 1.0
+            centered = False
+        beta = (r * theta.value) % 1.0
+        e = assemble_projection(alpha, beta, n=n, centered=centered, offset=0.5 * rng.randrange(2))
+        assert_identical(loop_mul(e, e), ref_loop_mul(e, e))
+        assert_identical(loop_star(e), ref_loop_star(e))
+        assert projection_gates(e, alpha, centered) == ref_projection_gates(e, alpha, centered)
+        assert_same_invariants(e, theta, r)
+
+
+def ref_pr_build(r, s, theta, flip, n, eps=None, offset=0.0, max_n=loops.MAX_GRID):
+    alpha = r * theta.value + s if flip else (r * theta.value + s) % 1.0
+    beta = (r * theta.value) % 1.0
+    while True:
+        e = assemble_projection(alpha, beta, n=n, eps=eps, centered=flip, offset=offset)
+        gates = ref_projection_gates(e, alpha, flip)
+        if (gates.square_residual <= loops.SQUARE_RESIDUAL_GATE
+                and gates.adjoint_residual <= loops.ADJOINT_RESIDUAL_GATE
+                and gates.trace_error <= loops.TRACE_GATE
+                and (gates.flip_residual is None or gates.flip_residual <= loops.FLIP_RESIDUAL_GATE)):
+            return e, gates
+        if n * 4 > max_n:
+            return None, gates
+        n *= 4
+
+
+@pytest.mark.parametrize("r,s,theta,flip,n,eps", [
+    (6, -3, GOLDEN, True, 4096, None),
+    (1, 0, GOLDEN, False, 256, None),
+    (7, -2, SQRT2, True, 1024, None),
+    (5, 3, SQRT2, False, 1024, 0.0015),
+    (11, -6, GOLDEN, False, 4096, 0.0009),
+])
+def test_pr_build_matches_reference_through_refinement(r, s, theta, flip, n, eps):
+    want, want_gates = ref_pr_build(r, s, theta, flip, n, eps, max_n=16384)
+    if want is None:
+        with pytest.raises(ResidualExceeded) as info:
+            pr_build(r, s, theta, flip, n=n, eps=eps, max_n=16384)
+        assert repr(want_gates) in str(info.value)
+        return
+    e, gates = loops._build_projection(r, s, theta, flip, n, eps, 0.0, 16384)
+    assert_identical(e, want)
+    assert gates == want_gates
+    assert_identical(pr_build(r, s, theta, flip, n=n, eps=eps, max_n=16384), want)
+
+
+# ------------------------------------------------------------------- counting
+
+
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """Count the FFTs and the complex exps made through numpy."""
+    counts = {"fft": 0, "complex_exp": 0}
+
+    def counted(name, fn):
+        def call(x, *args, **kwargs):
+            if name != "exp" or np.iscomplexobj(x):
+                counts["fft" if name != "exp" else "complex_exp"] += 1
+            return fn(x, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
+    monkeypatch.setattr(np, "exp", counted("exp", np.exp))
+    return counts
+
+
+def test_gate_attempt_transform_counts(numpy_calls):
+    e = assemble_projection(6 * GOLDEN.value - 3, (6 * GOLDEN.value) % 1.0, n=4096, centered=True)
+    assert set(e.coeffs) == {-1, 0, 1}
+    projection_gates(e, 6 * GOLDEN.value - 3, True)
+    assert numpy_calls["fft"] <= 13
+    assert numpy_calls["complex_exp"] <= 1
+
+
+def test_invariant_transform_counts(numpy_calls):
+    e = assemble_projection(3 * GOLDEN.value - 1, (3 * GOLDEN.value) % 1.0, n=4096, centered=True)
+    loop_invariants(e, GOLDEN, 3)
+    assert numpy_calls["fft"] <= 3
+    assert numpy_calls["complex_exp"] <= 1

@@ -9,6 +9,7 @@ import pytest
 from nctorus.algebra import Element, PhaseScalar, apply_automorphism
 from nctorus.realization import (
     KINDS,
+    CertificateFormatError,
     OutOfRange,
     TraceValue,
     WrongSubgroup,
@@ -413,3 +414,79 @@ def test_shallow_prefix_reports_insufficient_data():
     # convergents the 5-term prefix cannot provide
     with pytest.raises(PrecisionExhausted):
         flat_decompose(TraceValue(-32, 52), th)
+
+
+# ----------------------------------------------------------- strict parsing
+
+
+def _paths_to_ints(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths_to_ints(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths_to_ints(value, path + (i,))
+    elif type(node) is int:
+        yield path
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_non_integer_fields_are_format_errors(kind):
+    rng = random.Random(len(kind))
+    payload = certificate_to_json(realize(kind, random_target(rng, GOLDEN, kind), GOLDEN))
+    paths = list(_paths_to_ints(payload))
+    assert paths
+    for path in paths:
+        for wrong in (lambda v: v + 0.9, lambda v: float(v), str, lambda v: bool(v % 2)):
+            clone = copy.deepcopy(payload)
+            cursor = clone
+            for step in path[:-1]:
+                cursor = cursor[step]
+            cursor[path[-1]] = wrong(cursor[path[-1]])
+            with pytest.raises(CertificateFormatError):
+                certificate_from_json(clone)
+
+
+def test_flat_coefficient_with_fraction_is_rejected():
+    payload = certificate_to_json(realize("flat", TraceValue(-4, 8), GOLDEN))
+    payload["a"] = payload["a"] + 0.9
+    with pytest.raises(CertificateFormatError, match="integer"):
+        certificate_from_json(payload)
+
+
+def _child_slots(node):
+    """(dict, key) of every slot that holds a child certificate."""
+    for key in ("inner", "flat"):
+        if key in node:
+            yield node, key
+            yield from _child_slots(node[key])
+
+
+def test_child_of_wrong_node_type_fails_cleanly():
+    certs = [realize(kind, random_target(random.Random(7), GOLDEN, kind), GOLDEN) for kind in KINDS]
+    certs.append(realize("flat", TraceValue(8, -12), GOLDEN))  # a reflected node
+    donors = [certificate_to_json(cert) for cert in certs]
+    swapped = 0
+    for host in donors:
+        for index, (node, key) in enumerate(_child_slots(host)):
+            for donor in donors:
+                if donor["node"] == node[key]["node"]:
+                    continue
+                clone = copy.deepcopy(host)
+                slot, slot_key = list(_child_slots(clone))[index]
+                slot[slot_key] = donor
+                try:
+                    cert = certificate_from_json(clone)
+                except CertificateFormatError:
+                    continue
+                assert not verify_certificate(cert, GOLDEN).ok
+                swapped += 1
+    assert swapped > 20
+
+
+def test_semiflat_with_flat_inner_is_a_failing_report():
+    payload = certificate_to_json(realize("semiflat", TraceValue(-2, 4), GOLDEN))
+    payload["inner"] = certificate_to_json(realize("flat", TraceValue(-4, 8), GOLDEN))
+    report = verify_certificate(certificate_from_json(payload), GOLDEN)
+    assert not report.ok
+    assert report.failures[0] == ("semiflat", "semiflat needs a semicyclic inner")
