@@ -15,84 +15,62 @@ Layers:
 * :mod:`nctorus.loops` -- numeric Powers-Rieffel projections as loop
   elements with verified residual gates and invariant tables.
 * :mod:`nctorus.cli` -- the ``nctorus`` command-line front end.
+* :mod:`nctorus.selftest` -- the exact identity suites of ``nctorus selftest``.
 
 Everything operates on immutable values and is safe for concurrent use.
+
+``import nctorus`` loads no layer: each public name below is looked up in
+its module on first access (PEP 562), so a caller pays only for the
+layers it touches.
 """
 
-from .algebra import (
-    ONE,
-    U,
-    V,
-    Element,
-    GaussRational,
-    Monomial,
-    PhaseScalar,
-    apply_automorphism,
-    canonical_trace,
-    element_to_text,
-    normalize_product,
-    numeric_eval,
-    parse_element,
-    parse_phase,
-    phase_to_text,
-    sigma_average,
-    star,
-)
-from .lattice import (
-    ChernVector,
-    Genus,
-    K0Coordinates,
-    KScalar,
-    basis_rank,
-    basis_vectors,
-    chern_from_t4,
-    chern_to_text,
-    decompose,
-    genus_basis_decompose,
-    parse_chern,
-    parse_kscalar,
-    quantization_check,
-    recompose,
-    semiflat_coordinates,
-    semiflat_membership,
-    synthesis_recipe,
-    trace_of,
-)
-from .loops import (
-    CircleFunction,
-    LoopElement,
-    bump_pair,
-    flip_apply,
-    loop_invariants,
-    loop_mul,
-    loop_star,
-    pr_build,
-)
-from .realization import (
-    Certificate,
-    Convergent,
-    FourSquares,
-    TraceValue,
-    certificate_from_json,
-    certificate_to_json,
-    convergents,
-    flat_decompose,
-    four_squares,
-    parse_trace,
-    realize,
-    subalgebra_generators,
-    verify_certificate,
-)
-from .theta import PrecisionExhausted, ThetaParam, parse_theta
-from .traces import (
-    T2Vector,
-    T4Vector,
-    chern_T2,
-    chern_T4,
-    phi_eval,
-    psi_eval,
-    relation_check,
-    twist_discovery,
-)
+from importlib import import_module as _import_module
 
+_EXPORTS = {
+    "algebra": (
+        "ONE", "U", "V", "Element", "GaussRational", "Monomial", "PhaseScalar",
+        "apply_automorphism", "canonical_trace", "element_to_text", "normalize_product",
+        "numeric_eval", "parse_element", "parse_phase", "phase_to_text", "sigma_average",
+        "star",
+    ),
+    "lattice": (
+        "ChernVector", "Genus", "K0Coordinates", "KScalar", "basis_rank", "basis_vectors",
+        "chern_from_t4", "chern_to_text", "decompose", "genus_basis_decompose",
+        "parse_chern", "parse_kscalar", "quantization_check", "recompose",
+        "semiflat_coordinates", "semiflat_membership", "synthesis_recipe", "trace_of",
+    ),
+    "loops": (
+        "CircleFunction", "LoopElement", "bump_pair", "flip_apply", "loop_invariants",
+        "loop_mul", "loop_star", "pr_build",
+    ),
+    "realization": (
+        "Certificate", "Convergent", "FourSquares", "TraceValue", "certificate_from_json",
+        "certificate_to_json", "convergents", "flat_decompose", "four_squares", "parse_trace",
+        "realize", "subalgebra_generators", "verify_certificate",
+    ),
+    "theta": ("PrecisionExhausted", "ThetaParam", "parse_theta"),
+    "traces": (
+        "T2Vector", "T4Vector", "chern_T2", "chern_T4", "phi_eval", "psi_eval",
+        "relation_check", "twist_discovery",
+    ),
+}
+
+# public name -> the module that defines it; a layer's own name maps to itself
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = _import_module(f".{module}", __name__)
+    value = mod if name == module else getattr(mod, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

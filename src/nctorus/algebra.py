@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
-from .theta import ThetaParam
+from .theta import ThetaParam, _rat_str
 
 Rat = Union[int, Fraction]
 
@@ -471,13 +471,6 @@ def numeric_eval(s: PhaseScalar, theta: ThetaParam) -> complex:
 
 
 # ------------------------------------------------------------- serialization
-
-
-def _rat_str(num: int, den: int = 1) -> str:
-    """The rational num/den (den > 0) in lowest terms: ``3`` or ``-1/2``."""
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _gauss_str(a: int, b: int, d: int) -> str:

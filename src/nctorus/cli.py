@@ -4,21 +4,20 @@ Every subcommand computes one machine-readable record; ``--json`` prints
 it as JSON, the default renders the same record as text.  Exit codes:
 0 success, 2 domain rejection (bad input value, failed verification),
 1 internal error.
+
+Each subcommand imports the layers it uses when it runs, so a process
+pays only for those: ``cone`` never loads the algebra, and only
+``pr-build`` loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import Optional
 
-from . import algebra, lattice, loops, realization, traces
-from .algebra import Element, numeric_eval, parse_element
-from .lattice import parse_chern
-from .realization import parse_trace
-from .theta import PrecisionExhausted, ThetaParam, parse_theta
+from .theta import PrecisionExhausted, parse_theta
 
 CERT_FORMAT = "nctorus-certificate/1"
 
@@ -42,12 +41,15 @@ def _emit(record: dict, as_json: bool, render) -> None:
 
 
 def cmd_eval(args) -> int:
+    from . import traces
+    from .algebra import element_to_text, numeric_eval, parse_element
+
     theta = parse_theta(args.theta)
     x = parse_element(args.expr)
     t2 = traces.chern_T2(x)
     t4 = traces.chern_T4(x)
     record = {
-        "expr": algebra.element_to_text(x),
+        "expr": element_to_text(x),
         "t2": t2.to_json(),
         "t4": t4.to_json(),
         "t2_numeric": [_complex_pair(numeric_eval(s, theta)) for s in t2.slots()],
@@ -66,7 +68,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    v = parse_chern(args.vector)
+    from . import lattice
+
+    v = lattice.parse_chern(args.vector)
     res = lattice.decompose(v)
     record = {
         "vector": lattice.chern_to_text(v),
@@ -87,8 +91,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_cone(args) -> int:
+    from . import lattice
+
     theta = parse_theta(args.theta)
-    v = parse_chern(args.vector)
+    v = lattice.parse_chern(args.vector)
     decision = lattice.semiflat_membership(v, theta)
     record = decision.to_json()
     record["vector"] = lattice.chern_to_text(v)
@@ -115,12 +121,14 @@ def cmd_cone(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    from . import realization
+
     theta = parse_theta(args.theta)
-    t = parse_trace(args.trace)
+    t = realization.parse_trace(args.trace)
     try:
         cert = realization.realize(args.kind, t, theta)
     except realization.RealizationError as exc:
-        raise DomainRejection(f"{exc.code}: {exc}") from exc
+        raise DomainRejection(str(exc)) from exc
     payload = {
         "format": CERT_FORMAT,
         "kind": args.kind,
@@ -140,13 +148,25 @@ def cmd_realize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CERT_FORMAT:
-        raise DomainRejection(f"unsupported certificate format {payload.get('format')!r}")
-    theta = parse_theta(args.theta if args.theta else payload["theta"])
-    cert = realization.certificate_from_json(payload["certificate"])
-    report = realization.verify_certificate(cert, theta)
+    from . import realization
+
+    try:
+        with open(args.certificate, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise DomainRejection(f"a certificate file holds a JSON object, not {type(payload).__name__}")
+        if payload.get("format") != CERT_FORMAT:
+            raise DomainRejection(f"unsupported certificate format {payload.get('format')!r}")
+        spec = args.theta if args.theta else payload.get("theta")
+        if not isinstance(spec, str):
+            raise DomainRejection(f"the certificate file needs a theta spec string, got {spec!r}")
+        if not isinstance(payload.get("certificate"), dict):
+            raise DomainRejection("the certificate file needs a 'certificate' object")
+        theta = parse_theta(spec)
+        cert = realization.certificate_from_json(payload["certificate"])
+        report = realization.verify_certificate(cert, theta)
+    except RecursionError as exc:
+        raise DomainRejection("the certificate is nested too deeply to read") from exc
     record = report.to_json()
     record["kind"] = payload.get("kind")
 
@@ -162,10 +182,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pr_build(args) -> int:
+    from . import loops
+
     theta = parse_theta(args.theta)
+    grid = loops.DEFAULT_GRID if args.grid is None else args.grid
     try:
         e, gates = loops._build_projection(
-            args.r, args.s, theta, args.flip, args.grid, args.eps, args.offset, loops.MAX_GRID
+            args.r, args.s, theta, args.flip, grid, args.eps, args.offset, loops.MAX_GRID
         )
     except (loops.AlphaOutOfRange, loops.InvalidBumpWidth, loops.ResidualExceeded) as exc:
         raise DomainRejection(str(exc)) from exc
@@ -204,139 +227,12 @@ def cmd_pr_build(args) -> int:
     return 0
 
 
-def _selftest_suites(rng: random.Random):
-    """(name, callable) pairs; each returns True on success."""
-    from fractions import Fraction
-
-    from .algebra import ONE, apply_automorphism, canonical_trace
-
-    def random_element(max_terms=4, span=3):
-        x = Element.zero()
-        for _ in range(rng.randint(1, max_terms)):
-            coef = algebra.GaussRational(
-                Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))),
-                Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))),
-            )
-            x = x + Element.monomial(
-                rng.randint(-span, span), rng.randint(-span, span),
-                algebra.PhaseScalar({rng.randint(-4, 4): coef}),
-            )
-        return x
-
-    def ring_laws():
-        for _ in range(120):
-            x, y, z = (random_element() for _ in range(3))
-            if (x * y) * z != x * (y * z):
-                return False
-            if x * (y + z) != x * y + x * z:
-                return False
-            if x * ONE != x or ONE * x != x:
-                return False
-        return True
-
-    def star_and_automorphisms():
-        for _ in range(120):
-            x, y = random_element(), random_element()
-            if (x * y).star() != y.star() * x.star():
-                return False
-            if x.star().star() != x:
-                return False
-            s2 = apply_automorphism("sigma", apply_automorphism("sigma", x))
-            if s2 != apply_automorphism("flip", x):
-                return False
-            sg = apply_automorphism("sigma", apply_automorphism("gamma", x))
-            gs = apply_automorphism("gamma", apply_automorphism("sigma", x))
-            if sg != gs:
-                return False
-        return True
-
-    def trace_laws():
-        for _ in range(120):
-            x, y = random_element(), random_element()
-            if canonical_trace(x * y) != canonical_trace(y * x):
-                return False
-            if canonical_trace(apply_automorphism("sigma", x)) != canonical_trace(x):
-                return False
-        return True
-
-    def relations_grid():
-        for m in range(-4, 5):
-            for n in range(-4, 5):
-                if not traces.relation_check(Element.monomial(m, n)):
-                    return False
-        return True
-
-    def twisted_trace():
-        for m1 in range(-3, 4):
-            for n1 in range(-3, 4):
-                x = Element.monomial(m1, n1)
-                fx = apply_automorphism("flip", x)
-                for m2 in range(-3, 4):
-                    for n2 in range(-3, 4):
-                        y = Element.monomial(m2, n2)
-                        fy = apply_automorphism("flip", y)
-                        for ij in traces.PHI_INDICES:
-                            if traces.phi_eval(ij, x * y) != traces.phi_eval(ij, fy * x):
-                                return False
-        return True
-
-    def lattice_roundtrip():
-        for _ in range(100):
-            coords = lattice.K0Coordinates(*(rng.randint(-20, 20) for _ in range(9)))
-            res = lattice.decompose(lattice.recompose(coords))
-            if not res or res.coordinates != coords:
-                return False
-        return lattice.basis_rank() == 9
-
-    def realization_suite():
-        theta = ThetaParam.preset("golden")
-        for kind, mult, hi in (
-            ("cyclic", 1, Fraction(1, 4)),
-            ("semicyclic", 1, Fraction(1, 2)),
-            ("flat", 4, Fraction(1)),
-            ("semiflat", 2, Fraction(1)),
-            ("fourier_invariant", 1, Fraction(1)),
-        ):
-            done = 0
-            while done < 10:
-                b = mult * rng.randint(1, 12)
-                shift = theta.floor_linear(b)
-                a = -(shift // mult) * mult
-                t = realization.TraceValue(a, b)
-                if not (t.in_subgroup(mult) and t.in_open_interval(theta, 0, hi)):
-                    continue
-                cert = realization.realize(kind, t, theta)
-                if not realization.verify_certificate(cert, theta):
-                    return False
-                done += 1
-        return True
-
-    def embedding_grid():
-        for m in range(-4, 5):
-            for n in range(-4, 5):
-                if (m, n) == (0, 0):
-                    continue
-                if realization._check_embedding(m, n) is not None:
-                    return False
-        return True
-
-    return (
-        ("ring-laws", ring_laws),
-        ("star-and-automorphisms", star_and_automorphisms),
-        ("trace-laws", trace_laws),
-        ("relation-grid", relations_grid),
-        ("twisted-trace-grid", twisted_trace),
-        ("lattice-roundtrip", lattice_roundtrip),
-        ("realization-verify", realization_suite),
-        ("embedding-grid", embedding_grid),
-    )
-
-
 def cmd_selftest(args) -> int:
-    rng = random.Random(20170)
+    from . import selftest
+
     results = {}
     ok = True
-    for name, suite in _selftest_suites(rng):
+    for name, suite in selftest.suites():
         passed = bool(suite())
         results[name] = passed
         ok &= passed
@@ -380,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="build a trace-realization certificate")
     add_common(p)
-    p.add_argument("--kind", required=True, choices=realization.KINDS)
+    p.add_argument("--kind", required=True,
+                   help="symmetry kind; an unknown kind is rejected with the list of kinds")
     p.add_argument("--trace", required=True, help="target trace, e.g. '8t-4'")
     p.add_argument("--output", "-o", help="write the certificate JSON to this path")
     p.set_defaults(func=cmd_realize)
@@ -396,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-s", type=int, required=True)
     p.add_argument("--flip", action="store_true", help="flip-symmetric build (alpha in (1/2,1))")
-    p.add_argument("--grid", type=int, default=loops.DEFAULT_GRID)
+    p.add_argument("--grid", type=int, default=None,
+                   help="first grid size, refined while a gate fails (default: loops.DEFAULT_GRID)")
     p.add_argument("--eps", type=float, default=None, help="ramp width (default min(a,1-a)/4)")
     p.add_argument("--offset", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=None, help="reserved; gates are fixed")
     p.add_argument("--save-element", help="also write the loop element JSON here")
     p.set_defaults(func=cmd_pr_build)
 
@@ -415,15 +312,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        DomainRejection,
-        algebra.ElementParseError,
-        lattice.ChernParseError,
-        realization.CertificateFormatError,
-        PrecisionExhausted,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (DomainRejection, PrecisionExhausted, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the contract maps crashes to exit 1

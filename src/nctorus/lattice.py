@@ -4,9 +4,10 @@ The character range of sigma-invariant classes is the integer span of
 nine vectors in (Q + Q*theta + iQ + iQ*theta)^6.  Flattening each slot
 over the basis {1, theta} x {1, i} turns "is v an integral combination?"
 into an exact 24 x 9 rational linear system.  It is eliminated once over
-Fractions; every solve and every integral combination after that runs in
-integer arithmetic over a common denominator.  theta is irrational, so
-{1, theta} is independent over Q and the flattening is faithful.
+Fractions, on the first solve rather than at import; every solve and
+every integral combination runs in integer arithmetic over a common
+denominator.  theta is irrational, so {1, theta} is independent over Q
+and the flattening is faithful.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from functools import cache
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .algebra import _rat_str
-from .theta import ThetaParam
-from .traces import T4Vector
+from .theta import ThetaParam, _rat_str
+
+if TYPE_CHECKING:
+    from .traces import T4Vector
 
 Rat = Union[int, Fraction]
 
@@ -166,19 +169,17 @@ def basis_vectors() -> Tuple[ChernVector, ...]:
     return _BASIS
 
 
-_MATRIX: Tuple[Tuple[Fraction, ...], ...] = tuple(
-    tuple(v.flatten()[row] for v in _BASIS) for row in range(24)
-)
-
-
+@cache
 def _elimination_transform() -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, int], ...], ...], int]:
     """One-time RREF of [M | I]: pivot columns, the 24 x 24 transform E and its denominator.
 
     E is stored row-sparse as integer numerators over one common
     denominator; row r of E applied to any rhs gives the value of the r-th
-    reduced row, so solving M x = rhs is a single sparse apply.
+    reduced row, so solving M x = rhs is a single sparse apply.  It runs on
+    the first solve, not at import, and its result is kept.
     """
-    rows = [list(r) + [Fraction(int(i == j)) for j in range(24)] for i, r in enumerate(_MATRIX)]
+    flat = [v.flatten() for v in _BASIS]
+    rows = [[f[i] for f in flat] + [Fraction(int(i == j)) for j in range(24)] for i in range(24)]
     pivots: list[int] = []
     rank = 0
     for col in range(9):
@@ -201,27 +202,24 @@ def _elimination_transform() -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, in
     return tuple(pivots), transform, den
 
 
-_PIVOTS, _TRANSFORM, _TRANSFORM_DEN = _elimination_transform()
-
-
 def _solve_exact(rhs: Sequence[Rat]) -> Optional[Tuple[Fraction, ...]]:
     """Solve M x = rhs over Q for the 24 x 9 basis matrix; None if inconsistent."""
+    pivots, transform, transform_den = _elimination_transform()
     rhs_den = math.lcm(*(x.denominator for x in rhs))
     nums = [x.numerator * (rhs_den // x.denominator) for x in rhs]
-    reduced = [sum(coef * nums[j] for j, coef in row) for row in _TRANSFORM]
-    rank = len(_PIVOTS)
-    if any(reduced[rank:]):
+    reduced = [sum(coef * nums[j] for j, coef in row) for row in transform]
+    if any(reduced[len(pivots):]):
         return None
-    den = _TRANSFORM_DEN * rhs_den
+    den = transform_den * rhs_den
     solution = [Fraction(0)] * 9
-    for r, col in enumerate(_PIVOTS):
+    for r, col in enumerate(pivots):
         solution[col] = Fraction(reduced[r], den)
     return tuple(solution)
 
 
 def basis_rank() -> int:
     """Rank of the nine basis vectors over Q (exact)."""
-    return len(_PIVOTS)
+    return len(_elimination_transform()[0])
 
 
 def _numerators(v: ChernVector, den: int) -> Tuple[Tuple[int, int], ...]:

@@ -26,10 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple, Union
 
-from .algebra import Element, PhaseScalar, apply_automorphism
 from .theta import PrecisionExhausted, ThetaParam
+
+if TYPE_CHECKING:
+    from .algebra import Element
 
 KINDS = ("cyclic", "semicyclic", "flat", "semiflat", "fourier_invariant")
 
@@ -37,7 +39,10 @@ DEFAULT_CONVERGENT_DEPTH = 64
 
 
 class RealizationError(ValueError):
-    """Base for realize() domain rejections; .code carries the reason."""
+    """Base for realize() domain rejections; .code carries the reason.
+
+    Every message starts with ``code``, so ``str(exc)`` alone names it.
+    """
 
     code = "realization-error"
 
@@ -156,11 +161,11 @@ def flat_decompose(
     identity holds exactly in (Z, Z*theta) coordinates.
     """
     if not t.in_subgroup(4):
-        raise WrongSubgroup(f"not-in-4Z+4Ztheta: {t}")
+        raise WrongSubgroup(f"wrong-subgroup: {t} is not in 4Z + 4Z*theta")
     if t.b < 4:
-        raise OutOfRange(f"theta-coefficient must be positive (got {t.b}); reflect first")
+        raise OutOfRange(f"out-of-range: theta-coefficient must be positive (got {t.b}); reflect first")
     if not t.in_open_interval(theta, 0, 1):
-        raise OutOfRange(f"trace {t} is not in (0, 1)")
+        raise OutOfRange(f"out-of-range: trace {t} is not in (0, 1)")
     k, n, m = _canonical_knm(t)
     low, high = _bracketing_pair(theta, Fraction(m, n), depth)
     a = k * (n * high.p - m * high.q)
@@ -178,7 +183,7 @@ def _canonical_knm(t: TraceValue) -> Tuple[int, int, int]:
     bn = t.b // 4
     am = -t.a // 4
     if am < 0:
-        raise OutOfRange("constant coordinate must be nonpositive for a value in (0,1)")
+        raise OutOfRange("out-of-range: constant coordinate must be nonpositive for a value in (0,1)")
     k = math.gcd(bn, am) if am else bn
     return k, bn // k, am // k
 
@@ -236,6 +241,8 @@ def subalgebra_generators(m: int, n: int) -> Tuple[Element, Element, TraceValue]
     with sigma.  The returned trace value is the raw multiple
     (m^2 + n^2) * theta; callers reduce mod 1 where needed.
     """
+    from .algebra import Element, PhaseScalar
+
     if (m, n) == (0, 0):
         raise ValueError("(m, n) must be nonzero")
     # V^{-n} U^m = L^{-4mn} U^m V^{-n}, so Ut picks up net phase L^{-2mn}
@@ -246,6 +253,8 @@ def subalgebra_generators(m: int, n: int) -> Tuple[Element, Element, TraceValue]
 
 def _check_embedding(m: int, n: int) -> Optional[str]:
     """Exact generator relations; None when they hold."""
+    from .algebra import Element, PhaseScalar, apply_automorphism
+
     ut, vt, _ = subalgebra_generators(m, n)
     s = m * m + n * n
     if apply_automorphism("sigma", ut) * vt != Element.one():
@@ -756,13 +765,11 @@ class _Verifier:
             self.fail(path, f"unknown node type {type(node).__name__}")
 
 
-def verify_certificate(cert: Certificate, theta: ThetaParam, tol: float = 0.0) -> VerificationReport:
+def verify_certificate(cert: Certificate, theta: ThetaParam) -> VerificationReport:
     """Replay every arithmetic claim in a certificate against theta.
 
-    All checks are exact (rational bracketing of theta); ``tol`` is accepted
-    for interface stability but unused by the exact replay.
+    All checks are exact (rational bracketing of theta).
     """
-    del tol
     v = _Verifier(theta)
     try:
         v.dispatch(cert, cert.kind)

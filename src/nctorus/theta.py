@@ -47,6 +47,17 @@ def _rational(x) -> Rat:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
+def _rat_str(num: int, den: int = 1) -> str:
+    """The rational num/den (den > 0) in lowest terms: ``3`` or ``-1/2``.
+
+    The package's one rational formatter; it lives in this lowest module so
+    every layer can use it without importing another.
+    """
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 @dataclass(frozen=True)
 class ThetaParam:
     """An irrational number theta in (0, 1), given as [0; a1, a2, ...] prefix.

@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nctorus.cli import main
+import nctorus
+from nctorus import selftest
+from nctorus.cli import CERT_FORMAT, main
+
+SRC = str(Path(nctorus.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -100,6 +108,21 @@ def test_realize_domain_rejection(capsys):
     assert code == 2 and "wrong-subgroup" in err
 
 
+@pytest.mark.parametrize(
+    "trace, code_slug",
+    [("5", "wrong-subgroup"), ("2t+4", "out-of-range"), ("2t-4", "out-of-range")],
+)
+def test_realize_rejection_names_its_code_once(capsys, trace, code_slug):
+    code, _, err = run(capsys, "realize", "--kind", "semiflat", f"--trace={trace}")
+    assert code == 2
+    assert err.startswith(f"error: {code_slug}: ") and err.count(code_slug) == 1
+
+
+def test_realize_unknown_kind_exits_2(capsys):
+    code, _, err = run(capsys, "realize", "--kind", "bogus", "--trace", "2t-1")
+    assert code == 2 and "unknown kind 'bogus'" in err and "semiflat" in err
+
+
 def test_verify_detects_tampering(tmp_path, capsys):
     path = tmp_path / "cert.json"
     run(capsys, "realize", "--kind", "flat", "--trace", "8t-4", "-o", str(path))
@@ -134,6 +157,83 @@ def test_verify_rejects_child_of_wrong_node_type(tmp_path, capsys):
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/cert.json")
     assert code == 2
+
+
+def _flat_certificate(tmp_path, capsys) -> dict:
+    path = tmp_path / "flat.json"
+    run(capsys, "realize", "--kind", "flat", "--trace", "8t-4", "-o", str(path))
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "envelope",
+    [
+        lambda c: {"format": CERT_FORMAT, "theta": "golden"},
+        lambda c: [1, 2, 3],
+        lambda c: CERT_FORMAT,
+        lambda c: None,
+        lambda c: {"format": CERT_FORMAT, "kind": "flat", "certificate": c},
+        lambda c: {"format": CERT_FORMAT, "theta": 0.618, "certificate": c},
+        lambda c: {"theta": "golden", "certificate": c},
+        lambda c: {"format": CERT_FORMAT, "theta": "golden", "certificate": [c]},
+        lambda c: {"format": CERT_FORMAT, "theta": "golden", "certificate": 7},
+        lambda c: {"format": CERT_FORMAT, "theta": "golden", "certificate": None},
+    ],
+    ids=[
+        "no-certificate", "list", "string", "null", "no-theta", "theta-number", "no-format",
+        "certificate-list", "certificate-int", "certificate-null",
+    ],
+)
+def test_verify_malformed_envelope_exits_2(tmp_path, capsys, envelope):
+    path = tmp_path / "envelope.json"
+    path.write_text(json.dumps(envelope(_flat_certificate(tmp_path, capsys)["certificate"])))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip()) > len("error: ")
+
+
+def test_verify_theta_override_needs_no_stored_theta(tmp_path, capsys):
+    payload = _flat_certificate(tmp_path, capsys)
+    del payload["theta"]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    code, rec, _ = run_json(capsys, "verify", "--theta", "golden", str(path))
+    assert code == 0 and rec["ok"] is True
+
+
+def _nested_certificate(tmp_path, capsys, depth: int) -> Path:
+    """A flat certificate wrapped in ``depth`` reflected nodes, written without recursion."""
+    leaf = json.dumps(_flat_certificate(tmp_path, capsys)["certificate"])
+    wrap = '{"node": "reflected", "lemma": "angle-reflection", "target": {"a": 1, "b": -1}, "inner": '
+    path = tmp_path / f"nested-{depth}.json"
+    path.write_text(
+        f'{{"format": "{CERT_FORMAT}", "theta": "golden", "kind": "flat", "certificate": '
+        + wrap * depth + leaf + "}" * depth + "}"
+    )
+    return path
+
+
+def _cli_subprocess(*argv, cwd):
+    """``python -m nctorus.cli`` in a fresh interpreter, so the stack depth is the command's own."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "nctorus.cli", *argv], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_verify_nested_900_levels_gives_failing_report(tmp_path, capsys):
+    proc = _cli_subprocess("verify", "--json", str(_nested_certificate(tmp_path, capsys, 900)), cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    rec = json.loads(proc.stdout)
+    assert rec["ok"] is False and rec["failures"]
+
+
+@pytest.mark.parametrize("depth", [990, 5000])
+def test_verify_too_deeply_nested_is_rejected(tmp_path, capsys, depth):
+    proc = _cli_subprocess("verify", "--json", str(_nested_certificate(tmp_path, capsys, depth)), cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and proc.stderr == "error: the certificate is nested too deeply to read\n"
 
 
 # -------------------------------------------------------------------- pr-build
@@ -173,6 +273,12 @@ def test_selftest_passes(capsys):
     code, rec, _ = run_json(capsys, "selftest")
     assert code == 0
     assert rec["ok"] is True and all(rec["suites"].values())
+    assert list(rec["suites"]) == sorted(name for name, _ in selftest.suites())
+
+
+@pytest.mark.parametrize("name", [name for name, _ in selftest.suites()])
+def test_selftest_suite_passes_alone(name):
+    assert dict(selftest.suites())[name]() is True
 
 
 # ------------------------------------------------------------------- theta spec

@@ -1,0 +1,105 @@
+"""Import graph: each subcommand loads only the layers it uses.
+
+Every case runs in a fresh interpreter, so the modules it reports are
+the ones that subcommand pulled in and nothing a previous test imported.
+No timing is asserted.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nctorus
+
+SRC = str(Path(nctorus.__file__).resolve().parent.parent)
+
+# Runs the CLI in-process with its stdout swallowed, then reports what was loaded.
+PROBE = """
+import contextlib, io, json, sys
+from nctorus.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({
+    "code": code,
+    "modules": sorted(m for m in sys.modules if m.startswith("nctorus.") and m != "nctorus.cli"),
+    "numpy": "numpy" in sys.modules,
+}))
+"""
+
+
+def _probe(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _layers(*names):
+    return sorted(f"nctorus.{n}" for n in names)
+
+
+CASES = [
+    (["eval", "--expr", "L^4 U^2 V^-1 + 1/2"], _layers("theta", "algebra", "traces")),
+    (["decompose", "--vector", "(1;1,0;1,0,0)"], _layers("theta", "lattice")),
+    (["cone", "--vector", "(2t;0,0;1,1,2)"], _layers("theta", "lattice")),
+    (["realize", "--kind", "semiflat", "--trace", "4t-2", "-o", "cert.json"],
+     _layers("theta", "lattice", "realization")),
+    (["pr-build", "-r", "6", "-s", "-3", "--flip"], _layers("theta", "loops")),
+]
+
+
+@pytest.mark.parametrize("argv, modules", CASES, ids=[c[0][0] for c in CASES])
+def test_subcommand_loads_only_its_layers(tmp_path, argv, modules):
+    got = _probe(argv, tmp_path)
+    assert got["code"] == 0
+    assert got["modules"] == modules
+    assert got["numpy"] is (argv[0] == "pr-build")
+
+
+def test_verify_of_semiflat_certificate_loads_only_realization(tmp_path):
+    assert _probe(["realize", "--kind", "semiflat", "--trace", "4t-2", "-o", "cert.json"], tmp_path)["code"] == 0
+    got = _probe(["verify", "cert.json"], tmp_path)
+    assert got["code"] == 0
+    assert got["modules"] == _layers("theta", "realization")
+    assert got["numpy"] is False
+
+
+def test_import_nctorus_loads_no_submodule():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nctorus; print(sorted(m for m in sys.modules if m.startswith('nctorus')))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['nctorus']"
+
+
+def test_every_exported_name_resolves():
+    assert len(nctorus.__all__) == len(set(nctorus.__all__))
+    for name in nctorus.__all__:
+        value = getattr(nctorus, name)
+        module = nctorus._MODULE_OF[name]
+        layer = importlib.import_module(f"nctorus.{module}")
+        assert value is (layer if name == module else getattr(layer, name))
+    assert set(nctorus.__all__) <= set(dir(nctorus))
+
+
+def test_star_import_gives_exactly_all():
+    namespace = {}
+    exec("from nctorus import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(nctorus.__all__)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        nctorus.no_such_name
