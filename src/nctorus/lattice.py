@@ -3,8 +3,8 @@
 The character range of sigma-invariant classes is the integer span of
 nine vectors in (Q + Q*theta + iQ + iQ*theta)^6.  Flattening each slot
 over the basis {1, theta} x {1, i} turns "is v an integral combination?"
-into an exact 24 x 9 rational linear system.  It is eliminated once over
-Fractions, on the first solve rather than at import; every solve and
+into an exact 24 x 9 rational linear system.  It is eliminated once,
+fraction-free, on the first solve rather than at import; every solve and
 every integral combination runs in integer arithmetic over a common
 denominator.  theta is irrational, so {1, theta} is independent over Q
 and the flattening is faithful.
@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .theta import ThetaParam, _rat_str
+from .theta import Record, ThetaParam, _rat_str
 
 if TYPE_CHECKING:
     from .traces import T4Vector
@@ -27,20 +26,32 @@ if TYPE_CHECKING:
 Rat = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class KScalar:
+_ZERO = Fraction(0)
+
+
+class KScalar(Record):
     """An exact value (a + b*theta) + i*(c + d*theta) with rational a, b, c, d."""
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-    c: Fraction = Fraction(0)
-    d: Fraction = Fraction(0)
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for f in ("a", "b", "c", "d"):
-            x = getattr(self, f)
-            if type(x) is not Fraction:
-                object.__setattr__(self, f, Fraction(x))
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
+
+    def __init__(self, a: Rat = _ZERO, b: Rat = _ZERO, c: Rat = _ZERO, d: Rat = _ZERO):
+        set_a, set_b, set_c, set_d = self._setters
+        set_a(self, a if type(a) is Fraction else Fraction(a))
+        set_b(self, b if type(b) is Fraction else Fraction(b))
+        set_c(self, c if type(c) is Fraction else Fraction(c))
+        set_d(self, d if type(d) is Fraction else Fraction(d))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not KScalar:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+
+    __hash__ = Record.__hash__
 
     @classmethod
     def of(cls, a: Rat = 0, b: Rat = 0, c: Rat = 0, d: Rat = 0) -> "KScalar":
@@ -76,9 +87,10 @@ class KScalar:
 KSCALAR_ZERO = KScalar()
 
 
-@dataclass(frozen=True)
-class ChernVector:
+class ChernVector(Record):
     """Six exact slots (tau; psi10, psi11; psi20, psi21, psi22)."""
+
+    __slots__ = ("tau", "psi10", "psi11", "psi20", "psi21", "psi22")
 
     tau: KScalar
     psi10: KScalar
@@ -87,7 +99,24 @@ class ChernVector:
     psi21: KScalar
     psi22: KScalar
 
-    SLOTS = ("tau", "psi10", "psi11", "psi20", "psi21", "psi22")
+    SLOTS = __slots__
+
+    def __init__(self, tau: KScalar, psi10: KScalar, psi11: KScalar, psi20: KScalar, psi21: KScalar,
+                 psi22: KScalar):
+        set_tau, set_psi10, set_psi11, set_psi20, set_psi21, set_psi22 = self._setters
+        set_tau(self, tau)
+        set_psi10(self, psi10)
+        set_psi11(self, psi11)
+        set_psi20(self, psi20)
+        set_psi21(self, psi21)
+        set_psi22(self, psi22)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ChernVector:
+            return NotImplemented
+        return self.slots() == other.slots()
+
+    __hash__ = Record.__hash__
 
     def slots(self) -> Tuple[KScalar, ...]:
         return (self.tau, self.psi10, self.psi11, self.psi20, self.psi21, self.psi22)
@@ -125,17 +154,17 @@ class K0Coordinates(NamedTuple):
     n9: int
 
 
-@dataclass(frozen=True)
-class Genus:
+class Genus(Record):
     """The topological genus (psi20, psi21, psi22) of a semiflat class."""
+
+    __slots__ = ("g20", "g21", "g22")
 
     g20: Fraction
     g21: Fraction
     g22: Fraction
 
-    def __post_init__(self):
-        for f in ("g20", "g21", "g22"):
-            object.__setattr__(self, f, Fraction(getattr(self, f)))
+    def __init__(self, g20: Rat, g21: Rat, g22: Rat):
+        super().__init__(Fraction(g20), Fraction(g21), Fraction(g22))
 
     def as_tuple(self) -> Tuple[Fraction, Fraction, Fraction]:
         return (self.g20, self.g21, self.g22)
@@ -169,35 +198,54 @@ def basis_vectors() -> Tuple[ChernVector, ...]:
     return _BASIS
 
 
+def _reduced(nums: List[int], den: int) -> Tuple[List[int], int]:
+    """The row nums/den (den > 0) with gcd(den, nums) divided out."""
+    g = math.gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
 @cache
 def _elimination_transform() -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, int], ...], ...], int]:
     """One-time RREF of [M | I]: pivot columns, the 24 x 24 transform E and its denominator.
 
     E is stored row-sparse as integer numerators over one common
     denominator; row r of E applied to any rhs gives the value of the r-th
-    reduced row, so solving M x = rhs is a single sparse apply.  It runs on
-    the first solve, not at import, and its result is kept.
+    reduced row, so solving M x = rhs is a single sparse apply.  Gauss-Jordan
+    runs fraction-free: each row is integer numerators over a positive row
+    denominator, reduced by their gcd after every row operation.  It runs
+    on the first solve, not at import, and its result is kept.
     """
     flat = [v.flatten() for v in _BASIS]
-    rows = [[f[i] for f in flat] + [Fraction(int(i == j)) for j in range(24)] for i in range(24)]
+    rows = []
+    for i in range(24):
+        entries = [f[i] for f in flat]
+        d = math.lcm(*(x.denominator for x in entries))
+        nums = [x.numerator * (d // x.denominator) for x in entries] + [d * (i == j) for j in range(24)]
+        rows.append(_reduced(nums, d))
     pivots: list[int] = []
     rank = 0
     for col in range(9):
-        piv = next((r for r in range(rank, 24) if rows[r][col] != 0), None)
+        piv = next((r for r in range(rank, 24) if rows[r][0][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [v / lead for v in rows[rank]]
+        # dividing by the lead nums[col]/d leaves numerators over |nums[col]|
+        nums = rows[rank][0]
+        sign = 1 if nums[col] > 0 else -1
+        rows[rank] = pivot_nums, pivot_den = _reduced([sign * x for x in nums], abs(nums[col]))
         for r in range(24):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
+            nums, d = rows[r]
+            factor = nums[col]
+            if r != rank and factor:
+                # nums/d - (factor/d) * pivot_nums/pivot_den
+                rows[r] = _reduced(
+                    [x * pivot_den - factor * y for x, y in zip(nums, pivot_nums)], d * pivot_den
+                )
         pivots.append(col)
         rank += 1
-    den = math.lcm(*(v.denominator for row in rows for v in row[9:]))
+    den = math.lcm(*(d // math.gcd(d, x) for nums, d in rows for x in nums[9:]))
     transform = tuple(
-        tuple((j, int(row[9 + j] * den)) for j in range(24) if row[9 + j] != 0) for row in rows
+        tuple((j, x * den // d) for j, x in enumerate(nums[9:]) if x) for nums, d in rows
     )
     return tuple(pivots), transform, den
 
@@ -249,17 +297,38 @@ def recompose(coords: K0Coordinates) -> ChernVector:
     return _combination(zip(coords, _BASIS_NUMERATORS), 2)
 
 
-@dataclass(frozen=True)
-class DecomposeResult:
+class DecomposeResult(Record):
     """Outcome of the lattice decomposition.
 
     status: "ok" (integral), "non-integer" (in the rational span only), or
     "not-in-span" (inconsistent system).
     """
 
+    __slots__ = ("status", "coordinates", "rational")
+
     status: str
-    coordinates: Optional[K0Coordinates] = None
-    rational: Optional[Tuple[Fraction, ...]] = None
+    coordinates: Optional[K0Coordinates]
+    rational: Optional[Tuple[Fraction, ...]]
+
+    def __init__(
+        self,
+        status: str,
+        coordinates: Optional[K0Coordinates] = None,
+        rational: Optional[Tuple[Fraction, ...]] = None,
+    ):
+        set_status, set_coordinates, set_rational = self._setters
+        set_status(self, status)
+        set_coordinates(self, coordinates)
+        set_rational(self, rational)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not DecomposeResult:
+            return NotImplemented
+        return (self.status, self.coordinates, self.rational) == (
+            other.status, other.coordinates, other.rational
+        )
+
+    __hash__ = Record.__hash__
 
     def __bool__(self) -> bool:
         return self.status == "ok"
@@ -295,13 +364,15 @@ def semiflat_coordinates(n1: int, n2: int, n3: int, n4: int, n9: int) -> K0Coord
 _SEMIFLAT_REASONS = ("not-in-lattice", "psi10-nonzero", "psi11-nonzero", "nonpositive-trace")
 
 
-@dataclass(frozen=True)
-class MembershipDecision:
+class MembershipDecision(Record):
+    __slots__ = ("member", "reason", "coordinates", "genus", "trace")
+    _defaults = dict.fromkeys(__slots__[1:])
+
     member: bool
-    reason: Optional[str] = None
-    coordinates: Optional[K0Coordinates] = None
-    genus: Optional[Genus] = None
-    trace: Optional[KScalar] = None
+    reason: Optional[str]
+    coordinates: Optional[K0Coordinates]
+    genus: Optional[Genus]
+    trace: Optional[KScalar]
 
     def __bool__(self) -> bool:
         return self.member
@@ -350,8 +421,9 @@ def semiflat_membership(v: ChernVector, theta: ThetaParam) -> MembershipDecision
 # --------------------------------------------------------------- quantization
 
 
-@dataclass(frozen=True)
-class QuantizationReport:
+class QuantizationReport(Record):
+    __slots__ = ("ok", "slots")
+
     ok: bool
     slots: dict
 
@@ -433,8 +505,9 @@ def _generator_vector(genus: Tuple[int, int, int], trace: KScalar) -> ChernVecto
     )
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
+    __slots__ = ("count", "genus", "trace", "vector")
+
     count: int
     genus: Tuple[int, int, int]
     trace: KScalar
@@ -448,8 +521,9 @@ class GeneratorSpec:
         }
 
 
-@dataclass(frozen=True)
-class SynthesisRecipe:
+class SynthesisRecipe(Record):
+    __slots__ = ("generators", "flat_trace")
+
     generators: Tuple[GeneratorSpec, ...]
     flat_trace: KScalar
 
@@ -580,11 +654,21 @@ def chern_to_text(v: ChernVector) -> str:
 
 
 def parse_chern(text: str) -> ChernVector:
-    """Parse ``(tau; psi10, psi11; psi20, psi21, psi22)``; separators ; and , interchangeable."""
+    """Parse ``(tau; psi10, psi11; psi20, psi21, psi22)``; separators ; and , interchangeable.
+
+    Every slot needs a scalar: a doubled or trailing separator is an empty
+    slot, rejected with its position.
+    """
     body = text.strip()
+    pos = len(text) - len(text.lstrip())
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
-    parts = [p for p in re.split(r"[;,]", body) if p.strip()]
+        pos += 1
+    parts = re.split(r"[;,]", body)
+    for part in parts:
+        if not part.strip():
+            raise ChernParseError(f"empty slot at {pos}")
+        pos += len(part) + 1
     if len(parts) != 6:
         raise ChernParseError(f"expected 6 slots, got {len(parts)}")
     return ChernVector(*(parse_kscalar(p) for p in parts))

@@ -37,11 +37,10 @@ traceback references it), and anything cached on it would live as long.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
-from .theta import ThetaParam
+from .theta import Record, ThetaParam
 
 
 class _LazyNumpy:
@@ -413,8 +412,9 @@ def bump_pair(alpha: float, eps: float, n: int = DEFAULT_GRID) -> Tuple[CircleFu
 # ------------------------------------------------------------------- building
 
 
-@dataclass(frozen=True)
-class BuildGates:
+class BuildGates(Record):
+    __slots__ = ("square_residual", "adjoint_residual", "flip_residual", "trace_error")
+
     square_residual: float
     adjoint_residual: float
     flip_residual: Optional[float]
@@ -461,10 +461,26 @@ def projection_gates(e: LoopElement, alpha: float, flip_symmetric: bool) -> Buil
     return BuildGates(square, adjoint, flip_res, trace)
 
 
+def _alpha_beta(r: int, s: int, theta: ThetaParam, flip_symmetric: bool) -> Tuple[float, float]:
+    """(alpha, beta) of a build, both from the one reduction beta = r*theta mod 1.
+
+    The bump profiles shift by alpha and the product by beta; a build is a
+    projection only when the two agree mod 1.  For integer s the plain
+    alpha (r*theta + s) mod 1 is beta itself, so it is taken as beta:
+    adding s in floating point rounds r*theta at the ulp of r*theta + s,
+    and that offset stalls the adjoint residual (golden, r = 39, s = 40:
+    1.07e-12 against the 1e-12 gate on every grid).  A flip-symmetric
+    alpha = r*theta + s lies in (1/2, 1), so s = -floor(r*theta) and the
+    sum is exact: it equals beta bit for bit.
+    """
+    x = r * theta.value
+    beta = x % 1.0
+    return (x + s if flip_symmetric else beta), beta
+
+
 def projection_alpha(r: int, s: int, theta: ThetaParam, flip_symmetric: bool) -> float:
     """The trace alpha of the build: r*theta + s, taken mod 1 for plain builds."""
-    alpha = r * theta.value + s
-    return alpha if flip_symmetric else alpha % 1.0
+    return _alpha_beta(r, s, theta, flip_symmetric)[0]
 
 
 def _build_projection(
@@ -488,8 +504,7 @@ def _build_projection(
             )
         if offset not in (0.0, 0.5):
             raise ValueError("flip-symmetric builds admit only offsets 0 and 1/2")
-    alpha = projection_alpha(r, s, theta, flip_symmetric)
-    beta = (r * theta.value) % 1.0
+    alpha, beta = _alpha_beta(r, s, theta, flip_symmetric)
     grid = _check_grid(n)
     while True:
         e = assemble_projection(
@@ -539,14 +554,15 @@ def pr_build(
 # ----------------------------------------------------------------- invariants
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     """Numeric trace and flip-type invariants of a loop element.
 
     ``raw`` holds the unrounded complex values (phi00, phi01, phi10,
     phi11); ``rounded`` snaps each to the nearest quarter-integer when it
     is within ROUND_TOL of one, else None.
     """
+
+    __slots__ = ("tau", "raw", "rounded")
 
     tau: float
     raw: Tuple[complex, complex, complex, complex]

@@ -24,11 +24,10 @@ theta -> 1 - theta, which maps (a, b) to (a + b, -b).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple, Union
 
-from .theta import PrecisionExhausted, ThetaParam
+from .theta import PrecisionExhausted, Record, ThetaParam
 
 if TYPE_CHECKING:
     from .algebra import Element
@@ -73,12 +72,25 @@ class Convergent(NamedTuple):
         return Fraction(self.p, self.q)
 
 
-@dataclass(frozen=True)
-class TraceValue:
+class TraceValue(Record):
     """The number a + b*theta with integer a, b."""
+
+    __slots__ = ("a", "b")
 
     a: int
     b: int
+
+    def __init__(self, a: int, b: int):
+        set_a, set_b = self._setters
+        set_a(self, a)
+        set_b(self, b)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not TraceValue:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    __hash__ = Record.__hash__
 
     def value(self, theta: ThetaParam) -> float:
         return self.a + self.b * theta.value
@@ -201,11 +213,23 @@ class FourSquares(NamedTuple):
         return self.m1**2 + self.m2**2 + self.m3**2 + self.m4**2
 
 
+def _not_three_squares(n: int) -> bool:
+    """Legendre: n >= 0 is not a sum of three squares iff n = 4^a (8b + 7)."""
+    while n and n % 4 == 0:
+        n //= 4
+    return n % 8 == 7
+
+
 def four_squares(m: int) -> FourSquares:
     """Lexicographically largest descending (m1, m2, m3, m4) with sum of squares m."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    squares = {}
+    # A sum of four squares divisible by 8 has only even terms, and halving
+    # each term is an order-preserving bijection onto the splits of m/4.
+    scale = 1
+    while m and m % 8 == 0:
+        m //= 4
+        scale *= 2
 
     def two_square_tail(rest: int, cap: int) -> Optional[Tuple[int, int]]:
         a = min(cap, math.isqrt(rest))
@@ -222,10 +246,12 @@ def four_squares(m: int) -> FourSquares:
 
     for m1 in range(math.isqrt(m), -1, -1):
         r1 = m - m1 * m1
+        if _not_three_squares(r1):
+            continue
         for m2 in range(min(m1, math.isqrt(r1)), -1, -1):
             tail = two_square_tail(r1 - m2 * m2, m2)
             if tail is not None:
-                return FourSquares(m1, m2, *tail)
+                return FourSquares(*(scale * x for x in (m1, m2, *tail)))
     raise InternalAssertion(f"no four-square decomposition found for {m}")
 
 
@@ -269,16 +295,30 @@ def _check_embedding(m: int, n: int) -> Optional[str]:
 # ---------------------------------------------------------------- certificates
 
 
-@dataclass(frozen=True)
-class ApproximantCyclic:
+class ApproximantCyclic(Record):
     """Leaf: a cyclic projection of trace k|q*theta - p| from a rational approximant.
 
     Valid when p/q is reduced, 0 < q|q*theta - p| < 1 and k|q*theta - p| < 1/4.
     """
 
+    __slots__ = ("k", "p", "q")
+
     k: int
     p: int
     q: int
+
+    def __init__(self, k: int, p: int, q: int):
+        set_k, set_p, set_q = self._setters
+        set_k(self, k)
+        set_p(self, p)
+        set_q(self, q)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ApproximantCyclic:
+            return NotImplemented
+        return (self.k, self.p, self.q) == (other.k, other.p, other.q)
+
+    __hash__ = Record.__hash__
 
     lemma = "cyclic-from-rational-approximant"
 
@@ -288,11 +328,23 @@ class ApproximantCyclic:
         return TraceValue(self.k * self.p, -self.k * self.q)
 
 
-@dataclass(frozen=True)
-class OrbitFlat:
+class OrbitFlat(Record):
     """A flat projection as the full orbit sum of a cyclic one; trace is 4x the leaf's."""
 
+    __slots__ = ("leaf",)
+
     leaf: ApproximantCyclic
+
+    def __init__(self, leaf: ApproximantCyclic):
+        (set_leaf,) = self._setters
+        set_leaf(self, leaf)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not OrbitFlat:
+            return NotImplemented
+        return (self.leaf,) == (other.leaf,)
+
+    __hash__ = Record.__hash__
 
     lemma = "orbit-sum-of-cyclic"
 
@@ -300,9 +352,10 @@ class OrbitFlat:
         return self.leaf.trace(theta).scale(4)
 
 
-@dataclass(frozen=True)
-class FlatCert:
+class FlatCert(Record):
     """Flat realization via a bracketing-convergent split and an orthogonal sum."""
+
+    __slots__ = ("target", "k", "n", "m", "low", "high", "a", "b", "legs")
 
     target: TraceValue
     k: int
@@ -318,9 +371,10 @@ class FlatCert:
     kind = "flat"
 
 
-@dataclass(frozen=True)
-class CyclicCert:
+class CyclicCert(Record):
     """Cyclic realization: quarter split of the flat certificate for 4t."""
+
+    __slots__ = ("target", "flat")
 
     target: TraceValue
     flat: FlatCert
@@ -329,8 +383,7 @@ class CyclicCert:
     kind = "cyclic"
 
 
-@dataclass(frozen=True)
-class SemicyclicCert:
+class SemicyclicCert(Record):
     """Semicyclic realization.
 
     mode "orbit-double": the target is 2x a cyclic trace and the projection
@@ -338,6 +391,8 @@ class SemicyclicCert:
     (target, 1/2) is realized first and a flip-invariant subprojection of
     the right trace is taken beneath it.
     """
+
+    __slots__ = ("target", "mode", "inner")
 
     target: TraceValue
     mode: str  # "orbit-double" | "subprojection"
@@ -350,9 +405,10 @@ class SemicyclicCert:
         return "flip-orbit-double" if self.mode == "orbit-double" else "invariant-subprojection"
 
 
-@dataclass(frozen=True)
-class SemiflatCert:
+class SemiflatCert(Record):
     """Semiflat realization: h + sigma(h) over a semicyclic h of half the trace."""
+
+    __slots__ = ("target", "inner")
 
     target: TraceValue
     inner: SemicyclicCert
@@ -361,9 +417,10 @@ class SemiflatCert:
     kind = "semiflat"
 
 
-@dataclass(frozen=True)
-class EmbeddingLeg:
+class EmbeddingLeg(Record):
     """One scaled-copy leg of trace (m1^2 + m2^2)*theta - n_shift in [0, 1)."""
+
+    __slots__ = ("m1", "m2", "n_shift")
 
     m1: int
     m2: int
@@ -379,13 +436,14 @@ class EmbeddingLeg:
         return TraceValue(-self.n_shift, self.scale)
 
 
-@dataclass(frozen=True)
-class FourierInvariantCert:
+class FourierInvariantCert(Record):
     """Invariant realization via a four-square split into two embedded legs.
 
     k = n - n1 - n2 is forced into {0, 1}; k = 0 combines the legs as an
     orthogonal sum, k = 1 subtracts the complement of one leg from the other.
     """
+
+    __slots__ = ("target", "squares", "leg1", "leg2", "k", "branch")
 
     target: TraceValue
     squares: FourSquares
@@ -398,9 +456,10 @@ class FourierInvariantCert:
     kind = "fourier_invariant"
 
 
-@dataclass(frozen=True)
-class ReflectedCert:
+class ReflectedCert(Record):
     """Wrapper realizing a trace with negative theta-coefficient over 1 - theta."""
+
+    __slots__ = ("target", "inner")
 
     target: TraceValue
     inner: "Certificate"
@@ -451,7 +510,7 @@ def realize(
     _require(t.in_open_interval(theta, lo, hi), OutOfRange, f"out-of-range: {t} is not in ({lo}, {hi})")
     if t.b < 0:
         inner = realize(kind, t.reflected(), theta.reflect(), depth)
-        return ReflectedCert(target=t, inner=inner)
+        return ReflectedCert(t, inner)
     if t.b == 0:
         # a alone cannot land strictly inside (0,1)
         raise OutOfRange(f"out-of-range: {t} has no theta part")
@@ -472,18 +531,18 @@ def _realize_flat(t: TraceValue, theta: ThetaParam, depth: int) -> FlatCert:
         OrbitFlat(ApproximantCyclic(a, low.p, low.q)),
         OrbitFlat(ApproximantCyclic(b, high.p, high.q)),
     )
-    return FlatCert(target=t, k=k, n=n, m=m, low=low, high=high, a=a, b=b, legs=legs)
+    return FlatCert(t, k, n, m, low, high, a, b, legs)
 
 
 def _realize_cyclic(t: TraceValue, theta: ThetaParam, depth: int) -> CyclicCert:
     flat = _realize_flat(t.scale(4), theta, depth)
-    return CyclicCert(target=t, flat=flat)
+    return CyclicCert(t, flat)
 
 
 def _realize_semicyclic(t: TraceValue, theta: ThetaParam, depth: int) -> SemicyclicCert:
     if t.in_subgroup(2):
         half = TraceValue(t.a // 2, t.b // 2)
-        return SemicyclicCert(target=t, mode="orbit-double", inner=_realize_cyclic(half, theta, depth))
+        return SemicyclicCert(t, "orbit-double", _realize_cyclic(half, theta, depth))
     # find an even bound 2x with t < 2x < 1/2, via small positive steps q*theta - p
     gap = None
     for p, q in theta.convergents_pq(min(depth, theta.max_depth)):
@@ -508,12 +567,12 @@ def _realize_semicyclic(t: TraceValue, theta: ThetaParam, depth: int) -> Semicyc
     if not (bound.in_open_interval(theta, 0, Fraction(1, 2)) and theta.sign_linear(bound.a - t.a, bound.b - t.b) > 0):
         raise InternalAssertion("even bound selection failed")
     inner = _realize_semicyclic(bound, theta, depth)
-    return SemicyclicCert(target=t, mode="subprojection", inner=inner)
+    return SemicyclicCert(t, "subprojection", inner)
 
 
 def _realize_semiflat(t: TraceValue, theta: ThetaParam, depth: int) -> SemiflatCert:
     half = TraceValue(t.a // 2, t.b // 2)
-    return SemiflatCert(target=t, inner=_realize_semicyclic(half, theta, depth))
+    return SemiflatCert(t, _realize_semicyclic(half, theta, depth))
 
 
 def _realize_fourier(t: TraceValue, theta: ThetaParam, depth: int) -> FourierInvariantCert:
@@ -529,18 +588,18 @@ def _realize_fourier(t: TraceValue, theta: ThetaParam, depth: int) -> FourierInv
     if k not in (0, 1):
         raise InternalAssertion(f"combination defect k = {k} escaped {{0, 1}}")
     branch = "orthogonal-sum" if k == 0 else "complement-subtraction"
-    return FourierInvariantCert(
-        target=t, squares=squares, leg1=leg1, leg2=leg2, k=k, branch=branch
-    )
+    return FourierInvariantCert(t, squares, leg1, leg2, k, branch)
 
 
 # ---------------------------------------------------------------- verification
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
+    __slots__ = ("ok", "failures")
+    _defaults = {"failures": ()}
+
     ok: bool
-    failures: Tuple[Tuple[str, str], ...] = ()  # (node path, message)
+    failures: Tuple[Tuple[str, str], ...]  # (node path, message)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -885,7 +944,7 @@ def certificate_from_json(data: dict) -> Certificate:
         node = data["node"]
         target = _trace_from_json(data["target"])
         if node == "reflected":
-            return ReflectedCert(target=target, inner=certificate_from_json(data["inner"]))
+            return ReflectedCert(target, certificate_from_json(data["inner"]))
         if node == "flat":
             legs = tuple(
                 OrbitFlat(
@@ -898,24 +957,22 @@ def certificate_from_json(data: dict) -> Certificate:
             if len(legs) != 2:
                 raise CertificateFormatError("flat node needs exactly two legs")
             return FlatCert(
-                target=target,
-                k=_int(data["k"]),
-                n=_int(data["n"]),
-                m=_int(data["m"]),
-                low=Convergent(_int(data["low"]["p"]), _int(data["low"]["q"])),
-                high=Convergent(_int(data["high"]["p"]), _int(data["high"]["q"])),
-                a=_int(data["a"]),
-                b=_int(data["b"]),
-                legs=legs,
+                target,
+                _int(data["k"]),
+                _int(data["n"]),
+                _int(data["m"]),
+                Convergent(_int(data["low"]["p"]), _int(data["low"]["q"])),
+                Convergent(_int(data["high"]["p"]), _int(data["high"]["q"])),
+                _int(data["a"]),
+                _int(data["b"]),
+                legs,
             )
         if node == "cyclic":
-            return CyclicCert(target=target, flat=certificate_from_json(data["flat"]))
+            return CyclicCert(target, certificate_from_json(data["flat"]))
         if node == "semicyclic":
-            return SemicyclicCert(
-                target=target, mode=data["mode"], inner=certificate_from_json(data["inner"])
-            )
+            return SemicyclicCert(target, data["mode"], certificate_from_json(data["inner"]))
         if node == "semiflat":
-            return SemiflatCert(target=target, inner=certificate_from_json(data["inner"]))
+            return SemiflatCert(target, certificate_from_json(data["inner"]))
         if node == "fourier-invariant":
             legs = [
                 EmbeddingLeg(_int(l["m1"]), _int(l["m2"]), _int(l["n_shift"])) for l in data["legs"]
@@ -923,12 +980,12 @@ def certificate_from_json(data: dict) -> Certificate:
             if len(legs) != 2:
                 raise CertificateFormatError("fourier-invariant node needs exactly two legs")
             return FourierInvariantCert(
-                target=target,
-                squares=FourSquares(*(_int(x) for x in data["squares"])),
-                leg1=legs[0],
-                leg2=legs[1],
-                k=_int(data["k"]),
-                branch=data["branch"],
+                target,
+                FourSquares(*(_int(x) for x in data["squares"])),
+                legs[0],
+                legs[1],
+                _int(data["k"]),
+                data["branch"],
             )
         raise CertificateFormatError(f"unknown node tag {node!r}")
     except (KeyError, TypeError, ValueError) as exc:

@@ -12,12 +12,18 @@ arithmetic, to the tightest stored bracket alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
+
+# far more digits than a 128-term continued-fraction prefix can use
+_MAX_DECIMAL_PLACE = 10_000
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -58,8 +64,77 @@ def _rat_str(num: int, den: int = 1) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-@dataclass(frozen=True)
-class ThetaParam:
+class Record:
+    """Immutable value type: what ``@dataclass(frozen=True)`` gave, minus its import.
+
+    A subclass names its fields in ``__slots__`` (adding ``"__dict__"`` when
+    it needs one, e.g. for ``cached_property``) and their defaults, if any,
+    in ``_defaults``.  Fields are set once by ``__init__`` and never again;
+    ``==`` (same class only) and ``hash`` go over the tuple of fields; the
+    repr is ``Name(field=value, ...)``; pickle and copy rebuild through the
+    constructor.  Defining a subclass generates no code, so a module of
+    them imports fast.  Types built many times per operation write their
+    own ``__init__`` (through ``_setters``) and ``__eq__`` (with
+    ``__hash__ = Record.__hash__``).
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+    _setters: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(f for f in cls.__dict__["__slots__"] if f != "__dict__")
+        # the slot descriptors' own setters: the fastest way past __setattr__
+        cls._setters = tuple(cls.__dict__[f].__set__ for f in cls._fields)
+        get = attrgetter(*cls._fields)
+        cls._astuple = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """Positional, keyword and default arguments as one tuple in field order."""
+        fields, name = cls._fields, cls.__qualname__
+        if len(args) > len(fields) or not kwargs.keys().isdisjoint(fields[: len(args)]):
+            raise TypeError(f"{name}() got too many or repeated arguments")
+        values = {**cls._defaults, **kwargs}
+        try:
+            args += tuple(map(values.pop, fields[len(args):]))
+        except KeyError as exc:
+            raise TypeError(f"{name}() missing required argument: {exc.args[0]!r}") from None
+        if not values.keys() <= cls._defaults.keys():
+            raise TypeError(f"{name}() got an unexpected argument {min(values.keys() - cls._defaults.keys())!r}")
+        return args
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple(self) == other._astuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple(self)
+
+
+class ThetaParam(Record):
     """An irrational number theta in (0, 1), given as [0; a1, a2, ...] prefix.
 
     ``interval`` optionally records outer rational bounds for inexact
@@ -67,21 +142,29 @@ class ThetaParam:
     convergents alone.
     """
 
+    __slots__ = ("cf_terms", "name", "interval", "__dict__")
+
     cf_terms: tuple[int, ...]
-    name: Optional[str] = None
-    interval: Optional[tuple[Fraction, Fraction]] = None
+    name: Optional[str]
+    interval: Optional[tuple[Fraction, Fraction]]
 
     PRESETS = ("golden", "sqrt2")
 
-    def __post_init__(self) -> None:
-        if not self.cf_terms and self.interval is None:
+    def __init__(
+        self,
+        cf_terms: tuple[int, ...],
+        name: Optional[str] = None,
+        interval: Optional[tuple[Fraction, Fraction]] = None,
+    ) -> None:
+        if not cf_terms and interval is None:
             raise ValueError("continued-fraction prefix must be nonempty")
-        if any((not isinstance(a, int)) or a < 1 for a in self.cf_terms):
+        if any((not isinstance(a, int)) or a < 1 for a in cf_terms):
             raise ValueError("continued-fraction terms must be positive integers")
-        if self.interval is not None:
-            lo, hi = self.interval
+        if interval is not None:
+            lo, hi = interval
             if not (0 < lo < hi < 1):
                 raise ValueError("interval must satisfy 0 < lo < hi < 1")
+        super().__init__(cf_terms, name, interval)
 
     # ------------------------------------------------------------------ ctors
 
@@ -110,9 +193,18 @@ class ThetaParam:
             r = Fraction(text)
             u = Fraction(math.ulp(text)) / 2
         else:
-            r = Fraction(text)
-            digits = len(text.split(".")[1]) if "." in text else 0
-            u = Fraction(1, 2 * 10**digits)
+            text = text.strip()
+            if not _DECIMAL.fullmatch(text):
+                raise ValueError(f"theta {text!r} is not a decimal number")
+            # the last digit's place comes from the exponent, so "0.5",
+            # "0.5e0" and "5e-1" all mean 0.5 +- 0.05
+            d = Decimal(text)
+            place = d.as_tuple().exponent
+            if abs(place) > _MAX_DECIMAL_PLACE:
+                # 10**place alone would take unbounded time and memory
+                raise ValueError(f"theta {text!r} has its last digit at 10^{place}, out of range")
+            r = Fraction(d)
+            u = Fraction(10) ** place / 2
         lo, hi = r - u, r + u
         if not (0 < lo and hi < 1):
             raise ValueError("theta must lie strictly inside (0, 1)")
@@ -186,11 +278,22 @@ class ThetaParam:
     def _bracket(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """The narrowest of :meth:`brackets` as integer pairs (p, q), q > 0.
 
-        The convergent brackets are nested and the clipped ones lie inside
-        the interval, so every bracket contains this one: a linear sign that
-        any bracket settles, this one settles too.
+        The convergent brackets are nested and shrink strictly, and clipping
+        them to the interval keeps them nested, so the narrowest is the
+        deepest nonempty one (or the interval itself when none is): a linear
+        sign that any bracket settles, this one settles too.  Walking up from
+        the deepest bracket finds it in one step for an exact prefix.
         """
-        lo, hi = min(self.brackets(), key=lambda bracket: bracket[1] - bracket[0])
+        pq = self._pq
+        for j in range(len(pq) - 2, -1, -1):
+            x, y = Fraction(*pq[j]), Fraction(*pq[j + 1])
+            lo, hi = (x, y) if x < y else (y, x)
+            if self.interval is not None:
+                lo, hi = max(lo, self.interval[0]), min(hi, self.interval[1])
+            if lo < hi:
+                break
+        else:
+            lo, hi = self.interval
         return (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
 
     # ---------------------------------------------------------- exact queries
@@ -274,6 +377,15 @@ def parse_theta(spec: str) -> ThetaParam:
     if spec in ThetaParam.PRESETS:
         return ThetaParam.preset(spec)
     if spec.startswith("cf:"):
-        terms = [int(tok) for tok in spec[3:].split(",") if tok.strip()]
+        terms = []
+        pos = 3
+        for tok in spec[3:].split(","):
+            digits = tok.strip()
+            if not (digits.isascii() and digits.isdigit()):
+                at = pos + len(tok) - len(tok.lstrip())
+                what = "empty" if not digits else f"invalid ({digits!r})"
+                raise ValueError(f"{what} continued-fraction term at {at} in {spec!r}")
+            terms.append(int(digits))
+            pos += len(tok) + 1
         return ThetaParam.from_cf(terms)
     return ThetaParam.from_decimal(spec)

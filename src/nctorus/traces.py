@@ -23,7 +23,6 @@ for oracle testing) and interpreting the result is the caller's business.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from .algebra import (
@@ -35,6 +34,7 @@ from .algebra import (
     monomial_functional,
     phase_to_text,
 )
+from .theta import Record
 
 PHI_INDICES = ("00", "01", "10", "11")
 PSI_INDICES = ("10", "11", "20", "21", "22")
@@ -74,9 +74,10 @@ def psi_eval(jk: str, x: Element) -> PhaseScalar:
     return monomial_functional(x, lambda m, n: _psi_monomial(jk, m, n))
 
 
-@dataclass(frozen=True)
-class T2Vector:
+class T2Vector(Record):
     """(tau; phi00, phi01, phi10, phi11) with exact PhaseScalar slots."""
+
+    __slots__ = ("tau", "phi00", "phi01", "phi10", "phi11")
 
     tau: PhaseScalar
     phi00: PhaseScalar
@@ -91,9 +92,10 @@ class T2Vector:
         return [phase_to_text(s) for s in self.slots()]
 
 
-@dataclass(frozen=True)
-class T4Vector:
+class T4Vector(Record):
     """(tau; psi10, psi11; psi20, psi21, psi22) with exact PhaseScalar slots."""
+
+    __slots__ = ("tau", "psi10", "psi11", "psi20", "psi21", "psi22")
 
     tau: PhaseScalar
     psi10: PhaseScalar
@@ -110,24 +112,11 @@ class T4Vector:
 
 
 def chern_T2(x: Element) -> T2Vector:
-    return T2Vector(
-        tau=canonical_trace(x),
-        phi00=phi_eval("00", x),
-        phi01=phi_eval("01", x),
-        phi10=phi_eval("10", x),
-        phi11=phi_eval("11", x),
-    )
+    return T2Vector(canonical_trace(x), *(phi_eval(ij, x) for ij in PHI_INDICES))
 
 
 def chern_T4(x: Element) -> T4Vector:
-    return T4Vector(
-        tau=canonical_trace(x),
-        psi10=psi_eval("10", x),
-        psi11=psi_eval("11", x),
-        psi20=psi_eval("20", x),
-        psi21=psi_eval("21", x),
-        psi22=psi_eval("22", x),
-    )
+    return T4Vector(canonical_trace(x), *(psi_eval(jk, x) for jk in PSI_INDICES))
 
 
 # -------------------------------------------------------------- relation suite
@@ -152,11 +141,13 @@ _GAMMA_SIGNS: tuple[tuple[str, Callable[[Element], PhaseScalar], int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Record):
+    __slots__ = ("ok", "failed", "witness")
+    _defaults = {"failed": None, "witness": None}
+
     ok: bool
-    failed: Optional[str] = None
-    witness: Optional[Monomial] = None
+    failed: Optional[str]
+    witness: Optional[Monomial]
 
     def __bool__(self) -> bool:
         return self.ok
@@ -213,8 +204,9 @@ def _twist_apply(alpha: str, x: Element) -> Element:
     raise ValueError(f"unknown twist candidate {alpha!r}")
 
 
-@dataclass(frozen=True)
-class TwistDescriptor:
+class TwistDescriptor(Record):
+    __slots__ = ("functional", "holds", "twist")
+
     functional: str
     holds: Tuple[str, ...]
     twist: Optional[str]  # first holding candidate in (id, sigma, flip, sigma3) order

@@ -28,6 +28,8 @@ print(json.dumps({
     "code": code,
     "modules": sorted(m for m in sys.modules if m.startswith("nctorus.") and m != "nctorus.cli"),
     "numpy": "numpy" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
+    "inspect": "inspect" in sys.modules,
 }))
 """
 
@@ -70,6 +72,20 @@ def test_verify_of_semiflat_certificate_loads_only_realization(tmp_path):
     assert got["code"] == 0
     assert got["modules"] == _layers("theta", "realization")
     assert got["numpy"] is False
+
+
+@pytest.mark.parametrize("argv", [c[0] for c in CASES] + [["verify", "cert.json"]],
+                         ids=[c[0][0] for c in CASES] + ["verify"])
+def test_subcommand_loads_no_dataclasses(tmp_path, argv):
+    # the value types generate no code, so neither dataclasses nor the
+    # inspect module it pulls in is imported; numpy imports inspect itself
+    if argv[0] == "verify":
+        assert _probe(CASES[3][0], tmp_path)["code"] == 0
+    got = _probe(argv, tmp_path)
+    assert got["code"] == 0
+    assert got["dataclasses"] is False
+    if argv[0] != "pr-build":
+        assert got["inspect"] is False
 
 
 def test_import_nctorus_loads_no_submodule():

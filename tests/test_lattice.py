@@ -446,3 +446,69 @@ except AssertionError as exc:
     )
     assert out.returncode == 0, out.stderr
     assert "raised: decomposition violates the semiflat constraint relations" in out.stdout
+
+
+def reference_elimination_transform():
+    """The one-time Gauss-Jordan of [M | I] over Fractions that the integer version replaced."""
+    import math
+
+    flat = [v.flatten() for v in basis_vectors()]
+    rows = [[f[i] for f in flat] + [Fraction(int(i == j)) for j in range(24)] for i in range(24)]
+    pivots = []
+    rank = 0
+    for col in range(9):
+        piv = next((r for r in range(rank, 24) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [v / lead for v in rows[rank]]
+        for r in range(24):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    den = math.lcm(*(v.denominator for row in rows for v in row[9:]))
+    transform = tuple(
+        tuple((j, int(row[9 + j] * den)) for j in range(24) if row[9 + j] != 0) for row in rows
+    )
+    return tuple(pivots), transform, den
+
+
+def test_integer_elimination_transform_matches_fraction_reference():
+    from nctorus.lattice import _elimination_transform
+
+    assert _elimination_transform() == reference_elimination_transform()
+    assert _elimination_transform.__wrapped__() == reference_elimination_transform()
+
+
+# ------------------------------------------------------- strict chern text
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(1;;0,0;1,0,0)", 3),
+    ("(1;0,0;1,0,0,)", 13),
+    ("(,1;0,0;1,0,0)", 1),
+    ("  (1; 0, 0; 1, 0, ,0)", 17),
+    ("1;0,0;1,0,0;", 12),
+    ("()", 1),
+])
+def test_parse_chern_rejects_empty_slots_with_their_position(text, position):
+    with pytest.raises(ChernParseError, match=f"empty slot at {position}$"):
+        parse_chern(text)
+
+
+_chern = st.builds(ChernVector, *[st.builds(KScalar.of, _ks_rat, _ks_rat, _ks_rat, _ks_rat)] * 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chern, st.sampled_from((",", ";", ",0", ";;", ")", "x", ", ", "(")))
+def test_hypothesis_chern_roundtrip_and_junk_suffix(v, junk):
+    text = chern_to_text(v)
+    assert parse_chern(text) == v
+    assert parse_chern(text[1:-1]) == v
+    with pytest.raises(ChernParseError):
+        parse_chern(text + junk)
+    with pytest.raises(ChernParseError):
+        parse_chern(text[:-1] + junk + ")")

@@ -5,6 +5,10 @@ import pytest
 
 from nctorus.algebra import Element, apply_automorphism
 from nctorus.loops import (
+    ADJOINT_RESIDUAL_GATE,
+    MAX_GRID,
+    SQUARE_RESIDUAL_GATE,
+    TRACE_GATE,
     AlphaOutOfRange,
     CircleFunction,
     GridMismatch,
@@ -19,7 +23,10 @@ from nctorus.loops import (
     loop_star,
     monomial_loop,
     pr_build,
+    projection_alpha,
     projection_gates,
+    _alpha_beta,
+    _build_projection,
 )
 from nctorus.theta import ThetaParam
 
@@ -287,6 +294,29 @@ def test_semicyclic_surrogate_orthogonality():
         assert gates.flip_residual <= 1e-8
     assert loop_mul(e, e2).snorm() <= 1e-8
     assert loop_mul(e2, e).snorm() <= 1e-8
+
+
+def test_plain_build_with_large_shift_meets_the_adjoint_gate():
+    # golden, r = 39, s = 40: adding s before the mod 1 put alpha 7.1e-15 off
+    # beta, and the adjoint residual stalled at 1.07e-12 on every grid
+    offset = 0.24246845778402293
+    alpha, beta = _alpha_beta(39, 40, GOLDEN, False)
+    assert alpha == beta == (39 * GOLDEN.value) % 1.0
+    e, gates = _build_projection(39, 40, GOLDEN, False, 4096, None, offset, MAX_GRID)
+    assert e.n == 16384
+    assert gates.adjoint_residual <= ADJOINT_RESIDUAL_GATE
+    assert gates.square_residual <= SQUARE_RESIDUAL_GATE
+    assert gates.trace_error <= TRACE_GATE
+
+
+@pytest.mark.parametrize("theta, r, s", [
+    (GOLDEN, 6, -3), (GOLDEN, 14, -8), (GOLDEN, 3, -1), (SQRT2, 4, -1), (SQRT2, 9, -3), (SQRT2, 7, -2),
+])
+def test_flip_symmetric_alpha_equals_the_base_step(theta, r, s):
+    # unreduced alpha = r*theta + s is exact when it lies in (1/2, 1)
+    alpha, beta = _alpha_beta(r, s, theta, True)
+    assert alpha == beta == projection_alpha(r, s, theta, True)
+    assert 0.5 < alpha < 1
 
 
 def test_build_refines_grid_when_too_coarse():

@@ -148,7 +148,7 @@ def test_bump_builds_match_reference(theta, n):
 
 
 def ref_pr_build(r, s, theta, flip, n, eps=None, offset=0.0, max_n=loops.MAX_GRID):
-    alpha = r * theta.value + s if flip else (r * theta.value + s) % 1.0
+    alpha = r * theta.value + s if flip else (r * theta.value) % 1.0
     beta = (r * theta.value) % 1.0
     while True:
         e = assemble_projection(alpha, beta, n=n, eps=eps, centered=flip, offset=offset)

@@ -2,9 +2,11 @@ import copy
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus.algebra import Element, PhaseScalar, apply_automorphism
 from nctorus.realization import (
@@ -139,6 +141,57 @@ def test_four_squares_lexicographically_largest_small():
 def test_four_squares_rejects_negative():
     with pytest.raises(ValueError):
         four_squares(-1)
+
+
+def reference_four_squares(m):
+    """The plain descending search four_squares used before its shortcuts."""
+
+    def two_square_tail(rest, cap):
+        a = min(cap, math.isqrt(rest))
+        while a >= 0:
+            b2 = rest - a * a
+            b = math.isqrt(b2)
+            if b * b == b2 and b <= a:
+                return a, b
+            if a * a * 2 < rest:
+                return None
+            a -= 1
+        return None
+
+    for m1 in range(math.isqrt(m), -1, -1):
+        r1 = m - m1 * m1
+        for m2 in range(min(m1, math.isqrt(r1)), -1, -1):
+            tail = two_square_tail(r1 - m2 * m2, m2)
+            if tail is not None:
+                return (m1, m2, *tail)
+    raise AssertionError(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(0, 10**5),
+    st.builds(lambda a, b: 4**a * (8 * b + 7), st.integers(0, 7), st.integers(0, 20)),
+    st.builds(lambda a, b: 4**a * b, st.integers(1, 7), st.integers(1, 10**5 // 4**7)),
+).filter(lambda m: m <= 10**5))
+def test_four_squares_matches_plain_search(m):
+    assert four_squares(m) == reference_four_squares(m)
+
+
+def test_four_squares_on_large_powers_of_four_is_fast():
+    # the plain search grew about 8x per factor 4 here (7*4^12 took 44 s)
+    start = time.perf_counter()
+    for k in range(26):
+        m = 7 * 4**k
+        fs = four_squares(m)
+        assert fs.total() == m and fs.m1 >= fs.m2 >= fs.m3 >= fs.m4 >= 0
+        if k >= 2:  # 7*4^k is 0 mod 8 from k = 2 on
+            assert fs == tuple(2 * x for x in four_squares(m // 4))
+    assert four_squares(7 * 4**25) == (5 * 2**24, 2**24, 2**24, 2**24)
+    # realize inherits the search: a fourier_invariant trace with b = 7*4^12
+    b = 7 * 4**12
+    cert = realize("fourier_invariant", TraceValue(-GOLDEN.floor_linear(b), b), GOLDEN)
+    assert verify_certificate(cert, GOLDEN).ok
+    assert time.perf_counter() - start < 5.0
 
 
 # ---------------------------------------------------------- subalgebra embedding

@@ -1,0 +1,224 @@
+"""The immutable value types against the frozen dataclasses they replace.
+
+Every value type of the package is a ``theta.Record``.  Each must behave
+as ``@dataclass(frozen=True)`` did: the same fields in the same order,
+``==`` and ``hash`` over the field tuple (same class only), the repr
+``Name(field=value, ...)``, no assignment or deletion after construction,
+and pickle/copy/deepcopy round trips.  The reference for each sample is a
+frozen dataclass built here with the same name and fields.
+"""
+
+import copy
+import dataclasses
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from nctorus import lattice, loops, realization, traces
+from nctorus.algebra import Monomial, parse_element
+from nctorus.theta import Record, ThetaParam, parse_theta
+
+GOLDEN = ThetaParam.preset("golden")
+SQRT2 = ThetaParam.preset("sqrt2")
+
+# The dataclass fields of each type, in order, as they were declared.
+FIELDS = {
+    ThetaParam: "cf_terms name interval",
+    lattice.KScalar: "a b c d",
+    lattice.ChernVector: "tau psi10 psi11 psi20 psi21 psi22",
+    lattice.Genus: "g20 g21 g22",
+    lattice.DecomposeResult: "status coordinates rational",
+    lattice.MembershipDecision: "member reason coordinates genus trace",
+    lattice.QuantizationReport: "ok slots",
+    lattice.GeneratorSpec: "count genus trace vector",
+    lattice.SynthesisRecipe: "generators flat_trace",
+    realization.TraceValue: "a b",
+    realization.ApproximantCyclic: "k p q",
+    realization.OrbitFlat: "leaf",
+    realization.FlatCert: "target k n m low high a b legs",
+    realization.CyclicCert: "target flat",
+    realization.SemicyclicCert: "target mode inner",
+    realization.SemiflatCert: "target inner",
+    realization.EmbeddingLeg: "m1 m2 n_shift",
+    realization.FourierInvariantCert: "target squares leg1 leg2 k branch",
+    realization.ReflectedCert: "target inner",
+    realization.VerificationReport: "ok failures",
+    traces.T2Vector: "tau phi00 phi01 phi10 phi11",
+    traces.T4Vector: "tau psi10 psi11 psi20 psi21 psi22",
+    traces.RelationReport: "ok failed witness",
+    traces.TwistDescriptor: "functional holds twist",
+    loops.BuildGates: "square_residual adjoint_residual flip_residual trace_error",
+    loops.InvariantReport: "tau raw rounded",
+}
+
+
+def _records(value, out):
+    """Every Record reachable from value through fields, tuples and lists."""
+    if isinstance(value, Record):
+        out.setdefault(type(value), []).append(value)
+        for f in value._fields:
+            _records(getattr(value, f), out)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            _records(v, out)
+    return out
+
+
+def _samples():
+    roots = [
+        GOLDEN,
+        parse_theta("0.6180339887"),
+        lattice.KScalar(),
+        lattice.parse_kscalar("1/2+t-3i+2ti"),
+        lattice.decompose(lattice.parse_chern("(2t;0,0;1,1,2)")),
+        lattice.decompose(lattice.parse_chern("(4+4t;0,0;0,2,0)")),
+        lattice.semiflat_membership(lattice.parse_chern("(2t;0,0;1,1,2)"), GOLDEN),
+        lattice.semiflat_membership(lattice.parse_chern("(1;0,0;0,0,0)"), GOLDEN),
+        lattice.semiflat_membership(lattice.parse_chern("(4+2t;0,0;-1,-1,-2)"), GOLDEN),
+        lattice.quantization_check(lattice.parse_chern("(1;0,0;0,0,1/2)")),
+        lattice.quantization_check(lattice.parse_chern("(2t;0,0;1,1,2)")),
+        lattice.synthesis_recipe(lattice.parse_chern("(2t;0,0;1,1,2)"), GOLDEN),
+        lattice.synthesis_recipe(lattice.parse_chern("(4+2t;0,0;-1,-1,-2)"), GOLDEN),
+    ]
+    for kind, trace, theta in (
+        ("flat", "8t-4", GOLDEN),
+        ("cyclic", "2t-1", GOLDEN),
+        ("semicyclic", "t", SQRT2),
+        ("semicyclic", "2t-1", GOLDEN),
+        ("semiflat", "4t-2", GOLDEN),
+        ("semiflat", "2-2t", GOLDEN),
+        ("semicyclic", "1-t", GOLDEN),
+        ("fourier_invariant", "3t-1", SQRT2),
+        ("fourier_invariant", "-t+1", SQRT2),
+    ):
+        cert = realization.realize(kind, realization.parse_trace(trace), theta)
+        roots += [cert, realization.verify_certificate(cert, theta)]
+    bad = realization.certificate_from_json(
+        dict(realization.certificate_to_json(realization.realize("flat", realization.parse_trace("8t-4"), GOLDEN)), k=2)
+    )
+    roots.append(realization.verify_certificate(bad, GOLDEN))
+    for text in ("L^4 U^2 V^-1 + 1/2 + U V", "(1+i) V^2"):
+        x = parse_element(text)
+        roots += [traces.chern_T2(x), traces.chern_T4(x)]
+    roots += [traces.relation_check(x), traces.RelationReport(False, "psi20 = phi00", Monomial(1, 2))]
+    roots += [traces.twist_discovery("tau", max_exp=1), traces.twist_discovery("psi10", max_exp=1)]
+    for r, s, flip in ((6, -3, True), (2, 0, False)):
+        alpha, beta = loops._alpha_beta(r, s, GOLDEN, flip)
+        e = loops.assemble_projection(alpha, beta, n=256, centered=flip)
+        roots += [loops.projection_gates(e, alpha, flip), loops.loop_invariants(e, GOLDEN, r)]
+    found = {}
+    for root in roots:
+        _records(root, found)
+    return found
+
+
+SAMPLES = _samples()
+
+
+def test_every_value_type_is_sampled_twice_with_different_values():
+    assert set(SAMPLES) == set(FIELDS)
+    for cls, objs in SAMPLES.items():
+        assert len(set(map(repr, objs))) >= 2, cls.__name__
+
+
+def _reference(obj):
+    """A frozen dataclass instance with obj's class name, fields and values."""
+    cls = type(obj)
+    ref_cls = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+    return ref_cls(*(getattr(obj, f) for f in cls._fields))
+
+
+def _hash(obj):
+    try:
+        return hash(obj)
+    except TypeError:
+        return TypeError
+
+
+CASES = [(cls, i) for cls in FIELDS for i in range(2)]
+
+
+@pytest.mark.parametrize("cls, i", CASES, ids=[f"{c.__name__}-{i}" for c, i in CASES])
+def test_value_type_behaves_as_the_frozen_dataclass(cls, i):
+    obj = SAMPLES[cls][i]
+    assert cls._fields == tuple(FIELDS[cls].split())
+    ref = _reference(obj)
+    assert repr(obj) == repr(ref)
+    assert _hash(obj) == _hash(ref)
+    # equality holds within the class only
+    assert obj.__eq__(ref) is NotImplemented
+    assert obj != ref
+    assert obj.__eq__(tuple(getattr(obj, f) for f in cls._fields)) is NotImplemented
+    # a value built from the same fields, by position or by name, is equal
+    values = [getattr(obj, f) for f in cls._fields]
+    for twin in (cls(*values), cls(**dict(zip(cls._fields, values)))):
+        assert twin == obj and not (twin != obj)
+        assert _hash(twin) == _hash(obj)
+    # a sample with other values is not
+    other = next(o for o in SAMPLES[cls] if repr(o) != repr(obj))
+    assert obj != other and not (obj == other)
+    # and every field takes part: swapping in another sample's value of
+    # one field alone breaks equality
+    for k, f in enumerate(cls._fields):
+        donor = next((o for o in SAMPLES[cls] if repr(getattr(o, f)) != repr(values[k])), None)
+        if donor is not None:
+            assert cls(*values[:k], getattr(donor, f), *values[k + 1:]) != obj, f
+
+
+@pytest.mark.parametrize("cls, i", CASES, ids=[f"{c.__name__}-{i}" for c, i in CASES])
+def test_value_type_is_immutable(cls, i):
+    obj = SAMPLES[cls][i]
+    for f in cls._fields:
+        before = getattr(obj, f)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{f}'"):
+            setattr(obj, f, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{f}'"):
+            delattr(obj, f)
+        assert getattr(obj, f) is before
+    with pytest.raises(AttributeError):
+        obj.not_a_field = 1
+
+
+@pytest.mark.parametrize("cls, i", CASES, ids=[f"{c.__name__}-{i}" for c, i in CASES])
+def test_value_type_pickles_and_copies(cls, i):
+    obj = SAMPLES[cls][i]
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(twin) is cls
+        assert twin == obj
+        assert repr(twin) == repr(obj)
+        assert _hash(twin) == _hash(obj)
+
+
+def test_constructor_argument_errors():
+    MD = lattice.MembershipDecision
+    assert MD(False, reason="x") == MD(False, "x", None, None, None)
+    assert realization.VerificationReport(True).failures == ()
+    with pytest.raises(TypeError, match="missing required argument: 'member'"):
+        MD()
+    with pytest.raises(TypeError, match="missing required argument: 'ok'"):
+        realization.VerificationReport(failures=())
+    with pytest.raises(TypeError, match="too many or repeated"):
+        MD(True, None, None, None, None, None)
+    with pytest.raises(TypeError, match="too many or repeated"):
+        MD(True, "x", reason="y")
+    with pytest.raises(TypeError, match="unexpected argument 'bogus'"):
+        MD(True, bogus=1)
+
+
+def test_coercing_constructors():
+    assert lattice.KScalar(1, 2).a == Fraction(1) and type(lattice.KScalar(1, 2).b) is Fraction
+    assert lattice.KScalar(a=Fraction(1, 2)) == lattice.KScalar.of(Fraction(1, 2))
+    g = lattice.Genus(2, 0, Fraction(4, 2))
+    assert all(type(x) is Fraction for x in g.as_tuple())
+    with pytest.raises(ValueError):
+        ThetaParam(())
+    with pytest.raises(ValueError):
+        ThetaParam((1, 0))
+
+
+def test_cached_properties_survive_immutability_and_pickle():
+    th = parse_theta("cf:1,2,3,4")
+    assert th._bracket == th._bracket  # cached on the instance
+    twin = pickle.loads(pickle.dumps(th))
+    assert twin == th and twin._bracket == th._bracket and twin.reflect() == th.reflect()

@@ -236,3 +236,107 @@ def test_floor_ratio_integral_quotient():
     th = ThetaParam.preset("golden")
     assert th.floor_ratio(6, 9, 2, 3) == 3
     assert th.floor_ratio(-6, -9, 2, 3) == -3
+
+
+# ------------------------------------------------------ the narrowest bracket
+
+
+def _reflections(thetas):
+    out = []
+    for th in thetas:
+        try:
+            out.append(th.reflect())
+        except PrecisionExhausted:
+            pass
+    return out
+
+
+BRACKET_THETAS = THETAS + (parse_theta("0.5"), parse_theta("0.25e0"))
+BRACKET_THETAS += tuple(_reflections(BRACKET_THETAS))
+
+
+@pytest.mark.parametrize("th", BRACKET_THETAS, ids=lambda th: f"{th.cf_terms[:4]}-{len(th.cf_terms)}-{th.interval}")
+def test_bracket_is_the_narrowest_of_brackets(th):
+    lo, hi = min(th.brackets(), key=lambda br: br[1] - br[0])
+    assert th._bracket == ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+
+
+def test_bracket_of_an_exact_prefix_is_its_deepest_convergent_pair():
+    th = ThetaParam.preset("golden")
+    (p1, q1), (p2, q2) = th._bracket
+    assert {(p1, q1), (p2, q2)} == set(th._pq[-2:])
+
+
+# ------------------------------------------------------- decimal exponents
+
+
+SPELLINGS = ("0.6180339887", "0.6180339887e0", "6180339887e-10", "61.80339887E-2", "0.06180339887e+1")
+
+
+def test_decimal_precision_comes_from_the_exponent():
+    want = ThetaParam.from_decimal("0.6180339887")
+    assert want.interval == (Fraction(61803398865, 10**11), Fraction(61803398875, 10**11))
+    for spec in SPELLINGS:
+        th = parse_theta(spec)
+        assert (th.cf_terms, th.interval) == (want.cf_terms, want.interval), spec
+        # finer than the stated precision: never a sign, on every spelling
+        with pytest.raises(PrecisionExhausted):
+            th.sign_linear(Fraction(-61803398871, 10**11), 1)
+        assert th.sign_linear(Fraction(-61803398, 10**8), 1) > 0
+
+
+def test_decimal_spec_with_a_huge_exponent_is_rejected_at_once():
+    start = time.perf_counter()
+    for spec in ("1e-99999999", "6180339887e-99999999", "5e99999999"):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_theta(spec)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_decimal_spec_is_strict():
+    for spec in ("0.1_23", "0.123_", "nan", "inf", "1/3", "0.5x", "0.5e", "0..5", "٠.5"):
+        with pytest.raises(ValueError, match="not a decimal number"):
+            parse_theta(spec)
+
+
+# ------------------------------------------------------------ cf: specs
+
+
+@pytest.mark.parametrize("spec, position", [
+    ("cf:1,,2", 5), ("cf:1_000,2", 3), ("cf:1,2,", 7), ("cf:", 3), ("cf:+1", 3),
+    ("cf:1, x", 6), ("cf:1,2.0", 5), ("cf:1,٣", 5),
+])
+def test_parse_theta_rejects_lax_cf_terms_with_their_position(spec, position):
+    with pytest.raises(ValueError, match=f"continued-fraction term at {position} "):
+        parse_theta(spec)
+
+
+def test_parse_theta_cf_allows_spaces_around_terms():
+    assert parse_theta(" cf: 1 , 2,3 ").cf_terms == (1, 2, 3)
+
+
+_THETA_JUNK = (",", ",,", "_", "x", ".5", ",-1", " ,", "e1", "/3")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=12), st.sampled_from(_THETA_JUNK))
+def test_hypothesis_cf_spec_roundtrip_and_junk_suffix(terms, junk):
+    spec = "cf:" + ",".join(map(str, terms))
+    assert parse_theta(spec).cf_terms == tuple(terms)
+    with pytest.raises(ValueError):
+        parse_theta(spec + junk)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10**12 - 1), st.integers(0, 12), st.sampled_from(_THETA_JUNK[2:]))
+def test_hypothesis_decimal_spec_roundtrip_and_junk_suffix(n, k, junk):
+    # n / 10^12 with its last digit in the 10^-12 place, written with the
+    # point after k digits and the exponent -k
+    digits = f"{n:012d}"
+    spec = f"{digits[:k]}.{digits[k:]}e-{k}"
+    th = parse_theta(spec)
+    r, u = Fraction(n, 10**12), Fraction(1, 2 * 10**12)
+    assert th.interval == (r - u, r + u)
+    assert th == parse_theta(f"0.{digits}")
+    with pytest.raises(ValueError):
+        parse_theta(spec + junk)
