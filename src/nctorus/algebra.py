@@ -48,6 +48,8 @@ class GaussRational:
     def __setattr__(self, *args):
         raise AttributeError("GaussRational is immutable")
 
+    __delattr__ = __setattr__
+
     def __reduce__(self):
         return GaussRational, (self.re, self.im)
 
@@ -153,6 +155,8 @@ class PhaseScalar:
 
     def __setattr__(self, *args):
         raise AttributeError("PhaseScalar is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return _phase, (self._c, self._d)
@@ -260,6 +264,8 @@ class Element:
 
     def __setattr__(self, *args):
         raise AttributeError("Element is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return _element, (self._t, self._d)

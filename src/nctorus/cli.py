@@ -153,20 +153,21 @@ def cmd_verify(args) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise DomainRejection(f"a certificate file holds a JSON object, not {type(payload).__name__}")
-        if payload.get("format") != CERT_FORMAT:
-            raise DomainRejection(f"unsupported certificate format {payload.get('format')!r}")
-        spec = args.theta if args.theta else payload.get("theta")
-        if not isinstance(spec, str):
-            raise DomainRejection(f"the certificate file needs a theta spec string, got {spec!r}")
-        if not isinstance(payload.get("certificate"), dict):
-            raise DomainRejection("the certificate file needs a 'certificate' object")
-        theta = parse_theta(spec)
-        cert = realization.certificate_from_json(payload["certificate"])
-        report = realization.verify_certificate(cert, theta)
-    except RecursionError as exc:
+    except RecursionError as exc:  # the stdlib decoder recurses once per nesting level
         raise DomainRejection("the certificate is nested too deeply to read") from exc
+    if not isinstance(payload, dict):
+        raise DomainRejection(f"a certificate file holds a JSON object, not {type(payload).__name__}")
+    if payload.get("format") != CERT_FORMAT:
+        raise DomainRejection(f"unsupported certificate format {payload.get('format')!r}")
+    spec = args.theta if args.theta else payload.get("theta")
+    if not isinstance(spec, str):
+        raise DomainRejection(f"the certificate file needs a theta spec string, got {spec!r}")
+    if not isinstance(payload.get("certificate"), dict):
+        raise DomainRejection("the certificate file needs a 'certificate' object")
+    theta = parse_theta(spec)
+    # past realization.MAX_NESTING levels this raises CertificateFormatError, a ValueError
+    cert = realization.certificate_from_json(payload["certificate"])
+    report = realization.verify_certificate(cert, theta)
     record = report.to_json()
     record["kind"] = payload.get("kind")
 
@@ -174,8 +175,9 @@ def cmd_verify(args) -> int:
         if rec["ok"]:
             print("certificate verifies")
         else:
+            count = len(rec["failures"])
             path, msg = rec["failures"][0]
-            print(f"verification FAILED at {path}: {msg}")
+            print(f"verification FAILED ({count} failure{'s' * (count != 1)}); first at {path}: {msg}")
 
     _emit(record, args.json, render)
     return 0 if report.ok else 2

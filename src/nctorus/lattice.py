@@ -606,21 +606,23 @@ class ChernParseError(ValueError):
     pass
 
 
-def parse_kscalar(text: str) -> KScalar:
-    """Parse the ``a+bt+ci+dti`` grammar.
+def parse_kscalar(text: str, pos: int = 0, end: Optional[int] = None) -> KScalar:
+    """Parse the ``a+bt+ci+dti`` grammar in ``text[pos:end]``.
 
     One optional sign may lead; every later atom needs exactly one sign
-    before it, and the text may not end in a sign.
+    before it, and the text may not end in a sign.  Error positions are
+    indices into the whole of ``text``.
     """
-    pos = 0
+    end = len(text) if end is None else end
     total = [Fraction(0)] * 4
     sign = None  # the sign read since the last atom, if any
     saw_any = False
-    while pos < len(text):
-        m = _KS_TOKEN.match(text, pos)
+    while pos < end:
+        m = _KS_TOKEN.match(text, pos, end)
         if m is None:
-            if text[pos:].strip():
-                raise ChernParseError(f"unexpected character {text[pos]!r} at {pos}")
+            junk = text[pos:end].lstrip()
+            if junk:
+                raise ChernParseError(f"unexpected character {junk[0]!r} at {end - len(junk)}")
             break
         tok, start = m.group(1), m.start(1)
         pos = m.end()
@@ -634,7 +636,7 @@ def parse_kscalar(text: str) -> KScalar:
         coef = Fraction(sign or 1)
         if tok not in _KS_SLOTS:
             coef *= Fraction(tok)
-            rest = _KS_TOKEN.match(text, pos)
+            rest = _KS_TOKEN.match(text, pos, end)
             if rest and rest.group(1) in _KS_SLOTS:
                 tok = rest.group(1)
                 pos = rest.end()
@@ -653,25 +655,27 @@ def chern_to_text(v: ChernVector) -> str:
     return f"({s[0]}; {s[1]}, {s[2]}; {s[3]}, {s[4]}, {s[5]})"
 
 
+_CHERN_SEPARATOR = re.compile(r"[;,]")
+
+
 def parse_chern(text: str) -> ChernVector:
     """Parse ``(tau; psi10, psi11; psi20, psi21, psi22)``; separators ; and , interchangeable.
 
     Every slot needs a scalar: a doubled or trailing separator is an empty
     slot, rejected with its position.
     """
-    body = text.strip()
-    pos = len(text) - len(text.lstrip())
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-        pos += 1
-    parts = re.split(r"[;,]", body)
-    for part in parts:
-        if not part.strip():
-            raise ChernParseError(f"empty slot at {pos}")
-        pos += len(part) + 1
-    if len(parts) != 6:
-        raise ChernParseError(f"expected 6 slots, got {len(parts)}")
-    return ChernVector(*(parse_kscalar(p) for p in parts))
+    start, end = len(text) - len(text.lstrip()), len(text.rstrip())
+    if end - start >= 2 and text[start] == "(" and text[end - 1] == ")":
+        start, end = start + 1, end - 1
+    # (start, end) of each slot in text, so that every error gives a position in text
+    cuts = [m.start() for m in _CHERN_SEPARATOR.finditer(text, start, end)]
+    slots = list(zip([start] + [c + 1 for c in cuts], cuts + [end]))
+    for a, b in slots:
+        if not text[a:b].strip():
+            raise ChernParseError(f"empty slot at {a}")
+    if len(slots) != 6:
+        raise ChernParseError(f"expected 6 slots, got {len(slots)}")
+    return ChernVector(*(parse_kscalar(text, a, b) for a, b in slots))
 
 
 def chern_from_t4(t4: T4Vector) -> ChernVector:

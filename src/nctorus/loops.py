@@ -112,6 +112,8 @@ class CircleFunction:
     def __setattr__(self, *args):
         raise AttributeError("CircleFunction is immutable")
 
+    __delattr__ = __setattr__
+
     def __reduce__(self):
         return CircleFunction, (self.samples,)
 
@@ -216,6 +218,8 @@ class LoopElement:
 
     def __setattr__(self, *args):
         raise AttributeError("LoopElement is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return LoopElement, (self.beta, self.coeffs, self.n)

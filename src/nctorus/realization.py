@@ -5,7 +5,7 @@ fits in a small tree of integers: bracketing convergents, a four-square
 decomposition, scaled-copy embeddings, orthogonal sums.  `realize` builds
 such a tree for a requested trace value and `verify_certificate` replays
 every claim exactly (subgroup membership, interval location, unimodularity,
-square sums, branch selection, generator relations), reporting the first
+square sums, branch selection, generator relations), reporting every
 failing node.  Certificates serialize to a stable JSON schema; every node
 carries a `lemma` slug naming the step it encodes.
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple, Union
 
 from .theta import PrecisionExhausted, Record, ThetaParam
@@ -76,9 +77,6 @@ class TraceValue(Record):
     """The number a + b*theta with integer a, b."""
 
     __slots__ = ("a", "b")
-
-    a: int
-    b: int
 
     def __init__(self, a: int, b: int):
         set_a, set_b = self._setters
@@ -136,9 +134,7 @@ def convergents(theta: ThetaParam, depth: int) -> list[Convergent]:
     return [Convergent(p, q) for p, q in theta.convergents_pq(depth)]
 
 
-def _bracketing_pair(
-    theta: ThetaParam, bound: Fraction, depth: int
-) -> Tuple[Convergent, Convergent]:
+def _bracketing_pair(theta: ThetaParam, bound: Fraction, depth: int) -> Tuple[Convergent, Convergent]:
     """First consecutive-convergent pair (low, high) with bound < low < theta < high.
 
     Orientation: the member below theta is returned first; for any
@@ -150,15 +146,18 @@ def _bracketing_pair(
         low, high = (x, y) if x.as_fraction() < y.as_fraction() else (y, x)
         if low.as_fraction() > bound:
             return low, high
-    if theta.max_depth < depth:
-        raise PrecisionExhausted(
-            f"insufficient-cf-data: only {theta.max_depth} convergents stored, "
-            f"none below the requested depth {depth} brackets past {bound}"
-        )
-    raise NoBracketingConvergents(
-        f"no-bracketing-convergents: none of the first {depth} convergents exceeds {bound}; "
-        "raise the search depth"
+    raise _search_failed(
+        theta, depth,
+        f"only {theta.max_depth} convergents stored, none below the requested depth {depth} brackets past {bound}",
+        f"none of the first {depth} convergents exceeds {bound}; raise the search depth",
     )
+
+
+def _search_failed(theta: ThetaParam, depth: int, shallow: str, none: str) -> ArithmeticError:
+    """The error of a convergent search that found nothing: the stored prefix or the depth ran out."""
+    if theta.max_depth < depth:
+        return PrecisionExhausted(f"insufficient-cf-data: {shallow}")
+    return NoBracketingConvergents(f"no-bracketing-convergents: {none}")
 
 
 def flat_decompose(
@@ -294,96 +293,218 @@ def _check_embedding(m: int, n: int) -> Optional[str]:
 
 # ---------------------------------------------------------------- certificates
 
+MAX_NESTING = 900  # the most certificates a chain may nest below its root; realize nests at most 5
 
-class ApproximantCyclic(Record):
+
+class CertificateFormatError(ValueError):
+    """Certificate JSON that does not follow the declared layout of its nodes."""
+
+
+def _shape_error(raw, keys, where: str, tag=None) -> CertificateFormatError:
+    """Why raw is not a JSON object with exactly these keys (and this node tag)."""
+    if not isinstance(raw, dict):
+        return CertificateFormatError(f"{where}: expected an object, got {type(raw).__name__}")
+    if raw.get("node", tag) != tag:
+        return CertificateFormatError(f"{where}: expected node tag {tag!r}, got {raw['node']!r}")
+    missing, extra = sorted(keys - raw.keys()), sorted(raw.keys() - keys, key=repr)
+    return CertificateFormatError(f"{where}: missing keys {missing}, unexpected keys {extra}")
+
+
+def _codec(kind) -> tuple:
+    """(JSON type, dump, load) of a layout field type; a dump of None means the value is its own JSON."""
+    if kind in (int, str):
+        return kind, None, None
+    if isinstance(kind, tuple):  # a pair of leaf nodes
+        leaf = kind[0]
+
+        def load(raw: list, where: str):
+            if len(raw) != 2:
+                raise CertificateFormatError(f"{where}: expected a list of two {leaf.tag!r} nodes")
+            return leaf._from_json(raw[0], where + "[0]"), leaf._from_json(raw[1], where + "[1]")
+
+        return list, lambda pair: [node._to_json() for node in pair], load
+    if issubclass(kind, _Node):
+        return dict, kind._to_json, kind._from_json
+    names, ints = kind._fields, [int] * len(kind._fields)  # FourSquares as a list, the others as an object
+
+    def load(raw, where: str):
+        values = raw if kind is FourSquares else list(map(raw.get, names))
+        if len(raw) != len(names) or list(map(type, values)) != ints:
+            raise CertificateFormatError(f"{where}: expected the integers {', '.join(names)}, got {raw!r}")
+        return kind(*values)
+
+    get = attrgetter(*names)
+    return (list, list, load) if kind is FourSquares else (dict, lambda value: dict(zip(names, get(value))), load)
+
+
+class _Node(Record):
+    """A certificate node, declared once: its JSON `node` tag, `lemma` slug and `layout`,
+    its replay checks (`_replay`) and, for a certificate, how `realize` builds it (`_realize`).
+
+    ``layout`` maps each JSON key after ``node`` and ``lemma``, in serialized
+    order, to its field type: ``int``, ``str``, ``TraceValue``, ``Convergent``,
+    ``FourSquares``, a leaf node class, a pair of leaf classes, or
+    ``_Certificate`` for the certificate child, which comes last, so that
+    serialize, parse and replay walk a chain of certificates in a loop.  The
+    codec tables the generic serializer and strict parser use are built here.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "layout" not in cls.__dict__:
+            return
+        *order, last = cls.layout
+        cls._child = last if cls.layout[last] is _Certificate else None
+        cls._order = order = order if cls._child else [*order, last]
+        if _Certificate in map(cls.layout.get, order):
+            raise TypeError(f"{cls.__name__}: the certificate child must be the last key")
+        cls._keys = frozenset(("node", "lemma", *cls.layout))
+        cls._types, dumps, loads = zip(*(_codec(cls.layout[key]) for key in order))
+        get = itemgetter(*order)
+        cls._values = staticmethod(get if len(order) > 1 else lambda raw: (get(raw),))
+        cls._dumpers = tuple(zip(order, dumps))
+        cls._loaders = tuple((i, "." + key, load) for i, (key, load) in enumerate(zip(order, loads)) if load)
+        if "_from_layout" not in cls.__dict__:  # the constructor takes the fields in layout order
+            cls._from_layout = cls
+
+    def _to_json(self) -> dict:
+        """This node's JSON, without its certificate child."""
+        out = {"node": self.tag, "lemma": self.lemma}
+        for key, dump in self._dumpers:
+            value = getattr(self, key)
+            out[key] = value if dump is None else dump(value)
+        return out
+
+    @classmethod
+    def _from_json(cls, raw, where: str, child=None) -> "_Node":
+        """The node in raw, strictly checked; a certificate node is given its parsed child."""
+        if not isinstance(raw, dict) or raw.get("node") != cls.tag or raw.keys() != cls._keys:
+            raise _shape_error(raw, cls._keys, where, cls.tag)
+        values = cls._values(raw)
+        if tuple(map(type, values)) != cls._types:
+            for key, json_type, value in zip(cls._order, cls._types, values):
+                if type(value) is not json_type:
+                    want = {int: "an integer", str: "a string", dict: "an object", list: "a list"}[json_type]
+                    raise CertificateFormatError(f"{where}.{key}: expected {want}, got {value!r}")
+        if cls._loaders:
+            values = list(values)
+            for i, step, load in cls._loaders:
+                values[i] = load(values[i], where + step)
+        node = cls._from_layout(*values, child) if cls._child else cls._from_layout(*values)
+        if raw["lemma"] != node.lemma:
+            raise CertificateFormatError(f"{where}: a {cls.tag} node has lemma {node.lemma!r}, not {raw['lemma']!r}")
+        return node
+
+
+class _Certificate(_Node):
+    """A certificate node; ``kind`` is the realization kind it certifies."""
+
+    __slots__ = ()
+
+
+class ApproximantCyclic(_Node):
     """Leaf: a cyclic projection of trace k|q*theta - p| from a rational approximant.
 
     Valid when p/q is reduced, 0 < q|q*theta - p| < 1 and k|q*theta - p| < 1/4.
     """
 
     __slots__ = ("k", "p", "q")
-
-    k: int
-    p: int
-    q: int
-
-    def __init__(self, k: int, p: int, q: int):
-        set_k, set_p, set_q = self._setters
-        set_k(self, k)
-        set_p(self, p)
-        set_q(self, q)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not ApproximantCyclic:
-            return NotImplemented
-        return (self.k, self.p, self.q) == (other.k, other.p, other.q)
-
-    __hash__ = Record.__hash__
-
-    lemma = "cyclic-from-rational-approximant"
+    tag, lemma = "cyclic-approximant", "cyclic-from-rational-approximant"
+    layout = {"k": int, "p": int, "q": int}
 
     def trace(self, theta: ThetaParam) -> TraceValue:
         if theta.sign_linear(-self.p, self.q) > 0:
             return TraceValue(-self.k * self.p, self.k * self.q)
         return TraceValue(self.k * self.p, -self.k * self.q)
 
+    def _replay(self, v: "_Replay", theta: ThetaParam, path: str) -> None:
+        k, p, q = self.k, self.p, self.q
+        ok = v.check(k >= 1, path, "k must be >= 1")
+        if not v.check(q >= 1, path, "q must be >= 1") or not ok:
+            return
+        v.check(math.gcd(p, q) == 1, path, "p/q must be reduced")
+        # d = |q*theta - p| satisfies 0 < q*d < 1 and k*d < 1/4
+        a, b = (-p, q) if theta.sign_linear(-p, q) > 0 else (p, -q)
+        v.check(theta.in_open_interval(q * a, q * b, 0, 1), path, "approximant quality 0 < q|q*theta - p| < 1 fails")
+        v.check(theta.in_open_interval(k * a, k * b, 0, Fraction(1, 4)), path,
+                "cyclic trace bound k|q*theta - p| < 1/4 fails")
 
-class OrbitFlat(Record):
+
+class OrbitFlat(_Node):
     """A flat projection as the full orbit sum of a cyclic one; trace is 4x the leaf's."""
 
     __slots__ = ("leaf",)
+    tag, lemma = "orbit-flat", "orbit-sum-of-cyclic"
+    layout = {"leaf": ApproximantCyclic}
 
-    leaf: ApproximantCyclic
-
-    def __init__(self, leaf: ApproximantCyclic):
-        (set_leaf,) = self._setters
-        set_leaf(self, leaf)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not OrbitFlat:
-            return NotImplemented
-        return (self.leaf,) == (other.leaf,)
-
-    __hash__ = Record.__hash__
-
-    lemma = "orbit-sum-of-cyclic"
-
-    def trace(self, theta: ThetaParam) -> TraceValue:
+    def _replay(self, v: "_Replay", theta: ThetaParam, path: str) -> TraceValue:
+        """The leaf's checks; returns this projection's trace, 4x the leaf's."""
+        self.leaf._replay(v, theta, f"{path}.leaf")
         return self.leaf.trace(theta).scale(4)
 
 
-class FlatCert(Record):
+class FlatCert(_Certificate):
     """Flat realization via a bracketing-convergent split and an orthogonal sum."""
 
     __slots__ = ("target", "k", "n", "m", "low", "high", "a", "b", "legs")
+    tag, lemma, kind = "flat", "bracketing-convergent-split", "flat"
+    domain = (Fraction(0), Fraction(1), 4)  # (lo, hi, subgroup multiple) of realize's targets
+    layout = {"target": TraceValue, "k": int, "n": int, "m": int, "low": Convergent,
+              "high": Convergent, "a": int, "b": int, "legs": (OrbitFlat, OrbitFlat)}
 
-    target: TraceValue
-    k: int
-    n: int
-    m: int
-    low: Convergent
-    high: Convergent
-    a: int
-    b: int
-    legs: Tuple[OrbitFlat, OrbitFlat]
+    @classmethod
+    def _realize(cls, t: TraceValue, theta: ThetaParam, depth: int) -> "FlatCert":
+        a, b, low, high = flat_decompose(t, theta, depth)
+        legs = OrbitFlat(ApproximantCyclic(a, *low)), OrbitFlat(ApproximantCyclic(b, *high))
+        return cls(t, *_canonical_knm(t), low, high, a, b, legs)
 
-    lemma = "bracketing-convergent-split"
-    kind = "flat"
+    def _replay(self, v: "_Replay", theta: ThetaParam, path: str) -> None:
+        t, k, n, m, low, high, a, b, (leg1, leg2) = self._astuple(self)
+        v.check(t.in_subgroup(4), path, "target not in 4Z + 4Z*theta")
+        v.check(t.in_open_interval(theta, 0, 1), path, "target not in (0, 1)")
+        v.check(k >= 1 and n >= 1 and m >= 0, path, "need k, n >= 1 and m >= 0")
+        v.check(4 * k * n == t.b and 4 * k * m == -t.a, path, "target does not equal 4k(n*theta - m)")
+        v.check(math.gcd(n, m) == 1 if m else n == 1, path, "n, m not canonical")
+        v.check(high.p * low.q - low.p * high.q == 1, path, "bracketing pair is not unimodular")
+        v.check(m * low.q < n * low.p, path, "lower convergent does not exceed m/n")
+        v.check(theta.sign_linear(-low.p, low.q) > 0, path, "low is not below theta")
+        v.check(theta.sign_linear(high.p, -high.q) > 0, path, "high is not above theta")
+        v.check(a == k * (n * high.p - m * high.q) and b == k * (n * low.p - m * low.q), path,
+                "split coefficients a, b do not match the convergent data")
+        v.check(a >= 1 and b >= 1, path, "split coefficients must be positive")
+        v.check(4 * (a * low.q - b * high.q) == t.b and 4 * (b * high.p - a * low.p) == t.a, path,
+                "exact split identity 4a(q*theta-p) + 4b(p'-q'*theta) = t fails")
+        v.check((leg1.leaf.k, leg1.leaf.p, leg1.leaf.q) == (a, *low), path, "first leg does not carry (a, low)")
+        v.check((leg2.leaf.k, leg2.leaf.p, leg2.leaf.q) == (b, *high), path, "second leg does not carry (b, high)")
+        t1 = leg1._replay(v, theta, f"{path}.legs[0]")
+        t2 = leg2._replay(v, theta, f"{path}.legs[1]")
+        v.check(TraceValue(t1.a + t2.a, t1.b + t2.b) == t, path, "orthogonal sum of legs misses the target")
 
 
-class CyclicCert(Record):
+class CyclicCert(_Certificate):
     """Cyclic realization: quarter split of the flat certificate for 4t."""
 
     __slots__ = ("target", "flat")
+    tag, lemma, kind = "cyclic", "quarter-split-of-flat", "cyclic"
+    domain = (Fraction(0), Fraction(1, 4), 1)
+    layout = {"target": TraceValue, "flat": _Certificate}
 
-    target: TraceValue
-    flat: FlatCert
+    @classmethod
+    def _realize(cls, t: TraceValue, theta: ThetaParam, depth: int) -> "CyclicCert":
+        return cls(t, FlatCert._realize(t.scale(4), theta, depth))
 
-    lemma = "quarter-split-of-flat"
-    kind = "cyclic"
+    def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
+        t, flat = self.target, self.flat
+        v.check(t.in_open_interval(theta, 0, Fraction(1, 4)), path, "target not in (0, 1/4)")
+        if not v.check(isinstance(flat, FlatCert), path, "cyclic needs a flat inner"):
+            return None
+        v.check(flat.target == t.scale(4), path, "flat certificate is not for 4x the target")
+        return flat, theta
 
 
-class SemicyclicCert(Record):
+class SemicyclicCert(_Certificate):
     """Semicyclic realization.
 
     mode "orbit-double": the target is 2x a cyclic trace and the projection
@@ -393,40 +514,83 @@ class SemicyclicCert(Record):
     """
 
     __slots__ = ("target", "mode", "inner")
+    tag, kind = "semicyclic", "semicyclic"
+    domain = (Fraction(0), Fraction(1, 2), 1)
+    layout = {"mode": str, "target": TraceValue, "inner": _Certificate}
 
-    target: TraceValue
-    mode: str  # "orbit-double" | "subprojection"
-    inner: Union[CyclicCert, "SemicyclicCert"]
+    _from_layout = classmethod(lambda cls, mode, target, inner: cls(target, mode, inner))
 
-    kind = "semicyclic"
+    lemma = property(lambda self: "flip-orbit-double" if self.mode == "orbit-double" else "invariant-subprojection")
 
-    @property
-    def lemma(self) -> str:
-        return "flip-orbit-double" if self.mode == "orbit-double" else "invariant-subprojection"
+    @classmethod
+    def _realize(cls, t: TraceValue, theta: ThetaParam, depth: int) -> "SemicyclicCert":
+        if t.in_subgroup(2):
+            return cls(t, "orbit-double", CyclicCert._realize(TraceValue(t.a // 2, t.b // 2), theta, depth))
+        # find an even bound 2x with t < 2x < 1/2, via a positive step 2(q*theta - p)
+        # smaller than the room 1/2 - t above t
+        for p, q in theta.convergents_pq(min(depth, theta.max_depth)):
+            if q > 0 and theta.sign_linear(-p, q) > 0 and (
+                theta.sign_linear(Fraction(1, 2) - t.a + 2 * p, -t.b - 2 * q) > 0
+            ):
+                gap = TraceValue(-2 * p, 2 * q)
+                break
+        else:
+            raise _search_failed(
+                theta, depth, "stored convergents too shallow to fit a step between the target and 1/2",
+                "no convergent step fits between the target and 1/2; raise the search depth",
+            )
+        bound = gap.scale(theta.floor_ratio(t.a, t.b, gap.a, gap.b) + 1)
+        if not bound.in_open_interval(theta, 0, Fraction(1, 2)) or theta.sign_linear(bound.a - t.a, bound.b - t.b) <= 0:
+            raise InternalAssertion("even bound selection failed")
+        return cls(t, "subprojection", cls._realize(bound, theta, depth))
+
+    def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
+        t, inner = self.target, self.inner
+        v.check(t.in_open_interval(theta, 0, Fraction(1, 2)), path, "target not in (0, 1/2)")
+        if self.mode == "orbit-double":
+            if not v.check(isinstance(inner, CyclicCert), path, "orbit-double needs a cyclic inner"):
+                return None
+            v.check(t == inner.target.scale(2), path, "target is not twice the inner cyclic trace")
+        elif self.mode == "subprojection":
+            if not v.check(isinstance(inner, SemicyclicCert) and inner.mode == "orbit-double", path,
+                           "subprojection needs an orbit-double semicyclic bound"):
+                return None
+            bound = inner.target
+            v.check(theta.sign_linear(bound.a - t.a, bound.b - t.b) > 0, path, "bound must strictly exceed the target")
+        else:
+            v.append((path, f"unknown semicyclic mode {self.mode!r}"))
+            return None
+        return inner, theta
 
 
-class SemiflatCert(Record):
+class SemiflatCert(_Certificate):
     """Semiflat realization: h + sigma(h) over a semicyclic h of half the trace."""
 
     __slots__ = ("target", "inner")
+    tag, lemma, kind = "semiflat", "transform-orbit-pairing", "semiflat"
+    domain = (Fraction(0), Fraction(1), 2)
+    layout = {"target": TraceValue, "inner": _Certificate}
 
-    target: TraceValue
-    inner: SemicyclicCert
+    @classmethod
+    def _realize(cls, t: TraceValue, theta: ThetaParam, depth: int) -> "SemiflatCert":
+        return cls(t, SemicyclicCert._realize(TraceValue(t.a // 2, t.b // 2), theta, depth))
 
-    lemma = "transform-orbit-pairing"
-    kind = "semiflat"
+    def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
+        t, inner = self.target, self.inner
+        v.check(t.in_subgroup(2), path, "target not in 2Z + 2Z*theta")
+        v.check(t.in_open_interval(theta, 0, 1), path, "target not in (0, 1)")
+        if not v.check(isinstance(inner, SemicyclicCert), path, "semiflat needs a semicyclic inner"):
+            return None
+        v.check(t == inner.target.scale(2), path, "target is not twice the inner semicyclic trace")
+        return inner, theta
 
 
-class EmbeddingLeg(Record):
+class EmbeddingLeg(_Node):
     """One scaled-copy leg of trace (m1^2 + m2^2)*theta - n_shift in [0, 1)."""
 
     __slots__ = ("m1", "m2", "n_shift")
-
-    m1: int
-    m2: int
-    n_shift: int
-
-    lemma = "scaled-generator-embedding"
+    tag, lemma = "embedding-leg", "scaled-generator-embedding"
+    layout = {"m1": int, "m2": int, "n_shift": int}
 
     @property
     def scale(self) -> int:
@@ -435,171 +599,117 @@ class EmbeddingLeg(Record):
     def trace(self) -> TraceValue:
         return TraceValue(-self.n_shift, self.scale)
 
+    def _replay(self, v: "_Replay", theta: ThetaParam, path: str) -> None:
+        s = self.scale
+        if s == 0:
+            v.check(self.n_shift == 0, path, "zero leg must carry a zero shift")
+            return
+        v.check(theta.in_open_interval(-self.n_shift, s, 0, 1), path, "leg trace s*theta - n_shift is not in (0, 1)")
+        err = _check_embedding(self.m1, self.m2)
+        v.check(err is None, path, f"embedding relations fail: {err}")
 
-class FourierInvariantCert(Record):
+
+class FourierInvariantCert(_Certificate):
     """Invariant realization via a four-square split into two embedded legs.
 
     k = n - n1 - n2 is forced into {0, 1}; k = 0 combines the legs as an
-    orthogonal sum, k = 1 subtracts the complement of one leg from the other.
+    orthogonal sum (branch "orthogonal-sum"), k = 1 subtracts the complement
+    of one leg from the other (branch "complement-subtraction").
     """
 
     __slots__ = ("target", "squares", "leg1", "leg2", "k", "branch")
+    tag, lemma, kind = "fourier-invariant", "four-squares-split", "fourier_invariant"
+    domain = (Fraction(0), Fraction(1), 1)
+    layout = {"target": TraceValue, "squares": FourSquares, "legs": (EmbeddingLeg, EmbeddingLeg),
+              "k": int, "branch": str}
 
-    target: TraceValue
-    squares: FourSquares
-    leg1: EmbeddingLeg
-    leg2: EmbeddingLeg
-    k: int
-    branch: str  # "orthogonal-sum" | "complement-subtraction"
+    _from_layout = classmethod(lambda cls, target, squares, legs, k, branch: cls(target, squares, *legs, k, branch))
+    legs = property(attrgetter("leg1", "leg2"))
 
-    lemma = "four-squares-split"
-    kind = "fourier_invariant"
+    @classmethod
+    def _realize(cls, t: TraceValue, theta: ThetaParam, depth: int) -> "FourierInvariantCert":
+        sq = four_squares(t.b)
+        s2 = sq.m3**2 + sq.m4**2
+        leg1 = EmbeddingLeg(sq.m1, sq.m2, theta.floor_linear(sq.m1**2 + sq.m2**2))
+        leg2 = EmbeddingLeg(sq.m3, sq.m4, theta.floor_linear(s2) if s2 else 0)
+        k = -t.a - leg1.n_shift - leg2.n_shift
+        if k not in (0, 1):
+            raise InternalAssertion(f"combination defect k = {k} escaped {{0, 1}}")
+        return cls(t, sq, leg1, leg2, k, "orthogonal-sum" if k == 0 else "complement-subtraction")
+
+    def _replay(self, v: "_Replay", theta: ThetaParam, path: str) -> None:
+        t, sq, leg1, leg2, k, branch = self._astuple(self)
+        v.check(t.in_open_interval(theta, 0, 1), path, "target not in (0, 1)")
+        v.check(t.b >= 1, path, "theta-coefficient must be positive here")
+        v.check(sq.total() == t.b, path, "four squares do not sum to the theta-coefficient")
+        v.check(sq.m1 >= sq.m2 >= sq.m3 >= sq.m4 >= 0, path, "squares must be sorted descending")
+        v.check((leg1.m1, leg1.m2, leg2.m1, leg2.m2) == sq, path, "legs do not carry the square pairs")
+        leg1._replay(v, theta, f"{path}.leg1")
+        leg2._replay(v, theta, f"{path}.leg2")
+        v.check(k == -t.a - leg1.n_shift - leg2.n_shift, path, "k != n - n1 - n2")
+        v.check(k in (0, 1), path, f"k = {k} escapes {{0, 1}}")
+        v.check(branch == ("orthogonal-sum" if k == 0 else "complement-subtraction"), path, "branch does not match k")
+        v.check(theta.sign_linear(t.a + k - 2, t.b) < 0, path, "combined trace t + k must stay below 2")
 
 
-class ReflectedCert(Record):
+class ReflectedCert(_Certificate):
     """Wrapper realizing a trace with negative theta-coefficient over 1 - theta."""
 
     __slots__ = ("target", "inner")
-
-    target: TraceValue
-    inner: "Certificate"
-
-    lemma = "angle-reflection"
+    tag, lemma = "reflected", "angle-reflection"
+    layout = {"target": TraceValue, "inner": _Certificate}
 
     @property
     def kind(self) -> str:
-        return self.inner.kind
+        node = self.inner
+        while node.__class__ is ReflectedCert:
+            node = node.inner
+        return node.kind
+
+    def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
+        t, inner = self.target, self.inner
+        v.check(t.b < 0, path, "reflection wraps only negative theta-coefficients")
+        v.check(inner.target == t.reflected(), path, "inner target is not the reflected target")
+        return inner, theta.reflect()
 
 
-Certificate = Union[
-    FlatCert, CyclicCert, SemicyclicCert, SemiflatCert, FourierInvariantCert, ReflectedCert
-]
+Certificate = Union[FlatCert, CyclicCert, SemicyclicCert, SemiflatCert, FourierInvariantCert, ReflectedCert]
+_CERTIFICATES = {cls.tag: cls for cls in Certificate.__args__}  # node tag -> class
+_BY_KIND = {cls.kind: cls for cls in Certificate.__args__ if cls is not ReflectedCert}
 
 
 # -------------------------------------------------------------------- realize
 
 
-def _require(cond: bool, exc: type, message: str) -> None:
-    if not cond:
-        raise exc(message)
-
-
 def _interval_for_kind(kind: str) -> Tuple[Fraction, Fraction, int]:
     """(lo, hi, subgroup multiple) for each kind."""
-    table = {
-        "cyclic": (Fraction(0), Fraction(1, 4), 1),
-        "semicyclic": (Fraction(0), Fraction(1, 2), 1),
-        "flat": (Fraction(0), Fraction(1), 4),
-        "semiflat": (Fraction(0), Fraction(1), 2),
-        "fourier_invariant": (Fraction(0), Fraction(1), 1),
-    }
-    return table[kind]
+    return _BY_KIND[kind].domain
 
 
-def realize(
-    kind: str,
-    t: TraceValue,
-    theta: ThetaParam,
-    depth: int = DEFAULT_CONVERGENT_DEPTH,
-) -> Certificate:
+def realize(kind: str, t: TraceValue, theta: ThetaParam, depth: int = DEFAULT_CONVERGENT_DEPTH) -> Certificate:
     """Build a realization certificate for the trace t of the given kind."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r} (expected one of {KINDS})")
     lo, hi, mult = _interval_for_kind(kind)
-    _require(t.in_subgroup(mult), WrongSubgroup, f"wrong-subgroup: {t} is not in {mult}Z + {mult}Z*theta")
-    _require(t.in_open_interval(theta, lo, hi), OutOfRange, f"out-of-range: {t} is not in ({lo}, {hi})")
+    if not t.in_subgroup(mult):
+        raise WrongSubgroup(f"wrong-subgroup: {t} is not in {mult}Z + {mult}Z*theta")
+    if not t.in_open_interval(theta, lo, hi):
+        raise OutOfRange(f"out-of-range: {t} is not in ({lo}, {hi})")
     if t.b < 0:
-        inner = realize(kind, t.reflected(), theta.reflect(), depth)
-        return ReflectedCert(t, inner)
-    if t.b == 0:
-        # a alone cannot land strictly inside (0,1)
+        return ReflectedCert(t, realize(kind, t.reflected(), theta.reflect(), depth))
+    if t.b == 0:  # a alone cannot land strictly inside (0, 1)
         raise OutOfRange(f"out-of-range: {t} has no theta part")
-    builder = {
-        "flat": _realize_flat,
-        "cyclic": _realize_cyclic,
-        "semicyclic": _realize_semicyclic,
-        "semiflat": _realize_semiflat,
-        "fourier_invariant": _realize_fourier,
-    }[kind]
-    return builder(t, theta, depth)
-
-
-def _realize_flat(t: TraceValue, theta: ThetaParam, depth: int) -> FlatCert:
-    a, b, low, high = flat_decompose(t, theta, depth)
-    k, n, m = _canonical_knm(t)
-    legs = (
-        OrbitFlat(ApproximantCyclic(a, low.p, low.q)),
-        OrbitFlat(ApproximantCyclic(b, high.p, high.q)),
-    )
-    return FlatCert(t, k, n, m, low, high, a, b, legs)
-
-
-def _realize_cyclic(t: TraceValue, theta: ThetaParam, depth: int) -> CyclicCert:
-    flat = _realize_flat(t.scale(4), theta, depth)
-    return CyclicCert(t, flat)
-
-
-def _realize_semicyclic(t: TraceValue, theta: ThetaParam, depth: int) -> SemicyclicCert:
-    if t.in_subgroup(2):
-        half = TraceValue(t.a // 2, t.b // 2)
-        return SemicyclicCert(t, "orbit-double", _realize_cyclic(half, theta, depth))
-    # find an even bound 2x with t < 2x < 1/2, via small positive steps q*theta - p
-    gap = None
-    for p, q in theta.convergents_pq(min(depth, theta.max_depth)):
-        if q > 0 and theta.sign_linear(-p, q) > 0:
-            step = TraceValue(-2 * p, 2 * q)
-            # need the step smaller than the room above t: 1/2 - t
-            if theta.sign_linear(Fraction(1, 2) - t.a - step.a, -t.b - step.b) > 0:
-                gap = step
-                break
-    if gap is None:
-        if theta.max_depth < depth:
-            raise PrecisionExhausted(
-                "insufficient-cf-data: stored convergents too shallow to fit a step "
-                "between the target and 1/2"
-            )
-        raise NoBracketingConvergents(
-            "no-bracketing-convergents: no convergent step fits between the target and 1/2; "
-            "raise the search depth"
-        )
-    k = theta.floor_ratio(t.a, t.b, gap.a, gap.b) + 1
-    bound = gap.scale(k)
-    if not (bound.in_open_interval(theta, 0, Fraction(1, 2)) and theta.sign_linear(bound.a - t.a, bound.b - t.b) > 0):
-        raise InternalAssertion("even bound selection failed")
-    inner = _realize_semicyclic(bound, theta, depth)
-    return SemicyclicCert(t, "subprojection", inner)
-
-
-def _realize_semiflat(t: TraceValue, theta: ThetaParam, depth: int) -> SemiflatCert:
-    half = TraceValue(t.a // 2, t.b // 2)
-    return SemiflatCert(t, _realize_semicyclic(half, theta, depth))
-
-
-def _realize_fourier(t: TraceValue, theta: ThetaParam, depth: int) -> FourierInvariantCert:
-    m_total, n_total = t.b, -t.a
-    squares = four_squares(m_total)
-    s1 = squares.m1**2 + squares.m2**2
-    s2 = squares.m3**2 + squares.m4**2
-    n1 = theta.floor_linear(s1)
-    n2 = theta.floor_linear(s2) if s2 else 0
-    leg1 = EmbeddingLeg(squares.m1, squares.m2, n1)
-    leg2 = EmbeddingLeg(squares.m3, squares.m4, n2)
-    k = n_total - n1 - n2
-    if k not in (0, 1):
-        raise InternalAssertion(f"combination defect k = {k} escaped {{0, 1}}")
-    branch = "orthogonal-sum" if k == 0 else "complement-subtraction"
-    return FourierInvariantCert(t, squares, leg1, leg2, k, branch)
+    return _BY_KIND[kind]._realize(t, theta, depth)
 
 
 # ---------------------------------------------------------------- verification
 
 
 class VerificationReport(Record):
+    """Whether a certificate replays, and its (node path, message) failures in replay order."""
+
     __slots__ = ("ok", "failures")
     _defaults = {"failures": ()}
-
-    ok: bool
-    failures: Tuple[Tuple[str, str], ...]  # (node path, message)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -612,383 +722,79 @@ class VerificationReport(Record):
         return {"ok": self.ok, "failures": [list(f) for f in self.failures]}
 
 
-class _Verifier:
-    def __init__(self, theta: ThetaParam):
-        self.theta = theta
-        self.failures: list[Tuple[str, str]] = []
-
-    def fail(self, path: str, message: str) -> None:
-        self.failures.append((path, message))
+class _Replay(list):
+    """The (node path, message) failures of one replay, in the order found."""
 
     def check(self, cond: bool, path: str, message: str) -> bool:
         if not cond:
-            self.fail(path, message)
+            self.append((path, message))
         return cond
-
-    # ---- nodes
-
-    def leaf(self, node: ApproximantCyclic, path: str) -> None:
-        th = self.theta
-        ok = self.check(node.k >= 1, path, "k must be >= 1")
-        ok &= self.check(node.q >= 1, path, "q must be >= 1")
-        if not ok:
-            return
-        self.check(math.gcd(node.p, node.q) == 1, path, "p/q must be reduced")
-        # d = |q*theta - p| satisfies 0 < q*d < 1 and k*d < 1/4
-        sign = th.sign_linear(-node.p, node.q)
-        a, b = (-node.p, node.q) if sign > 0 else (node.p, -node.q)
-        self.check(
-            th.in_open_interval(node.q * a, node.q * b, 0, 1),
-            path,
-            "approximant quality 0 < q|q*theta - p| < 1 fails",
-        )
-        self.check(
-            th.in_open_interval(node.k * a, node.k * b, 0, Fraction(1, 4)),
-            path,
-            "cyclic trace bound k|q*theta - p| < 1/4 fails",
-        )
-
-    def orbit_flat(self, node: OrbitFlat, path: str) -> TraceValue:
-        self.leaf(node.leaf, f"{path}.leaf")
-        return node.leaf.trace(self.theta).scale(4)
-
-    def flat(self, node: FlatCert, path: str) -> None:
-        th = self.theta
-        t = node.target
-        self.check(t.in_subgroup(4), path, "target not in 4Z + 4Z*theta")
-        self.check(t.in_open_interval(th, 0, 1), path, "target not in (0, 1)")
-        self.check(node.k >= 1 and node.n >= 1 and node.m >= 0, path, "need k, n >= 1 and m >= 0")
-        self.check(
-            4 * node.k * node.n == t.b and 4 * node.k * node.m == -t.a,
-            path,
-            "target does not equal 4k(n*theta - m)",
-        )
-        self.check(math.gcd(node.n, node.m) == 1 if node.m else node.n == 1, path, "n, m not canonical")
-        low, high = node.low, node.high
-        self.check(high.p * low.q - low.p * high.q == 1, path, "bracketing pair is not unimodular")
-        self.check(node.m * low.q < node.n * low.p, path, "lower convergent does not exceed m/n")
-        self.check(th.sign_linear(-low.p, low.q) > 0, path, "low is not below theta")
-        self.check(th.sign_linear(high.p, -high.q) > 0, path, "high is not above theta")
-        self.check(
-            node.a == node.k * (node.n * high.p - node.m * high.q)
-            and node.b == node.k * (node.n * low.p - node.m * low.q),
-            path,
-            "split coefficients a, b do not match the convergent data",
-        )
-        self.check(node.a >= 1 and node.b >= 1, path, "split coefficients must be positive")
-        self.check(
-            4 * (node.a * low.q - node.b * high.q) == t.b
-            and 4 * (node.b * high.p - node.a * low.p) == t.a,
-            path,
-            "exact split identity 4a(q*theta-p) + 4b(p'-q'*theta) = t fails",
-        )
-        leg1, leg2 = node.legs
-        self.check(
-            (leg1.leaf.k, leg1.leaf.p, leg1.leaf.q) == (node.a, low.p, low.q),
-            path,
-            "first leg does not carry (a, low)",
-        )
-        self.check(
-            (leg2.leaf.k, leg2.leaf.p, leg2.leaf.q) == (node.b, high.p, high.q),
-            path,
-            "second leg does not carry (b, high)",
-        )
-        t1 = self.orbit_flat(leg1, f"{path}.legs[0]")
-        t2 = self.orbit_flat(leg2, f"{path}.legs[1]")
-        total = TraceValue(t1.a + t2.a, t1.b + t2.b)
-        self.check((total.a, total.b) == (t.a, t.b), path, "orthogonal sum of legs misses the target")
-
-    def cyclic(self, node: CyclicCert, path: str) -> None:
-        th = self.theta
-        self.check(node.target.in_open_interval(th, 0, Fraction(1, 4)), path, "target not in (0, 1/4)")
-        if not self.check(isinstance(node.flat, FlatCert), path, "cyclic needs a flat inner"):
-            return
-        self.check(
-            (node.flat.target.a, node.flat.target.b) == (4 * node.target.a, 4 * node.target.b),
-            path,
-            "flat certificate is not for 4x the target",
-        )
-        self.flat(node.flat, f"{path}.flat")
-
-    def semicyclic(self, node: SemicyclicCert, path: str) -> None:
-        th = self.theta
-        self.check(node.target.in_open_interval(th, 0, Fraction(1, 2)), path, "target not in (0, 1/2)")
-        if node.mode == "orbit-double":
-            ok = self.check(isinstance(node.inner, CyclicCert), path, "orbit-double needs a cyclic inner")
-            if ok:
-                self.check(
-                    (node.target.a, node.target.b) == (2 * node.inner.target.a, 2 * node.inner.target.b),
-                    path,
-                    "target is not twice the inner cyclic trace",
-                )
-                self.cyclic(node.inner, f"{path}.inner")
-        elif node.mode == "subprojection":
-            ok = self.check(
-                isinstance(node.inner, SemicyclicCert) and node.inner.mode == "orbit-double",
-                path,
-                "subprojection needs an orbit-double semicyclic bound",
-            )
-            if ok:
-                bound = node.inner.target
-                self.check(
-                    th.sign_linear(bound.a - node.target.a, bound.b - node.target.b) > 0,
-                    path,
-                    "bound must strictly exceed the target",
-                )
-                self.semicyclic(node.inner, f"{path}.inner")
-        else:
-            self.fail(path, f"unknown semicyclic mode {node.mode!r}")
-
-    def semiflat(self, node: SemiflatCert, path: str) -> None:
-        self.check(node.target.in_subgroup(2), path, "target not in 2Z + 2Z*theta")
-        self.check(node.target.in_open_interval(self.theta, 0, 1), path, "target not in (0, 1)")
-        if not self.check(isinstance(node.inner, SemicyclicCert), path, "semiflat needs a semicyclic inner"):
-            return
-        self.check(
-            (node.target.a, node.target.b) == (2 * node.inner.target.a, 2 * node.inner.target.b),
-            path,
-            "target is not twice the inner semicyclic trace",
-        )
-        self.semicyclic(node.inner, f"{path}.inner")
-
-    def embedding_leg(self, node: EmbeddingLeg, path: str) -> None:
-        th = self.theta
-        s = node.scale
-        if s == 0:
-            self.check(node.n_shift == 0, path, "zero leg must carry a zero shift")
-            return
-        self.check(
-            th.in_open_interval(-node.n_shift, s, 0, 1),
-            path,
-            "leg trace s*theta - n_shift is not in (0, 1)",
-        )
-        err = _check_embedding(node.m1, node.m2) if (node.m1, node.m2) != (0, 0) else None
-        if (node.m1, node.m2) == (0, 0):
-            self.fail(path, "nonzero scale with zero generator pair")
-        elif err:
-            self.fail(path, f"embedding relations fail: {err}")
-
-    def fourier(self, node: FourierInvariantCert, path: str) -> None:
-        th = self.theta
-        t = node.target
-        self.check(t.in_open_interval(th, 0, 1), path, "target not in (0, 1)")
-        self.check(t.b >= 1, path, "theta-coefficient must be positive here")
-        sq = node.squares
-        self.check(sq.total() == t.b, path, "four squares do not sum to the theta-coefficient")
-        self.check(sq.m1 >= sq.m2 >= sq.m3 >= sq.m4 >= 0, path, "squares must be sorted descending")
-        self.check(
-            (node.leg1.m1, node.leg1.m2) == (sq.m1, sq.m2)
-            and (node.leg2.m1, node.leg2.m2) == (sq.m3, sq.m4),
-            path,
-            "legs do not carry the square pairs",
-        )
-        self.embedding_leg(node.leg1, f"{path}.leg1")
-        self.embedding_leg(node.leg2, f"{path}.leg2")
-        self.check(
-            node.k == -t.a - node.leg1.n_shift - node.leg2.n_shift,
-            path,
-            "k != n - n1 - n2",
-        )
-        self.check(node.k in (0, 1), path, f"k = {node.k} escapes {{0, 1}}")
-        want_branch = "orthogonal-sum" if node.k == 0 else "complement-subtraction"
-        self.check(node.branch == want_branch, path, "branch does not match k")
-        self.check(
-            th.sign_linear(t.a + node.k - 2, t.b) < 0,
-            path,
-            "combined trace t + k must stay below 2",
-        )
-
-    def dispatch(self, node: Certificate, path: str) -> None:
-        if isinstance(node, ReflectedCert):
-            self.check(node.target.b < 0, path, "reflection wraps only negative theta-coefficients")
-            inner_t = node.target.reflected()
-            self.check(
-                (node.inner.target.a, node.inner.target.b) == (inner_t.a, inner_t.b),
-                path,
-                "inner target is not the reflected target",
-            )
-            sub = _Verifier(self.theta.reflect())
-            sub.dispatch(node.inner, f"{path}.inner")
-            self.failures.extend(sub.failures)
-        elif isinstance(node, FlatCert):
-            self.flat(node, path)
-        elif isinstance(node, CyclicCert):
-            self.cyclic(node, path)
-        elif isinstance(node, SemicyclicCert):
-            self.semicyclic(node, path)
-        elif isinstance(node, SemiflatCert):
-            self.semiflat(node, path)
-        elif isinstance(node, FourierInvariantCert):
-            self.fourier(node, path)
-        else:
-            self.fail(path, f"unknown node type {type(node).__name__}")
 
 
 def verify_certificate(cert: Certificate, theta: ThetaParam) -> VerificationReport:
-    """Replay every arithmetic claim in a certificate against theta.
+    """Replay every arithmetic claim in a certificate against theta; all checks are exact.
 
-    All checks are exact (rational bracketing of theta).
+    Each node replays its own claims and hands back its certificate child (when of
+    the type the node needs) with the angle to replay it under.
     """
-    v = _Verifier(theta)
+    v = _Replay()
+    node, path = cert, cert.kind
     try:
-        v.dispatch(cert, cert.kind)
+        for _ in range(MAX_NESTING + 1):
+            if not isinstance(node, _Certificate):
+                v.append((path, f"unknown node type {type(node).__name__}"))
+                break
+            step = node._replay(v, theta, path)
+            if step is None:
+                break
+            path = f"{path}.{node._child}"
+            node, theta = step
+        else:
+            v.append((path, f"nested deeper than {MAX_NESTING} certificates"))
     except PrecisionExhausted as exc:
-        v.fail("theta", str(exc))
-    return VerificationReport(not v.failures, tuple(v.failures))
+        v.append(("theta", str(exc)))
+    return VerificationReport(not v, tuple(v))
 
 
 # ------------------------------------------------------------- serialization
 
 
-def _trace_json(t: TraceValue) -> dict:
-    return {"a": t.a, "b": t.b}
-
-
 def certificate_to_json(cert: Certificate) -> dict:
     """Stable JSON form; every node carries its `node` tag and `lemma` slug."""
-    if isinstance(cert, ReflectedCert):
-        return {
-            "node": "reflected",
-            "lemma": cert.lemma,
-            "target": _trace_json(cert.target),
-            "inner": certificate_to_json(cert.inner),
-        }
-    if isinstance(cert, FlatCert):
-        return {
-            "node": "flat",
-            "lemma": cert.lemma,
-            "target": _trace_json(cert.target),
-            "k": cert.k,
-            "n": cert.n,
-            "m": cert.m,
-            "low": {"p": cert.low.p, "q": cert.low.q},
-            "high": {"p": cert.high.p, "q": cert.high.q},
-            "a": cert.a,
-            "b": cert.b,
-            "legs": [
-                {
-                    "node": "orbit-flat",
-                    "lemma": OrbitFlat.lemma,
-                    "leaf": {
-                        "node": "cyclic-approximant",
-                        "lemma": ApproximantCyclic.lemma,
-                        "k": leg.leaf.k,
-                        "p": leg.leaf.p,
-                        "q": leg.leaf.q,
-                    },
-                }
-                for leg in cert.legs
-            ],
-        }
-    if isinstance(cert, CyclicCert):
-        return {
-            "node": "cyclic",
-            "lemma": cert.lemma,
-            "target": _trace_json(cert.target),
-            "flat": certificate_to_json(cert.flat),
-        }
-    if isinstance(cert, SemicyclicCert):
-        return {
-            "node": "semicyclic",
-            "lemma": cert.lemma,
-            "mode": cert.mode,
-            "target": _trace_json(cert.target),
-            "inner": certificate_to_json(cert.inner),
-        }
-    if isinstance(cert, SemiflatCert):
-        return {
-            "node": "semiflat",
-            "lemma": cert.lemma,
-            "target": _trace_json(cert.target),
-            "inner": certificate_to_json(cert.inner),
-        }
-    if isinstance(cert, FourierInvariantCert):
-        return {
-            "node": "fourier-invariant",
-            "lemma": cert.lemma,
-            "target": _trace_json(cert.target),
-            "squares": list(cert.squares),
-            "legs": [
-                {
-                    "node": "embedding-leg",
-                    "lemma": EmbeddingLeg.lemma,
-                    "m1": leg.m1,
-                    "m2": leg.m2,
-                    "n_shift": leg.n_shift,
-                }
-                for leg in (cert.leg1, cert.leg2)
-            ],
-            "k": cert.k,
-            "branch": cert.branch,
-        }
-    raise TypeError(f"cannot serialize {type(cert).__name__}")
+    top: dict = {}
+    parent, key, node = top, "certificate", cert
+    while key is not None:
+        if not isinstance(node, _Certificate):
+            raise TypeError(f"cannot serialize {type(node).__name__}")
+        parent[key] = parent = node._to_json()  # the child, if any, is the last key
+        key = node._child
+        node = getattr(node, key) if key else None
+    return top["certificate"]
 
 
-class CertificateFormatError(ValueError):
-    pass
-
-
-def _int(value) -> int:
-    """A JSON integer; bools, floats and strings are format errors, not coerced."""
-    if type(value) is not int:
-        raise CertificateFormatError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _trace_from_json(d: dict) -> TraceValue:
-    return TraceValue(_int(d["a"]), _int(d["b"]))
-
-
-def certificate_from_json(data: dict) -> Certificate:
-    try:
-        node = data["node"]
-        target = _trace_from_json(data["target"])
-        if node == "reflected":
-            return ReflectedCert(target, certificate_from_json(data["inner"]))
-        if node == "flat":
-            legs = tuple(
-                OrbitFlat(
-                    ApproximantCyclic(
-                        _int(leg["leaf"]["k"]), _int(leg["leaf"]["p"]), _int(leg["leaf"]["q"])
-                    )
-                )
-                for leg in data["legs"]
-            )
-            if len(legs) != 2:
-                raise CertificateFormatError("flat node needs exactly two legs")
-            return FlatCert(
-                target,
-                _int(data["k"]),
-                _int(data["n"]),
-                _int(data["m"]),
-                Convergent(_int(data["low"]["p"]), _int(data["low"]["q"])),
-                Convergent(_int(data["high"]["p"]), _int(data["high"]["q"])),
-                _int(data["a"]),
-                _int(data["b"]),
-                legs,
-            )
-        if node == "cyclic":
-            return CyclicCert(target, certificate_from_json(data["flat"]))
-        if node == "semicyclic":
-            return SemicyclicCert(target, data["mode"], certificate_from_json(data["inner"]))
-        if node == "semiflat":
-            return SemiflatCert(target, certificate_from_json(data["inner"]))
-        if node == "fourier-invariant":
-            legs = [
-                EmbeddingLeg(_int(l["m1"]), _int(l["m2"]), _int(l["n_shift"])) for l in data["legs"]
-            ]
-            if len(legs) != 2:
-                raise CertificateFormatError("fourier-invariant node needs exactly two legs")
-            return FourierInvariantCert(
-                target,
-                FourSquares(*(_int(x) for x in data["squares"])),
-                legs[0],
-                legs[1],
-                _int(data["k"]),
-                data["branch"],
-            )
-        raise CertificateFormatError(f"unknown node tag {node!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CertificateFormatError):
-            raise
-        raise CertificateFormatError(f"malformed certificate JSON: {exc}") from exc
+def certificate_from_json(data) -> Certificate:
+    """Parse certificate JSON strictly: each node has exactly its declared keys, its own `node`
+    tag and `lemma`, JSON integers and strings where declared, and at most MAX_NESTING
+    certificates below it, or CertificateFormatError is raised.  A certificate child of the
+    wrong type parses; the replay reports it."""
+    chain = []
+    raw, where = data, "certificate"
+    while True:
+        tag = raw.get("node") if isinstance(raw, dict) else None
+        cls = _CERTIFICATES.get(tag) if type(tag) is str else None
+        if cls is None:
+            raise _shape_error(raw, (), where) if not isinstance(raw, dict) else CertificateFormatError(
+                f"{where}: unknown certificate node tag {tag!r}")
+        chain.append((cls, raw, where))
+        key = cls._child
+        if key is None:
+            break
+        if len(chain) > MAX_NESTING:
+            raise CertificateFormatError("the certificate is nested too deeply to read")
+        if key not in raw:
+            raise _shape_error(raw, cls._keys, where)
+        raw, where = raw[key], f"{where}.{key}"
+    node = None
+    for cls, raw, where in reversed(chain):
+        node = cls._from_json(raw, where, node)
+    return node

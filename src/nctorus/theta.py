@@ -86,6 +86,8 @@ class Record:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(f for f in cls.__dict__["__slots__"] if f != "__dict__")
+        if not cls._fields:  # an abstract base; its subclasses name the fields
+            return
         # the slot descriptors' own setters: the fastest way past __setattr__
         cls._setters = tuple(cls.__dict__[f].__set__ for f in cls._fields)
         get = attrgetter(*cls._fields)

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from nctorus.realization import (
+    CertificateFormatError,
     certificate_from_json,
     certificate_to_json,
     parse_trace,
@@ -137,3 +138,82 @@ if __name__ == "__main__":
         mutants = ",\n  ".join(json.dumps(m, separators=(",", ":")) for m in entry["mutants"])
         lines.append(f'{head}, "mutants": [\n  {mutants}\n]}}')
     FIXTURE.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+
+
+# ------------------------------------------------- widened mutation families
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON tree, the root included, parents first."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def _at(tree, path):
+    for step in path:
+        tree = tree[step]
+    return tree
+
+
+def _replaced(payload, path, value):
+    if not path:
+        return value
+    clone = json.loads(json.dumps(payload))
+    _at(clone, path[:-1])[path[-1]] = value
+    return clone
+
+
+TAGS = ["flat", "orbit-flat", "cyclic-approximant", "cyclic", "semicyclic", "semiflat",
+        "fourier-invariant", "embedding-leg", "reflected"]
+LEMMAS = ["bracketing-convergent-split", "orbit-sum-of-cyclic", "cyclic-from-rational-approximant",
+          "quarter-split-of-flat", "flip-orbit-double", "invariant-subprojection", "transform-orbit-pairing",
+          "four-squares-split", "scaled-generator-embedding", "angle-reflection"]
+SWAPS = {"node": TAGS, "lemma": LEMMAS, "mode": ["orbit-double", "subprojection"],
+         "branch": ["orthogonal-sum", "complement-subtraction"]}
+
+
+def mutation_families(payload):
+    """(family, path, mutated JSON) for every mutation of the widened families."""
+    for path in _paths(payload):
+        old = _at(payload, path)
+        for wrong in (None, True, False, 1.5, "x", [], {}):
+            if not (type(wrong) is type(old) and wrong == old):
+                yield "type", path, _replaced(payload, path, wrong)
+        if path and path[-1] in SWAPS:
+            for value in SWAPS[path[-1]]:
+                if value != old:
+                    yield "swap", path, _replaced(payload, path, value)
+        if type(old) is int:
+            for wrong in (float(old), old + 0.5):
+                yield "float", path, _replaced(payload, path, wrong)
+        if isinstance(old, dict):
+            for key in old:
+                clone = json.loads(json.dumps(payload))
+                del _at(clone, path)[key]
+                yield "delete", path + (key,), clone
+            yield "extra", path, _replaced(payload, path, {**old, "extra": 0})
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: "-".join(s))
+def test_widened_mutations_are_format_errors_or_failing_reports(spec):
+    name, kind, trace = spec
+    theta = ThetaParam.preset(name)
+    payload = certificate_to_json(realize(kind, parse_trace(trace), theta))
+    seen = {}
+    for family, path, mutated in mutation_families(payload):
+        try:
+            cert = certificate_from_json(mutated)
+        except CertificateFormatError:
+            outcome = "format"
+        else:
+            assert not verify_certificate(cert, theta).ok, (family, path)
+            outcome = "report"
+        seen[family, outcome] = seen.get((family, outcome), 0) + 1
+    # every family ran, and the strict parser caught all but the value swaps it cannot judge
+    assert {family for family, _ in seen} == {"type", "swap", "float", "delete", "extra"}
+    assert {family for family, outcome in seen if outcome == "report"} <= {"type", "swap"}

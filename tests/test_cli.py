@@ -201,6 +201,29 @@ def test_verify_theta_override_needs_no_stored_theta(tmp_path, capsys):
     assert code == 0 and rec["ok"] is True
 
 
+def test_verify_text_mode_reports_the_failure_count(tmp_path, capsys):
+    payload = _flat_certificate(tmp_path, capsys)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    assert run(capsys, "verify", str(path)) == (0, "certificate verifies\n", "")
+    payload["certificate"]["a"] += 1
+    path.write_text(json.dumps(payload))
+    code, rec, _ = run_json(capsys, "verify", str(path))
+    count = len(rec["failures"])
+    assert code == 2 and count > 1
+    path_, message = rec["failures"][0]
+    assert run(capsys, "verify", str(path)) == (
+        2, f"verification FAILED ({count} failures); first at {path_}: {message}\n", ""
+    )
+    payload["certificate"]["a"] -= 1
+    payload["certificate"]["legs"][0]["leaf"]["lemma"] = "angle-reflection"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: certificate.legs[0].leaf: a cyclic-approximant node has lemma " \
+        "'cyclic-from-rational-approximant', not 'angle-reflection'\n"
+
+
 def _nested_certificate(tmp_path, capsys, depth: int) -> Path:
     """A flat certificate wrapped in ``depth`` reflected nodes, written without recursion."""
     leaf = json.dumps(_flat_certificate(tmp_path, capsys)["certificate"])

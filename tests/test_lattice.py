@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -512,3 +513,26 @@ def test_hypothesis_chern_roundtrip_and_junk_suffix(v, junk):
         parse_chern(text + junk)
     with pytest.raises(ChernParseError):
         parse_chern(text[:-1] + junk + ")")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(1;0,0;1,0,2x)", "unexpected character 'x' at 12"),
+    (" ( 1; 0,0 ;1,0, 2 x ) ", "unexpected character 'x' at 18"),
+    ("(1;0,0;1,0,2 ++t)", "second sign in a row at 14"),
+    ("(1;0,0;1,0,2 t 3)", "missing sign before '3' at 15"),
+    ("1;0,0;1,0,1/2x", "unexpected character 'x' at 13"),
+])
+def test_parse_chern_slot_errors_give_positions_in_the_whole_text(text, message):
+    with pytest.raises(ChernParseError, match=f"^{re.escape(message)}$"):
+        parse_chern(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chern, st.integers(0, 10**6), st.sampled_from("x$?"))
+def test_hypothesis_chern_junk_character_is_reported_where_it_is(v, where, junk):
+    text = chern_to_text(v)
+    # a junk character inside a slot, after a token, is reported at its own index
+    cuts = [i for i, ch in enumerate(text) if ch in ";,)" and text[i - 1] not in "; ,("]
+    i = cuts[where % len(cuts)]
+    with pytest.raises(ChernParseError, match=f"unexpected character '{re.escape(junk)}' at {i}$"):
+        parse_chern(text[:i] + junk + text[i:])

@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 from nctorus.algebra import Element, PhaseScalar, apply_automorphism
 from nctorus.realization import (
     KINDS,
+    MAX_NESTING,
     CertificateFormatError,
     OutOfRange,
+    ReflectedCert,
     TraceValue,
     WrongSubgroup,
     certificate_from_json,
@@ -543,3 +545,114 @@ def test_semiflat_with_flat_inner_is_a_failing_report():
     report = verify_certificate(certificate_from_json(payload), GOLDEN)
     assert not report.ok
     assert report.failures[0] == ("semiflat", "semiflat needs a semicyclic inner")
+
+
+# ---------------------------------------------------------- nesting limit
+
+
+def _reflected_chain_json(depth):
+    """A flat certificate under ``depth`` reflected wrappers, as JSON built without recursion."""
+    data = certificate_to_json(realize("flat", TraceValue(-4, 8), GOLDEN))
+    for _ in range(depth):
+        data = {"node": "reflected", "lemma": "angle-reflection", "target": {"a": 1, "b": -1}, "inner": data}
+    return data
+
+
+def _reflected_chain(depth):
+    cert = realize("flat", TraceValue(-4, 8), GOLDEN)
+    for _ in range(depth):
+        cert = ReflectedCert(TraceValue(1, -1), cert)
+    return cert
+
+
+def test_parser_nesting_limit_is_max_nesting():
+    assert 900 <= MAX_NESTING <= 989
+    cert = certificate_from_json(_reflected_chain_json(MAX_NESTING))
+    assert cert.kind == "flat"
+    for depth in (MAX_NESTING + 1, 990, 5000):
+        with pytest.raises(CertificateFormatError, match="^the certificate is nested too deeply to read$"):
+            certificate_from_json(_reflected_chain_json(depth))
+
+
+def test_replay_of_a_5000_deep_chain_is_a_failing_report():
+    cert = _reflected_chain(5000)
+    assert cert.kind == "flat"  # no recursion through the wrappers
+    report = verify_certificate(cert, GOLDEN)
+    assert not report.ok
+    # every wrapper up to the limit fails its own check, then the walk stops
+    assert len(report.failures) == MAX_NESTING + 2
+    assert report.failures[0] == ("flat", "inner target is not the reflected target")
+    path, message = report.failures[-1]
+    assert message == f"nested deeper than {MAX_NESTING} certificates"
+    assert path == "flat" + ".inner" * (MAX_NESTING + 1)
+
+
+def test_serializer_walks_a_deep_chain_without_recursion():
+    data = certificate_to_json(_reflected_chain(5000))
+    depth = 0
+    while data["node"] == "reflected":
+        assert list(data) == ["node", "lemma", "target", "inner"]
+        data, depth = data["inner"], depth + 1
+    assert depth == 5000 and data["node"] == "flat"
+
+
+def test_replay_at_the_limit_reaches_the_innermost_node():
+    data = _reflected_chain_json(MAX_NESTING)
+    flat = data
+    while flat["node"] == "reflected":
+        flat = flat["inner"]
+    flat["a"] += 1
+    report = verify_certificate(certificate_from_json(data), GOLDEN)
+    assert len({path for path, _ in report.failures}) == MAX_NESTING + 1
+    assert report.failures[-1] == ("flat" + ".inner" * MAX_NESTING, "first leg does not carry (a, low)")
+
+
+def _flat_json():
+    return certificate_to_json(realize("flat", TraceValue(-4, 8), GOLDEN))
+
+
+def _semicyclic_json():
+    return certificate_to_json(realize("semicyclic", TraceValue(-1, 2), GOLDEN))
+
+
+def _fourier_json():
+    return certificate_to_json(realize("fourier_invariant", TraceValue(-1, 3), GOLDEN))
+
+
+def _set(data, path, value):
+    cursor = data
+    for step in path[:-1]:
+        cursor = cursor[step]
+    cursor[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    (_set(_flat_json(), ("legs", 0, "node"), "embedding-leg"),
+     "certificate.legs[0]: expected node tag 'orbit-flat', got 'embedding-leg'"),
+    (_set(_flat_json(), ("legs", 1, "leaf", "node"), "cyclic"),
+     "certificate.legs[1].leaf: expected node tag 'cyclic-approximant', got 'cyclic'"),
+    (_set(_fourier_json(), ("legs", 1, "node"), "orbit-flat"),
+     "certificate.legs[1]: expected node tag 'embedding-leg', got 'orbit-flat'"),
+    (_set(_semicyclic_json(), ("mode",), ["subprojection"]),
+     "certificate.mode: expected a string, got ['subprojection']"),
+    (_set(_fourier_json(), ("branch",), 0), "certificate.branch: expected a string, got 0"),
+    (_set(_semicyclic_json(), ("mode",), "orbit-double"),
+     "certificate: a semicyclic node has lemma 'flip-orbit-double', not 'invariant-subprojection'"),
+    (_set(_flat_json(), ("low", "r"), 1), "certificate.low: expected the integers p, q, got {'p': 3, 'q': 5, 'r': 1}"),
+    (_set(_flat_json(), ("extra",), 1), "certificate: missing keys [], unexpected keys ['extra']"),
+    (_set(_flat_json(), ("target",), {"a": -4}), "certificate.target: expected the integers a, b, got {'a': -4}"),
+    (_set(_flat_json(), ("squares",), [1, 1, 1, 0]), "certificate: missing keys [], unexpected keys ['squares']"),
+    (_set(_fourier_json(), ("squares",), [1, 1, True, 0]),
+     "certificate.squares: expected the integers m1, m2, m3, m4, got [1, 1, True, 0]"),
+    (_set(_flat_json(), ("legs",), [_flat_json()["legs"][0]]),
+     "certificate.legs: expected a list of two 'orbit-flat' nodes"),
+    (_set(_semicyclic_json(), ("inner", "node"), "orbit-flat"),
+     "certificate.inner: unknown certificate node tag 'orbit-flat'"),
+    (_set(_semicyclic_json(), ("inner",), [1]), "certificate.inner: expected an object, got list"),
+    ([_flat_json()], "certificate: expected an object, got list"),
+])
+def test_strict_parse_messages(data, message):
+    with pytest.raises(CertificateFormatError) as info:
+        certificate_from_json(data)
+    assert str(info.value) == message

@@ -222,3 +222,34 @@ def test_cached_properties_survive_immutability_and_pickle():
     assert th._bracket == th._bracket  # cached on the instance
     twin = pickle.loads(pickle.dumps(th))
     assert twin == th and twin._bracket == th._bracket and twin.reflect() == th.reflect()
+
+
+def _hand_rolled_values():
+    """A sample of each immutable value type that is not a Record, and its slot fields."""
+    from nctorus.algebra import GaussRational, PhaseScalar
+
+    def f():
+        return loops.CircleFunction([0.5] * 256)
+
+    return [
+        (GaussRational(Fraction(1, 2), 3), ("re", "im")),
+        (PhaseScalar.lam(3), ("_c", "_d")),
+        (parse_element("(1+i) L^2 U V^-1 + 1/2"), ("_t", "_d")),
+        (f(), ("samples",)),
+        (loops.LoopElement(0.25, {0: f(), 1: f()}), ("beta", "n", "coeffs")),
+    ]
+
+
+HAND_ROLLED = _hand_rolled_values()
+
+
+@pytest.mark.parametrize("obj, fields", HAND_ROLLED, ids=[type(obj).__name__ for obj, _ in HAND_ROLLED])
+def test_hand_rolled_value_type_cannot_lose_a_field(obj, fields):
+    for f in fields:
+        before = getattr(obj, f)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(obj, f)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(obj, f, before)
+        assert getattr(obj, f) is before
+    pickle.loads(pickle.dumps(obj))  # the reduction reads every field
