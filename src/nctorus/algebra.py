@@ -17,8 +17,8 @@ multiply the denominators, sums bring both sides to the lcm of theirs, and
 each result is reduced by one gcd; arithmetic, the automorphisms, traces
 and text output never build a Fraction.  GaussRational, the public
 coefficient type, appears only at the boundary: ``PhaseScalar(mapping)``
-reads it, ``PhaseScalar.items()`` builds it, and the parser and
-``numeric_eval`` go through those two.
+reads it and ``PhaseScalar.items()`` builds it.  The parser reads text
+straight into the store.
 
 All operations return new values; nothing is mutated in place.
 """
@@ -29,7 +29,7 @@ import cmath
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .theta import ThetaParam, _rat_str
 
@@ -450,14 +450,20 @@ def canonical_trace(x: Element) -> PhaseScalar:
 
 def monomial_functional(x: Element, exponent: Callable[[int, int], Optional[int]]) -> PhaseScalar:
     """The linear functional U^m V^n -> L^{exponent(m, n)} (0 where it is None), applied to x."""
-    acc: dict[int, tuple[int, int]] = {}
-    get = acc.get
+    return monomial_functionals(x, (exponent,))[0]
+
+
+def monomial_functionals(x: Element, exponents: Sequence[Callable[[int, int], Optional[int]]]) -> list[PhaseScalar]:
+    """``monomial_functional`` for each exponent rule, in one pass over x."""
+    rules = [(exponent, {}) for exponent in exponents]
     for (m, n, k), (a, b) in x._t.items():
-        e = exponent(m, n)
-        if e is not None:
-            old = get(k + e)
-            acc[k + e] = (a, b) if old is None else (old[0] + a, old[1] + b)
-    return _phase(*_canonical(acc, x._d))
+        for exponent, acc in rules:
+            e = exponent(m, n)
+            if e is not None:
+                e += k
+                old = acc.get(e)
+                acc[e] = (a, b) if old is None else (old[0] + a, old[1] + b)
+    return [_phase(*_canonical(acc, x._d)) for _, acc in rules]
 
 
 def numeric_eval(s: PhaseScalar, theta: ThetaParam) -> complex:
@@ -531,7 +537,9 @@ def element_to_text(x: Element) -> str:
     return " + ".join(parts)
 
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[iLUV^()+\-*])")
+# A number (n or n/d, ASCII digits only) or one symbol per token.
+_TOKEN = re.compile(r"\s*([0-9]+/[0-9]+|[0-9]+|[iLUV^()+\-*])")
+_FACTOR_STARTS = frozenset("(iLUV")
 
 
 class ElementParseError(ValueError):
@@ -542,150 +550,140 @@ class ElementParseError(ValueError):
         self.pos = pos
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise ElementParseError(f"unexpected character {text[pos]!r}", pos)
-                break
-            self.toks.append((m.group(1), m.start(1)))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self) -> str:
-        return self.toks[self.i][0] if self.i < len(self.toks) else ""
-
-    def pos(self) -> int:
-        return self.toks[self.i][1] if self.i < len(self.toks) else len(self.text)
-
-    def take(self) -> str:
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-
-def _parse_rational(ts: _Tokens) -> Fraction:
-    tok = ts.peek()
-    if not tok or not tok[0].isdigit():
-        raise ElementParseError("expected a number", ts.pos())
-    ts.take()
-    return Fraction(tok)
-
-
-def _parse_signed_int(ts: _Tokens) -> int:
-    sign = 1
-    if ts.peek() in ("+", "-"):
-        sign = -1 if ts.take() == "-" else 1
-    tok = ts.peek()
-    if not tok.isdigit():
-        raise ElementParseError("expected an integer exponent", ts.pos())
-    ts.take()
-    return sign * int(tok)
-
-
-def _parse_gaussian(ts: _Tokens) -> GaussRational:
-    """Sum of signed pieces of the form  rational, rational i, or i."""
-    total = GaussRational(0)
-    sign = 1
-    first = True
-    while True:
-        tok = ts.peek()
-        if tok in ("+", "-"):
-            sign = -1 if ts.take() == "-" else 1
-        elif not first:
+def _token_starts(text: str) -> list[int]:
+    """Where each token of text starts; raises at the first character that starts none."""
+    starts, pos = [], 0
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:
             break
-        if ts.peek() == "i":
-            ts.take()
-            total = total + GaussRational(0, sign)
-        else:
-            r = sign * _parse_rational(ts)
-            if ts.peek() == "i":
-                ts.take()
-                total = total + GaussRational(0, r)
-            else:
-                total = total + GaussRational(r)
+        starts.append(m.start(1))
+        pos = m.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        raise ElementParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+    return starts
+
+
+def _fail(message: str, text: str, i: int):
+    """Raise at token i of text; one past the last token is the end of text."""
+    raise ElementParseError(message, (_token_starts(text) + [len(text)])[i])
+
+
+def _number(tok: str, text: str, i: int) -> Tuple[int, int]:
+    """Token i, a number, as (numerator, denominator)."""
+    p, _, q = tok.partition("/")
+    q = int(q or 1)
+    if not q:
+        _fail("zero denominator", text, i)
+    return int(p), q
+
+
+def _gaussian(toks: list, i: int, text: str) -> Tuple[int, int, int, int]:
+    """The sum (re + im*i)/d of the pieces r, r i, i from token i to ')', as (re, im, d, index past it)."""
+    a, b, d = 0, 0, 1
+    while True:
+        tok = toks[i]
         sign = 1
-        first = False
-        if ts.peek() not in ("+", "-"):
-            break
-    return total
-
-
-def _parse_atom(ts: _Tokens) -> Element:
-    tok = ts.peek()
-    if tok == "(":
-        ts.take()
-        g = _parse_gaussian(ts)
-        if ts.peek() != ")":
-            raise ElementParseError("expected ')'", ts.pos())
-        ts.take()
-        return Element.monomial(0, 0, g)
-    if tok == "i":
-        ts.take()
-        return Element.monomial(0, 0, GaussRational(0, 1))
-    if tok in ("L", "U", "V"):
-        ts.take()
-        k = 1
-        if ts.peek() == "^":
-            ts.take()
-            k = _parse_signed_int(ts)
-        if tok == "L":
-            return Element.monomial(0, 0, PhaseScalar.lam(k))
-        if tok == "U":
-            return Element.monomial(k, 0)
-        return Element.monomial(0, k)
-    if tok and tok[0].isdigit():
-        r = _parse_rational(ts)
-        if ts.peek() == "i":
-            ts.take()
-            return Element.monomial(0, 0, GaussRational(0, r))
-        return Element.monomial(0, 0, r)
-    raise ElementParseError(f"unexpected token {tok!r}" if tok else "unexpected end of input", ts.pos())
-
-
-def _parse_term(ts: _Tokens) -> Element:
-    """A product of atoms; multiplication is honest algebra multiplication,
-    so out-of-order factors like ``V U`` pick up the correct phase."""
-    out = _parse_atom(ts)
-    while True:
-        tok = ts.peek()
-        if tok == "*":
-            ts.take()  # an explicit product sign must be followed by a factor
-        elif not (tok in ("(", "i", "L", "U", "V") or (tok and tok[0].isdigit())):
-            return out
-        out = out * _parse_atom(ts)
+        if tok == "+" or tok == "-":
+            sign = -1 if tok == "-" else 1
+            i += 1
+            tok = toks[i]
+        if tok == "i":
+            p, q, imaginary = sign, 1, True
+        elif tok[:1].isdigit():
+            p, q = _number(tok, text, i)
+            p *= sign
+            imaginary = toks[i + 1] == "i"
+            i += imaginary
+        else:
+            _fail("expected a number", text, i)
+        if q != d:
+            a, b, p, d = a * q, b * q, p * d, d * q
+        if imaginary:
+            b += p
+        else:
+            a += p
+        tok = toks[i + 1]
+        if tok == ")":
+            return a, b, d, i + 2
+        if tok != "+" and tok != "-":
+            _fail("expected ')'", text, i + 1)
+        i += 1
 
 
 def parse_element(text: str) -> Element:
-    """Parse the element grammar: signed terms of scalar/L/U/V factors."""
-    ts = _Tokens(text)
-    if not ts.toks:
+    """Parse the element grammar: signed terms of scalar/L/U/V factors.
+
+    One scan straight into the store: a term is one key (m, n, k) with a
+    Gaussian numerator over a denominator.  U^e after V^n adds 4ne to k
+    (V^n U^e = L^{4ne} U^e V^n), so ``V U`` comes out normal-ordered with
+    its phase.  The terms are added over the lcm of their denominators.
+    """
+    toks = _TOKEN.findall(text)
+    if len("".join(toks)) != len("".join(text.split())):
+        _token_starts(text)  # a character starts no token: raise at it
+    if not toks:
         raise ElementParseError("empty input", 0)
-    total = Element.zero()
-    sign = 1
-    if ts.peek() in ("+", "-"):
-        sign = -1 if ts.take() == "-" else 1
+    toks.append("")  # the end of input
+    terms = []
+    tok = toks[0]
+    sign = -1 if tok == "-" else 1
+    i = 1 if tok == "-" or tok == "+" else 0
     while True:
-        term = _parse_term(ts)
-        total = total + (term.scale(-1) if sign < 0 else term)
-        tok = ts.peek()
+        a, b, d, m, n, k = sign, 0, 1, 0, 0, 0
+        tok = toks[i]
+        while True:  # one factor per round; a term needs at least one
+            i += 1
+            if tok == "(":
+                p, q, r, i = _gaussian(toks, i, text)
+                a, b, d = a * p - b * q, a * q + b * p, d * r
+            elif tok == "i":
+                a, b = -b, a
+            elif tok == "L" or tok == "U" or tok == "V":
+                e = 1
+                if toks[i] == "^":  # an optional sign, then digits
+                    j = i + 1 + (toks[i + 1] in ("+", "-"))
+                    if not toks[j].isdigit():
+                        _fail("expected an integer exponent", text, j)
+                    e, i = int("".join(toks[i + 1 : j + 1])), j + 1
+                if tok == "U":
+                    k += 4 * n * e
+                    m += e
+                elif tok == "V":
+                    n += e
+                else:
+                    k += e
+            elif tok[:1].isdigit():
+                p, q = _number(tok, text, i - 1)
+                a, b, d = a * p, b * p, d * q
+            else:
+                _fail(f"unexpected token {tok!r}" if tok else "unexpected end of input", text, i - 1)
+            tok = toks[i]
+            if tok == "*":  # an explicit product sign must be followed by a factor
+                i += 1
+                tok = toks[i]
+            elif tok not in _FACTOR_STARTS and not tok[:1].isdigit():
+                break
+        terms.append((m, n, k, a, b, d))
         if not tok:
-            return total
-        if tok in ("+", "-"):
-            sign = -1 if ts.take() == "-" else 1
-        else:
-            raise ElementParseError(f"unexpected token {tok!r}", ts.pos())
+            break
+        if tok != "+" and tok != "-":
+            _fail(f"unexpected token {tok!r}", text, i)
+        sign = -1 if tok == "-" else 1
+        i += 1
+    den = lcm(*[term[5] for term in terms])
+    acc: dict[tuple[int, int, int], tuple[int, int]] = {}
+    get = acc.get
+    for m, n, k, a, b, d in terms:
+        f = den // d
+        old = get((m, n, k))
+        acc[m, n, k] = (a * f, b * f) if old is None else (old[0] + a * f, old[1] + b * f)
+    return _element(*_canonical(acc, den))
 
 
 def parse_phase(text: str) -> PhaseScalar:
     """Parse a phase scalar (an element with no U or V factors)."""
     x = parse_element(text)
-    for (m, n), _ in x.terms():
-        if (m, n) != (0, 0):
-            raise ElementParseError("phase scalar must not contain U or V", 0)
-    return canonical_trace(x)
+    if any(m or n for m, n, _ in x._t):
+        raise ElementParseError("phase scalar must not contain U or V", 0)
+    return _phase({k: v for (_, _, k), v in x._t.items()}, x._d)

@@ -598,7 +598,7 @@ def kscalar_to_text(s: KScalar) -> str:
     return "".join(parts) if parts else "0"
 
 
-_KS_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|ti|it|[ti+\-])")
+_KS_TOKEN = re.compile(r"\s*([0-9]+/[0-9]+|[0-9]+|ti|it|[ti+\-])")  # ASCII digits only
 _KS_SLOTS = {"t": 1, "i": 2, "ti": 3, "it": 3}
 
 
@@ -635,6 +635,8 @@ def parse_kscalar(text: str, pos: int = 0, end: Optional[int] = None) -> KScalar
             raise ChernParseError(f"missing sign before {tok!r} at {start}")
         coef = Fraction(sign or 1)
         if tok not in _KS_SLOTS:
+            if not int(tok.partition("/")[2] or 1):
+                raise ChernParseError(f"zero denominator at {start}")
             coef *= Fraction(tok)
             rest = _KS_TOKEN.match(text, pos, end)
             if rest and rest.group(1) in _KS_SLOTS:

@@ -23,7 +23,9 @@ for oracle testing) and interpreting the result is the caller's business.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from functools import partial, reduce
+from operator import add
+from typing import Callable, Iterator, Optional, Tuple
 
 from .algebra import (
     Element,
@@ -32,6 +34,7 @@ from .algebra import (
     apply_automorphism,
     canonical_trace,
     monomial_functional,
+    monomial_functionals,
     phase_to_text,
 )
 from .theta import Record
@@ -111,34 +114,62 @@ class T4Vector(Record):
         return [phase_to_text(s) for s in self.slots()]
 
 
+_PHI_SLOTS = tuple(f"phi{ij}" for ij in PHI_INDICES)
+_PSI_SLOTS = tuple(f"psi{jk}" for jk in PSI_INDICES)
+_SLOTS = _PHI_SLOTS + _PSI_SLOTS
+
+# The exponent rule of each slot.  The phi and psi rules are separate
+# definitions, so a bridge identity between the slots compares two of them.
+_SLOT_RULES: dict[str, Callable[[int, int], Optional[int]]] = {
+    **{f"phi{ij}": partial(_phi_monomial, int(ij[0]), int(ij[1])) for ij in PHI_INDICES},
+    **{f"psi{jk}": partial(_psi_monomial, jk) for jk in PSI_INDICES},
+}
+
+
+def _slot_values(x: Element, slots: Tuple[str, ...]) -> list[PhaseScalar]:
+    """The named phi/psi slots of x, from one pass over x."""
+    return monomial_functionals(x, [_SLOT_RULES[s] for s in slots])
+
+
 def chern_T2(x: Element) -> T2Vector:
-    return T2Vector(canonical_trace(x), *(phi_eval(ij, x) for ij in PHI_INDICES))
+    return T2Vector(canonical_trace(x), *_slot_values(x, _PHI_SLOTS))
 
 
 def chern_T4(x: Element) -> T4Vector:
-    return T4Vector(canonical_trace(x), *(psi_eval(jk, x) for jk in PSI_INDICES))
+    return T4Vector(canonical_trace(x), *_slot_values(x, _PSI_SLOTS))
 
 
 # -------------------------------------------------------------- relation suite
 
-_BRIDGE_IDENTITIES: tuple[tuple[str, Callable[[Element], PhaseScalar], Callable[[Element], PhaseScalar]], ...] = (
-    ("psi20 = phi00", lambda x: psi_eval("20", x), lambda x: phi_eval("00", x)),
-    ("psi21 = phi11", lambda x: psi_eval("21", x), lambda x: phi_eval("11", x)),
-    ("psi22 = phi01 + phi10", lambda x: psi_eval("22", x), lambda x: phi_eval("01", x) + phi_eval("10", x)),
+# (name, slot, slots whose sum it equals)
+_BRIDGE_IDENTITIES = (
+    ("psi20 = phi00", "psi20", ("phi00",)),
+    ("psi21 = phi11", "psi21", ("phi11",)),
+    ("psi22 = phi01 + phi10", "psi22", ("phi01", "phi10")),
 )
 
-# (name, functional, sign of the functional after composing with gamma)
-_GAMMA_SIGNS: tuple[tuple[str, Callable[[Element], PhaseScalar], int], ...] = (
-    ("phi00 . gamma = phi00", lambda x: phi_eval("00", x), 1),
-    ("phi11 . gamma = phi11", lambda x: phi_eval("11", x), 1),
-    ("phi01 . gamma = -phi01", lambda x: phi_eval("01", x), -1),
-    ("phi10 . gamma = -phi10", lambda x: phi_eval("10", x), -1),
-    ("psi10 . gamma = psi10", lambda x: psi_eval("10", x), 1),
-    ("psi20 . gamma = psi20", lambda x: psi_eval("20", x), 1),
-    ("psi21 . gamma = psi21", lambda x: psi_eval("21", x), 1),
-    ("psi11 . gamma = -psi11", lambda x: psi_eval("11", x), -1),
-    ("psi22 . gamma = -psi22", lambda x: psi_eval("22", x), -1),
+# (name, slot, sign of the slot after composing with gamma)
+_GAMMA_SIGNS = (
+    ("phi00 . gamma = phi00", "phi00", 1),
+    ("phi11 . gamma = phi11", "phi11", 1),
+    ("phi01 . gamma = -phi01", "phi01", -1),
+    ("phi10 . gamma = -phi10", "phi10", -1),
+    ("psi10 . gamma = psi10", "psi10", 1),
+    ("psi20 . gamma = psi20", "psi20", 1),
+    ("psi21 . gamma = psi21", "psi21", 1),
+    ("psi11 . gamma = -psi11", "psi11", -1),
+    ("psi22 . gamma = -psi22", "psi22", -1),
 )
+
+
+def _laws(x: Element) -> Iterator[Tuple[str, bool]]:
+    """(name, holds) for each bridge identity, then each gamma sign law, on x."""
+    s = dict(zip(_SLOTS, _slot_values(x, _SLOTS)))
+    for name, slot, parts in _BRIDGE_IDENTITIES:
+        yield name, s[slot] == reduce(add, (s[p] for p in parts))
+    g = dict(zip(_SLOTS, _slot_values(apply_automorphism("gamma", x), _SLOTS)))
+    for name, slot, sign in _GAMMA_SIGNS:
+        yield name, g[slot] == (s[slot] if sign > 0 else -s[slot])
 
 
 class RelationReport(Record):
@@ -156,28 +187,13 @@ class RelationReport(Record):
 def relation_check(x: Element) -> RelationReport:
     """Check the psi/phi bridge identities and the gamma sign laws on x, exactly.
 
-    On failure the report carries the identity name and, when one exists,
-    a single monomial term of x already witnessing the failure.
+    On failure the report carries the first failing law's name and, when
+    one exists, the first monomial term of x on which that law fails.
     """
-    gx = apply_automorphism("gamma", x)
-
-    def find_witness(lhs: Callable[[Element], PhaseScalar], rhs: Callable[[Element], PhaseScalar]) -> Optional[Monomial]:
-        for mono, coef in x.terms():
-            term = Element({mono: coef})
-            if lhs(term) != rhs(term):
-                return mono
-        return None
-
-    for name, left, right in _BRIDGE_IDENTITIES:
-        if left(x) != right(x):
-            return RelationReport(False, name, find_witness(left, right))
-    for name, func, sign in _GAMMA_SIGNS:
-        got = func(gx)
-        want = func(x) if sign > 0 else -func(x)
-        if got != want:
-            gamma_lhs = lambda t, f=func: f(apply_automorphism("gamma", t))
-            gamma_rhs = (lambda t, f=func: f(t)) if sign > 0 else (lambda t, f=func: -f(t))
-            return RelationReport(False, name, find_witness(gamma_lhs, gamma_rhs))
+    for name, holds in _laws(x):
+        if not holds:
+            witness = next((mono for mono, coef in x.terms() if not dict(_laws(Element({mono: coef})))[name]), None)
+            return RelationReport(False, name, witness)
     return RelationReport(True)
 
 

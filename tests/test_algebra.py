@@ -330,6 +330,35 @@ def test_parse_keeps_explicit_and_implicit_products():
     assert parse_element("2 3 U") == parse_element("2 * 3 * U") == U.scale(6)
 
 
+@pytest.mark.parametrize(
+    "text, pos", [("(1/0)", 1), ("1/0 U", 0), ("U + (1/2 + 3/0i)", 11), ("0/0", 0), ("(1/2) 2/00", 6)]
+)
+def test_parse_rejects_a_zero_denominator_at_the_number(text, pos):
+    with pytest.raises(ElementParseError, match="zero denominator") as err:
+        parse_element(text)
+    assert err.value.pos == pos
+
+
+@pytest.mark.parametrize(
+    "text, pos", [("\u0663 U", 0), ("U^\u0663", 2), ("U \u0663", 2), ("(\u0661/2)", 1), ("L^-\u0662", 3)]
+)
+def test_parse_takes_ascii_digits_only(text, pos):
+    # Arabic-Indic digits are Unicode digits; the grammar's digits are 0-9
+    with pytest.raises(ElementParseError, match="unexpected character") as err:
+        parse_element(text)
+    assert err.value.pos == pos
+    with pytest.raises(ElementParseError):
+        parse_phase(text)
+
+
+def test_parse_reports_an_unexpected_character_at_itself():
+    # not at the whitespace in front of it
+    for text, pos in (("U  x", 3), ("U +\tV \t/", 7), (" ?", 1)):
+        with pytest.raises(ElementParseError, match="unexpected character") as err:
+            parse_element(text)
+        assert err.value.pos == pos, text
+
+
 @settings(max_examples=60, deadline=None)
 @given(elements(), st.sampled_from(("*", "+", "-", "^", "(")))
 def test_hypothesis_text_roundtrip_and_junk_suffix(x, junk):

@@ -19,9 +19,11 @@ from nctorus.algebra import (
     PhaseScalar,
     apply_automorphism,
     element_to_text,
+    parse_element,
+    parse_phase,
     star,
 )
-from nctorus.traces import chern_T2, chern_T4
+from nctorus.traces import chern_T2, chern_T4, relation_check
 
 _ZERO = GaussRational(0)
 
@@ -265,6 +267,38 @@ def test_core_ops_build_no_fraction(monkeypatch):
     assert z != x and star(z) == star(z)
     for which in ("sigma", "flip", "gamma"):
         apply_automorphism(which, z)
-    chern_T2(z), chern_T4(z), element_to_text(z)
+    chern_T2(z), chern_T4(z), relation_check(z)
+    assert parse_element(element_to_text(z)) == z
+    parse_phase("(1/3-2/5i)L^-2 + (7/4) - i L")
     monkeypatch.undo()
     assert built == []
+
+
+def test_parse_multiplies_no_elements(monkeypatch):
+    # every term is read as one normal-ordered monomial; V U still gets its phase
+    U, V = Element.monomial(1, 0), Element.monomial(0, 1)
+    U_inv, L = Element.monomial(-1, 0), Element.monomial(0, 0, PhaseScalar.lam(1))
+    i, half = Element.monomial(0, 0, GaussRational(0, 1)), Element.monomial(0, 0, Fraction(1, 2))
+    want = {  # built with the products parsing must not call
+        "V U": V * U,
+        "V^2 i U^-3 L (1/2) * V U": V * V * i * U_inv * U_inv * U_inv * L * half * V * U,
+        "(1/2+i)L^-1 U V^-1 - 3 U^2": (half + i) * Element.monomial(1, -1, PhaseScalar.lam(-1)) - U * U.scale(3),
+    }
+
+    def no_product(self, other):
+        raise AssertionError("parse_element multiplied two elements")
+
+    monkeypatch.setattr(Element, "__mul__", no_product)
+    for text, x in want.items():
+        assert parse_element(text) == x, text
+    parse_phase("(1/2) i L^3 (2/3)")
+
+
+def test_parsed_store_is_canonical():
+    # no zero entry, numerators and denominator coprime, zero over d = 1
+    assert (parse_element("U - U")._t, parse_element("U - U")._d) == ({}, 1)
+    assert (parse_element("(0)")._t, parse_element("(0)")._d) == ({}, 1)
+    assert (parse_element("(2/4) V")._t, parse_element("(2/4) V")._d) == ({(0, 1, 0): (1, 0)}, 2)
+    x = parse_element("(1/6) U + (1/3) U - (1/2) U + (2/4+6/8i) V + (0) L U")
+    assert (x._t, x._d) == ({(0, 1, 0): (2, 3)}, 4)
+    assert (parse_phase("(4/6) L - (2/3) L")._c, parse_phase("(4/6) L - (2/3) L")._d) == ({}, 1)

@@ -47,6 +47,21 @@ def test_eval_parse_error_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--expr", "(1/0)"),
+        ("eval", "--expr", "1/0 U"),
+        ("decompose", "--vector", "(1/0;0,0;0,0,0)"),
+        ("realize", "--kind", "flat", "--trace=1/0+4t"),
+    ],
+)
+def test_zero_denominator_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "zero denominator" in err and "internal error" not in err
+
+
 # ------------------------------------------------------------------- decompose
 
 

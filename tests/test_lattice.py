@@ -328,6 +328,27 @@ def test_hypothesis_kscalar_roundtrip_and_junk_suffix(s, junk):
         parse_kscalar(text + junk)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/0", "zero denominator at 0"),
+        ("2t+3/00i", "zero denominator at 3"),
+        ("\u0663t", "unexpected character '\u0663' at 0"),
+        ("1+\u0662t", "unexpected character '\u0662' at 2"),
+    ],
+)
+def test_parse_kscalar_rejects_zero_denominators_and_non_ascii_digits(text, message):
+    with pytest.raises(ChernParseError, match=re.escape(message)):
+        parse_kscalar(text)
+
+
+def test_parse_chern_zero_denominator_has_its_position():
+    with pytest.raises(ChernParseError, match="zero denominator at 1"):
+        parse_chern("(1/0;0,0;0,0,0)")
+    with pytest.raises(ChernParseError, match="zero denominator at 13"):
+        parse_chern("(1; 0, 0; 0, 1/0, 0)")
+
+
 def test_chern_text_roundtrip():
     v = parse_chern("(2t; 1/2-1/2i, 0; -1, 0, 3/2)")
     assert parse_chern(chern_to_text(v)) == v

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nctorus.algebra import Element, PhaseScalar, apply_automorphism
+from nctorus.lattice import ChernParseError
 from nctorus.realization import (
     KINDS,
     MAX_NESTING,
@@ -459,6 +460,15 @@ def test_parse_trace_grammar():
         parse_trace("1/2t")
     with pytest.raises(ValueError):
         parse_trace("1+2i")
+
+
+def test_parse_trace_rejects_zero_denominators_and_non_ascii_digits():
+    with pytest.raises(ChernParseError, match="zero denominator at 0"):
+        parse_trace("1/0+4t")
+    with pytest.raises(ChernParseError, match="zero denominator at 3"):
+        parse_trace("-1+4/0t")
+    with pytest.raises(ChernParseError, match="unexpected character"):
+        parse_trace("\u0663+4t")
 
 
 def test_shallow_prefix_reports_insufficient_data():

@@ -1,10 +1,13 @@
 import pytest
 
+from nctorus import traces
 from nctorus.algebra import (
     ONE,
     U,
     V,
     Element,
+    GaussRational,
+    Monomial,
     PhaseScalar,
     apply_automorphism,
     numeric_eval,
@@ -15,6 +18,7 @@ from nctorus.theta import ThetaParam
 from nctorus.traces import (
     PHI_INDICES,
     PSI_INDICES,
+    RelationReport,
     chern_T2,
     chern_T4,
     phi_eval,
@@ -146,13 +150,22 @@ def test_relations_random_elements(rng):
         assert relation_check(random_element(rng)).ok
 
 
-def test_relation_failure_reports_witness():
-    # a deliberately broken functional comparison path: feed relation_check a
-    # crafted element and patch nothing; instead check the report surface on a
-    # forced failure by comparing against a perturbed identity through the API.
-    # The public API cannot fail on valid inputs, so exercise the report type.
+def test_relation_failure_reports_witness(monkeypatch):
     report = relation_check(U + V)
     assert report.ok and report.failed is None and report.witness is None
+    x = ONE + Element.monomial(1, 0, PhaseScalar({0: GaussRational(1), 3: GaussRational(0, 2)})) + U * U + V
+    psi20, psi10 = traces._SLOT_RULES["psi20"], traces._SLOT_RULES["psi10"]
+
+    # psi20 loses U^2: the phi00 rule, a separate definition, catches it on U^2
+    monkeypatch.setitem(traces._SLOT_RULES, "psi20", lambda m, n: None if (m, n) == (2, 0) else psi20(m, n))
+    assert relation_check(x) == RelationReport(False, "psi20 = phi00", Monomial(2, 0))
+    assert relation_check(U + V).ok  # no U^2 term, nothing to catch
+
+    # psi10 sees U, which gamma negates: the first gamma sign law fails, on U
+    monkeypatch.setitem(traces._SLOT_RULES, "psi20", psi20)
+    monkeypatch.setitem(traces._SLOT_RULES, "psi10", lambda m, n: 0 if (m, n) == (1, 0) else psi10(m, n))
+    assert relation_check(x) == RelationReport(False, "psi10 . gamma = psi10", Monomial(1, 0))
+    assert relation_check(V * V + U * V) == RelationReport(True)
 
 
 # ------------------------------------------------------------ twist discovery
