@@ -29,9 +29,9 @@ import cmath
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple, Union
 
-from .theta import ThetaParam, _rat_str
+from .theta import ThetaParam, _rat_str, _read_int, _read_ratio
 
 Rat = Union[int, Fraction]
 
@@ -448,22 +448,24 @@ def canonical_trace(x: Element) -> PhaseScalar:
     return x.coefficient(0, 0)
 
 
-def monomial_functional(x: Element, exponent: Callable[[int, int], Optional[int]]) -> PhaseScalar:
-    """The linear functional U^m V^n -> L^{exponent(m, n)} (0 where it is None), applied to x."""
-    return monomial_functionals(x, (exponent,))[0]
+def monomial_functionals(x: Element, rules: Sequence[tuple]) -> list[PhaseScalar]:
+    """The linear functional of each rule on x, from one pass over x.
 
-
-def monomial_functionals(x: Element, exponents: Sequence[Callable[[int, int], Optional[int]]]) -> list[PhaseScalar]:
-    """``monomial_functional`` for each exponent rule, in one pass over x."""
-    rules = [(exponent, {}) for exponent in exponents]
+    A rule ((a, b, c), classes) maps U^m V^n to L^{a m^2 + b mn + c n^2} when
+    (m mod 2, n mod 2) is in classes, else to 0.  The rules are grouped by
+    class first, so a store entry meets only the rules of its own class.
+    """
+    accs: list[dict] = [{} for _ in rules]
+    by_class: dict = {(0, 0): [], (0, 1): [], (1, 0): [], (1, 1): []}
+    for (form, classes), acc in zip(rules, accs):
+        for parity in classes:
+            by_class[parity].append((*form, acc))
     for (m, n, k), (a, b) in x._t.items():
-        for exponent, acc in rules:
-            e = exponent(m, n)
-            if e is not None:
-                e += k
-                old = acc.get(e)
-                acc[e] = (a, b) if old is None else (old[0] + a, old[1] + b)
-    return [_phase(*_canonical(acc, x._d)) for _, acc in rules]
+        for wa, wb, wc, acc in by_class[m & 1, n & 1]:
+            e = wa * m * m + wb * m * n + wc * n * n + k
+            old = acc.get(e)
+            acc[e] = (a, b) if old is None else (old[0] + a, old[1] + b)
+    return [_phase(*_canonical(acc, x._d)) for acc in accs]
 
 
 def numeric_eval(s: PhaseScalar, theta: ThetaParam) -> complex:
@@ -564,18 +566,9 @@ def _token_starts(text: str) -> list[int]:
     return starts
 
 
-def _fail(message: str, text: str, i: int):
-    """Raise at token i of text; one past the last token is the end of text."""
-    raise ElementParseError(message, (_token_starts(text) + [len(text)])[i])
-
-
-def _number(tok: str, text: str, i: int) -> Tuple[int, int]:
-    """Token i, a number, as (numerator, denominator)."""
-    p, _, q = tok.partition("/")
-    q = int(q or 1)
-    if not q:
-        _fail("zero denominator", text, i)
-    return int(p), q
+def _error(message: str, text: str, i: int) -> ElementParseError:
+    """The error at token i of text; one past the last token is the end of text."""
+    return ElementParseError(message, (_token_starts(text) + [len(text)])[i])
 
 
 def _gaussian(toks: list, i: int, text: str) -> Tuple[int, int, int, int]:
@@ -591,12 +584,12 @@ def _gaussian(toks: list, i: int, text: str) -> Tuple[int, int, int, int]:
         if tok == "i":
             p, q, imaginary = sign, 1, True
         elif tok[:1].isdigit():
-            p, q = _number(tok, text, i)
+            p, q = _read_ratio(tok, lambda message: _error(message, text, i))
             p *= sign
             imaginary = toks[i + 1] == "i"
             i += imaginary
         else:
-            _fail("expected a number", text, i)
+            raise _error("expected a number", text, i)
         if q != d:
             a, b, p, d = a * q, b * q, p * d, d * q
         if imaginary:
@@ -607,7 +600,7 @@ def _gaussian(toks: list, i: int, text: str) -> Tuple[int, int, int, int]:
         if tok == ")":
             return a, b, d, i + 2
         if tok != "+" and tok != "-":
-            _fail("expected ')'", text, i + 1)
+            raise _error("expected ')'", text, i + 1)
         i += 1
 
 
@@ -644,8 +637,9 @@ def parse_element(text: str) -> Element:
                 if toks[i] == "^":  # an optional sign, then digits
                     j = i + 1 + (toks[i + 1] in ("+", "-"))
                     if not toks[j].isdigit():
-                        _fail("expected an integer exponent", text, j)
-                    e, i = int("".join(toks[i + 1 : j + 1])), j + 1
+                        raise _error("expected an integer exponent", text, j)
+                    e = _read_int(toks[j], lambda message: _error(message, text, j))
+                    e, i = (-e if toks[i + 1] == "-" else e), j + 1
                 if tok == "U":
                     k += 4 * n * e
                     m += e
@@ -654,10 +648,10 @@ def parse_element(text: str) -> Element:
                 else:
                     k += e
             elif tok[:1].isdigit():
-                p, q = _number(tok, text, i - 1)
+                p, q = _read_ratio(tok, lambda message: _error(message, text, i - 1))
                 a, b, d = a * p, b * p, d * q
             else:
-                _fail(f"unexpected token {tok!r}" if tok else "unexpected end of input", text, i - 1)
+                raise _error(f"unexpected token {tok!r}" if tok else "unexpected end of input", text, i - 1)
             tok = toks[i]
             if tok == "*":  # an explicit product sign must be followed by a factor
                 i += 1
@@ -668,7 +662,7 @@ def parse_element(text: str) -> Element:
         if not tok:
             break
         if tok != "+" and tok != "-":
-            _fail(f"unexpected token {tok!r}", text, i)
+            raise _error(f"unexpected token {tok!r}", text, i)
         sign = -1 if tok == "-" else 1
         i += 1
     den = lcm(*[term[5] for term in terms])

@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", type=int, required=True)
     p.add_argument("--flip", action="store_true", help="flip-symmetric build (alpha in (1/2,1))")
     p.add_argument("--grid", type=int, default=None,
-                   help="first grid size, refined while a gate fails (default: loops.DEFAULT_GRID)")
+                   help="first grid size, at most loops.MAX_GRID; refined while a gate fails "
+                   "(default: loops.DEFAULT_GRID)")
     p.add_argument("--eps", type=float, default=None, help="ramp width (default min(a,1-a)/4)")
     p.add_argument("--offset", type=float, default=0.0)
     p.add_argument("--save-element", help="also write the loop element JSON here")

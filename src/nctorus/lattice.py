@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .theta import Record, ThetaParam, _rat_str
+from .theta import Record, ThetaParam, _rat_str, _read_ratio
 
 if TYPE_CHECKING:
     from .traces import T4Vector
@@ -635,9 +635,7 @@ def parse_kscalar(text: str, pos: int = 0, end: Optional[int] = None) -> KScalar
             raise ChernParseError(f"missing sign before {tok!r} at {start}")
         coef = Fraction(sign or 1)
         if tok not in _KS_SLOTS:
-            if not int(tok.partition("/")[2] or 1):
-                raise ChernParseError(f"zero denominator at {start}")
-            coef *= Fraction(tok)
+            coef *= Fraction(*_read_ratio(tok, lambda message: ChernParseError(f"{message} at {start}")))
             rest = _KS_TOKEN.match(text, pos, end)
             if rest and rest.group(1) in _KS_SLOTS:
                 tok = rest.group(1)

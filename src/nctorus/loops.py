@@ -498,6 +498,8 @@ def _build_projection(
     max_n: int,
 ) -> Tuple[LoopElement, BuildGates]:
     """pr_build, returning the accepted element together with its gates."""
+    if n > max_n:  # before anything is sampled on the grid
+        raise ValueError(f"grid size {n} is above the refinement ceiling {max_n}")
     if r < 1:
         raise ValueError("r must be a positive integer")
     if flip_symmetric:
@@ -550,7 +552,8 @@ def pr_build(
     then be 0 or 1/2.  Plain builds use alpha = (r*theta + s) mod 1 and
     any offset.  Residual gates |e^2 - e|, |e* - e| (and |flip(e) - e|
     when applicable) drive automatic grid refinement x4 up to ``max_n``;
-    if the gates still fail, ResidualExceeded is raised.
+    if the gates still fail, ResidualExceeded is raised.  A first grid ``n``
+    above ``max_n`` is a ValueError.
     """
     return _build_projection(r, s, theta, flip_symmetric, n, eps, offset, max_n)[0]
 

@@ -39,24 +39,23 @@ DEFAULT_CONVERGENT_DEPTH = 64
 
 
 class RealizationError(ValueError):
-    """Base for realize() domain rejections; .code carries the reason.
+    """Base for realize() domain rejections.
 
-    Every message starts with ``code``, so ``str(exc)`` alone names it.
+    The subclass names the reason, and every message starts with its code
+    (``out-of-range: ...``), so ``str(exc)`` alone names it.
     """
-
-    code = "realization-error"
 
 
 class OutOfRange(RealizationError):
-    code = "out-of-range"
+    """``out-of-range``: the trace lies outside the range the kind covers."""
 
 
 class WrongSubgroup(RealizationError):
-    code = "wrong-subgroup"
+    """``wrong-subgroup``: the trace is not in the subgroup the kind reaches."""
 
 
 class NoBracketingConvergents(RealizationError):
-    code = "no-bracketing-convergents"
+    """``no-bracketing-convergents``: no convergent within the search depth fits."""
 
 
 class InternalAssertion(AssertionError):

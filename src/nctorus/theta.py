@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -62,6 +63,25 @@ def _rat_str(num: int, den: int = 1) -> str:
     g = math.gcd(num, den)
     num, den = num // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _read_int(digits: str, error: Callable[[str], Exception]) -> int:
+    """int(digits) for a digit run of a text grammar; a run longer than int() takes
+    (``sys.get_int_max_str_digits()``) raises ``error(message)``, the grammar's positioned error."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise error(f"number too long ({len(digits)} digits, limit {limit})") from None
+
+
+def _read_ratio(tok: str, error: Callable[[str], Exception]) -> Tuple[int, int]:
+    """A number token ``n`` or ``n/d`` as (n, d); a zero d raises ``error("zero denominator")``."""
+    p, _, q = tok.partition("/")
+    q = _read_int(q, error) if q else 1
+    if not q:
+        raise error("zero denominator")
+    return _read_int(p, error), q
 
 
 class Record:
@@ -383,11 +403,11 @@ def parse_theta(spec: str) -> ThetaParam:
         pos = 3
         for tok in spec[3:].split(","):
             digits = tok.strip()
+            at = pos + len(tok) - len(tok.lstrip())
             if not (digits.isascii() and digits.isdigit()):
-                at = pos + len(tok) - len(tok.lstrip())
                 what = "empty" if not digits else f"invalid ({digits!r})"
                 raise ValueError(f"{what} continued-fraction term at {at} in {spec!r}")
-            terms.append(int(digits))
+            terms.append(_read_int(digits, lambda why: ValueError(f"{why} in the continued-fraction term at {at}")))
             pos += len(tok) + 1
         return ThetaParam.from_cf(terms)
     return ThetaParam.from_decimal(spec)

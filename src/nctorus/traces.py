@@ -23,9 +23,9 @@ for oracle testing) and interpreting the result is the caller's business.
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import reduce
 from operator import add
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .algebra import (
     Element,
@@ -33,51 +33,66 @@ from .algebra import (
     PhaseScalar,
     apply_automorphism,
     canonical_trace,
-    monomial_functional,
     monomial_functionals,
     phase_to_text,
 )
 from .theta import Record
 
-PHI_INDICES = ("00", "01", "10", "11")
-PSI_INDICES = ("10", "11", "20", "21", "22")
+# The table above, one row per slot: its exponent form as weights on
+# (m^2, mn, n^2), and the parity classes (m mod 2, n mod 2) it is nonzero on.
+# psi20, psi21 and psi22 repeat phi00, phi11 and phi01 + phi10 in rows of
+# their own, so each bridge identity compares two declarations.
+_MN, _SQUARE = (0, -2, 0), (-1, -2, -1)  # L^{-2mn}, L^{-(m+n)^2}
+_SLOTS = {
+    "phi00": (_MN, ((0, 0),)),
+    "phi01": (_MN, ((0, 1),)),
+    "phi10": (_MN, ((1, 0),)),
+    "phi11": (_MN, ((1, 1),)),
+    "psi10": (_SQUARE, ((0, 0), (1, 1))),
+    "psi11": (_SQUARE, ((1, 0), (0, 1))),
+    "psi20": (_MN, ((0, 0),)),
+    "psi21": (_MN, ((1, 1),)),
+    "psi22": (_MN, ((1, 0), (0, 1))),
+}
+
+_PHI_SLOTS = tuple(s for s in _SLOTS if s.startswith("phi"))
+_PSI_SLOTS = tuple(s for s in _SLOTS if s.startswith("psi"))
+PHI_INDICES = tuple(s[3:] for s in _PHI_SLOTS)
+PSI_INDICES = tuple(s[3:] for s in _PSI_SLOTS)
 
 
-def _phi_monomial(i: int, j: int, m: int, n: int) -> Optional[int]:
-    """L-exponent of phi_ij on U^m V^n, or None when the parity indicator kills it."""
-    if (m - i) % 2 == 0 and (n - j) % 2 == 0:
-        return -2 * m * n
-    return None
-
-
-def _psi_monomial(jk: str, m: int, n: int) -> Optional[int]:
-    if jk == "10":
-        return -((m + n) ** 2) if (m - n) % 2 == 0 else None
-    if jk == "11":
-        return -((m + n) ** 2) if (m - n - 1) % 2 == 0 else None
-    if jk == "20":
-        return -2 * m * n if m % 2 == 0 and n % 2 == 0 else None
-    if jk == "21":
-        return -2 * m * n if (m - 1) % 2 == 0 and (n - 1) % 2 == 0 else None
-    if jk == "22":
-        return -2 * m * n if (m - n - 1) % 2 == 0 else None
-    raise ValueError(f"unknown psi index {jk!r} (expected one of {PSI_INDICES})")
+def _slot_values(x: Element, slots: Iterable[str]) -> list[PhaseScalar]:
+    """The named phi/psi slots of x, from one pass over x."""
+    return monomial_functionals(x, [_SLOTS[s] for s in slots])
 
 
 def phi_eval(ij: str, x: Element) -> PhaseScalar:
     """Evaluate the flip-twisted trace phi_ij on an element."""
     if ij not in PHI_INDICES:
         raise ValueError(f"unknown phi index {ij!r} (expected one of {PHI_INDICES})")
-    i, j = int(ij[0]), int(ij[1])
-    return monomial_functional(x, lambda m, n: _phi_monomial(i, j, m, n))
+    return _slot_values(x, (f"phi{ij}",))[0]
 
 
 def psi_eval(jk: str, x: Element) -> PhaseScalar:
     """Evaluate the order-four twisted trace psi_jk on an element."""
-    return monomial_functional(x, lambda m, n: _psi_monomial(jk, m, n))
+    if jk not in PSI_INDICES:
+        raise ValueError(f"unknown psi index {jk!r} (expected one of {PSI_INDICES})")
+    return _slot_values(x, (f"psi{jk}",))[0]
 
 
-class T2Vector(Record):
+class _CharacterVector(Record):
+    """The canonical trace, then the slots of one family; the fields are the slots."""
+
+    __slots__ = ()
+
+    def slots(self) -> Tuple[PhaseScalar, ...]:
+        return self._astuple(self)
+
+    def to_json(self) -> list[str]:
+        return [phase_to_text(s) for s in self._astuple(self)]
+
+
+class T2Vector(_CharacterVector):
     """(tau; phi00, phi01, phi10, phi11) with exact PhaseScalar slots."""
 
     __slots__ = ("tau", "phi00", "phi01", "phi10", "phi11")
@@ -88,14 +103,8 @@ class T2Vector(Record):
     phi10: PhaseScalar
     phi11: PhaseScalar
 
-    def slots(self) -> Tuple[PhaseScalar, ...]:
-        return (self.tau, self.phi00, self.phi01, self.phi10, self.phi11)
 
-    def to_json(self) -> list[str]:
-        return [phase_to_text(s) for s in self.slots()]
-
-
-class T4Vector(Record):
+class T4Vector(_CharacterVector):
     """(tau; psi10, psi11; psi20, psi21, psi22) with exact PhaseScalar slots."""
 
     __slots__ = ("tau", "psi10", "psi11", "psi20", "psi21", "psi22")
@@ -106,29 +115,6 @@ class T4Vector(Record):
     psi20: PhaseScalar
     psi21: PhaseScalar
     psi22: PhaseScalar
-
-    def slots(self) -> Tuple[PhaseScalar, ...]:
-        return (self.tau, self.psi10, self.psi11, self.psi20, self.psi21, self.psi22)
-
-    def to_json(self) -> list[str]:
-        return [phase_to_text(s) for s in self.slots()]
-
-
-_PHI_SLOTS = tuple(f"phi{ij}" for ij in PHI_INDICES)
-_PSI_SLOTS = tuple(f"psi{jk}" for jk in PSI_INDICES)
-_SLOTS = _PHI_SLOTS + _PSI_SLOTS
-
-# The exponent rule of each slot.  The phi and psi rules are separate
-# definitions, so a bridge identity between the slots compares two of them.
-_SLOT_RULES: dict[str, Callable[[int, int], Optional[int]]] = {
-    **{f"phi{ij}": partial(_phi_monomial, int(ij[0]), int(ij[1])) for ij in PHI_INDICES},
-    **{f"psi{jk}": partial(_psi_monomial, jk) for jk in PSI_INDICES},
-}
-
-
-def _slot_values(x: Element, slots: Tuple[str, ...]) -> list[PhaseScalar]:
-    """The named phi/psi slots of x, from one pass over x."""
-    return monomial_functionals(x, [_SLOT_RULES[s] for s in slots])
 
 
 def chern_T2(x: Element) -> T2Vector:
@@ -199,25 +185,10 @@ def relation_check(x: Element) -> RelationReport:
 
 # ------------------------------------------------------------- twist discovery
 
-FUNCTIONALS: dict[str, Callable[[Element], PhaseScalar]] = {
-    "tau": canonical_trace,
-    **{f"phi{ij}": (lambda x, ij=ij: phi_eval(ij, x)) for ij in PHI_INDICES},
-    **{f"psi{jk}": (lambda x, jk=jk: psi_eval(jk, x)) for jk in PSI_INDICES},
-}
+FUNCTIONALS = ("tau", *_SLOTS)
 
-_TWIST_CANDIDATES = ("id", "sigma", "flip", "sigma3")
-
-
-def _twist_apply(alpha: str, x: Element) -> Element:
-    if alpha == "id":
-        return x
-    if alpha == "sigma":
-        return apply_automorphism("sigma", x)
-    if alpha == "flip":
-        return apply_automorphism("flip", x)
-    if alpha == "sigma3":
-        return apply_automorphism("sigma", apply_automorphism("flip", x))
-    raise ValueError(f"unknown twist candidate {alpha!r}")
+# Each candidate twist as the automorphisms it applies, first to last.
+_TWISTS = {"id": (), "sigma": ("sigma",), "flip": ("flip",), "sigma3": ("flip", "sigma")}
 
 
 class TwistDescriptor(Record):
@@ -237,17 +208,17 @@ def twist_discovery(functional: str, max_exp: int = 4) -> TwistDescriptor:
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r} (expected one of {sorted(FUNCTIONALS)})")
-    f = FUNCTIONALS[functional]
+    f = canonical_trace if functional == "tau" else lambda x: _slot_values(x, (functional,))[0]
     rng = range(-max_exp, max_exp + 1)
     monos = [Element.monomial(m, n) for m in rng for n in rng]
-    surviving = set(_TWIST_CANDIDATES)
+    surviving = set(_TWISTS)
     for x in monos:
         for y in monos:
             if not surviving:
                 break
             xy = f(x * y)
             for alpha in tuple(surviving):
-                if f(_twist_apply(alpha, y) * x) != xy:
+                if f(reduce(lambda z, step: apply_automorphism(step, z), _TWISTS[alpha], y) * x) != xy:
                     surviving.discard(alpha)
-    holds = tuple(a for a in _TWIST_CANDIDATES if a in surviving)
+    holds = tuple(a for a in _TWISTS if a in surviving)
     return TwistDescriptor(functional=functional, holds=holds, twist=holds[0] if holds else None)

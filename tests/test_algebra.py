@@ -340,6 +340,16 @@ def test_parse_rejects_a_zero_denominator_at_the_number(text, pos):
 
 
 @pytest.mark.parametrize(
+    "template, pos", [("{long}", 0), ("U + 3/{long}", 4), ("(2 + {long}i) V", 5), ("U^-{long}", 3), ("L^{long}", 2)]
+)
+def test_parse_rejects_a_number_too_long_to_convert_at_the_number(template, pos):
+    # 5000 digits is more than int() converts (sys.get_int_max_str_digits() is 4300)
+    with pytest.raises(ElementParseError, match="number too long") as err:
+        parse_element(template.format(long="1" * 5000))
+    assert err.value.pos == pos
+
+
+@pytest.mark.parametrize(
     "text, pos", [("\u0663 U", 0), ("U^\u0663", 2), ("U \u0663", 2), ("(\u0661/2)", 1), ("L^-\u0662", 3)]
 )
 def test_parse_takes_ascii_digits_only(text, pos):

@@ -62,6 +62,22 @@ def test_zero_denominator_exits_2(capsys, argv):
     assert "zero denominator" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--expr", "{long}"),
+        ("decompose", "--vector", "({long};0,0;0,0,0)"),
+        ("realize", "--kind", "flat", "--trace={long}+4t"),
+        ("eval", "--theta", "cf:1,{long}", "--expr", "1"),
+    ],
+)
+def test_number_too_long_to_convert_exits_2(capsys, argv):
+    # 5000 digits is more than int() converts (sys.get_int_max_str_digits() is 4300)
+    code, _, err = run(capsys, *(arg.format(long="1" * 5000) for arg in argv))
+    assert code == 2
+    assert "number too long" in err and "internal error" not in err
+
+
 # ------------------------------------------------------------------- decompose
 
 
@@ -290,6 +306,12 @@ def test_pr_build_flip(capsys):
 def test_pr_build_domain_rejection(capsys):
     code, _, err = run(capsys, "pr-build", "--theta", "sqrt2", "-r", "1", "-s", "0", "--flip")
     assert code == 2 and "alpha-out-of-range" in err
+
+
+def test_pr_build_rejects_a_grid_above_the_ceiling(capsys):
+    # 131072 = 2 * loops.MAX_GRID; rejected before any sample is taken
+    code, _, err = run(capsys, "pr-build", "-r", "1", "-s", "0", "--grid", "131072")
+    assert code == 2 and "above the refinement ceiling 65536" in err
 
 
 def test_pr_build_save_element(tmp_path, capsys):

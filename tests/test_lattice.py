@@ -342,6 +342,16 @@ def test_parse_kscalar_rejects_zero_denominators_and_non_ascii_digits(text, mess
         parse_kscalar(text)
 
 
+@pytest.mark.parametrize("template, position", [("{long}t", 0), ("2 + 1/{long}ti", 4), ("-{long}i", 1)])
+def test_parse_kscalar_rejects_a_number_too_long_to_convert_at_its_position(template, position):
+    # 5000 digits is more than int() converts (sys.get_int_max_str_digits() is 4300)
+    text = template.format(long="1" * 5000)
+    with pytest.raises(ChernParseError, match=f"number too long .* at {position}$"):
+        parse_kscalar(text)
+    with pytest.raises(ChernParseError, match=f"number too long .* at {position + 9}$"):
+        parse_chern(f"(0;0,0;0,{text},0)")
+
+
 def test_parse_chern_zero_denominator_has_its_position():
     with pytest.raises(ChernParseError, match="zero denominator at 1"):
         parse_chern("(1/0;0,0;0,0,0)")

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from nctorus import loops
 from nctorus.algebra import Element, apply_automorphism
 from nctorus.loops import (
     ADJOINT_RESIDUAL_GATE,
@@ -224,6 +225,16 @@ def test_build_rejects_bad_flip_interval():
 def test_build_r_validation():
     with pytest.raises(ValueError):
         pr_build(0, 1, GOLDEN)
+
+
+def test_build_rejects_a_first_grid_above_the_ceiling_before_sampling(monkeypatch):
+    def sampled(*args, **kwargs):
+        raise AssertionError("the grid was sampled")
+
+    monkeypatch.setattr(loops, "assemble_projection", sampled)
+    for max_n in (1024, MAX_GRID):
+        with pytest.raises(ValueError, match=f"grid size {2 * max_n} is above the refinement ceiling {max_n}"):
+            pr_build(1, 0, GOLDEN, n=2 * max_n, max_n=max_n)
 
 
 TABLE_CASES = {

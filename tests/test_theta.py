@@ -311,6 +311,14 @@ def test_parse_theta_rejects_lax_cf_terms_with_their_position(spec, position):
         parse_theta(spec)
 
 
+def test_parse_theta_rejects_a_cf_term_too_long_to_convert_with_its_position():
+    # 5000 digits is more than int() converts (sys.get_int_max_str_digits() is 4300)
+    with pytest.raises(ValueError, match="number too long .* continued-fraction term at 3$"):
+        parse_theta("cf:" + "1" * 5000)
+    with pytest.raises(ValueError, match="number too long .* continued-fraction term at 6$"):
+        parse_theta("cf:1, " + "2" * 5000 + ",3")
+
+
 def test_parse_theta_cf_allows_spaces_around_terms():
     assert parse_theta(" cf: 1 , 2,3 ").cf_terms == (1, 2, 3)
 

@@ -55,10 +55,12 @@ def test_psi_monomial_values():
 
 
 def test_bad_indices_rejected():
-    with pytest.raises(ValueError):
-        phi_eval("02", ONE)
-    with pytest.raises(ValueError):
-        psi_eval("00", ONE)
+    # the index is checked before x is read, so the zero element is rejected too
+    for x in (Element.zero(), ONE):
+        with pytest.raises(ValueError, match="unknown phi index"):
+            phi_eval("02", x)
+        with pytest.raises(ValueError, match="unknown psi index"):
+            psi_eval("00", x)
 
 
 # --------------------------------------------------------------- characters
@@ -154,16 +156,18 @@ def test_relation_failure_reports_witness(monkeypatch):
     report = relation_check(U + V)
     assert report.ok and report.failed is None and report.witness is None
     x = ONE + Element.monomial(1, 0, PhaseScalar({0: GaussRational(1), 3: GaussRational(0, 2)})) + U * U + V
-    psi20, psi10 = traces._SLOT_RULES["psi20"], traces._SLOT_RULES["psi10"]
+    slots = traces._SLOTS  # slot -> (exponent form, parity classes)
+    psi20, psi10 = slots["psi20"], slots["psi10"]
 
-    # psi20 loses U^2: the phi00 rule, a separate definition, catches it on U^2
-    monkeypatch.setitem(traces._SLOT_RULES, "psi20", lambda m, n: None if (m, n) == (2, 0) else psi20(m, n))
+    # psi20 with the psi1k exponent form: its row no longer matches the
+    # phi00 row, a separate declaration, and the bridge catches it on U^2
+    monkeypatch.setitem(slots, "psi20", (psi10[0], psi20[1]))
     assert relation_check(x) == RelationReport(False, "psi20 = phi00", Monomial(2, 0))
     assert relation_check(U + V).ok  # no U^2 term, nothing to catch
 
-    # psi10 sees U, which gamma negates: the first gamma sign law fails, on U
-    monkeypatch.setitem(traces._SLOT_RULES, "psi20", psi20)
-    monkeypatch.setitem(traces._SLOT_RULES, "psi10", lambda m, n: 0 if (m, n) == (1, 0) else psi10(m, n))
+    # psi10 also on the class (1, 0), which gamma negates: the first gamma sign law fails, on U
+    monkeypatch.setitem(slots, "psi20", psi20)
+    monkeypatch.setitem(slots, "psi10", (psi10[0], psi10[1] + ((1, 0),)))
     assert relation_check(x) == RelationReport(False, "psi10 . gamma = psi10", Monomial(1, 0))
     assert relation_check(V * V + U * V) == RelationReport(True)
 
