@@ -14,8 +14,9 @@ Layers:
   values are realized by projections of each symmetry kind.
 * :mod:`nctorus.loops` -- numeric Powers-Rieffel projections as loop
   elements with verified residual gates and invariant tables.
+* :mod:`nctorus.theta` -- angle parameters with exact rational bracketing
+  and the immutable value base ``Record``.
 * :mod:`nctorus.cli` -- the ``nctorus`` command-line front end.
-* :mod:`nctorus.selftest` -- the exact identity suites of ``nctorus selftest``.
 
 Everything operates on immutable values and is safe for concurrent use.
 

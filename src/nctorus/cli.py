@@ -229,22 +229,6 @@ def cmd_pr_build(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    from . import selftest
-
-    results = {}
-    ok = True
-    for name, suite in selftest.suites():
-        passed = bool(suite())
-        results[name] = passed
-        ok &= passed
-        if not args.json:
-            print(f"{'PASS' if passed else 'FAIL'}  {name}")
-    if args.json:
-        print(json.dumps({"ok": ok, "suites": results}, indent=2, sort_keys=True))
-    return 0 if ok else 1
-
-
 # ------------------------------------------------------------------- parsing
 
 
@@ -303,10 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-element", help="also write the loop element JSON here")
     p.set_defaults(func=cmd_pr_build)
 
-    p = sub.add_parser("selftest", help="run the exact identity suites")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_selftest)
-
     return parser
 
 
@@ -315,7 +295,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainRejection, PrecisionExhausted, FileNotFoundError, ValueError) as exc:
+    except (DomainRejection, PrecisionExhausted, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the contract maps crashes to exit 1

@@ -361,9 +361,6 @@ def semiflat_coordinates(n1: int, n2: int, n3: int, n4: int, n9: int) -> K0Coord
     return K0Coordinates(n1, n2, n3, n4, n2, n3, n9 - n3, 2 * n2 + n3, n9)
 
 
-_SEMIFLAT_REASONS = ("not-in-lattice", "psi10-nonzero", "psi11-nonzero", "nonpositive-trace")
-
-
 class MembershipDecision(Record):
     __slots__ = ("member", "reason", "coordinates", "genus", "trace")
     _defaults = dict.fromkeys(__slots__[1:])

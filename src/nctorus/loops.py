@@ -37,6 +37,7 @@ traceback references it), and anything cached on it would live as long.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
@@ -502,6 +503,8 @@ def _build_projection(
         raise ValueError(f"grid size {n} is above the refinement ceiling {max_n}")
     if r < 1:
         raise ValueError("r must be a positive integer")
+    if not math.isfinite(offset):
+        raise ValueError(f"offset must be a finite number, got {offset}")
     if flip_symmetric:
         # exact interval check on r*theta + s
         if not theta.in_open_interval(Fraction(s), r, Fraction(1, 2), 1):
@@ -550,10 +553,10 @@ def pr_build(
     (1/2, 1) (the regime in which the invariant table below holds), and
     recentre the bump pair so the flip fixes the element; ``offset`` must
     then be 0 or 1/2.  Plain builds use alpha = (r*theta + s) mod 1 and
-    any offset.  Residual gates |e^2 - e|, |e* - e| (and |flip(e) - e|
+    any finite offset.  Residual gates |e^2 - e|, |e* - e| (and |flip(e) - e|
     when applicable) drive automatic grid refinement x4 up to ``max_n``;
     if the gates still fail, ResidualExceeded is raised.  A first grid ``n``
-    above ``max_n`` is a ValueError.
+    above ``max_n``, or an offset that is not finite, is a ValueError.
     """
     return _build_projection(r, s, theta, flip_symmetric, n, eps, offset, max_n)[0]
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple, Union
 
@@ -357,8 +358,8 @@ class _Node(Record):
         *order, last = cls.layout
         cls._child = last if cls.layout[last] is _Certificate else None
         cls._order = order = order if cls._child else [*order, last]
-        if _Certificate in map(cls.layout.get, order):
-            raise TypeError(f"{cls.__name__}: the certificate child must be the last key")
+        if _Certificate in map(cls.layout.get, order) or cls._child not in (None, cls._fields[-1]):
+            raise TypeError(f"{cls.__name__}: the certificate child must be the last key and field")
         cls._keys = frozenset(("node", "lemma", *cls.layout))
         cls._types, dumps, loads = zip(*(_codec(cls.layout[key]) for key in order))
         get = itemgetter(*order)
@@ -397,10 +398,46 @@ class _Node(Record):
         return node
 
 
+# an int that hashes to itself: in a tuple being hashed, it stands in for a value of that hash
+_Hashed = type("_Hashed", (int,), {"__slots__": (), "__hash__": int.__int__})
+
+
 class _Certificate(_Node):
     """A certificate node; ``kind`` is the realization kind it certifies."""
 
     __slots__ = ()
+
+    def _links(self) -> list:
+        """(class, fields) of each certificate from the innermost out to this one, a certificate child
+        as None.  ``==``, hash, repr and pickle walk these, so that no depth recurses as Record's do."""
+        links, node = [], self
+        while isinstance(node, _Certificate):
+            values = node._astuple(node)
+            child = values[-1] if node._child else None
+            links.append((node.__class__, (*values[:-1], None) if isinstance(child, _Certificate) else values))
+            node = child
+        return links[::-1]
+
+    def __eq__(self, other) -> bool:
+        return self._links() == other._links() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        (_, inner), *outer = self._links()
+        return reduce(lambda h, link: hash((*link[1][:-1], _Hashed(h))), outer, hash(inner))
+
+    def __repr__(self) -> str:
+        inner, *outer = [f"{cls.__qualname__}(" + ", ".join(f"{f}={v!r}" for f, v in zip(cls._fields, values))
+                         for cls, values in self._links()]  # an outer head ends in its child's None
+        return "".join(head.removesuffix("None") for head in reversed(outer)) + inner + ")" * (1 + len(outer))
+
+    def __reduce__(self):
+        return _from_links, (self._links(),)
+
+
+def _from_links(links: list) -> _Certificate:
+    """The certificate chain that _Certificate._links lists."""
+    (cls, values), *outer = links
+    return reduce(lambda node, link: link[0](*link[1][:-1], node), outer, cls(*values))
 
 
 class ApproximantCyclic(_Node):

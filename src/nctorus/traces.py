@@ -208,6 +208,8 @@ def twist_discovery(functional: str, max_exp: int = 4) -> TwistDescriptor:
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r} (expected one of {sorted(FUNCTIONALS)})")
+    if max_exp < 1:  # the unit alone satisfies every law
+        raise ValueError(f"max_exp must be at least 1, got {max_exp}")
     f = canonical_trace if functional == "tau" else lambda x: _slot_values(x, (functional,))[0]
     rng = range(-max_exp, max_exp + 1)
     monos = [Element.monomial(m, n) for m in rng for n in rng]

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import nctorus
-from nctorus import selftest
 from nctorus.cli import CERT_FORMAT, main
 
 SRC = str(Path(nctorus.__file__).resolve().parent.parent)
@@ -326,19 +326,42 @@ def test_pr_build_save_element(tmp_path, capsys):
     assert e.n >= 1024 and set(e.coeffs) == {-1, 0, 1}
 
 
-# -------------------------------------------------------------------- selftest
+# ------------------------------------------------------------------ file paths
 
 
-def test_selftest_passes(capsys):
-    code, rec, _ = run_json(capsys, "selftest")
-    assert code == 0
-    assert rec["ok"] is True and all(rec["suites"].values())
-    assert list(rec["suites"]) == sorted(name for name, _ in selftest.suites())
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "{dir}"),
+        ("realize", "--kind", "flat", "--trace", "8t-4", "-o", "{dir}"),
+        ("pr-build", "-r", "1", "-s", "0", "--grid", "1024", "--save-element", "{dir}"),
+    ],
+)
+def test_a_directory_for_a_file_exits_2(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 2
+    assert err.startswith("error:") and "internal error" not in err
 
 
-@pytest.mark.parametrize("name", [name for name, _ in selftest.suites()])
-def test_selftest_suite_passes_alone(name):
-    assert dict(selftest.suites())[name]() is True
+# ---------------------------------------------------------------------- docs
+
+
+def test_selftest_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'selftest'" in capsys.readouterr().err
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("nctorus ")]
+    assert [argv[0] for argv in commands] == ["eval", "decompose", "cone", "realize", "verify", "pr-build"]
+    monkeypatch.chdir(tmp_path)  # realize -o cert.json writes here, and verify cert.json reads it
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 # ------------------------------------------------------------------- theta spec

@@ -1,10 +1,12 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from nctorus import loops
 from nctorus.algebra import Element, apply_automorphism
+from nctorus.cli import main
 from nctorus.loops import (
     ADJOINT_RESIDUAL_GATE,
     MAX_GRID,
@@ -235,6 +237,21 @@ def test_build_rejects_a_first_grid_above_the_ceiling_before_sampling(monkeypatc
     for max_n in (1024, MAX_GRID):
         with pytest.raises(ValueError, match=f"grid size {2 * max_n} is above the refinement ceiling {max_n}"):
             pr_build(1, 0, GOLDEN, n=2 * max_n, max_n=max_n)
+
+
+@pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+def test_build_rejects_a_non_finite_offset_before_sampling(monkeypatch, capsys, offset):
+    def sampled(*args, **kwargs):
+        raise AssertionError("the grid was sampled")
+
+    monkeypatch.setattr(loops, "assemble_projection", sampled)
+    with pytest.raises(ValueError, match="offset must be a finite number"):
+        pr_build(1, 0, GOLDEN, offset=float(offset))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["pr-build", "-r", "1", "-s", "0", f"--offset={offset}"])
+    assert code == 2 and not caught
+    assert "error: offset must be a finite number" in capsys.readouterr().err
 
 
 TABLE_CASES = {

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -28,7 +29,7 @@ from nctorus.realization import (
     subalgebra_generators,
     verify_certificate,
 )
-from nctorus.theta import ThetaParam
+from nctorus.theta import Record, ThetaParam
 
 GOLDEN = ThetaParam.preset("golden")
 SQRT2 = ThetaParam.preset("sqrt2")
@@ -560,16 +561,18 @@ def test_semiflat_with_flat_inner_is_a_failing_report():
 # ---------------------------------------------------------- nesting limit
 
 
-def _reflected_chain_json(depth):
-    """A flat certificate under ``depth`` reflected wrappers, as JSON built without recursion."""
-    data = certificate_to_json(realize("flat", TraceValue(-4, 8), GOLDEN))
+def _reflected_chain_json(depth, data=None):
+    """A certificate (a flat one by default) under ``depth`` reflected wrappers, as JSON built without recursion."""
+    if data is None:
+        data = certificate_to_json(realize("flat", TraceValue(-4, 8), GOLDEN))
     for _ in range(depth):
         data = {"node": "reflected", "lemma": "angle-reflection", "target": {"a": 1, "b": -1}, "inner": data}
     return data
 
 
-def _reflected_chain(depth):
-    cert = realize("flat", TraceValue(-4, 8), GOLDEN)
+def _reflected_chain(depth, cert=None):
+    if cert is None:
+        cert = realize("flat", TraceValue(-4, 8), GOLDEN)
     for _ in range(depth):
         cert = ReflectedCert(TraceValue(1, -1), cert)
     return cert
@@ -615,6 +618,41 @@ def test_replay_at_the_limit_reaches_the_innermost_node():
     report = verify_certificate(certificate_from_json(data), GOLDEN)
     assert len({path for path, _ in report.failures}) == MAX_NESTING + 1
     assert report.failures[-1] == ("flat" + ".inner" * MAX_NESTING, "first leg does not carry (a, low)")
+
+
+def _record_repr(value):
+    """The repr Record gives, by recursion over the fields: ``Name(field=value, ...)``."""
+    if not isinstance(value, Record):
+        return repr(value)
+    body = ", ".join(f"{f}={_record_repr(getattr(value, f))}" for f in value._fields)
+    return f"{type(value).__qualname__}({body})"
+
+
+@pytest.mark.parametrize("depth, parsed", [(MAX_NESTING, True), (5000, False)])
+def test_deep_chains_compare_hash_print_and_pickle(depth, parsed):
+    data = _flat_json()
+    leaves = (data, data, dict(data, a=data["a"] + 1))  # the third differs in the innermost field a alone
+    if parsed:
+        cert, twin, other = (certificate_from_json(_reflected_chain_json(depth, leaf)) for leaf in leaves)
+    else:
+        cert, twin, other = (_reflected_chain(depth, certificate_from_json(leaf)) for leaf in leaves)
+    assert cert is not twin and cert == twin and not (cert != twin)
+    assert hash(cert) == hash(twin)
+    assert cert != other and not (cert == other)
+    for copied in (pickle.loads(pickle.dumps(cert)), copy.copy(cert), copy.deepcopy(cert)):
+        assert type(copied) is ReflectedCert and copied == cert and hash(copied) == hash(cert)
+    text = repr(cert)
+    assert text.count("ReflectedCert(target=TraceValue(a=1, b=-1), inner=") == depth
+    assert text.endswith(_record_repr(certificate_from_json(data)) + ")" * depth)
+
+
+def test_certificate_repr_is_the_record_repr_up_to_depth_5():
+    certs = [_reflected_chain(depth) for depth in range(6)]
+    certs += [realize(kind, parse_trace(t), theta) for kind, t, theta in (
+        ("semiflat", "2-2t", GOLDEN), ("semicyclic", "1-t", GOLDEN), ("cyclic", "2t-1", GOLDEN),
+        ("fourier_invariant", "-t+1", SQRT2))]
+    for cert in certs:
+        assert repr(cert) == _record_repr(cert)
 
 
 def _flat_json():

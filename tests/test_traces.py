@@ -189,3 +189,10 @@ def test_twist_discovery_table():
 def test_twist_discovery_unknown_functional():
     with pytest.raises(ValueError):
         twist_discovery("psi99")
+
+
+@pytest.mark.parametrize("max_exp", [0, -1])
+def test_twist_discovery_rejects_an_empty_scan(max_exp):
+    # below exponent 1 the scan sees at most the unit, so every candidate twist would hold
+    with pytest.raises(ValueError, match="max_exp must be at least 1"):
+        twist_discovery("phi00", max_exp)
