@@ -298,9 +298,6 @@ class Element:
         c = {k: v for (mm, nn, k), v in self._t.items() if mm == m and nn == n}
         return _phase(*_canonical(c, self._d))
 
-    def support(self) -> tuple[Monomial, ...]:
-        return tuple(Monomial(m, n) for m, n in sorted({(m, n) for m, n, _ in self._t}))
-
     def __bool__(self) -> bool:
         return bool(self._t)
 

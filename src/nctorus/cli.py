@@ -125,10 +125,7 @@ def cmd_realize(args) -> int:
 
     theta = parse_theta(args.theta)
     t = realization.parse_trace(args.trace)
-    try:
-        cert = realization.realize(args.kind, t, theta)
-    except realization.RealizationError as exc:
-        raise DomainRejection(str(exc)) from exc
+    cert = realization.realize(args.kind, t, theta)
     payload = {
         "format": CERT_FORMAT,
         "kind": args.kind,
@@ -192,7 +189,7 @@ def cmd_pr_build(args) -> int:
         e, gates = loops._build_projection(
             args.r, args.s, theta, args.flip, grid, args.eps, args.offset, loops.MAX_GRID
         )
-    except (loops.AlphaOutOfRange, loops.InvalidBumpWidth, loops.ResidualExceeded) as exc:
+    except loops.ResidualExceeded as exc:  # an ArithmeticError, which main does not map
         raise DomainRejection(str(exc)) from exc
     report = loops.loop_invariants(e, theta, args.r)
     record = {
@@ -200,7 +197,7 @@ def cmd_pr_build(args) -> int:
         "s": args.s,
         "flip_symmetric": args.flip,
         "grid": e.n,
-        "alpha": loops.projection_alpha(args.r, args.s, theta, args.flip),
+        "alpha": e.beta,
         "residuals": {
             "square": gates.square_residual,
             "adjoint": gates.adjoint_residual,

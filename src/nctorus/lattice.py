@@ -76,10 +76,6 @@ class KScalar(Record):
     def flatten(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
 
-    def value(self, theta: ThetaParam) -> complex:
-        t = theta.value
-        return (float(self.a) + float(self.b) * t) + 1j * (float(self.c) + float(self.d) * t)
-
     def __str__(self) -> str:
         return kscalar_to_text(self)
 

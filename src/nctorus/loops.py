@@ -448,7 +448,7 @@ def assemble_projection(
     if eps is None:
         eps = min(alpha, 1 - alpha) / 4
     f_profile, g_profile = bump_profiles(alpha, eps)
-    delta = ((alpha + eps - 1) / 2 if centered else 0.0) + offset
+    delta = ((alpha + eps - 1) / 2 if centered else 0.0) + math.fmod(offset, 1.0)
     t = CircleFunction.grid(n)
     f0 = CircleFunction(f_profile(t + delta).astype(complex))
     gm = CircleFunction(g_profile(t + delta).astype(complex))
@@ -464,28 +464,6 @@ def projection_gates(e: LoopElement, alpha: float, flip_symmetric: bool) -> Buil
     flip_res = (flip_apply(e) - e).snorm() if flip_symmetric else None
     trace = abs(e.coefficient(0).mean().real - alpha)
     return BuildGates(square, adjoint, flip_res, trace)
-
-
-def _alpha_beta(r: int, s: int, theta: ThetaParam, flip_symmetric: bool) -> Tuple[float, float]:
-    """(alpha, beta) of a build, both from the one reduction beta = r*theta mod 1.
-
-    The bump profiles shift by alpha and the product by beta; a build is a
-    projection only when the two agree mod 1.  For integer s the plain
-    alpha (r*theta + s) mod 1 is beta itself, so it is taken as beta:
-    adding s in floating point rounds r*theta at the ulp of r*theta + s,
-    and that offset stalls the adjoint residual (golden, r = 39, s = 40:
-    1.07e-12 against the 1e-12 gate on every grid).  A flip-symmetric
-    alpha = r*theta + s lies in (1/2, 1), so s = -floor(r*theta) and the
-    sum is exact: it equals beta bit for bit.
-    """
-    x = r * theta.value
-    beta = x % 1.0
-    return (x + s if flip_symmetric else beta), beta
-
-
-def projection_alpha(r: int, s: int, theta: ThetaParam, flip_symmetric: bool) -> float:
-    """The trace alpha of the build: r*theta + s, taken mod 1 for plain builds."""
-    return _alpha_beta(r, s, theta, flip_symmetric)[0]
 
 
 def _build_projection(
@@ -513,13 +491,15 @@ def _build_projection(
             )
         if offset not in (0.0, 0.5):
             raise ValueError("flip-symmetric builds admit only offsets 0 and 1/2")
-    alpha, beta = _alpha_beta(r, s, theta, flip_symmetric)
+    # the trace alpha is the base step: a plain alpha (r*theta + s) mod 1 is
+    # beta, and a flip alpha in (1/2, 1) forces s = -floor(r*theta)
+    beta = (r * theta.value) % 1.0
+    if beta == 0.0:
+        raise AlphaOutOfRange(f"alpha-out-of-range: r*theta mod 1 for r = {r} rounds to 0.0 in double precision")
     grid = _check_grid(n)
     while True:
-        e = assemble_projection(
-            alpha, beta, n=grid, eps=eps, centered=flip_symmetric, offset=offset
-        )
-        gates = projection_gates(e, alpha, flip_symmetric)
+        e = assemble_projection(beta, beta, n=grid, eps=eps, centered=flip_symmetric, offset=offset)
+        gates = projection_gates(e, beta, flip_symmetric)
         ok = (
             gates.square_residual <= SQUARE_RESIDUAL_GATE
             and gates.adjoint_residual <= ADJOINT_RESIDUAL_GATE

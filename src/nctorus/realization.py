@@ -36,8 +36,6 @@ if TYPE_CHECKING:
 
 KINDS = ("cyclic", "semicyclic", "flat", "semiflat", "fourier_invariant")
 
-DEFAULT_CONVERGENT_DEPTH = 64
-
 
 class RealizationError(ValueError):
     """Base for realize() domain rejections.
@@ -53,10 +51,6 @@ class OutOfRange(RealizationError):
 
 class WrongSubgroup(RealizationError):
     """``wrong-subgroup``: the trace is not in the subgroup the kind reaches."""
-
-
-class NoBracketingConvergents(RealizationError):
-    """``no-bracketing-convergents``: no convergent within the search depth fits."""
 
 
 class InternalAssertion(AssertionError):
@@ -134,35 +128,26 @@ def convergents(theta: ThetaParam, depth: int) -> list[Convergent]:
     return [Convergent(p, q) for p, q in theta.convergents_pq(depth)]
 
 
-def _bracketing_pair(theta: ThetaParam, bound: Fraction, depth: int) -> Tuple[Convergent, Convergent]:
+def _bracketing_pair(theta: ThetaParam, bound: Fraction) -> Tuple[Convergent, Convergent]:
     """First consecutive-convergent pair (low, high) with bound < low < theta < high.
 
-    Orientation: the member below theta is returned first; for any
-    consecutive pair this ordering satisfies high.p*low.q - low.p*high.q = 1.
+    Every stored convergent is searched.  Orientation: the member below theta
+    is returned first; for any consecutive pair this ordering satisfies
+    high.p*low.q - low.p*high.q = 1.  The two signs the certificate replays are
+    settled here, so a pair the stored prefix cannot place raises
+    PrecisionExhausted, as does a prefix with no pair past the bound.
     """
-    pq = theta.convergents_pq(min(depth, theta.max_depth))
+    pq = theta.convergents_pq(theta.max_depth)
     for j in range(len(pq) - 1):
         x, y = Convergent(*pq[j]), Convergent(*pq[j + 1])
         low, high = (x, y) if x.as_fraction() < y.as_fraction() else (y, x)
         if low.as_fraction() > bound:
-            return low, high
-    raise _search_failed(
-        theta, depth,
-        f"only {theta.max_depth} convergents stored, none below the requested depth {depth} brackets past {bound}",
-        f"none of the first {depth} convergents exceeds {bound}; raise the search depth",
-    )
+            if theta.sign_linear(-low.p, low.q) > 0 and theta.sign_linear(high.p, -high.q) > 0:
+                return low, high
+    raise PrecisionExhausted(f"insufficient-cf-data: no pair of stored convergents brackets theta past {bound}")
 
 
-def _search_failed(theta: ThetaParam, depth: int, shallow: str, none: str) -> ArithmeticError:
-    """The error of a convergent search that found nothing: the stored prefix or the depth ran out."""
-    if theta.max_depth < depth:
-        return PrecisionExhausted(f"insufficient-cf-data: {shallow}")
-    return NoBracketingConvergents(f"no-bracketing-convergents: {none}")
-
-
-def flat_decompose(
-    t: TraceValue, theta: ThetaParam, depth: int = DEFAULT_CONVERGENT_DEPTH
-) -> Tuple[int, int, Convergent, Convergent]:
+def flat_decompose(t: TraceValue, theta: ThetaParam) -> Tuple[int, int, Convergent, Convergent]:
     """Split t = 4k(n*theta - m) as 4a(q*theta - p) + 4b(p' - q'*theta).
 
     Requires t in (0,1) with theta-coefficient >= 4 and both coordinates
@@ -178,7 +163,7 @@ def flat_decompose(
     if not t.in_open_interval(theta, 0, 1):
         raise OutOfRange(f"out-of-range: trace {t} is not in (0, 1)")
     k, n, m = _canonical_knm(t)
-    low, high = _bracketing_pair(theta, Fraction(m, n), depth)
+    low, high = _bracketing_pair(theta, Fraction(m, n))
     a = k * (n * high.p - m * high.q)
     b = k * (n * low.p - m * low.q)
     if a < 1 or b < 1:
@@ -491,8 +476,8 @@ class FlatCert(_Certificate):
               "high": Convergent, "a": int, "b": int, "legs": (OrbitFlat, OrbitFlat)}
 
     @classmethod
-    def _realize(cls, t: TraceValue, theta: ThetaParam, depth: int) -> "FlatCert":
-        a, b, low, high = flat_decompose(t, theta, depth)
+    def _realize(cls, t: TraceValue, theta: ThetaParam) -> "FlatCert":
+        a, b, low, high = flat_decompose(t, theta)
         legs = OrbitFlat(ApproximantCyclic(a, *low)), OrbitFlat(ApproximantCyclic(b, *high))
         return cls(t, *_canonical_knm(t), low, high, a, b, legs)
 
@@ -528,8 +513,8 @@ class CyclicCert(_Certificate):
     layout = {"target": TraceValue, "flat": _Certificate}
 
     @classmethod
-    def _realize(cls, t: TraceValue, theta: ThetaParam, depth: int) -> "CyclicCert":
-        return cls(t, FlatCert._realize(t.scale(4), theta, depth))
+    def _realize(cls, t: TraceValue, theta: ThetaParam) -> "CyclicCert":
+        return cls(t, FlatCert._realize(t.scale(4), theta))
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
         t, flat = self.target, self.flat
@@ -559,26 +544,23 @@ class SemicyclicCert(_Certificate):
     lemma = property(lambda self: "flip-orbit-double" if self.mode == "orbit-double" else "invariant-subprojection")
 
     @classmethod
-    def _realize(cls, t: TraceValue, theta: ThetaParam, depth: int) -> "SemicyclicCert":
+    def _realize(cls, t: TraceValue, theta: ThetaParam) -> "SemicyclicCert":
         if t.in_subgroup(2):
-            return cls(t, "orbit-double", CyclicCert._realize(TraceValue(t.a // 2, t.b // 2), theta, depth))
+            return cls(t, "orbit-double", CyclicCert._realize(TraceValue(t.a // 2, t.b // 2), theta))
         # find an even bound 2x with t < 2x < 1/2, via a positive step 2(q*theta - p)
         # smaller than the room 1/2 - t above t
-        for p, q in theta.convergents_pq(min(depth, theta.max_depth)):
+        for p, q in theta.convergents_pq(theta.max_depth):
             if q > 0 and theta.sign_linear(-p, q) > 0 and (
                 theta.sign_linear(Fraction(1, 2) - t.a + 2 * p, -t.b - 2 * q) > 0
             ):
                 gap = TraceValue(-2 * p, 2 * q)
                 break
         else:
-            raise _search_failed(
-                theta, depth, "stored convergents too shallow to fit a step between the target and 1/2",
-                "no convergent step fits between the target and 1/2; raise the search depth",
-            )
+            raise PrecisionExhausted(f"insufficient-cf-data: no stored convergent fits a step between {t} and 1/2")
         bound = gap.scale(theta.floor_ratio(t.a, t.b, gap.a, gap.b) + 1)
         if not bound.in_open_interval(theta, 0, Fraction(1, 2)) or theta.sign_linear(bound.a - t.a, bound.b - t.b) <= 0:
             raise InternalAssertion("even bound selection failed")
-        return cls(t, "subprojection", cls._realize(bound, theta, depth))
+        return cls(t, "subprojection", cls._realize(bound, theta))
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
         t, inner = self.target, self.inner
@@ -608,8 +590,8 @@ class SemiflatCert(_Certificate):
     layout = {"target": TraceValue, "inner": _Certificate}
 
     @classmethod
-    def _realize(cls, t: TraceValue, theta: ThetaParam, depth: int) -> "SemiflatCert":
-        return cls(t, SemicyclicCert._realize(TraceValue(t.a // 2, t.b // 2), theta, depth))
+    def _realize(cls, t: TraceValue, theta: ThetaParam) -> "SemiflatCert":
+        return cls(t, SemicyclicCert._realize(TraceValue(t.a // 2, t.b // 2), theta))
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
         t, inner = self.target, self.inner
@@ -663,7 +645,7 @@ class FourierInvariantCert(_Certificate):
     legs = property(attrgetter("leg1", "leg2"))
 
     @classmethod
-    def _realize(cls, t: TraceValue, theta: ThetaParam, depth: int) -> "FourierInvariantCert":
+    def _realize(cls, t: TraceValue, theta: ThetaParam) -> "FourierInvariantCert":
         sq = four_squares(t.b)
         s2 = sq.m3**2 + sq.m4**2
         leg1 = EmbeddingLeg(sq.m1, sq.m2, theta.floor_linear(sq.m1**2 + sq.m2**2))
@@ -717,25 +699,24 @@ _BY_KIND = {cls.kind: cls for cls in Certificate.__args__ if cls is not Reflecte
 # -------------------------------------------------------------------- realize
 
 
-def _interval_for_kind(kind: str) -> Tuple[Fraction, Fraction, int]:
-    """(lo, hi, subgroup multiple) for each kind."""
-    return _BY_KIND[kind].domain
+def realize(kind: str, t: TraceValue, theta: ThetaParam) -> Certificate:
+    """Build a realization certificate for the trace t of the given kind.
 
-
-def realize(kind: str, t: TraceValue, theta: ThetaParam, depth: int = DEFAULT_CONVERGENT_DEPTH) -> Certificate:
-    """Build a realization certificate for the trace t of the given kind."""
+    The convergent searches walk every stored convergent of theta; a target the
+    stored prefix cannot settle raises PrecisionExhausted (insufficient-cf-data).
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r} (expected one of {KINDS})")
-    lo, hi, mult = _interval_for_kind(kind)
+    lo, hi, mult = _BY_KIND[kind].domain
     if not t.in_subgroup(mult):
         raise WrongSubgroup(f"wrong-subgroup: {t} is not in {mult}Z + {mult}Z*theta")
     if not t.in_open_interval(theta, lo, hi):
         raise OutOfRange(f"out-of-range: {t} is not in ({lo}, {hi})")
     if t.b < 0:
-        return ReflectedCert(t, realize(kind, t.reflected(), theta.reflect(), depth))
+        return ReflectedCert(t, realize(kind, t.reflected(), theta.reflect()))
     if t.b == 0:  # a alone cannot land strictly inside (0, 1)
         raise OutOfRange(f"out-of-range: {t} has no theta part")
-    return _BY_KIND[kind]._realize(t, theta, depth)
+    return _BY_KIND[kind]._realize(t, theta)
 
 
 # ---------------------------------------------------------------- verification

@@ -22,6 +22,8 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
+_PRESET_TERMS = 160  # continued-fraction terms stored for a preset
+_DECIMAL_TERMS = 128  # the most terms read off a decimal's bounds
 # far more digits than a 128-term continued-fraction prefix can use
 _MAX_DECIMAL_PLACE = 10_000
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
@@ -31,11 +33,11 @@ class PrecisionExhausted(ArithmeticError):
     """The stored continued-fraction prefix cannot settle the question (insufficient-cf-data)."""
 
 
-def _cf_terms_of_fraction(x: Fraction, limit: int = 128) -> list[int]:
-    """Continued-fraction terms a1, a2, ... of x = [0; a1, a2, ...] for rational x in (0, 1)."""
+def _cf_terms_of_fraction(x: Fraction) -> list[int]:
+    """The first _DECIMAL_TERMS terms a1, a2, ... of x = [0; a1, a2, ...] for rational x in (0, 1)."""
     out: list[int] = []
     frac = x
-    for _ in range(limit):
+    for _ in range(_DECIMAL_TERMS):
         if frac == 0:
             break
         inv = 1 / frac
@@ -191,12 +193,12 @@ class ThetaParam(Record):
     # ------------------------------------------------------------------ ctors
 
     @classmethod
-    def preset(cls, name: str, depth: int = 160) -> "ThetaParam":
-        """Named angles: golden = (sqrt(5)-1)/2, sqrt2 = sqrt(2)-1."""
+    def preset(cls, name: str) -> "ThetaParam":
+        """Named angles: golden = (sqrt(5)-1)/2, sqrt2 = sqrt(2)-1, each with _PRESET_TERMS terms."""
         if name == "golden":
-            return cls(cf_terms=(1,) * depth, name="golden")
+            return cls(cf_terms=(1,) * _PRESET_TERMS, name="golden")
         if name == "sqrt2":
-            return cls(cf_terms=(2,) * depth, name="sqrt2")
+            return cls(cf_terms=(2,) * _PRESET_TERMS, name="sqrt2")
         raise ValueError(f"unknown theta preset {name!r} (expected one of {cls.PRESETS})")
 
     @classmethod

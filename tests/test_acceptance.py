@@ -213,9 +213,9 @@ def test_criterion_07_semiflat_membership_examples():
 
 
 def _random_target(rng, theta, kind):
-    from nctorus.realization import _interval_for_kind
+    from nctorus.realization import _BY_KIND
 
-    lo, hi, mult = _interval_for_kind(kind)
+    lo, hi, mult = _BY_KIND[kind].domain
     while True:
         b = mult * rng.choice([i for i in range(-15, 16) if i])
         shift = theta.floor_linear(b)

@@ -149,6 +149,38 @@ def test_realize_rejection_names_its_code_once(capsys, trace, code_slug):
     assert err.startswith(f"error: {code_slug}: ") and err.count(code_slug) == 1
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("realize", "--kind", "flat", "--trace", "4t"), "error: out-of-range: 4t is not in (0, 1)"),
+    (("pr-build", "-r", "1", "-s", "0", "--eps", "0.9"),
+     "error: need 0 < eps < min(alpha, 1-alpha)/2 = 0.19098300562505255, got 0.9"),
+    (("pr-build", "--theta", "sqrt2", "-r", "1", "-s", "0", "--flip"),
+     "error: alpha-out-of-range: r*theta + s = 1*theta+0 is not in (1/2, 1)"),
+])
+def test_rejection_is_one_error_line(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", line + "\n")
+
+
+def test_realize_searches_every_stored_convergent(tmp_path, capsys):
+    # 4(q*theta - p) for golden's 70th convergent p/q: its bracketing pair lies past the 64th
+    path = tmp_path / "c.json"
+    code, _, err = run(capsys, "realize", "--kind", "flat", "--trace", "1232246084680516t-761569962836540",
+                       "-o", str(path))
+    assert code == 0, err
+    assert run(capsys, "verify", str(path))[0] == 0
+
+
+def test_realize_rejects_a_target_the_prefix_cannot_settle(tmp_path, capsys):
+    # 4(4181 theta - 2584): the bracketing pair past 2584/4181 has the last stored convergent,
+    # 6765/10946, as its lower end, which the prefix cannot place against theta
+    path = tmp_path / "c.json"
+    theta = "cf:" + ",".join(["1"] * 20)
+    code, _, err = run(capsys, "realize", "--theta", theta, "--kind", "flat", "--trace", "16724t-10336",
+                       "-o", str(path))
+    assert code == 2 and err.startswith("error: insufficient-cf-data: ")
+    assert not path.exists()
+
+
 def test_realize_unknown_kind_exits_2(capsys):
     code, _, err = run(capsys, "realize", "--kind", "bogus", "--trace", "2t-1")
     assert code == 2 and "unknown kind 'bogus'" in err and "semiflat" in err

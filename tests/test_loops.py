@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 
 import numpy as np
@@ -26,9 +27,7 @@ from nctorus.loops import (
     loop_star,
     monomial_loop,
     pr_build,
-    projection_alpha,
     projection_gates,
-    _alpha_beta,
     _build_projection,
 )
 from nctorus.theta import ThetaParam
@@ -254,6 +253,29 @@ def test_build_rejects_a_non_finite_offset_before_sampling(monkeypatch, capsys, 
     assert "error: offset must be a finite number" in capsys.readouterr().err
 
 
+def test_flip_alpha_that_rounds_to_zero_is_rejected_before_sampling(monkeypatch, capsys):
+    # golden, r = 102334155: r*theta - 63245985 lies within 5e-9 of 1, and r*theta
+    # rounds up to an integer in double precision, so the float alpha would be 0
+    def sampled(*args, **kwargs):
+        raise AssertionError("the grid was sampled")
+
+    monkeypatch.setattr(loops, "assemble_projection", sampled)
+    message = "alpha-out-of-range: r*theta mod 1 for r = 102334155 rounds to 0.0 in double precision"
+    with pytest.raises(AlphaOutOfRange, match=re.escape(message)):
+        pr_build(102334155, -63245985, GOLDEN, True)
+    code = main(["pr-build", "-r", "102334155", "-s", "-63245985", "--flip"])
+    assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_an_offset_is_a_point_on_the_circle(capsys):
+    e = pr_build(1, 0, GOLDEN, offset=123456789.25)
+    ref = pr_build(1, 0, GOLDEN, offset=0.25)
+    assert e.n == ref.n and e.coeffs.keys() == ref.coeffs.keys()
+    for k, f in ref.coeffs.items():
+        assert np.array_equal(e.coeffs[k].samples, f.samples)
+    assert main(["pr-build", "-r", "1", "-s", "0", "--offset", "123456789.25"]) == 0
+
+
 TABLE_CASES = {
     "golden": {
         ("even", "odd"): (6, -3),
@@ -328,9 +350,8 @@ def test_plain_build_with_large_shift_meets_the_adjoint_gate():
     # golden, r = 39, s = 40: adding s before the mod 1 put alpha 7.1e-15 off
     # beta, and the adjoint residual stalled at 1.07e-12 on every grid
     offset = 0.24246845778402293
-    alpha, beta = _alpha_beta(39, 40, GOLDEN, False)
-    assert alpha == beta == (39 * GOLDEN.value) % 1.0
     e, gates = _build_projection(39, 40, GOLDEN, False, 4096, None, offset, MAX_GRID)
+    assert e.beta == (39 * GOLDEN.value) % 1.0
     assert e.n == 16384
     assert gates.adjoint_residual <= ADJOINT_RESIDUAL_GATE
     assert gates.square_residual <= SQUARE_RESIDUAL_GATE
@@ -342,9 +363,10 @@ def test_plain_build_with_large_shift_meets_the_adjoint_gate():
 ])
 def test_flip_symmetric_alpha_equals_the_base_step(theta, r, s):
     # unreduced alpha = r*theta + s is exact when it lies in (1/2, 1)
-    alpha, beta = _alpha_beta(r, s, theta, True)
-    assert alpha == beta == projection_alpha(r, s, theta, True)
-    assert 0.5 < alpha < 1
+    e, gates = _build_projection(r, s, theta, True, 4096, None, 0.0, MAX_GRID)
+    assert e.beta == r * theta.value + s
+    assert 0.5 < e.beta < 1
+    assert gates.trace_error <= TRACE_GATE
 
 
 def test_build_refines_grid_when_too_coarse():

@@ -238,9 +238,9 @@ def test_embedding_rejects_zero():
 
 def random_target(rng, theta, kind):
     """A uniformly scattered valid target for the kind."""
-    from nctorus.realization import _interval_for_kind
+    from nctorus.realization import _BY_KIND
 
-    lo, hi, mult = _interval_for_kind(kind)
+    lo, hi, mult = _BY_KIND[kind].domain
     while True:
         b = mult * rng.choice([i for i in range(-15, 16) if i])
         # slide a into the window (0, hi); at most one candidate a exists per unit
@@ -480,6 +480,54 @@ def test_shallow_prefix_reports_insufficient_data():
     # convergents the 5-term prefix cannot provide
     with pytest.raises(PrecisionExhausted):
         flat_decompose(TraceValue(-32, 52), th)
+
+
+# ------------------------------------------ the stored prefix bounds the search
+
+
+@pytest.mark.parametrize("theta", PRESETS, ids=["golden", "sqrt2"])
+@pytest.mark.parametrize("depth", [64, 100, 150])
+@pytest.mark.parametrize("kind, scale", [("flat", 4), ("cyclic", 1)])
+def test_deep_convergent_targets_realize_and_verify(theta, depth, kind, scale):
+    # scale * (q*theta - p) for the convergent p/q at this depth, below theta: the
+    # bracketing pair past p/q lies deeper still, and every stored convergent is searched
+    p, q = theta.convergents_pq(depth)[-1]
+    assert theta.sign_linear(-p, q) > 0
+    cert = realize(kind, TraceValue(-scale * p, scale * q), theta)
+    parsed = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
+    assert parsed == cert
+    assert verify_certificate(parsed, theta).ok
+
+
+SEARCH_THETAS = (ThetaParam.from_cf([1] * 20), ThetaParam.from_cf([2] * 30), GOLDEN, SQRT2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_realize_writes_only_certificates_that_verify(kind, data):
+    """m * frac(b*theta) in the kind's subgroup, b a multiple of a stored convergent denominator:
+    realize rejects it or returns a certificate that verifies, also where the prefix runs out."""
+    from nctorus.realization import RealizationError, _BY_KIND
+    from nctorus.theta import PrecisionExhausted
+
+    theta = data.draw(st.sampled_from(SEARCH_THETAS))
+    mult = _BY_KIND[kind].domain[2]
+    # four_squares slows down on huge theta-coefficients; the fourier kind searches no convergents
+    top = theta.max_depth if kind != "fourier_invariant" else min(theta.max_depth, 40)
+    q = theta.convergents_pq(data.draw(st.integers(1, top)))[-1][1]
+    b = q * data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    try:
+        x = TraceValue(-theta.floor_linear(b), b)  # frac(b*theta)
+    except PrecisionExhausted:
+        return
+    t = x.scale(mult * data.draw(st.integers(1, 64)))
+    try:
+        cert = realize(kind, t, theta)
+    except (PrecisionExhausted, RealizationError):
+        return
+    report = verify_certificate(cert, theta)
+    assert report.ok, (t, report.first_failure)
 
 
 # ----------------------------------------------------------- strict parsing

@@ -104,9 +104,8 @@ def _samples():
     roots += [traces.relation_check(x), traces.RelationReport(False, "psi20 = phi00", Monomial(1, 2))]
     roots += [traces.twist_discovery("tau", max_exp=1), traces.twist_discovery("psi10", max_exp=1)]
     for r, s, flip in ((6, -3, True), (2, 0, False)):
-        alpha, beta = loops._alpha_beta(r, s, GOLDEN, flip)
-        e = loops.assemble_projection(alpha, beta, n=256, centered=flip)
-        roots += [loops.projection_gates(e, alpha, flip), loops.loop_invariants(e, GOLDEN, r)]
+        e, gates = loops._build_projection(r, s, GOLDEN, flip, 256, None, 0.0, loops.MAX_GRID)
+        roots += [gates, loops.loop_invariants(e, GOLDEN, r)]
     found = {}
     for root in roots:
         _records(root, found)
