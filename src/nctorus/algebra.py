@@ -82,9 +82,6 @@ class GaussRational:
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
-    def __complex__(self) -> complex:
-        return float(self.re) + 1j * float(self.im)
-
     def __repr__(self) -> str:
         return f"GaussRational({self.re}, {self.im})"
 
@@ -468,16 +465,13 @@ def monomial_functionals(x: Element, rules: Sequence[tuple]) -> list[PhaseScalar
 def numeric_eval(s: PhaseScalar, theta: ThetaParam) -> complex:
     """Evaluate a phase scalar at L = e(theta/4).
 
-    The exponent k*theta/4 is reduced mod 1 in exact rational arithmetic
-    against theta's best rational stand-in before exponentiation, so the
-    result is accurate to ~1e-15 relative error even for |k| up to 1e4
-    (on top of whatever uncertainty an inexact decimal theta carries).
+    Each L^k is e(x) with x = theta.turns(0, k/4), within TURNS_ERROR of
+    (k*theta/4) mod 1; a k the stored prefix cannot settle to that bound
+    (a short decimal or cf: theta, or a huge |k|) raises PrecisionExhausted.
     """
-    approx = theta.rational_approx()
-    total = 0j
-    for k, c in s.items():
-        frac = (Fraction(k, 4) * approx) % 1
-        total += complex(c) * cmath.exp(2j * cmath.pi * float(frac))
+    d, total = s._d, 0j
+    for k, (a, b) in s._c.items():
+        total += complex(a / d, b / d) * cmath.exp(2j * cmath.pi * theta.turns(0, Fraction(k, 4)))
     return total
 
 

@@ -13,7 +13,9 @@ pays only for those: ``cone`` never loads the algebra, and only
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from typing import Optional
 
@@ -28,6 +30,22 @@ class DomainRejection(Exception):
 
 def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
+
+
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """``path`` opened before the work, so a path that cannot be written costs no run; None for no path.
+
+    Mode "a" keeps an existing file until the caller truncates it; a file made here is removed if the work fails.
+    """
+    made = bool(path) and not os.path.exists(path)
+    with open(path, "a", encoding="utf-8") if path else contextlib.nullcontext() as fh:
+        try:
+            yield fh
+        except BaseException:
+            if made:
+                os.remove(path)
+            raise
 
 
 def _emit(record: dict, as_json: bool, render) -> None:
@@ -125,22 +143,23 @@ def cmd_realize(args) -> int:
 
     theta = parse_theta(args.theta)
     t = realization.parse_trace(args.trace)
-    cert = realization.realize(args.kind, t, theta)
-    payload = {
-        "format": CERT_FORMAT,
-        "kind": args.kind,
-        "theta": args.theta,
-        "target": {"a": t.a, "b": t.b},
-        "certificate": realization.certificate_to_json(cert),
-    }
-    out = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    with _output(args.output) as fh:
+        cert = realization.realize(args.kind, t, theta)
+        payload = {
+            "format": CERT_FORMAT,
+            "kind": args.kind,
+            "theta": args.theta,
+            "target": {"a": t.a, "b": t.b},
+            "certificate": realization.certificate_to_json(cert),
+        }
+        out = json.dumps(payload, indent=2, sort_keys=True)
+        if fh:
+            fh.truncate(0)
             fh.write(out + "\n")
-        if not args.json:
-            print(f"certificate written to {args.output}")
-    else:
+    if not args.output:
         print(out)
+    elif not args.json:
+        print(f"certificate written to {args.output}")
     return 0
 
 
@@ -185,13 +204,17 @@ def cmd_pr_build(args) -> int:
 
     theta = parse_theta(args.theta)
     grid = loops.DEFAULT_GRID if args.grid is None else args.grid
-    try:
-        e, gates = loops._build_projection(
-            args.r, args.s, theta, args.flip, grid, args.eps, args.offset, loops.MAX_GRID
-        )
-    except loops.ResidualExceeded as exc:  # an ArithmeticError, which main does not map
-        raise DomainRejection(str(exc)) from exc
-    report = loops.loop_invariants(e, theta, args.r)
+    with _output(args.save_element) as fh:
+        try:
+            e, gates = loops._build_projection(
+                args.r, args.s, theta, args.flip, grid, args.eps, args.offset, loops.MAX_GRID
+            )
+        except loops.ResidualExceeded as exc:  # an ArithmeticError, which main does not map
+            raise DomainRejection(str(exc)) from exc
+        report = loops.loop_invariants(e, theta, args.r)
+        if fh:
+            fh.truncate(0)
+            json.dump(e.to_json(), fh)
     record = {
         "r": args.r,
         "s": args.s,
@@ -207,8 +230,6 @@ def cmd_pr_build(args) -> int:
         "invariants": report.to_json(),
     }
     if args.save_element:
-        with open(args.save_element, "w", encoding="utf-8") as fh:
-            json.dump(e.to_json(), fh)
         record["element_file"] = args.save_element
 
     def render(rec):

@@ -2,8 +2,8 @@
 
 Coefficients are circle functions held as samples on a uniform dyadic
 grid; off-grid values come from trigonometric interpolation through the
-discrete Fourier coefficients.  With beta = r*theta mod 1 the base
-unitary satisfies V W = e(beta) W V, hence the crossed-product rules
+discrete Fourier coefficients.  With beta = r*theta mod 1 (the float ``theta.turns(0, r)``)
+the base unitary satisfies V W = e(beta) W V, hence the crossed-product rules
 
     (f V^a)(h V^b) = f * (h shifted by a*beta) V^{a+b}
     (f V^a)*       = conj(f) shifted by -a*beta, times V^{-a}
@@ -493,9 +493,7 @@ def _build_projection(
             raise ValueError("flip-symmetric builds admit only offsets 0 and 1/2")
     # the trace alpha is the base step: a plain alpha (r*theta + s) mod 1 is
     # beta, and a flip alpha in (1/2, 1) forces s = -floor(r*theta)
-    beta = (r * theta.value) % 1.0
-    if beta == 0.0:
-        raise AlphaOutOfRange(f"alpha-out-of-range: r*theta mod 1 for r = {r} rounds to 0.0 in double precision")
+    beta = theta.turns(0, r)
     grid = _check_grid(n)
     while True:
         e = assemble_projection(beta, beta, n=grid, eps=eps, centered=flip_symmetric, offset=offset)
@@ -582,12 +580,11 @@ def loop_invariants(e: LoopElement, theta: ThetaParam, r: int) -> InvariantRepor
     """
     tau = e.coefficient(0).mean().real
     m = _freqs(e.n)
-    # Each coefficient's spectrum times its phase e(-theta*r*m*k/2), built
-    # once and shared by the two slots of its parity; one exp per |k|.
-    step = -1j * np.pi * theta.value * r
+    # Each coefficient's spectrum times its phase e(-theta*r*m*k/2) = e(-m*x_k), x_k = (r*k*theta/2)
+    # mod 1 as m is an integer, built once and shared by the two slots of its parity; one exp per |k|.
     phases: Dict[int, np.ndarray] = {}
     for k in {abs(k) for k in e.coeffs if k}:
-        phases[k] = np.exp(step * m * k)
+        phases[k] = np.exp(-2j * np.pi * m * theta.turns(0, Fraction(r * k, 2)))
         phases[-k] = np.conj(phases[k])
     terms = {k: f.coeffs() * phases[k] if k else f.coeffs() for k, f in e.coeffs.items()}
     raw = []

@@ -85,7 +85,7 @@ class TraceValue(Record):
     __hash__ = Record.__hash__
 
     def value(self, theta: ThetaParam) -> float:
-        return self.a + self.b * theta.value
+        return self.a + theta.floor_linear(self.b) + theta.turns(0, self.b)
 
     def in_open_interval(self, theta: ThetaParam, lo, hi) -> bool:
         return theta.in_open_interval(self.a, self.b, lo, hi)

@@ -26,6 +26,9 @@ _PRESET_TERMS = 160  # continued-fraction terms stored for a preset
 _DECIMAL_TERMS = 128  # the most terms read off a decimal's bounds
 # far more digits than a 128-term continued-fraction prefix can use
 _MAX_DECIMAL_PLACE = 10_000
+# ThetaParam.turns' absolute error bound, in turns; rounding to a float takes 2^-54 of it
+TURNS_ERROR = 1e-15
+_BRACKET_BUDGET = Fraction(TURNS_ERROR) - Fraction(1, 1 << 54)
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
@@ -285,18 +288,11 @@ class ThetaParam(Record):
         if self.interval is not None:
             yield self.interval
 
-    def rational_approx(self) -> Fraction:
-        """Best available rational stand-in: interval midpoint, else deepest convergent."""
-        if self.interval is not None:
-            lo, hi = self.interval
-            return (lo + hi) / 2
-        p, q = self._pq[-1]
-        return Fraction(p, q)
-
     @cached_property
     def value(self) -> float:
-        """Double-precision value."""
-        return float(self.rational_approx())
+        """The float of the narrowest bracket's midpoint, with no error bound: see :meth:`turns`."""
+        (p1, q1), (p2, q2) = self._bracket
+        return (p1 * q2 + p2 * q1) / (2 * q1 * q2)
 
     @cached_property
     def _bracket(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -319,6 +315,18 @@ class ThetaParam(Record):
         else:
             lo, hi = self.interval
         return (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+
+    def turns(self, a: Rat, b: Rat) -> float:
+        """(a + b*theta) mod 1 as a float in [0, 1) within TURNS_ERROR: the numeric layers' one float of theta.
+
+        Taken at the narrowest bracket's midpoint, reduced exactly and rounded once, it is off by at most |b|
+        times the bracket's half width plus 2^-54; where that could exceed TURNS_ERROR, PrecisionExhausted.
+        """
+        (p1, q1), (p2, q2) = self._bracket
+        if abs(b) * Fraction(p2 * q1 - p1 * q2, 2 * q1 * q2) > _BRACKET_BUDGET:
+            raise PrecisionExhausted(f"insufficient-cf-data: cannot settle ({a} + {b}*theta) mod 1 to {TURNS_ERROR}")
+        x = float((a + b * Fraction(p1 * q2 + p2 * q1, 2 * q1 * q2)) % 1)
+        return x if x < 1.0 else 0.0  # within 2^-54 of 1 is within 2^-54 of 0 on the circle
 
     # ---------------------------------------------------------- exact queries
 

@@ -5,9 +5,26 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from nctorus.algebra import Element, GaussRational, PhaseScalar
+
+
+# the presets as closed forms, for an oracle independent of their continued fractions
+MP_THETA = {"golden": lambda: (mpmath.sqrt(5) - 1) / 2, "sqrt2": lambda: mpmath.sqrt(2) - 1}
+
+
+def mp_turns(name, a, b):
+    """(a + b*theta) mod 1 for a preset theta, correctly rounded to a float by mpmath.
+
+    a and b are int or Fraction; the working precision is set from their size.
+    """
+    a, b = Fraction(a), Fraction(b)
+    digits = 40 + max(len(str(x)) for x in (a.numerator, a.denominator, b.numerator, b.denominator))
+    with mpmath.workdps(digits):
+        x = mpmath.mpf(a.numerator) / a.denominator + mpmath.mpf(b.numerator) / b.denominator * MP_THETA[name]()
+        return float(x - mpmath.floor(x))
 
 
 def reorder_word_oracle(letters):

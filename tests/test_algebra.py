@@ -228,13 +228,14 @@ def test_numeric_eval_lam_minus8_golden():
 def test_numeric_eval_large_exponent_precision():
     import mpmath
 
-    mpmath.mp.dps = 50
     th = ThetaParam.preset("golden")
-    theta_hp = (mpmath.sqrt(5) - 1) / 2
-    for k in (9999, -10000, 1234567 % 10**4):
-        got = numeric_eval(PhaseScalar.lam(k), th)
-        want = mpmath.e ** (2j * mpmath.pi * theta_hp * k / 4)
-        assert abs(got - complex(want)) < 1e-13
+    # 100 digits carry k*theta/4 for |k| up to 10^40 with 60 digits to spare
+    with mpmath.workdps(100):
+        theta_hp = (mpmath.sqrt(5) - 1) / 2
+        for k in (9999, -10000, 1234567 % 10**4, 10**5 + 1, -(10**9) + 7, 3**40, 10**30 + 1, -(10**40)):
+            got = numeric_eval(PhaseScalar.lam(k), th)
+            want = mpmath.e ** (2j * mpmath.pi * theta_hp * k / 4)
+            assert abs(got - complex(want)) < 1e-13, k
 
 
 def test_numeric_eval_is_multiplicative(rng):

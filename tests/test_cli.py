@@ -10,6 +10,8 @@ import pytest
 import nctorus
 from nctorus.cli import CERT_FORMAT, main
 
+from conftest import mp_turns
+
 SRC = str(Path(nctorus.__file__).resolve().parent.parent)
 
 
@@ -375,6 +377,56 @@ def test_a_directory_for_a_file_exits_2(tmp_path, capsys, argv):
     assert err.startswith("error:") and "internal error" not in err
 
 
+@pytest.mark.parametrize("argv, work", [
+    (("realize", "--kind", "flat", "--trace", "8t-4", "-o", "{dir}"), "nctorus.realization.realize"),
+    (("pr-build", "-r", "1", "-s", "0", "--save-element", "{dir}"), "nctorus.loops.assemble_projection"),
+], ids=["realize", "pr-build"])
+def test_an_unwritable_output_is_rejected_before_the_work(tmp_path, monkeypatch, capsys, argv, work):
+    def run_anyway(*args, **kwargs):
+        raise AssertionError("the work ran before the output file was opened")
+
+    monkeypatch.setattr(work, run_anyway)
+    code, _, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 2 and err.startswith("error:") and "the work ran" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("realize", "--kind", "flat", "--trace", "4t", "-o", "{path}"),
+    ("pr-build", "-r", "1", "-s", "0", "--eps", "0.9", "--save-element", "{path}"),
+], ids=["realize", "pr-build"])
+def test_a_rejected_run_leaves_an_existing_output_as_it_was(tmp_path, capsys, argv):
+    path = tmp_path / "out.json"
+    path.write_text("kept\n")
+    code, _, _ = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2 and path.read_text() == "kept\n"
+
+
+def test_an_existing_output_is_replaced_whole(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text("x" * 100_000)
+    code, _, _ = run(capsys, "realize", "--kind", "flat", "--trace", "8t-4", "-o", str(path))
+    assert code == 0 and json.loads(path.read_text())["format"] == CERT_FORMAT
+
+
+# ------------------------------------------------------------------ theta to float
+
+
+def test_pr_build_alpha_is_r_theta_mod_1_correctly_rounded(capsys):
+    # float64 r*theta put this alpha 9.2e-9 off, 92 times TRACE_GATE, and exited 0
+    code, rec, _ = run_json(capsys, "pr-build", "-r", "1000000000", "-s", "0")
+    assert code == 0 and rec["alpha"] == mp_turns("golden", 0, 10**9)
+
+
+@pytest.mark.parametrize("theta, expr", [
+    ("golden", "L^1" + "0" * 70),  # L^(10^70): the 160 stored terms cannot settle its phase
+    ("cf:1", "L"),  # the prefix [0; 1] brackets theta only by (0, 1)
+    ("0.618", "L^100000"),  # a decimal is known to +-0.0005, so 25000*theta mod 1 is unknown
+])
+def test_eval_rejects_a_phase_theta_cannot_settle(capsys, theta, expr):
+    code, out, err = run(capsys, "eval", "--theta", theta, "--expr", expr)
+    assert code == 2 and not out and err.startswith("error: insufficient-cf-data: ")
+
+
 # ---------------------------------------------------------------------- docs
 
 
@@ -400,8 +452,12 @@ def test_readme_command_examples_run(tmp_path, monkeypatch, capsys):
 
 
 def test_theta_cf_spec(capsys):
-    code, rec, _ = run_json(capsys, "eval", "--theta", "cf:2,2,2,2,2,2,2,2,2,2", "--expr", "U V")
-    assert code == 0
+    # ten terms bracket theta to about 1e-8, too wide to settle the phases of U V to TURNS_ERROR
+    code, _, err = run_json(capsys, "eval", "--theta", "cf:2,2,2,2,2,2,2,2,2,2", "--expr", "U V")
+    assert code == 2 and err.startswith("error: insufficient-cf-data: ")
+    code, rec, _ = run_json(capsys, "eval", "--theta", "cf:" + ",".join(["2"] * 40), "--expr", "U V")
+    _, want, _ = run_json(capsys, "eval", "--theta", "sqrt2", "--expr", "U V")
+    assert code == 0 and sum(rec["t4_numeric"], []) == pytest.approx(sum(want["t4_numeric"], []), abs=2e-15)
 
 
 def test_unknown_flag_rejected(capsys):

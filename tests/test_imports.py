@@ -2,9 +2,11 @@
 
 Every case runs in a fresh interpreter, so the modules it reports are
 the ones that subcommand pulled in and nothing a previous test imported.
-No timing is asserted.
+No timing is asserted.  The last check is on the source itself: theta
+is the one module that turns theta into a float.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -119,3 +121,13 @@ def test_star_import_gives_exactly_all():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         nctorus.no_such_name
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in Path(SRC, "nctorus").glob("*.py") if p.name != "theta.py"))
+def test_only_theta_turns_theta_into_a_float(module):
+    # ThetaParam.value has no error bound; ThetaParam.turns is the bounded way.
+    # Every .value read is flagged: besides ThetaParam only TraceValue has one, which no module reads.
+    tree = ast.parse(Path(SRC, "nctorus", module).read_text(encoding="utf-8"))
+    reads = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("value", "rational_approx")]
+    assert not reads, f"{module} reads a float of theta outside theta.turns: {reads}"

@@ -1,5 +1,4 @@
 import random
-import re
 import warnings
 
 import numpy as np
@@ -18,6 +17,7 @@ from nctorus.loops import (
     GridMismatch,
     InvalidBumpWidth,
     LoopElement,
+    ResidualExceeded,
     assemble_projection,
     bump_pair,
     bump_profiles,
@@ -31,6 +31,8 @@ from nctorus.loops import (
     _build_projection,
 )
 from nctorus.theta import ThetaParam
+
+from conftest import mp_turns
 
 GOLDEN = ThetaParam.preset("golden")
 SQRT2 = ThetaParam.preset("sqrt2")
@@ -253,18 +255,19 @@ def test_build_rejects_a_non_finite_offset_before_sampling(monkeypatch, capsys, 
     assert "error: offset must be a finite number" in capsys.readouterr().err
 
 
-def test_flip_alpha_that_rounds_to_zero_is_rejected_before_sampling(monkeypatch, capsys):
-    # golden, r = 102334155: r*theta - 63245985 lies within 5e-9 of 1, and r*theta
-    # rounds up to an integer in double precision, so the float alpha would be 0
-    def sampled(*args, **kwargs):
-        raise AssertionError("the grid was sampled")
-
-    monkeypatch.setattr(loops, "assemble_projection", sampled)
-    message = "alpha-out-of-range: r*theta mod 1 for r = 102334155 rounds to 0.0 in double precision"
-    with pytest.raises(AlphaOutOfRange, match=re.escape(message)):
-        pr_build(102334155, -63245985, GOLDEN, True)
-    code = main(["pr-build", "-r", "102334155", "-s", "-63245985", "--flip"])
-    assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
+def test_flip_alpha_next_to_one_is_exact_and_its_bump_too_narrow(monkeypatch, capsys):
+    # golden, r = 102334155: r*theta - 63245985 lies within 5e-9 of 1.  The build takes it
+    # correctly rounded (float64 r*theta rounded it up to an integer, so alpha became 0), and a
+    # bump that narrow needs a finer grid than MAX_GRID
+    r, s = 102334155, -63245985
+    sampled = []
+    assemble = loops.assemble_projection
+    monkeypatch.setattr(loops, "assemble_projection", lambda a, b, **kw: sampled.append((a, b)) or assemble(a, b, **kw))
+    with pytest.raises(ResidualExceeded, match="^residual-exceeded: "):
+        pr_build(r, s, GOLDEN, True)
+    assert set(sampled) == {(mp_turns("golden", s, r),) * 2} and 0.9999999956 < sampled[0][0] < 0.9999999957
+    code = main(["pr-build", "-r", str(r), "-s", str(s), "--flip"])
+    assert code == 2 and capsys.readouterr().err.startswith("error: residual-exceeded: ")
 
 
 def test_an_offset_is_a_point_on_the_circle(capsys):
@@ -351,7 +354,7 @@ def test_plain_build_with_large_shift_meets_the_adjoint_gate():
     # beta, and the adjoint residual stalled at 1.07e-12 on every grid
     offset = 0.24246845778402293
     e, gates = _build_projection(39, 40, GOLDEN, False, 4096, None, offset, MAX_GRID)
-    assert e.beta == (39 * GOLDEN.value) % 1.0
+    assert e.beta == mp_turns("golden", 0, 39)
     assert e.n == 16384
     assert gates.adjoint_residual <= ADJOINT_RESIDUAL_GATE
     assert gates.square_residual <= SQUARE_RESIDUAL_GATE
@@ -362,9 +365,9 @@ def test_plain_build_with_large_shift_meets_the_adjoint_gate():
     (GOLDEN, 6, -3), (GOLDEN, 14, -8), (GOLDEN, 3, -1), (SQRT2, 4, -1), (SQRT2, 9, -3), (SQRT2, 7, -2),
 ])
 def test_flip_symmetric_alpha_equals_the_base_step(theta, r, s):
-    # unreduced alpha = r*theta + s is exact when it lies in (1/2, 1)
+    # the base step (r*theta) mod 1 is the flip alpha r*theta + s in (1/2, 1), correctly rounded
     e, gates = _build_projection(r, s, theta, True, 4096, None, 0.0, MAX_GRID)
-    assert e.beta == r * theta.value + s
+    assert e.beta == mp_turns(theta.name, s, r)
     assert 0.5 < e.beta < 1
     assert gates.trace_error <= TRACE_GATE
 

@@ -4,10 +4,12 @@
 vector per V-power.  The functions below are the direct transcription of
 the product, adjoint, gate and invariant formulas: every term shifted on
 its own, every invariant slot with its own transform and phases.  The two
-must agree bit for bit, not merely within a tolerance.
+must agree bit for bit, not merely within a tolerance.  The references
+take alpha, beta and the phase offsets x_k from mpmath, not from theta.
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from nctorus.loops import (
     projection_gates,
 )
 from nctorus.theta import ThetaParam
+from conftest import mp_turns
 from test_loops import random_loop
 
 GOLDEN = ThetaParam.preset("golden")
@@ -71,7 +74,6 @@ def ref_projection_gates(e, alpha, flip_symmetric):
 
 
 def ref_loop_invariants(e, theta, r):
-    tv = theta.value
     tau = e.coefficient(0).mean().real
     raw = []
     for i in (0, 1):
@@ -85,7 +87,9 @@ def ref_loop_invariants(e, theta, r):
                 sel = (r * m - i) % 2 == 0
                 if not np.any(sel):
                     continue
-                phases = np.exp(-1j * np.pi * tv * r * m[sel] * k)
+                # e(-theta*r*m*k/2) = e(-m*x) for x = (r*|k|*theta/2) mod 1, with the sign of k
+                x = mp_turns(theta.name, 0, Fraction(r * abs(k), 2))
+                phases = np.exp(-2j * np.pi * m[sel] * (x if k >= 0 else -x))
                 total += complex(np.sum(c[sel] * phases))
             raw.append(total)
     return float(tau), tuple(raw), tuple(loops._round_quarter(z) for z in raw)
@@ -148,8 +152,8 @@ def test_bump_builds_match_reference(theta, n):
 
 
 def ref_pr_build(r, s, theta, flip, n, eps=None, offset=0.0, max_n=loops.MAX_GRID):
-    alpha = r * theta.value + s if flip else (r * theta.value) % 1.0
-    beta = (r * theta.value) % 1.0
+    # a plain alpha (r*theta + s) mod 1 and a flip alpha r*theta + s in (1/2, 1) are both beta
+    alpha = beta = mp_turns(theta.name, 0, r)
     while True:
         e = assemble_projection(alpha, beta, n=n, eps=eps, centered=flip, offset=offset)
         gates = ref_projection_gates(e, alpha, flip)

@@ -2,10 +2,13 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from nctorus.theta import PrecisionExhausted, ThetaParam, parse_theta
+from nctorus.theta import TURNS_ERROR, PrecisionExhausted, ThetaParam, parse_theta
+
+from conftest import MP_THETA
 
 
 def test_golden_convergents_are_fibonacci():
@@ -265,6 +268,56 @@ def test_bracket_of_an_exact_prefix_is_its_deepest_convergent_pair():
     th = ThetaParam.preset("golden")
     (p1, q1), (p2, q2) = th._bracket
     assert {(p1, q1), (p2, q2)} == set(th._pq[-2:])
+
+
+# -------------------------------------------------- turns: theta's one float
+
+
+PRESETS = {name: ThetaParam.preset(name) for name in ThetaParam.PRESETS}
+
+
+def mp_circle_distance(name, a, b, x):
+    """The distance on the circle from x to (a + b*theta) mod 1, by mpmath at 120 digits."""
+    with mpmath.workdps(120):
+        exact = mpmath.mpf(a) + mpmath.mpf(b.numerator) / b.denominator * MP_THETA[name]()
+        d = mpmath.frac(mpmath.mpf(x) - exact)
+        return min(d, 1 - d)
+
+
+def _signed_digits(most):
+    """Integers of 1 to ``most`` digits, as many of each length, either sign."""
+    magnitude = st.integers(1, most).flatmap(lambda e: st.integers(10 ** (e - 1), 10**e - 1))
+    return st.tuples(magnitude, st.sampled_from((1, -1))).map(lambda ms: ms[0] * ms[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(ThetaParam.PRESETS), _signed_digits(12), _signed_digits(12), _signed_digits(60))
+def test_turns_is_within_its_bound_of_mpmath_or_rejected(name, a, r, k):
+    th, b = PRESETS[name], Fraction(r * k, 4)
+    (p1, q1), (p2, q2) = th._bracket
+    # the midpoint is off by at most |b| times the half width, and rounding adds up to 2^-54
+    settles = abs(b) * (Fraction(p2, q2) - Fraction(p1, q1)) / 2 + Fraction(1, 2**54) <= Fraction(TURNS_ERROR)
+    event(f"{name} {'settles' if settles else 'rejected'}")
+    if not settles:
+        with pytest.raises(PrecisionExhausted, match="^insufficient-cf-data: "):
+            th.turns(a, b)
+        return
+    x = th.turns(a, b)
+    assert 0 <= x < 1
+    assert mp_circle_distance(name, a, b, x) <= TURNS_ERROR
+
+
+def test_turns_rounding_up_to_one_is_zero():
+    # theta is 1/2 to within 1e-16, and 1/2 - 2^-60 + theta rounds to 1.0
+    th = ThetaParam(cf_terms=(), interval=(Fraction(1, 2) - Fraction(1, 10**16), Fraction(1, 2) + Fraction(1, 10**16)))
+    assert th.turns(Fraction(1, 2) - Fraction(1, 2**60), 1) == 0.0
+    assert th.turns(Fraction(1, 2) - Fraction(1, 2**50), 1) == 1 - 2**-50
+
+
+def test_turns_of_a_short_prefix_or_a_decimal_is_rejected():
+    for spec, b in (("cf:1", Fraction(1, 4)), ("cf:" + ",".join(["2"] * 10), 1), ("0.618", 25000)):
+        with pytest.raises(PrecisionExhausted, match="insufficient-cf-data: cannot settle"):
+            parse_theta(spec).turns(0, b)
 
 
 # ------------------------------------------------------- decimal exponents
