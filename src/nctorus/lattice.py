@@ -342,10 +342,7 @@ def decompose(v: ChernVector) -> DecomposeResult:
 
 def trace_of(coords: K0Coordinates) -> KScalar:
     """Exact trace of an integer coordinate vector, as a + b*theta."""
-    n = coords
-    a = 2 * n.n1 + 2 * n.n2 + n.n3 + 2 * n.n4 + 2 * n.n5 + n.n6
-    b = n.n7 + n.n8 + n.n9
-    return KScalar.of(a, b)
+    return recompose(coords).tau
 
 
 def semiflat_coordinates(n1: int, n2: int, n3: int, n4: int, n9: int) -> K0Coordinates:
@@ -386,8 +383,7 @@ def semiflat_membership(v: ChernVector, theta: ThetaParam) -> MembershipDecision
     A vector belongs iff it decomposes integrally over the basis, its two
     order-four invariant slots vanish exactly, and its trace is positive
     (decided exactly from rational brackets of theta).  On membership the
-    genus (psi20, psi21, psi22) = (2n1 - n2 + n9, 2n4 - n2 + n9,
-    2n9 - 2n2 - 2n3) is returned.
+    genus, v's slots (psi20, psi21, psi22), is returned.
     """
     res = decompose(v)
     if not res:
@@ -398,16 +394,13 @@ def semiflat_membership(v: ChernVector, theta: ThetaParam) -> MembershipDecision
         return MembershipDecision(False, reason="psi11-nonzero", coordinates=res.coordinates)
     n = res.coordinates
     # cross-check the linear relations forced by the vanishing slots
-    if not (n.n6 == n.n3 and n.n5 == n.n2 and n.n7 == n.n9 - n.n3 and n.n8 == 2 * n.n2 + n.n3):
+    if semiflat_coordinates(n.n1, n.n2, n.n3, n.n4, n.n9) != n:
         raise AssertionError("decomposition violates the semiflat constraint relations")
-    trace = trace_of(n)
+    # v decomposed integrally, so v = recompose(n): its slots are the basis's values on n
+    trace = v.tau
     if theta.sign_linear(trace.a, trace.b) <= 0:
         return MembershipDecision(False, reason="nonpositive-trace", coordinates=n, trace=trace)
-    genus = Genus(
-        Fraction(2 * n.n1 - n.n2 + n.n9),
-        Fraction(2 * n.n4 - n.n2 + n.n9),
-        Fraction(2 * n.n9 - 2 * n.n2 - 2 * n.n3),
-    )
+    genus = Genus(v.psi20.a, v.psi21.a, v.psi22.a)
     return MembershipDecision(True, coordinates=n, genus=genus, trace=trace)
 
 

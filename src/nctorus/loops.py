@@ -33,6 +33,10 @@ shift-per-term formulas bit for bit.  Spectra and phases live for one call
 only, never on a CircleFunction or a LoopElement: a failed build's element
 can outlive its call until the cyclic garbage collector runs (a kept
 traceback references it), and anything cached on it would live as long.
+
+loop_invariants reads only the phi rows of ``theta._SLOTS``: the psi10/psi11
+phase e(-theta*(rm+k)^2/4) is quadratic in the frequency m, so it would take a
+``turns`` call (20-30 us) per frequency, not one per V-power.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
-from .theta import Record, ThetaParam
+from .theta import _SLOTS, Record, ThetaParam
 
 
 class _LazyNumpy:
@@ -574,31 +578,33 @@ def _round_quarter(z: complex) -> Optional[Fraction]:
 def loop_invariants(e: LoopElement, theta: ThetaParam, r: int) -> InvariantReport:
     """Evaluate tau and the four flip-twisted traces through Fourier coefficients.
 
-    For e = sum c_{k,m} U^{rm} V^k the slot (i, j) equals
-    sum over k = j (2), rm = i (2) of c_{k,m} e(-theta*r*m*k/2);
-    tau is the mean of the V^0 coefficient.
+    For e = sum c_{k,m} U^{rm} V^k each phi slot is its row of ``theta._SLOTS``
+    read on the monomials U^{rm} V^k: the sum, over the parity classes
+    (rm mod 2, k mod 2) of the row, of c_{k,m} L^{w*rm*k} with w the row's mn
+    weight; tau is the mean of the V^0 coefficient.
     """
     tau = e.coefficient(0).mean().real
     m = _freqs(e.n)
-    # Each coefficient's spectrum times its phase e(-theta*r*m*k/2) = e(-m*x_k), x_k = (r*k*theta/2)
-    # mod 1 as m is an integer, built once and shared by the two slots of its parity; one exp per |k|.
+    rows = [row for slot, row in _SLOTS.items() if slot.startswith("phi")]
+    (w,) = {form[1] for form, _ in rows}  # their one mn weight
+    # Each coefficient's spectrum times its phase L^{w*rm*k} = e(-m*x_k), x_k = (-w*r*k*theta/4) mod 1
+    # as m is an integer, built once and shared by the slots of its parity; one exp per |k|.
     phases: Dict[int, np.ndarray] = {}
     for k in {abs(k) for k in e.coeffs if k}:
-        phases[k] = np.exp(-2j * np.pi * m * theta.turns(0, Fraction(r * k, 2)))
+        phases[k] = np.exp(-2j * np.pi * m * theta.turns(0, Fraction(-w * r * k, 4)))
         phases[-k] = np.conj(phases[k])
     terms = {k: f.coeffs() * phases[k] if k else f.coeffs() for k, f in e.coeffs.items()}
+    rm_parity = (r % 2) * m % 2  # r*m itself can overflow int64
     raw = []
-    for i in (0, 1):
-        sel = (r * m - i) % 2 == 0
-        if not np.any(sel):
-            raw.extend((0j, 0j))
-            continue
-        for j in (0, 1):
-            total = 0j
-            for k, t in terms.items():
-                if (k - j) % 2 == 0:
-                    total += complex(np.sum(t[sel]))
-            raw.append(total)
+    for _, classes in rows:
+        total = 0j
+        for i, j in classes:
+            sel = rm_parity == i
+            if np.any(sel):
+                for k, t in terms.items():
+                    if (k - j) % 2 == 0:
+                        total += complex(np.sum(t[sel]))
+        raw.append(total)
     raw_t = (raw[0], raw[1], raw[2], raw[3])  # (00, 01, 10, 11)
     return InvariantReport(
         tau=float(tau),

@@ -31,6 +31,23 @@ TURNS_ERROR = 1e-15
 _BRACKET_BUDGET = Fraction(TURNS_ERROR) - Fraction(1, 1 << 54)
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
+# The twisted traces phi_ij, psi_jk (see traces), one row per slot: the power of L = e(theta/4) on
+# U^m V^n as weights on (m^2, mn, n^2), and the classes (m mod 2, n mod 2) the slot is nonzero on.
+# Here in the one layer that traces and loops both import.  psi20, psi21 and psi22 repeat phi00,
+# phi11 and phi01 + phi10 in rows of their own, so each bridge identity compares two declarations.
+_MN, _SQUARE = (0, -2, 0), (-1, -2, -1)  # L^{-2mn}, L^{-(m+n)^2}
+_SLOTS = {
+    "phi00": (_MN, ((0, 0),)),
+    "phi01": (_MN, ((0, 1),)),
+    "phi10": (_MN, ((1, 0),)),
+    "phi11": (_MN, ((1, 1),)),
+    "psi10": (_SQUARE, ((0, 0), (1, 1))),
+    "psi11": (_SQUARE, ((1, 0), (0, 1))),
+    "psi20": (_MN, ((0, 0),)),
+    "psi21": (_MN, ((1, 1),)),
+    "psi22": (_MN, ((1, 0), (0, 1))),
+}
+
 
 class PrecisionExhausted(ArithmeticError):
     """The stored continued-fraction prefix cannot settle the question (insufficient-cf-data)."""
@@ -287,12 +304,6 @@ class ThetaParam(Record):
             yield lo, hi
         if self.interval is not None:
             yield self.interval
-
-    @cached_property
-    def value(self) -> float:
-        """The float of the narrowest bracket's midpoint, with no error bound: see :meth:`turns`."""
-        (p1, q1), (p2, q2) = self._bracket
-        return (p1 * q2 + p2 * q1) / (2 * q1 * q2)
 
     @cached_property
     def _bracket(self) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -11,7 +11,9 @@ monomials and extended linearly:
   psi_22(U^m V^n) = L^{-2mn}     [m = n+1 (2)]
 
 (L = e(theta/4), so L^{-2mn} = e(-theta*mn/2) and L^{-(m+n)^2} =
-e(-theta*(m+n)^2/4); [..] denotes the parity indicator.)
+e(-theta*(m+n)^2/4); [..] denotes the parity indicator.)  The table is
+declared once, as the rows of ``theta._SLOTS``, which the numeric layer
+reads too.
 
 The phi family is twisted by the flip (phi(xy) = phi(flip(y) x)); the
 psi_1k family is twisted by sigma, as `twist_discovery` verifies by
@@ -36,24 +38,7 @@ from .algebra import (
     monomial_functionals,
     phase_to_text,
 )
-from .theta import Record
-
-# The table above, one row per slot: its exponent form as weights on
-# (m^2, mn, n^2), and the parity classes (m mod 2, n mod 2) it is nonzero on.
-# psi20, psi21 and psi22 repeat phi00, phi11 and phi01 + phi10 in rows of
-# their own, so each bridge identity compares two declarations.
-_MN, _SQUARE = (0, -2, 0), (-1, -2, -1)  # L^{-2mn}, L^{-(m+n)^2}
-_SLOTS = {
-    "phi00": (_MN, ((0, 0),)),
-    "phi01": (_MN, ((0, 1),)),
-    "phi10": (_MN, ((1, 0),)),
-    "phi11": (_MN, ((1, 1),)),
-    "psi10": (_SQUARE, ((0, 0), (1, 1))),
-    "psi11": (_SQUARE, ((1, 0), (0, 1))),
-    "psi20": (_MN, ((0, 0),)),
-    "psi21": (_MN, ((1, 1),)),
-    "psi22": (_MN, ((1, 0), (0, 1))),
-}
+from .theta import _SLOTS, Record
 
 _PHI_SLOTS = tuple(s for s in _SLOTS if s.startswith("phi"))
 _PSI_SLOTS = tuple(s for s in _SLOTS if s.startswith("psi"))

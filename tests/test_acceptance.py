@@ -308,9 +308,9 @@ def test_criterion_10_powers_rieffel_numerics():
     for preset, rows in TABLE.items():
         theta = ThetaParam.preset(preset)
         for (r, s), expected in rows.items():
-            alpha = r * theta.value + s
+            alpha = r * theta.turns(0, 1) + s
             # literal 4096-point build: the stated tolerances hold on this grid
-            raw = assemble_projection(alpha, (r * theta.value) % 1.0, n=4096, centered=True)
+            raw = assemble_projection(alpha, (r * theta.turns(0, 1)) % 1.0, n=4096, centered=True)
             gates = projection_gates(raw, alpha, True)
             assert gates.square_residual <= 1e-8, (preset, r, s, gates)
             assert gates.trace_error <= 1e-10, (preset, r, s, gates)
@@ -333,7 +333,7 @@ def test_criterion_10_powers_rieffel_numerics():
 
 def test_criterion_11_density_of_realizable_traces():
     rng = random.Random(111)
-    t = GOLDEN.value
+    t = GOLDEN.turns(0, 1)
     step = next(c for c in convergents(GOLDEN, 30) if 0 < c.q * t - c.p < 2.5e-4)
     d = step.q * t - step.p
     for _ in range(100):

@@ -428,7 +428,7 @@ def test_t2_slots_real_on_flip_invariant_hermitian(rng):
 def test_from_decimal_float_input():
     th = ThetaParam.from_decimal(0.6180339887498949)
     assert th.sign_linear(-1, 2) > 0
-    assert abs(th.value - 0.6180339887498949) < 1e-15
+    assert abs(th.turns(0, 1) - 0.6180339887498949) < 1e-15
 
 
 # --------------------------------------------------------- pickle and copy

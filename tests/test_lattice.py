@@ -98,11 +98,17 @@ def test_trace_examples():
     assert trace_of(semiflat_coordinates(1, 0, 0, 0, 0)) == KScalar.of(2)
 
 
+def trace_closed_form(n):
+    """The tau column of the basis, written out: 2n1 + 2n2 + n3 + 2n4 + 2n5 + n6 + (n7 + n8 + n9)*theta."""
+    return KScalar.of(2 * n.n1 + 2 * n.n2 + n.n3 + 2 * n.n4 + 2 * n.n5 + n.n6, n.n7 + n.n8 + n.n9)
+
+
 def test_trace_matches_recompose():
+    # trace_of is recompose(c).tau; the closed form is an independent oracle for it
     rng = random.Random(8)
     for _ in range(100):
         coords = K0Coordinates(*(rng.randint(-10, 10) for _ in range(9)))
-        assert trace_of(coords) == recompose(coords).tau
+        assert trace_of(coords) == trace_closed_form(coords)
 
 
 # ----------------------------------------------------------------- membership
@@ -458,6 +464,20 @@ def test_synthesis_total_matches_reference(free):
     r = synthesis_recipe(v, GOLDEN)
     flat = ChernVector(r.flat_trace, *([KSCALAR_ZERO] * 5))
     assert r.total() == reference_combination([(1, flat)] + [(g.count, g.vector) for g in r.generators]) == v
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=5, max_size=5), st.sampled_from(["golden", "sqrt2"]))
+def test_membership_genus_and_trace_match_closed_forms(free, preset):
+    # membership reads the genus and the trace off the basis; these are the formulas they satisfy
+    n1, n2, n3, n4, n9 = free
+    coords = semiflat_coordinates(*free)
+    d = semiflat_membership(recompose(coords), ThetaParam.preset(preset))
+    assert d.coordinates == coords and d.trace == trace_closed_form(coords)
+    if d.member:
+        assert d.genus == Genus(2 * n1 - n2 + n9, 2 * n4 - n2 + n9, 2 * n9 - 2 * n2 - 2 * n3)
+    else:
+        assert d.reason == "nonpositive-trace" and d.genus is None
 
 
 def test_membership_cross_check_survives_optimized_mode():

@@ -1,11 +1,15 @@
 import random
 import warnings
 
+from fractions import Fraction
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from nctorus import loops
-from nctorus.algebra import Element, apply_automorphism
+from nctorus.algebra import Element, GaussRational, PhaseScalar, apply_automorphism, numeric_eval
 from nctorus.cli import main
 from nctorus.loops import (
     ADJOINT_RESIDUAL_GATE,
@@ -30,7 +34,9 @@ from nctorus.loops import (
     projection_gates,
     _build_projection,
 )
-from nctorus.theta import ThetaParam
+from nctorus.realization import ApproximantCyclic, ReflectedCert, TraceValue, realize
+from nctorus.theta import Record, ThetaParam
+from nctorus.traces import chern_T2
 
 from conftest import mp_turns
 
@@ -58,7 +64,7 @@ def random_loop(rng, beta, n=N, kmax=2, band=32):
 
 
 def test_mul_rule_single_terms():
-    beta = GOLDEN.value
+    beta = GOLDEN.turns(0, 1)
     # f V * h V^-1 -> f (h shifted by beta) V^0
     fs = CircleFunction.from_function(lambda t: np.exp(2j * np.pi * 3 * t), N)
     hs = CircleFunction.from_function(lambda t: np.cos(2 * np.pi * t), N)
@@ -82,7 +88,7 @@ def test_grid_and_beta_mismatch_rejected():
 
 def test_associativity_random_triples():
     rng = random.Random(16)
-    beta = SQRT2.value
+    beta = SQRT2.turns(0, 1)
     for _ in range(12):
         x, y, z = (random_loop(rng, beta) for _ in range(3))
         left = loop_mul(loop_mul(x, y), z)
@@ -92,7 +98,7 @@ def test_associativity_random_triples():
 
 def test_star_involution():
     rng = random.Random(17)
-    beta = GOLDEN.value
+    beta = GOLDEN.turns(0, 1)
     for _ in range(12):
         x = random_loop(rng, beta)
         assert (loop_star(loop_star(x)) - x).snorm() <= 1e-14 * max(1.0, x.snorm())
@@ -100,7 +106,7 @@ def test_star_involution():
 
 def test_star_antihomomorphism():
     rng = random.Random(18)
-    beta = GOLDEN.value
+    beta = GOLDEN.turns(0, 1)
     for _ in range(8):
         x, y = random_loop(rng, beta), random_loop(rng, beta)
         lhs = loop_star(loop_mul(x, y))
@@ -110,7 +116,7 @@ def test_star_antihomomorphism():
 
 def test_snorm_submultiplicative():
     rng = random.Random(19)
-    beta = GOLDEN.value
+    beta = GOLDEN.turns(0, 1)
     for _ in range(25):
         x, y = random_loop(rng, beta), random_loop(rng, beta)
         assert loop_mul(x, y).snorm() <= x.snorm() * y.snorm() * (1 + 1e-9)
@@ -120,7 +126,7 @@ def test_pickle_and_copy_round_trip():
     import copy
     import pickle
 
-    x = random_loop(random.Random(22), GOLDEN.value, n=512)
+    x = random_loop(random.Random(22), GOLDEN.turns(0, 1), n=512)
     f = x.coeffs[next(iter(x.coeffs))]
     for back in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
         assert type(back) is CircleFunction and np.array_equal(back.samples, f.samples)
@@ -136,7 +142,7 @@ def test_pickle_and_copy_round_trip():
 
 def test_loop_json_roundtrip():
     rng = random.Random(20)
-    x = random_loop(rng, SQRT2.value, n=512)
+    x = random_loop(rng, SQRT2.turns(0, 1), n=512)
     back = LoopElement.from_json(x.to_json())
     assert back.n == x.n and back.beta == x.beta
     assert (back - x).snorm() <= 1e-15
@@ -154,7 +160,7 @@ def test_flip_on_base_monomial():
 
 def test_flip_involutive():
     rng = random.Random(21)
-    x = random_loop(rng, GOLDEN.value)
+    x = random_loop(rng, GOLDEN.turns(0, 1))
     assert (flip_apply(flip_apply(x)) - x).snorm() <= 1e-14 * max(1.0, x.snorm())
 
 
@@ -163,7 +169,7 @@ def test_flip_matches_exact_engine_on_monomials(rm, k):
     """flip(U^{rm} V^k) = U^{-rm} V^{-k}: cross-module oracle on embedded monomials."""
     r = 1
     n = 512
-    loop = monomial_loop(k, rm, n, (r * GOLDEN.value) % 1.0)
+    loop = monomial_loop(k, rm, n, (r * GOLDEN.turns(0, 1)) % 1.0)
     flipped = flip_apply(loop)
     exact = apply_automorphism("flip", Element.monomial(r * rm, k))
     ((mm, nn), coef), = exact.terms()
@@ -172,17 +178,43 @@ def test_flip_matches_exact_engine_on_monomials(rm, k):
     assert (flipped - want).snorm() <= 1e-12
 
 
+_TERMS = st.lists(
+    st.tuples(st.integers(-20, 20), st.integers(-3, 3), st.integers(-8, 8), st.integers(-5, 5), st.integers(-5, 5)),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([GOLDEN, SQRT2]), st.integers(1, 12), _TERMS)
+def test_loop_invariants_match_exact_phi_slots_of_embedded_elements(theta, r, terms):
+    """U^{rm} V^k with phase coefficient c embeds as numeric_eval(c) e(m t) in coefficient k of a
+    loop element over W = U^r (the same normal order): its numeric slots are the exact ones, evaluated."""
+    x = Element.zero()
+    for m, k, lam, re, im in terms:
+        x = x + Element.monomial(r * m, k, PhaseScalar({lam: GaussRational(re, im)}))
+    n = 256
+    spectra = {}
+    for (rm, k), c in x.terms():
+        spectra.setdefault(k, np.zeros(n, dtype=complex))[(rm // r) % n] += numeric_eval(c, theta)
+    coeffs = {k: CircleFunction(np.fft.ifft(spec) * n) for k, spec in spectra.items()}
+    rep = loop_invariants(LoopElement(theta.turns(0, r), coeffs, n), theta, r)
+    want = chern_T2(x)
+    assert abs(rep.tau - numeric_eval(want.tau, theta).real) <= 1e-12
+    for got, slot in zip(rep.raw, want.slots()[1:]):
+        assert abs(got - numeric_eval(slot, theta)) <= 1e-12
+
+
 # ------------------------------------------------------------------- bump pair
 
 
 def test_bump_integral_is_alpha():
-    for alpha, eps in ((GOLDEN.value, 0.1), (0.31, 0.05), (0.82, 0.04)):
+    for alpha, eps in ((GOLDEN.turns(0, 1), 0.1), (0.31, 0.05), (0.82, 0.04)):
         f, g = bump_pair(alpha, eps, 4096)
         assert abs(f.mean().real - alpha) <= 1e-10
 
 
 def test_bump_projection_identities_on_grid():
-    alpha, eps = GOLDEN.value, 0.1
+    alpha, eps = GOLDEN.turns(0, 1), 0.1
     n = 4096
     f, g = bump_pair(alpha, eps, n)
     t = CircleFunction.grid(n)
@@ -213,11 +245,11 @@ def test_bump_width_validation():
 
 def test_plain_build_golden():
     e = pr_build(1, 0, GOLDEN)
-    gates = projection_gates(e, GOLDEN.value, False)
+    gates = projection_gates(e, GOLDEN.turns(0, 1), False)
     assert gates.square_residual <= 1e-8
     assert gates.adjoint_residual <= 1e-12
     assert gates.trace_error <= 1e-10
-    assert abs(e.coefficient(0).mean().real - GOLDEN.value) <= 1e-10
+    assert abs(e.coefficient(0).mean().real - GOLDEN.turns(0, 1)) <= 1e-10
 
 
 def test_build_rejects_bad_flip_interval():
@@ -304,7 +336,7 @@ EXPECTED_ROWS = {
 def test_flip_symmetric_builds_reproduce_invariant_table(preset, parity):
     th = ThetaParam.preset(preset)
     r, s = TABLE_CASES[preset][parity]
-    alpha = r * th.value + s
+    alpha = r * th.turns(0, 1) + s
     e = pr_build(r, s, th, flip_symmetric=True)
     gates = projection_gates(e, alpha, True)
     assert gates.square_residual <= 1e-8
@@ -325,8 +357,8 @@ def test_r_odd_s_even_row():
 
 def test_trace_additivity_of_orthogonal_builds():
     th = GOLDEN
-    alpha = 2 * th.value - 1  # ~ 0.236
-    beta = (2 * th.value) % 1.0
+    alpha = 2 * th.turns(0, 1) - 1  # ~ 0.236
+    beta = (2 * th.turns(0, 1)) % 1.0
     e = assemble_projection(alpha, beta, n=8192, eps=0.02, centered=True)
     e2 = assemble_projection(alpha, beta, n=8192, eps=0.02, centered=True, offset=0.5)
     total = e + e2
@@ -336,8 +368,8 @@ def test_trace_additivity_of_orthogonal_builds():
 def test_semicyclic_surrogate_orthogonality():
     """Flip-symmetric builds on opposite arcs multiply to ~0."""
     th = GOLDEN
-    alpha = 2 * th.value - 1  # ~ 0.236 < 1/4 leaves room for disjoint supports
-    beta = (2 * th.value) % 1.0
+    alpha = 2 * th.turns(0, 1) - 1  # ~ 0.236 < 1/4 leaves room for disjoint supports
+    beta = (2 * th.turns(0, 1)) % 1.0
     n = 16384
     e = assemble_projection(alpha, beta, n=n, eps=0.012, centered=True)
     e2 = assemble_projection(alpha, beta, n=n, eps=0.012, centered=True, offset=0.5)
@@ -376,10 +408,90 @@ def test_build_refines_grid_when_too_coarse():
     # at n = 256 the bump is badly resolved; the builder must walk up
     e = pr_build(1, 0, GOLDEN, n=256)
     assert e.n > 256
-    assert projection_gates(e, GOLDEN.value, False).square_residual <= 1e-8
+    assert projection_gates(e, GOLDEN.turns(0, 1), False).square_residual <= 1e-8
 
 
 # ------------------------------------------------------------------ invariants
+
+
+def test_invariants_of_a_base_power_beyond_int64():
+    # r*m overflowed int64 in the parity selection (exit 1 from pr-build); only r mod 2 matters there
+    r = 10**20
+    e = pr_build(r, 0, GOLDEN)
+    rep = loop_invariants(e, GOLDEN, r)
+    assert abs(rep.tau - mp_turns("golden", 0, r)) <= TRACE_GATE
+    assert rep.raw[2] == rep.raw[3] == 0  # r even: no U^{rm} with rm odd
+    assert main(["pr-build", "--theta", "golden", "-r", str(r), "-s", "0", "--json"]) == 0
+
+
+# README parity table: (r mod 2, s mod 2) -> rounded (phi00, phi01, phi10, phi11) of a flip build
+PARITY_TABLE = {
+    (0, 1): (0, 1, 0, 0),
+    (0, 0): (0, 0, 0, 0),
+    (1, 1): (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)),
+    (1, 0): (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2)),
+}
+# Below a unit trace of about 0.02 the default bump width, a quarter of the trace, needs a grid
+# above MAX_GRID for the gates, so those leaves have no numeric witness here.
+WITNESS_MIN_TRACE = 0.02
+
+
+def cyclic_leaves(cert, theta):
+    """(leaf, theta) for each ApproximantCyclic leaf of a certificate; below a reflected node it is 1 - theta."""
+    stack = [(cert, theta)]
+    while stack:
+        node, th = stack.pop()
+        if isinstance(node, ApproximantCyclic):
+            yield node, th
+        elif isinstance(node, tuple):
+            stack.extend((x, th) for x in node)
+        elif isinstance(node, Record):
+            th = th.reflect() if isinstance(node, ReflectedCert) else th
+            stack.extend((getattr(node, f), th) for f in node._fields)
+
+
+@cache
+def leaf_witness(theta, p, q):
+    """The plain build pr_build(q, -p) of a leaf's unit trace, checked; a flip build's rounded phi
+    vector and its (q, s) parities when alpha is in (1/2, 1), else None."""
+    e, gates = _build_projection(q, -p, theta, False, loops.DEFAULT_GRID, None, 0.0, MAX_GRID)
+    assert e.n <= MAX_GRID and gates.square_residual <= SQUARE_RESIDUAL_GATE
+    assert gates.adjoint_residual <= ADJOINT_RESIDUAL_GATE and gates.trace_error <= TRACE_GATE
+    unit = ApproximantCyclic(1, p, q).trace(theta)  # |q*theta - p|, exactly
+    tau = loop_invariants(e, theta, q).tau
+    # alpha is (q*theta - p) mod 1: the unit trace itself, or 1 minus it when q*theta - p < 0
+    assert abs(tau - (unit.value(theta) if unit.b > 0 else 1 - unit.value(theta))) <= TRACE_GATE
+    s = -theta.floor_linear(q)
+    if not theta.in_open_interval(s, q, Fraction(1, 2), 1):
+        return None
+    flip = loop_invariants(pr_build(q, s, theta, flip_symmetric=True), theta, q)
+    return flip.rounded, (q % 2, s % 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([GOLDEN, SQRT2]),
+    st.sampled_from([("cyclic", 1, Fraction(1, 4)), ("semicyclic", 1, Fraction(1, 2)),
+                     ("flat", 4, 1), ("semiflat", 2, 1)]),
+    st.integers(-300, 300).filter(bool),
+)
+def test_certificate_leaves_have_numeric_witnesses(theta, kind_domain, b):
+    """Every cyclic leaf (k, p, q) of a realize certificate claims a projection of trace |q*theta - p|:
+    the Powers-Rieffel build with r = q, s = -p is one, and a flip build reproduces the parity table."""
+    kind, mult, hi = kind_domain
+    t = TraceValue(-mult * theta.floor_linear(b), mult * b)  # mult * frac(b*theta)
+    assume(t.in_open_interval(theta, 0, hi))
+    witnessed = 0
+    for leaf, th in cyclic_leaves(realize(kind, t, theta), theta):
+        unit = ApproximantCyclic(1, leaf.p, leaf.q).trace(th)
+        if not th.in_open_interval(unit.a, unit.b, WITNESS_MIN_TRACE, 1):
+            continue
+        witnessed += 1
+        flip = leaf_witness(th, leaf.p, leaf.q)
+        if flip is not None:
+            rounded, parities = flip
+            assert rounded == PARITY_TABLE[parities], (th.name, leaf, parities)
+    event(f"{witnessed} leaves witnessed")
 
 
 def test_invariants_of_even_even_build_are_zero():

@@ -120,7 +120,7 @@ def assert_same_invariants(e, theta, r):
 )
 def test_random_loops_match_reference(seed, theta, r, n, kmax):
     rng = random.Random(seed)
-    beta = (r * theta.value) % 1.0
+    beta = (r * theta.turns(0, 1)) % 1.0
     x = random_loop(rng, beta, n=n, kmax=kmax)
     y = random_loop(rng, beta, n=n, kmax=kmax)
     assert_identical(loop_mul(x, y), ref_loop_mul(x, y))
@@ -139,11 +139,11 @@ def test_bump_builds_match_reference(theta, n):
     rng = random.Random(n)
     for r, s, centered in ((6, -3, True), (3, -1, True), (4, -1, True), (9, -3, True), (2, 0, False),
                            (rng.randint(1, 40), rng.randint(-40, 40), False)):
-        alpha = r * theta.value + s
+        alpha = r * theta.turns(0, 1) + s
         if not centered or not 0.5 < alpha < 1:
             alpha %= 1.0
             centered = False
-        beta = (r * theta.value) % 1.0
+        beta = (r * theta.turns(0, 1)) % 1.0
         e = assemble_projection(alpha, beta, n=n, centered=centered, offset=0.5 * rng.randrange(2))
         assert_identical(loop_mul(e, e), ref_loop_mul(e, e))
         assert_identical(loop_star(e), ref_loop_star(e))
@@ -209,15 +209,15 @@ def numpy_calls(monkeypatch):
 
 
 def test_gate_attempt_transform_counts(numpy_calls):
-    e = assemble_projection(6 * GOLDEN.value - 3, (6 * GOLDEN.value) % 1.0, n=4096, centered=True)
+    e = assemble_projection(6 * GOLDEN.turns(0, 1) - 3, (6 * GOLDEN.turns(0, 1)) % 1.0, n=4096, centered=True)
     assert set(e.coeffs) == {-1, 0, 1}
-    projection_gates(e, 6 * GOLDEN.value - 3, True)
+    projection_gates(e, 6 * GOLDEN.turns(0, 1) - 3, True)
     assert numpy_calls["fft"] <= 13
     assert numpy_calls["complex_exp"] <= 1
 
 
 def test_invariant_transform_counts(numpy_calls):
-    e = assemble_projection(3 * GOLDEN.value - 1, (3 * GOLDEN.value) % 1.0, n=4096, centered=True)
+    e = assemble_projection(3 * GOLDEN.turns(0, 1) - 1, (3 * GOLDEN.turns(0, 1)) % 1.0, n=4096, centered=True)
     loop_invariants(e, GOLDEN, 3)
     assert numpy_calls["fft"] <= 3
     assert numpy_calls["complex_exp"] <= 1

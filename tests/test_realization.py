@@ -47,7 +47,7 @@ def test_golden_convergents():
 def test_consecutive_pairs_unimodular_when_bracket_ordered():
     for th in PRESETS:
         cs = convergents(th, 20)
-        t = th.value
+        t = th.turns(0, 1)
         for low, high in zip(cs, cs[1:]):
             if low.p / low.q > high.p / high.q:
                 low, high = high, low
@@ -57,7 +57,7 @@ def test_consecutive_pairs_unimodular_when_bracket_ordered():
 
 def test_approximation_quality_decreasing():
     cs = convergents(GOLDEN, 20)
-    t = GOLDEN.value
+    t = GOLDEN.turns(0, 1)
     errs = [abs(c.q * t - c.p) for c in cs]
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
@@ -432,7 +432,7 @@ def test_certificate_nodes_carry_lemma_tags():
 
 def test_density_of_flat_and_semiflat_traces_golden():
     rng = random.Random(15)
-    t = GOLDEN.value
+    t = GOLDEN.turns(0, 1)
     # pick a convergent step small enough for 1e-3 lattice spacing
     cs = convergents(GOLDEN, 30)
     step = next(c for c in cs if abs(c.q * t - c.p) < 2.5e-4 and c.q * t - c.p > 0)

@@ -17,8 +17,8 @@ def test_golden_convergents_are_fibonacci():
 
 
 def test_preset_values():
-    assert ThetaParam.preset("golden").value == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-15)
-    assert ThetaParam.preset("sqrt2").value == pytest.approx(math.sqrt(2) - 1, abs=1e-15)
+    assert ThetaParam.preset("golden").turns(0, 1) == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-15)
+    assert ThetaParam.preset("sqrt2").turns(0, 1) == pytest.approx(math.sqrt(2) - 1, abs=1e-15)
 
 
 def test_unknown_preset_rejected():
@@ -60,14 +60,14 @@ def test_floor_linear():
 def test_reflect_golden():
     th = ThetaParam.preset("golden")
     r = th.reflect()
-    assert r.value == pytest.approx(1 - th.value, abs=1e-14)
+    assert r.turns(0, 1) == pytest.approx(1 - th.turns(0, 1), abs=1e-14)
     assert r.cf_terms[:3] == (2, 1, 1)
 
 
 def test_reflect_sqrt2():
     th = ThetaParam.preset("sqrt2")
     r = th.reflect()
-    assert r.value == pytest.approx(2 - math.sqrt(2), abs=1e-14)
+    assert r.turns(0, 1) == pytest.approx(2 - math.sqrt(2), abs=1e-14)
     assert r.cf_terms[:4] == (1, 1, 2, 2)
 
 
@@ -94,7 +94,7 @@ def test_from_decimal_rejects_out_of_range():
 def test_parse_theta_forms():
     assert parse_theta("golden").name == "golden"
     assert parse_theta("cf:1,1,1,1,1,1,1,1").cf_terms == (1,) * 8
-    assert parse_theta("0.4142").value == pytest.approx(0.4142, abs=1e-4)
+    assert parse_theta("0.4142").in_open_interval(0, 1, Fraction(4141, 10000), Fraction(4143, 10000))
 
 
 def test_convergent_depth_errors():
