@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
     if not isinstance(payload.get("certificate"), dict):
         raise DomainRejection("the certificate file needs a 'certificate' object")
     theta = parse_theta(spec)
-    # past realization.MAX_NESTING levels this raises CertificateFormatError, a ValueError
+    # off the node layouts or past realization.MAX_NESTING levels: CertificateFormatError, a ValueError (exit 2)
     cert = realization.certificate_from_json(payload["certificate"])
     report = realization.verify_certificate(cert, theta)
     record = report.to_json()

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple, Union
 
@@ -84,9 +83,6 @@ class TraceValue(Record):
 
     __hash__ = Record.__hash__
 
-    def value(self, theta: ThetaParam) -> float:
-        return self.a + theta.floor_linear(self.b) + theta.turns(0, self.b)
-
     def in_open_interval(self, theta: ThetaParam, lo, hi) -> bool:
         return theta.in_open_interval(self.a, self.b, lo, hi)
 
@@ -121,11 +117,9 @@ def parse_trace(text: str) -> TraceValue:
 # ----------------------------------------------------------------- convergents
 
 
-def convergents(theta: ThetaParam, depth: int) -> list[Convergent]:
-    """The convergents c_0 = 0/1, c_1, ..., c_depth of theta."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return [Convergent(p, q) for p, q in theta.convergents_pq(depth)]
+def convergents(theta: ThetaParam) -> list[Convergent]:
+    """Every stored convergent of theta: c_0 = 0/1, c_1, ..."""
+    return [Convergent(p, q) for p, q in theta.convergents]
 
 
 def _bracketing_pair(theta: ThetaParam, bound: Fraction) -> Tuple[Convergent, Convergent]:
@@ -137,7 +131,7 @@ def _bracketing_pair(theta: ThetaParam, bound: Fraction) -> Tuple[Convergent, Co
     settled here, so a pair the stored prefix cannot place raises
     PrecisionExhausted, as does a prefix with no pair past the bound.
     """
-    pq = theta.convergents_pq(theta.max_depth)
+    pq = theta.convergents
     for j in range(len(pq) - 1):
         x, y = Convergent(*pq[j]), Convergent(*pq[j + 1])
         low, high = (x, y) if x.as_fraction() < y.as_fraction() else (y, x)
@@ -278,11 +272,13 @@ def _check_embedding(m: int, n: int) -> Optional[str]:
 
 # ---------------------------------------------------------------- certificates
 
-MAX_NESTING = 900  # the most certificates a chain may nest below its root; realize nests at most 5
+# The most certificates a chain may nest below its root: the deepest chain replay accepts is
+# reflected -> semiflat -> semicyclic subprojection -> orbit-double -> cyclic -> flat.
+MAX_NESTING = 5
 
 
 class CertificateFormatError(ValueError):
-    """Certificate JSON that does not follow the declared layout of its nodes."""
+    """A certificate, or its JSON, that does not follow the declared layout of its nodes."""
 
 
 def _shape_error(raw, keys, where: str, tag=None) -> CertificateFormatError:
@@ -329,9 +325,10 @@ class _Node(Record):
     ``layout`` maps each JSON key after ``node`` and ``lemma``, in serialized
     order, to its field type: ``int``, ``str``, ``TraceValue``, ``Convergent``,
     ``FourSquares``, a leaf node class, a pair of leaf classes, or
-    ``_Certificate`` for the certificate child, which comes last, so that
-    serialize, parse and replay walk a chain of certificates in a loop.  The
-    codec tables the generic serializer and strict parser use are built here.
+    ``_Certificate`` for the certificate child, which comes last: serialize
+    and parse handle it apart from the node's own fields, and replay moves on
+    to it after them.  The codec tables the generic serializer and strict
+    parser use are built here.
     """
 
     __slots__ = ()
@@ -383,46 +380,19 @@ class _Node(Record):
         return node
 
 
-# an int that hashes to itself: in a tuple being hashed, it stands in for a value of that hash
-_Hashed = type("_Hashed", (int,), {"__slots__": (), "__hash__": int.__int__})
-
-
 class _Certificate(_Node):
     """A certificate node; ``kind`` is the realization kind it certifies."""
 
     __slots__ = ()
 
-    def _links(self) -> list:
-        """(class, fields) of each certificate from the innermost out to this one, a certificate child
-        as None.  ``==``, hash, repr and pickle walk these, so that no depth recurses as Record's do."""
-        links, node = [], self
-        while isinstance(node, _Certificate):
-            values = node._astuple(node)
-            child = values[-1] if node._child else None
-            links.append((node.__class__, (*values[:-1], None) if isinstance(child, _Certificate) else values))
-            node = child
-        return links[::-1]
-
-    def __eq__(self, other) -> bool:
-        return self._links() == other._links() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        (_, inner), *outer = self._links()
-        return reduce(lambda h, link: hash((*link[1][:-1], _Hashed(h))), outer, hash(inner))
-
-    def __repr__(self) -> str:
-        inner, *outer = [f"{cls.__qualname__}(" + ", ".join(f"{f}={v!r}" for f, v in zip(cls._fields, values))
-                         for cls, values in self._links()]  # an outer head ends in its child's None
-        return "".join(head.removesuffix("None") for head in reversed(outer)) + inner + ")" * (1 + len(outer))
-
-    def __reduce__(self):
-        return _from_links, (self._links(),)
-
-
-def _from_links(links: list) -> _Certificate:
-    """The certificate chain that _Certificate._links lists."""
-    (cls, values), *outer = links
-    return reduce(lambda node, link: link[0](*link[1][:-1], node), outer, cls(*values))
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        node = self
+        for _ in range(MAX_NESTING + 1):
+            node = getattr(node, node._child) if node._child else None
+            if not isinstance(node, _Certificate):
+                return
+        raise CertificateFormatError(f"a certificate nests at most {MAX_NESTING} certificates below its root")
 
 
 class ApproximantCyclic(_Node):
@@ -549,7 +519,7 @@ class SemicyclicCert(_Certificate):
             return cls(t, "orbit-double", CyclicCert._realize(TraceValue(t.a // 2, t.b // 2), theta))
         # find an even bound 2x with t < 2x < 1/2, via a positive step 2(q*theta - p)
         # smaller than the room 1/2 - t above t
-        for p, q in theta.convergents_pq(theta.max_depth):
+        for p, q in theta.convergents:
             if q > 0 and theta.sign_linear(-p, q) > 0 and (
                 theta.sign_linear(Fraction(1, 2) - t.a + 2 * p, -t.b - 2 * q) > 0
             ):
@@ -677,12 +647,7 @@ class ReflectedCert(_Certificate):
     tag, lemma = "reflected", "angle-reflection"
     layout = {"target": TraceValue, "inner": _Certificate}
 
-    @property
-    def kind(self) -> str:
-        node = self.inner
-        while node.__class__ is ReflectedCert:
-            node = node.inner
-        return node.kind
+    kind = property(lambda self: self.inner.kind)
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
         t, inner = self.target, self.inner
@@ -757,17 +722,9 @@ def verify_certificate(cert: Certificate, theta: ThetaParam) -> VerificationRepo
     v = _Replay()
     node, path = cert, cert.kind
     try:
-        for _ in range(MAX_NESTING + 1):
-            if not isinstance(node, _Certificate):
-                v.append((path, f"unknown node type {type(node).__name__}"))
-                break
-            step = node._replay(v, theta, path)
-            if step is None:
-                break
+        while (step := node._replay(v, theta, path)) is not None:
             path = f"{path}.{node._child}"
             node, theta = step
-        else:
-            v.append((path, f"nested deeper than {MAX_NESTING} certificates"))
     except PrecisionExhausted as exc:
         v.append(("theta", str(exc)))
     return VerificationReport(not v, tuple(v))
@@ -778,15 +735,12 @@ def verify_certificate(cert: Certificate, theta: ThetaParam) -> VerificationRepo
 
 def certificate_to_json(cert: Certificate) -> dict:
     """Stable JSON form; every node carries its `node` tag and `lemma` slug."""
-    top: dict = {}
-    parent, key, node = top, "certificate", cert
-    while key is not None:
-        if not isinstance(node, _Certificate):
-            raise TypeError(f"cannot serialize {type(node).__name__}")
-        parent[key] = parent = node._to_json()  # the child, if any, is the last key
-        key = node._child
-        node = getattr(node, key) if key else None
-    return top["certificate"]
+    if not isinstance(cert, _Certificate):
+        raise TypeError(f"cannot serialize {type(cert).__name__}")
+    out = cert._to_json()
+    if cert._child:
+        out[cert._child] = certificate_to_json(getattr(cert, cert._child))
+    return out
 
 
 def certificate_from_json(data) -> Certificate:
@@ -794,24 +748,22 @@ def certificate_from_json(data) -> Certificate:
     tag and `lemma`, JSON integers and strings where declared, and at most MAX_NESTING
     certificates below it, or CertificateFormatError is raised.  A certificate child of the
     wrong type parses; the replay reports it."""
-    chain = []
-    raw, where = data, "certificate"
-    while True:
-        tag = raw.get("node") if isinstance(raw, dict) else None
-        cls = _CERTIFICATES.get(tag) if type(tag) is str else None
-        if cls is None:
-            raise _shape_error(raw, (), where) if not isinstance(raw, dict) else CertificateFormatError(
-                f"{where}: unknown certificate node tag {tag!r}")
-        chain.append((cls, raw, where))
-        key = cls._child
-        if key is None:
-            break
-        if len(chain) > MAX_NESTING:
-            raise CertificateFormatError("the certificate is nested too deeply to read")
-        if key not in raw:
-            raise _shape_error(raw, cls._keys, where)
-        raw, where = raw[key], f"{where}.{key}"
-    node = None
-    for cls, raw, where in reversed(chain):
-        node = cls._from_json(raw, where, node)
-    return node
+    return _certificate_from_json(data, "certificate", 0)
+
+
+def _certificate_from_json(raw, where: str, depth: int) -> Certificate:
+    """The certificate in raw, found ``depth`` certificates below the root; its chain is checked
+    down to the innermost node before any node is parsed, from the innermost out."""
+    tag = raw.get("node") if isinstance(raw, dict) else None
+    cls = _CERTIFICATES.get(tag) if type(tag) is str else None
+    if cls is None:
+        raise _shape_error(raw, (), where) if not isinstance(raw, dict) else CertificateFormatError(
+            f"{where}: unknown certificate node tag {tag!r}")
+    key = cls._child
+    if key is None:
+        return cls._from_json(raw, where)
+    if depth == MAX_NESTING:
+        raise CertificateFormatError("the certificate is nested too deeply to read")
+    if key not in raw:
+        raise _shape_error(raw, cls._keys, where)
+    return cls._from_json(raw, where, _certificate_from_json(raw[key], f"{where}.{key}", depth + 1))

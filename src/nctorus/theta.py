@@ -266,8 +266,8 @@ class ThetaParam(Record):
     # ------------------------------------------------------------ convergents
 
     @cached_property
-    def _pq(self) -> tuple[tuple[int, int], ...]:
-        """Convergents (p0, q0) = (0, 1), (p1, q1) = (1, a1), ..."""
+    def convergents(self) -> tuple[tuple[int, int], ...]:
+        """Every stored convergent p/q as (p, q): (p0, q0) = (0, 1), (p1, q1) = (1, a1), ..."""
         if not self.cf_terms:
             return ((0, 1),)
         ps = [0, 1]
@@ -277,22 +277,9 @@ class ThetaParam(Record):
             qs.append(a * qs[-1] + qs[-2])
         return tuple(zip(ps, qs))
 
-    def convergents_pq(self, depth: int) -> tuple[tuple[int, int], ...]:
-        """The first ``depth + 1`` convergents (p/q), starting at 0/1."""
-        if depth + 1 > len(self._pq):
-            raise PrecisionExhausted(
-                f"insufficient-cf-data: depth {depth} needs more than the stored "
-                f"{len(self.cf_terms)} continued-fraction terms"
-            )
-        return self._pq[: depth + 1]
-
-    @property
-    def max_depth(self) -> int:
-        return len(self._pq) - 1
-
     def brackets(self) -> Iterator[tuple[Fraction, Fraction]]:
         """Successively tighter rational intervals lo < theta < hi."""
-        pq = self._pq
+        pq = self.convergents
         for j in range(len(pq) - 1):
             x = Fraction(pq[j][0], pq[j][1])
             y = Fraction(pq[j + 1][0], pq[j + 1][1])
@@ -315,7 +302,7 @@ class ThetaParam(Record):
         sign that any bracket settles, this one settles too.  Walking up from
         the deepest bracket finds it in one step for an exact prefix.
         """
-        pq = self._pq
+        pq = self.convergents
         for j in range(len(pq) - 2, -1, -1):
             x, y = Fraction(*pq[j]), Fraction(*pq[j + 1])
             lo, hi = (x, y) if x < y else (y, x)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -25,6 +26,15 @@ def mp_turns(name, a, b):
     with mpmath.workdps(digits):
         x = mpmath.mpf(a.numerator) / a.denominator + mpmath.mpf(b.numerator) / b.denominator * MP_THETA[name]()
         return float(x - mpmath.floor(x))
+
+
+def reflected_chain_json(depth: int, certificate) -> str:
+    """JSON text of a certificate under ``depth`` reflected wrappers, each with the target 1 - theta.
+
+    Built as text, so that no depth reaches the recursion limit of the json encoder.
+    """
+    wrap = '{"node": "reflected", "lemma": "angle-reflection", "target": {"a": 1, "b": -1}, "inner": '
+    return wrap * depth + json.dumps(certificate) + "}" * depth
 
 
 def reorder_word_oracle(letters):

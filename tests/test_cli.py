@@ -9,8 +9,9 @@ import pytest
 
 import nctorus
 from nctorus.cli import CERT_FORMAT, main
+from nctorus.realization import MAX_NESTING
 
-from conftest import mp_turns
+from conftest import mp_turns, reflected_chain_json
 
 SRC = str(Path(nctorus.__file__).resolve().parent.parent)
 
@@ -289,18 +290,6 @@ def test_verify_text_mode_reports_the_failure_count(tmp_path, capsys):
         "'cyclic-from-rational-approximant', not 'angle-reflection'\n"
 
 
-def _nested_certificate(tmp_path, capsys, depth: int) -> Path:
-    """A flat certificate wrapped in ``depth`` reflected nodes, written without recursion."""
-    leaf = json.dumps(_flat_certificate(tmp_path, capsys)["certificate"])
-    wrap = '{"node": "reflected", "lemma": "angle-reflection", "target": {"a": 1, "b": -1}, "inner": '
-    path = tmp_path / f"nested-{depth}.json"
-    path.write_text(
-        f'{{"format": "{CERT_FORMAT}", "theta": "golden", "kind": "flat", "certificate": '
-        + wrap * depth + leaf + "}" * depth + "}"
-    )
-    return path
-
-
 def _cli_subprocess(*argv, cwd):
     """``python -m nctorus.cli`` in a fresh interpreter, so the stack depth is the command's own."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -310,16 +299,32 @@ def _cli_subprocess(*argv, cwd):
     )
 
 
-def test_verify_nested_900_levels_gives_failing_report(tmp_path, capsys):
-    proc = _cli_subprocess("verify", "--json", str(_nested_certificate(tmp_path, capsys, 900)), cwd=tmp_path)
+def _verify_nested(tmp_path, capsys, depth: int):
+    """``verify --json`` in a fresh interpreter on a flat certificate under ``depth`` reflected wrappers."""
+    chain = reflected_chain_json(depth, _flat_certificate(tmp_path, capsys)["certificate"])
+    path = tmp_path / f"nested-{depth}.json"
+    path.write_text(f'{{"format": "{CERT_FORMAT}", "theta": "golden", "kind": "flat", "certificate": {chain}}}')
+    return _cli_subprocess("verify", "--json", str(path), cwd=tmp_path)
+
+
+def test_verify_accepts_the_deepest_chain_realize_writes(tmp_path, capsys):
+    # reflected -> semiflat -> subprojection -> orbit-double -> cyclic -> flat: MAX_NESTING below the root
+    path = tmp_path / "semiflat.json"
+    assert run(capsys, "realize", "--kind", "semiflat", "--trace", "2-2t", "-o", str(path))[0] == 0
+    assert run(capsys, "verify", str(path)) == (0, "certificate verifies\n", "")
+
+
+def test_verify_nested_max_nesting_levels_gives_failing_report(tmp_path, capsys):
+    proc = _verify_nested(tmp_path, capsys, MAX_NESTING)
     assert proc.returncode == 2, proc.stderr
     rec = json.loads(proc.stdout)
-    assert rec["ok"] is False and rec["failures"]
+    assert rec["ok"] is False and rec["failures"][0] == ["flat", "inner target is not the reflected target"]
 
 
-@pytest.mark.parametrize("depth", [990, 5000])
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 5000])
 def test_verify_too_deeply_nested_is_rejected(tmp_path, capsys, depth):
-    proc = _cli_subprocess("verify", "--json", str(_nested_certificate(tmp_path, capsys, depth)), cwd=tmp_path)
+    # one level past MAX_NESTING is the parser's rejection; 5000 levels are the json decoder's
+    proc = _verify_nested(tmp_path, capsys, depth)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == "" and proc.stderr == "error: the certificate is nested too deeply to read\n"
 

@@ -126,7 +126,7 @@ def test_unknown_attribute_raises_attribute_error():
 @pytest.mark.parametrize("module", sorted(p.name for p in Path(SRC, "nctorus").glob("*.py") if p.name != "theta.py"))
 def test_only_theta_turns_theta_into_a_float(module):
     # ThetaParam.turns is the one float of theta, with an error bound; no .value or rational_approx
-    # may come back.  Every .value read is flagged: only TraceValue has one, which no module reads.
+    # may come back.  Every .value read is flagged: no value type of the package has one.
     tree = ast.parse(Path(SRC, "nctorus", module).read_text(encoding="utf-8"))
     reads = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("value", "rational_approx")]

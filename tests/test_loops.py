@@ -457,10 +457,9 @@ def leaf_witness(theta, p, q):
     e, gates = _build_projection(q, -p, theta, False, loops.DEFAULT_GRID, None, 0.0, MAX_GRID)
     assert e.n <= MAX_GRID and gates.square_residual <= SQUARE_RESIDUAL_GATE
     assert gates.adjoint_residual <= ADJOINT_RESIDUAL_GATE and gates.trace_error <= TRACE_GATE
-    unit = ApproximantCyclic(1, p, q).trace(theta)  # |q*theta - p|, exactly
     tau = loop_invariants(e, theta, q).tau
-    # alpha is (q*theta - p) mod 1: the unit trace itself, or 1 minus it when q*theta - p < 0
-    assert abs(tau - (unit.value(theta) if unit.b > 0 else 1 - unit.value(theta))) <= TRACE_GATE
+    # alpha is (q*theta - p) mod 1: the unit trace |q*theta - p| itself, or 1 minus it when q*theta - p < 0
+    assert abs(tau - theta.turns(-p, q)) <= TRACE_GATE
     s = -theta.floor_linear(q)
     if not theta.in_open_interval(s, q, Fraction(1, 2), 1):
         return None

@@ -17,6 +17,7 @@ from nctorus.realization import (
     CertificateFormatError,
     OutOfRange,
     ReflectedCert,
+    SemiflatCert,
     TraceValue,
     WrongSubgroup,
     certificate_from_json,
@@ -31,6 +32,8 @@ from nctorus.realization import (
 )
 from nctorus.theta import Record, ThetaParam
 
+from conftest import reflected_chain_json
+
 GOLDEN = ThetaParam.preset("golden")
 SQRT2 = ThetaParam.preset("sqrt2")
 PRESETS = (GOLDEN, SQRT2)
@@ -40,13 +43,13 @@ PRESETS = (GOLDEN, SQRT2)
 
 
 def test_golden_convergents():
-    cs = convergents(GOLDEN, 5)
+    cs = convergents(GOLDEN)[:6]
     assert [(c.p, c.q) for c in cs] == [(0, 1), (1, 1), (1, 2), (2, 3), (3, 5), (5, 8)]
 
 
 def test_consecutive_pairs_unimodular_when_bracket_ordered():
     for th in PRESETS:
-        cs = convergents(th, 20)
+        cs = convergents(th)[:21]
         t = th.turns(0, 1)
         for low, high in zip(cs, cs[1:]):
             if low.p / low.q > high.p / high.q:
@@ -56,15 +59,17 @@ def test_consecutive_pairs_unimodular_when_bracket_ordered():
 
 
 def test_approximation_quality_decreasing():
-    cs = convergents(GOLDEN, 20)
+    cs = convergents(GOLDEN)[:21]
     t = GOLDEN.turns(0, 1)
     errs = [abs(c.q * t - c.p) for c in cs]
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
-def test_depth_validation():
-    with pytest.raises(ValueError):
-        convergents(GOLDEN, 0)
+def test_convergents_are_every_stored_one():
+    for th in (*PRESETS, ThetaParam.from_cf([3, 1, 4])):
+        cs = convergents(th)
+        assert len(cs) == len(th.cf_terms) + 1 and cs[0] == (0, 1)
+        assert [(c.p, c.q) for c in cs] == list(th.convergents)
 
 
 # -------------------------------------------------------------- flat_decompose
@@ -336,7 +341,7 @@ def test_fourier_k_always_binary(rng):
             node = cert.inner if type(cert).__name__ == "ReflectedCert" else cert
             assert node.k in (0, 1)
             # combined trace below 2
-            assert t.value(th) + node.k < 2
+            assert th.turns(t.a, t.b) + node.k < 2
 
 
 # ------------------------------------------------------------------ mutations
@@ -434,7 +439,7 @@ def test_density_of_flat_and_semiflat_traces_golden():
     rng = random.Random(15)
     t = GOLDEN.turns(0, 1)
     # pick a convergent step small enough for 1e-3 lattice spacing
-    cs = convergents(GOLDEN, 30)
+    cs = convergents(GOLDEN)
     step = next(c for c in cs if abs(c.q * t - c.p) < 2.5e-4 and c.q * t - c.p > 0)
     d = step.q * t - step.p
     for _ in range(100):
@@ -445,7 +450,7 @@ def test_density_of_flat_and_semiflat_traces_golden():
             if not tv.in_open_interval(GOLDEN, 0, 1):
                 k -= 1
                 tv = TraceValue(-mult * k * step.p, mult * k * step.q)
-            assert abs(tv.value(GOLDEN) - x) < 1e-3
+            assert abs(GOLDEN.turns(tv.a, tv.b) - x) < 1e-3
             cert = realize(kind, tv, GOLDEN)
             assert verify_certificate(cert, GOLDEN).ok
 
@@ -491,7 +496,7 @@ def test_shallow_prefix_reports_insufficient_data():
 def test_deep_convergent_targets_realize_and_verify(theta, depth, kind, scale):
     # scale * (q*theta - p) for the convergent p/q at this depth, below theta: the
     # bracketing pair past p/q lies deeper still, and every stored convergent is searched
-    p, q = theta.convergents_pq(depth)[-1]
+    p, q = theta.convergents[depth]
     assert theta.sign_linear(-p, q) > 0
     cert = realize(kind, TraceValue(-scale * p, scale * q), theta)
     parsed = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
@@ -514,8 +519,8 @@ def test_realize_writes_only_certificates_that_verify(kind, data):
     theta = data.draw(st.sampled_from(SEARCH_THETAS))
     mult = _BY_KIND[kind].domain[2]
     # four_squares slows down on huge theta-coefficients; the fourier kind searches no convergents
-    top = theta.max_depth if kind != "fourier_invariant" else min(theta.max_depth, 40)
-    q = theta.convergents_pq(data.draw(st.integers(1, top)))[-1][1]
+    top = len(theta.convergents) - 1 if kind != "fourier_invariant" else min(len(theta.convergents) - 1, 40)
+    q = theta.convergents[data.draw(st.integers(1, top))][1]
     b = q * data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
     try:
         x = TraceValue(-theta.floor_linear(b), b)  # frac(b*theta)
@@ -609,63 +614,75 @@ def test_semiflat_with_flat_inner_is_a_failing_report():
 # ---------------------------------------------------------- nesting limit
 
 
-def _reflected_chain_json(depth, data=None):
-    """A certificate (a flat one by default) under ``depth`` reflected wrappers, as JSON built without recursion."""
-    if data is None:
-        data = certificate_to_json(realize("flat", TraceValue(-4, 8), GOLDEN))
-    for _ in range(depth):
-        data = {"node": "reflected", "lemma": "angle-reflection", "target": {"a": 1, "b": -1}, "inner": data}
-    return data
-
-
-def _reflected_chain(depth, cert=None):
-    if cert is None:
-        cert = realize("flat", TraceValue(-4, 8), GOLDEN)
+def _reflected_chain(depth):
+    cert = realize("flat", TraceValue(-4, 8), GOLDEN)
     for _ in range(depth):
         cert = ReflectedCert(TraceValue(1, -1), cert)
     return cert
 
 
-def test_parser_nesting_limit_is_max_nesting():
-    assert 900 <= MAX_NESTING <= 989
-    cert = certificate_from_json(_reflected_chain_json(MAX_NESTING))
-    assert cert.kind == "flat"
-    for depth in (MAX_NESTING + 1, 990, 5000):
-        with pytest.raises(CertificateFormatError, match="^the certificate is nested too deeply to read$"):
-            certificate_from_json(_reflected_chain_json(depth))
+def _nested(depth, leaf):
+    """The certificate parsed from the JSON leaf under ``depth`` reflected wrappers."""
+    return certificate_from_json(json.loads(reflected_chain_json(depth, leaf)))
 
 
-def test_replay_of_a_5000_deep_chain_is_a_failing_report():
-    cert = _reflected_chain(5000)
-    assert cert.kind == "flat"  # no recursion through the wrappers
+def _chain(cert):
+    """The certificates of a chain from the root in, as (tag, mode) pairs; mode is None off semicyclic nodes."""
+    links = [(cert.tag, getattr(cert, "mode", None))]
+    while cert._child:
+        cert = getattr(cert, cert._child)
+        links.append((cert.tag, getattr(cert, "mode", None)))
+    return links
+
+
+@pytest.mark.parametrize("t, theta", [("2-2t", GOLDEN), ("2-4t", SQRT2)], ids=["golden", "sqrt2"])
+def test_the_deepest_realize_chain_nests_max_nesting_and_verifies(t, theta):
+    cert = realize("semiflat", parse_trace(t), theta)
+    assert _chain(cert) == [("reflected", None), ("semiflat", None), ("semicyclic", "subprojection"),
+                            ("semicyclic", "orbit-double"), ("cyclic", None), ("flat", None)]
+    assert len(_chain(cert)) == MAX_NESTING + 1
+    assert verify_certificate(cert, theta).ok
+    data = certificate_to_json(cert)
+    assert certificate_from_json(json.loads(json.dumps(data))) == cert
+    # one level deeper is refused both ways a chain is made
+    with pytest.raises(CertificateFormatError,
+                       match=f"^a certificate nests at most {MAX_NESTING} certificates below its root$"):
+        ReflectedCert(cert.target.reflected(), cert)
+    with pytest.raises(CertificateFormatError, match="^the certificate is nested too deeply to read$"):
+        _nested(1, data)
+
+
+@pytest.mark.parametrize("outer", [ReflectedCert, SemiflatCert])
+def test_construction_refuses_a_chain_deeper_than_max_nesting(outer):
+    cert = _reflected_chain(MAX_NESTING - 1)
+    assert len(_chain(outer(TraceValue(1, -1), cert))) == MAX_NESTING + 1
+    with pytest.raises(CertificateFormatError, match=f"nests at most {MAX_NESTING} certificates"):
+        outer(TraceValue(1, -1), ReflectedCert(TraceValue(1, -1), cert))
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, MAX_NESTING + 2, 500])
+@pytest.mark.parametrize("leaf", ["flat", "garbage"])
+def test_parser_refuses_json_nested_deeper_than_max_nesting(depth, leaf):
+    # checked on the way down: what lies past the limit is never read
+    with pytest.raises(CertificateFormatError, match="^the certificate is nested too deeply to read$"):
+        _nested(depth, _flat_json() if leaf == "flat" else [1])
+
+
+def test_a_max_nesting_deep_json_chain_gives_a_failing_report():
+    cert = _nested(MAX_NESTING, _flat_json())
+    assert cert.kind == "flat" and len(_chain(cert)) == MAX_NESTING + 1
     report = verify_certificate(cert, GOLDEN)
     assert not report.ok
-    # every wrapper up to the limit fails its own check, then the walk stops
-    assert len(report.failures) == MAX_NESTING + 2
     assert report.failures[0] == ("flat", "inner target is not the reflected target")
-    path, message = report.failures[-1]
-    assert message == f"nested deeper than {MAX_NESTING} certificates"
-    assert path == "flat" + ".inner" * (MAX_NESTING + 1)
-
-
-def test_serializer_walks_a_deep_chain_without_recursion():
-    data = certificate_to_json(_reflected_chain(5000))
-    depth = 0
-    while data["node"] == "reflected":
-        assert list(data) == ["node", "lemma", "target", "inner"]
-        data, depth = data["inner"], depth + 1
-    assert depth == 5000 and data["node"] == "flat"
 
 
 def test_replay_at_the_limit_reaches_the_innermost_node():
-    data = _reflected_chain_json(MAX_NESTING)
-    flat = data
-    while flat["node"] == "reflected":
-        flat = flat["inner"]
-    flat["a"] += 1
-    report = verify_certificate(certificate_from_json(data), GOLDEN)
-    assert len({path for path, _ in report.failures}) == MAX_NESTING + 1
-    assert report.failures[-1] == ("flat" + ".inner" * MAX_NESTING, "first leg does not carry (a, low)")
+    data = _flat_json()
+    data["a"] += 1
+    report = verify_certificate(_nested(MAX_NESTING, data), GOLDEN)
+    innermost = "flat" + ".inner" * MAX_NESTING
+    assert report.failures[-1][0] == innermost
+    assert (innermost, "first leg does not carry (a, low)") in report.failures
 
 
 def _record_repr(value):
@@ -676,22 +693,18 @@ def _record_repr(value):
     return f"{type(value).__qualname__}({body})"
 
 
-@pytest.mark.parametrize("depth, parsed", [(MAX_NESTING, True), (5000, False)])
-def test_deep_chains_compare_hash_print_and_pickle(depth, parsed):
+def test_chains_at_max_nesting_compare_hash_print_and_pickle():
     data = _flat_json()
     leaves = (data, data, dict(data, a=data["a"] + 1))  # the third differs in the innermost field a alone
-    if parsed:
-        cert, twin, other = (certificate_from_json(_reflected_chain_json(depth, leaf)) for leaf in leaves)
-    else:
-        cert, twin, other = (_reflected_chain(depth, certificate_from_json(leaf)) for leaf in leaves)
+    cert, twin, other = (_nested(MAX_NESTING, leaf) for leaf in leaves)
     assert cert is not twin and cert == twin and not (cert != twin)
     assert hash(cert) == hash(twin)
     assert cert != other and not (cert == other)
     for copied in (pickle.loads(pickle.dumps(cert)), copy.copy(cert), copy.deepcopy(cert)):
         assert type(copied) is ReflectedCert and copied == cert and hash(copied) == hash(cert)
     text = repr(cert)
-    assert text.count("ReflectedCert(target=TraceValue(a=1, b=-1), inner=") == depth
-    assert text.endswith(_record_repr(certificate_from_json(data)) + ")" * depth)
+    assert text.count("ReflectedCert(target=TraceValue(a=1, b=-1), inner=") == MAX_NESTING
+    assert text.endswith(_record_repr(certificate_from_json(data)) + ")" * MAX_NESTING)
 
 
 def test_certificate_repr_is_the_record_repr_up_to_depth_5():

@@ -13,7 +13,7 @@ from conftest import MP_THETA
 
 def test_golden_convergents_are_fibonacci():
     th = ThetaParam.preset("golden")
-    assert th.convergents_pq(6) == ((0, 1), (1, 1), (1, 2), (2, 3), (3, 5), (5, 8), (8, 13))
+    assert th.convergents[:7] == ((0, 1), (1, 1), (1, 2), (2, 3), (3, 5), (5, 8), (8, 13))
 
 
 def test_preset_values():
@@ -97,10 +97,10 @@ def test_parse_theta_forms():
     assert parse_theta("0.4142").in_open_interval(0, 1, Fraction(4141, 10000), Fraction(4143, 10000))
 
 
-def test_convergent_depth_errors():
-    th = ThetaParam.from_cf([1, 1, 1])
-    with pytest.raises(PrecisionExhausted):
-        th.convergents_pq(10)
+def test_convergents_are_every_stored_one():
+    assert ThetaParam.from_cf([1, 1, 1]).convergents == ((0, 1), (1, 1), (1, 2), (2, 3))
+    assert len(ThetaParam.preset("sqrt2").convergents) == 161
+    assert parse_theta("0.5").convergents == ((0, 1),)  # an exactly-rational input pins no terms
 
 
 def test_reflect_of_empty_prefix_is_precision_exhausted():
@@ -267,7 +267,7 @@ def test_bracket_is_the_narrowest_of_brackets(th):
 def test_bracket_of_an_exact_prefix_is_its_deepest_convergent_pair():
     th = ThetaParam.preset("golden")
     (p1, q1), (p2, q2) = th._bracket
-    assert {(p1, q1), (p2, q2)} == set(th._pq[-2:])
+    assert {(p1, q1), (p2, q2)} == set(th.convergents[-2:])
 
 
 # -------------------------------------------------- turns: theta's one float
