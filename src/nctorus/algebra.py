@@ -31,27 +31,20 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple, Union
 
-from .theta import ThetaParam, _rat_str, _read_int, _read_ratio
+from .theta import Record, ThetaParam, _rat_str, _read_int, _read_ratio
 
 Rat = Union[int, Fraction]
 
 
-class GaussRational:
+class GaussRational(Record):
     """A Gaussian rational re + im*i with exact Fraction parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, *args):
-        raise AttributeError("GaussRational is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return GaussRational, (self.re, self.im)
+        set_re, set_im = self._setters
+        set_re(self, Fraction(re))
+        set_im(self, Fraction(im))
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
         return GaussRational(self.re + other.re, self.im + other.im)
@@ -70,14 +63,6 @@ class GaussRational:
 
     def conjugate(self) -> "GaussRational":
         return GaussRational(self.re, -self.im)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaussRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
@@ -134,7 +119,7 @@ def _sum(c1: dict, d1: int, c2: dict, d2: int) -> Tuple[dict, int]:
     return _canonical(c, d)
 
 
-class PhaseScalar:
+class PhaseScalar(Record):
     """A Laurent polynomial  sum_k c_k L^k  with Gaussian-rational c_k.
 
     L = e(theta/4).  Stored as k -> (re, im) integer numerators over one
@@ -147,13 +132,8 @@ class PhaseScalar:
         pairs = [(int(k), v.re.as_integer_ratio(), v.im.as_integer_ratio()) for k, v in dict(coeffs).items()]
         d = lcm(*(den for _, (_, da), (_, db) in pairs for den in (da, db)))
         c, d = _canonical({k: (a * (d // da), b * (d // db)) for k, (a, da), (b, db) in pairs}, d)
-        object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "_d", d)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PhaseScalar is immutable")
-
-    __delattr__ = __setattr__
+        _PHASE_C(self, c)
+        _PHASE_D(self, d)
 
     def __reduce__(self):
         return _phase, (self._c, self._d)
@@ -234,11 +214,10 @@ def _phase(c: dict, d: int) -> PhaseScalar:
     return s
 
 
-_PHASE_C = PhaseScalar._c.__set__
-_PHASE_D = PhaseScalar._d.__set__
+_PHASE_C, _PHASE_D = PhaseScalar._setters
 
 
-class Element:
+class Element(Record):
     """A finite normal-ordered Laurent polynomial  sum_{(m,n)} c_{mn} U^m V^n.
 
     Stored as (m, n, k) -> (re, im) integer numerators over one shared
@@ -256,13 +235,8 @@ class Element:
             for k, (a, b) in coef._c.items():
                 t[(m, n, k)] = (a * f, b * f)
         t, d = _canonical(t, d)
-        object.__setattr__(self, "_t", t)
-        object.__setattr__(self, "_d", d)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Element is immutable")
-
-    __delattr__ = __setattr__
+        _ELEMENT_T(self, t)
+        _ELEMENT_D(self, d)
 
     def __reduce__(self):
         return _element, (self._t, self._d)
@@ -360,8 +334,7 @@ def _element(t: dict, d: int) -> Element:
     return x
 
 
-_ELEMENT_T = Element._t.__set__
-_ELEMENT_D = Element._d.__set__
+_ELEMENT_T, _ELEMENT_D = Element._setters
 
 
 U = Element.monomial(1, 0)

@@ -102,25 +102,18 @@ def _check_grid(n: int) -> int:
     return n
 
 
-class CircleFunction:
+class CircleFunction(Record):
     """Complex samples on the grid t_j = j/N, N a power of two >= 256."""
 
     __slots__ = ("samples",)
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
     def __init__(self, samples: Iterable[complex]):
         arr = np.asarray(samples, dtype=complex)
         if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         _check_grid(arr.shape[0])
-        object.__setattr__(self, "samples", arr)
-
-    def __setattr__(self, *args):
-        raise AttributeError("CircleFunction is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return CircleFunction, (self.samples,)
+        self._setters[0](self, arr)
 
     @property
     def n(self) -> int:
@@ -184,10 +177,6 @@ class CircleFunction:
         phase = np.exp(2j * np.pi * self.freqs() * s)
         return CircleFunction(np.fft.ifft(spectrum * phase))
 
-    def eval_series(self, x: float) -> complex:
-        """Value of the interpolating trigonometric polynomial at x."""
-        return complex(np.sum(self.coeffs() * np.exp(2j * np.pi * self.freqs() * x)))
-
     def sup(self) -> float:
         return float(np.abs(self.samples).max()) if self.n else 0.0
 
@@ -202,10 +191,11 @@ class CircleFunction:
         return cls(np.array([complex(re, im) for re, im in data]))
 
 
-class LoopElement:
+class LoopElement(Record):
     """Finite sum  sum_k f_k(W) V^k  over a fixed base step beta and grid."""
 
-    __slots__ = ("beta", "n", "coeffs")
+    __slots__ = ("beta", "coeffs", "n")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
     def __init__(self, beta: float, coeffs: Mapping[int, CircleFunction], n: Optional[int] = None):
         cleaned: Dict[int, CircleFunction] = {}
@@ -217,17 +207,7 @@ class LoopElement:
             cleaned[int(k)] = f
         if n is None:
             n = DEFAULT_GRID
-        object.__setattr__(self, "beta", float(beta) % 1.0)
-        object.__setattr__(self, "n", _check_grid(n))
-        object.__setattr__(self, "coeffs", cleaned)
-
-    def __setattr__(self, *args):
-        raise AttributeError("LoopElement is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return LoopElement, (self.beta, self.coeffs, self.n)
+        super().__init__(float(beta) % 1.0, cleaned, _check_grid(n))
 
     def coefficient(self, k: int) -> CircleFunction:
         return self.coeffs.get(k, CircleFunction.zero(self.n))
@@ -336,12 +316,6 @@ def flip_apply(e: LoopElement) -> LoopElement:
     monomial loop elements; exact on the grid (index reflection).
     """
     return LoopElement(e.beta, {-k: f.reflect() for k, f in e.coeffs.items()}, e.n)
-
-
-def monomial_loop(k: int, m: int, n: int = DEFAULT_GRID, beta: float = 0.0) -> LoopElement:
-    """The element W^m V^k as a loop element (coefficient t -> e(m t))."""
-    f = CircleFunction.from_function(lambda t: np.exp(2j * np.pi * m * t), n)
-    return LoopElement(beta, {k: f}, n)
 
 
 # ------------------------------------------------------------------ bump pair

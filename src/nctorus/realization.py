@@ -647,11 +647,14 @@ class ReflectedCert(_Certificate):
     tag, lemma = "reflected", "angle-reflection"
     layout = {"target": TraceValue, "inner": _Certificate}
 
-    kind = property(lambda self: self.inner.kind)
+    # a malformed inner has no kind; the replay reports it under the node's tag
+    kind = property(lambda self: self.inner.kind if isinstance(self.inner, _Certificate) else self.tag)
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
         t, inner = self.target, self.inner
         v.check(t.b < 0, path, "reflection wraps only negative theta-coefficients")
+        if not v.check(isinstance(inner, _Certificate), path, "reflected needs a certificate inner"):
+            return None
         v.check(inner.target == t.reflected(), path, "inner target is not the reflected target")
         return inner, theta.reflect()
 

@@ -18,7 +18,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -117,7 +117,13 @@ class Record:
     constructor.  Defining a subclass generates no code, so a module of
     them imports fast.  Types built many times per operation write their
     own ``__init__`` (through ``_setters``) and ``__eq__`` (with
-    ``__hash__ = Record.__hash__``).
+    ``__hash__ = Record.__hash__``).  A subclass keeps its own ``__eq__``,
+    ``__hash__`` or ``__reduce__`` for one of three reasons only: a field
+    is unhashable (a dict store hashes as a frozenset of its items), the
+    type is equal only to itself (numpy fields, whose tuple ``==`` raises:
+    ``__eq__, __hash__ = object.__eq__, object.__hash__``), or its
+    constructor takes another form than the fields (``__reduce__`` then
+    names a function that takes them).
     """
 
     __slots__ = ()
@@ -277,26 +283,13 @@ class ThetaParam(Record):
             qs.append(a * qs[-1] + qs[-2])
         return tuple(zip(ps, qs))
 
-    def brackets(self) -> Iterator[tuple[Fraction, Fraction]]:
-        """Successively tighter rational intervals lo < theta < hi."""
-        pq = self.convergents
-        for j in range(len(pq) - 1):
-            x = Fraction(pq[j][0], pq[j][1])
-            y = Fraction(pq[j + 1][0], pq[j + 1][1])
-            lo, hi = (x, y) if x < y else (y, x)
-            if self.interval is not None:
-                lo, hi = max(lo, self.interval[0]), min(hi, self.interval[1])
-                if not lo < hi:
-                    break
-            yield lo, hi
-        if self.interval is not None:
-            yield self.interval
-
     @cached_property
     def _bracket(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The narrowest of :meth:`brackets` as integer pairs (p, q), q > 0.
+        """The narrowest rational bracket lo < theta < hi as integer pairs (p, q), q > 0.
 
-        The convergent brackets are nested and shrink strictly, and clipping
+        The brackets are pairs of consecutive convergents, each clipped to
+        the interval when there is one, and the interval itself.  The
+        convergent brackets are nested and shrink strictly, and clipping
         them to the interval keeps them nested, so the narrowest is the
         deepest nonempty one (or the interval itself when none is): a linear
         sign that any bracket settles, this one settles too.  Walking up from

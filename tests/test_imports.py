@@ -2,8 +2,9 @@
 
 Every case runs in a fresh interpreter, so the modules it reports are
 the ones that subcommand pulled in and nothing a previous test imported.
-No timing is asserted.  The last check is on the source itself: theta
-is the one module that turns theta into a float.
+No timing is asserted.  The last checks are on the source itself: theta
+is the one module that turns theta into a float, and theta.Record is the
+one class that guards fields against assignment.
 """
 
 import ast
@@ -131,3 +132,21 @@ def test_only_theta_turns_theta_into_a_float(module):
     reads = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("value", "rational_approx")]
     assert not reads, f"{module} reads a float of theta outside theta.turns: {reads}"
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in Path(SRC, "nctorus").glob("*.py")))
+def test_only_record_guards_its_fields(module):
+    # every immutable value type is a theta.Record: none calls object.__setattr__ past a
+    # guard of its own, and Record is the one class that defines __setattr__/__delattr__
+    tree = ast.parse(Path(SRC, "nctorus", module).read_text(encoding="utf-8"))
+    found = [f"line {node.lineno}: object.__setattr__" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+             and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        if (module, cls.name) == ("theta.py", "Record"):
+            continue
+        for node in ast.walk(cls):
+            targets = [node.name] if isinstance(node, ast.FunctionDef) else [
+                n.id for t in getattr(node, "targets", ()) for n in ast.walk(t) if isinstance(n, ast.Name)]
+            found += [f"line {node.lineno}: {cls.name}.{t}" for t in targets if t in ("__setattr__", "__delattr__")]
+    assert not found, f"{module} hand-rolls what theta.Record gives: {found}"

@@ -29,7 +29,6 @@ from nctorus.loops import (
     loop_invariants,
     loop_mul,
     loop_star,
-    monomial_loop,
     pr_build,
     projection_gates,
     _build_projection,
@@ -58,6 +57,12 @@ def random_loop(rng, beta, n=N, kmax=2, band=32):
     if not coeffs:
         coeffs[0] = CircleFunction.zero(n)
     return LoopElement(beta, coeffs, n)
+
+
+def monomial_loop(k, m, n=N, beta=0.0):
+    """The element W^m V^k as a loop element (coefficient t -> e(m t))."""
+    f = CircleFunction.from_function(lambda t: np.exp(2j * np.pi * m * t), n)
+    return LoopElement(beta, {k: f}, n)
 
 
 # ------------------------------------------------------------- loop arithmetic
@@ -507,10 +512,3 @@ def test_invariant_report_rounding_tolerance():
     assert _round_quarter(0.25 + 1e-8 + 0j) == 0.25
     assert _round_quarter(0.25 + 1e-3 + 0j) is None
     assert _round_quarter(0.1 + 0j) is None
-
-
-def test_eval_series_matches_samples_and_interpolates():
-    f = CircleFunction.from_function(lambda t: np.exp(2j * np.pi * 5 * t), 512)
-    assert f.eval_series(3 / 512) == pytest.approx(f.samples[3], abs=1e-12)
-    x = 0.123456789
-    assert f.eval_series(x) == pytest.approx(np.exp(2j * np.pi * 5 * x), abs=1e-12)

@@ -611,6 +611,15 @@ def test_semiflat_with_flat_inner_is_a_failing_report():
     assert report.failures[0] == ("semiflat", "semiflat needs a semicyclic inner")
 
 
+@pytest.mark.parametrize("inner", [42, TraceValue(2, 1), None], ids=["int", "trace", "none"])
+def test_reflected_with_a_non_certificate_inner_is_a_failing_report(inner):
+    cert = ReflectedCert(TraceValue(1, -1), inner)
+    assert cert.kind == "reflected"
+    report = verify_certificate(cert, GOLDEN)
+    assert not report.ok
+    assert report.failures == (("reflected", "reflected needs a certificate inner"),)
+
+
 # ---------------------------------------------------------- nesting limit
 
 

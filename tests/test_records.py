@@ -1,22 +1,26 @@
 """The immutable value types against the frozen dataclasses they replace.
 
-Every value type of the package is a ``theta.Record``.  Each must behave
-as ``@dataclass(frozen=True)`` did: the same fields in the same order,
-``==`` and ``hash`` over the field tuple (same class only), the repr
-``Name(field=value, ...)``, no assignment or deletion after construction,
-and pickle/copy/deepcopy round trips.  The reference for each sample is a
-frozen dataclass built here with the same name and fields.
+Every value type of the package is a ``theta.Record``.  Those in FIELDS
+must behave as ``@dataclass(frozen=True)`` did: the same fields in the
+same order, ``==`` and ``hash`` over the field tuple (same class only),
+the repr ``Name(field=value, ...)``, no assignment or deletion after
+construction, and pickle/copy/deepcopy round trips.  The reference for
+each sample is a frozen dataclass built here with the same name and
+fields.  The types in OWN keep a constructor, ``==``, ``hash`` or repr of
+their own; they share the immutability and round-trip tests, and their
+own semantics are pinned in their table.
 """
 
 import copy
 import dataclasses
 import pickle
 from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
 import pytest
 
 from nctorus import lattice, loops, realization, traces
-from nctorus.algebra import Monomial, parse_element
+from nctorus.algebra import Element, GaussRational, Monomial, PhaseScalar, parse_element, parse_phase
 from nctorus.theta import Record, ThetaParam, parse_theta
 
 GOLDEN = ThetaParam.preset("golden")
@@ -115,10 +119,70 @@ def _samples():
 SAMPLES = _samples()
 
 
+def _circle(value):
+    return loops.CircleFunction([value] * 256)
+
+
+class Own(NamedTuple):
+    """A value type that keeps parts of its own: its fields, two samples with
+    their reprs, a rebuild from public parts, and the hash it has always had
+    (None: equal only to itself, hashed by identity)."""
+
+    fields: str
+    samples: list
+    reprs: Optional[list]
+    rebuild: Callable
+    value_hash: Optional[Callable]
+
+
+OWN = {
+    GaussRational: Own(
+        "re im", [GaussRational(Fraction(1, 2), 3), GaussRational(0, Fraction(-2, 3))],
+        ["GaussRational(1/2, 3)", "GaussRational(0, -2/3)"],
+        lambda x: GaussRational(x.re, x.im), lambda x: hash((x.re, x.im)),
+    ),
+    PhaseScalar: Own(
+        "_c _d", [PhaseScalar.lam(3), parse_phase("1/2 - 2/3 i L^-2")],
+        ["PhaseScalar({3: GaussRational(1, 0)})",
+         "PhaseScalar({0: GaussRational(1/2, 0), -2: GaussRational(0, -2/3)})"],
+        lambda x: PhaseScalar(dict(x.items())), lambda x: hash((x._d, frozenset(x._c.items()))),
+    ),
+    Element: Own(
+        "_t _d", [parse_element("(1+i) L^2 U V^-1 + 1/2"), parse_element("U^2 - 3/4 V")],
+        ["Element('(1/2) + (1+1i) L^2 U V^-1')", "Element('(-3/4) V + (1) U^2')"],
+        lambda x: Element(dict(x.terms())), lambda x: hash((x._d, frozenset(x._t.items()))),
+    ),
+    loops.CircleFunction: Own(
+        "samples", [_circle(0.5), _circle(1j)], None,
+        lambda x: loops.CircleFunction(x.samples.copy()), None,
+    ),
+    loops.LoopElement: Own(
+        "beta coeffs n", [loops.LoopElement(0.25, {0: _circle(0.5), 1: _circle(1)}), loops.LoopElement(0.5, {}, 512)],
+        None, lambda x: loops.LoopElement(x.beta, x.coeffs, x.n), None,
+    ),
+}
+
+
+def _concrete_records():
+    """Every Record subclass of the package that names fields."""
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub._fields and sub.__module__.startswith("nctorus."):
+                found.add(sub)
+    return found
+
+
 def test_every_value_type_is_sampled_twice_with_different_values():
-    assert set(SAMPLES) == set(FIELDS)
+    assert _concrete_records() == set(FIELDS) | set(OWN)
+    assert not set(FIELDS) & set(OWN)
+    # PhaseScalar is reached through the character vectors; OWN samples it
+    assert set(SAMPLES) == set(FIELDS) | {PhaseScalar}
     for cls, objs in SAMPLES.items():
         assert len(set(map(repr, objs))) >= 2, cls.__name__
+    for cls, own in OWN.items():
+        assert len(set(map(repr, own.samples))) == 2, cls.__name__
 
 
 def _reference(obj):
@@ -136,6 +200,18 @@ def _hash(obj):
 
 
 CASES = [(cls, i) for cls in FIELDS for i in range(2)]
+ALL_CASES = CASES + [(cls, i) for cls in OWN for i in range(2)]
+
+
+def _sample(cls, i):
+    return OWN[cls].samples[i] if cls in OWN else SAMPLES[cls][i]
+
+
+def _same_value(a, b):
+    """a and b hold the same fields; by == except for the types equal only to themselves."""
+    if type(a) in OWN and OWN[type(a)].value_hash is None:
+        return a.to_json() == b.to_json()
+    return a == b and not (a != b) and _hash(a) == _hash(b)
 
 
 @pytest.mark.parametrize("cls, i", CASES, ids=[f"{c.__name__}-{i}" for c, i in CASES])
@@ -165,9 +241,9 @@ def test_value_type_behaves_as_the_frozen_dataclass(cls, i):
             assert cls(*values[:k], getattr(donor, f), *values[k + 1:]) != obj, f
 
 
-@pytest.mark.parametrize("cls, i", CASES, ids=[f"{c.__name__}-{i}" for c, i in CASES])
+@pytest.mark.parametrize("cls, i", ALL_CASES, ids=[f"{c.__name__}-{i}" for c, i in ALL_CASES])
 def test_value_type_is_immutable(cls, i):
-    obj = SAMPLES[cls][i]
+    obj = _sample(cls, i)
     for f in cls._fields:
         before = getattr(obj, f)
         with pytest.raises(AttributeError, match=f"cannot assign to field '{f}'"):
@@ -179,14 +255,36 @@ def test_value_type_is_immutable(cls, i):
         obj.not_a_field = 1
 
 
-@pytest.mark.parametrize("cls, i", CASES, ids=[f"{c.__name__}-{i}" for c, i in CASES])
+@pytest.mark.parametrize("cls, i", ALL_CASES, ids=[f"{c.__name__}-{i}" for c, i in ALL_CASES])
 def test_value_type_pickles_and_copies(cls, i):
-    obj = SAMPLES[cls][i]
+    obj = _sample(cls, i)
     for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
         assert type(twin) is cls
-        assert twin == obj
+        assert _same_value(twin, obj)
         assert repr(twin) == repr(obj)
-        assert _hash(twin) == _hash(obj)
+
+
+OWN_CASES = [(cls, i) for cls in OWN for i in range(2)]
+
+
+@pytest.mark.parametrize("cls, i", OWN_CASES, ids=[f"{c.__name__}-{i}" for c, i in OWN_CASES])
+def test_own_value_type_keeps_its_equality_hash_and_repr(cls, i):
+    own, obj = OWN[cls], OWN[cls].samples[i]
+    other = OWN[cls].samples[1 - i]
+    assert cls._fields == tuple(own.fields.split())
+    twin = own.rebuild(obj)
+    assert type(twin) is cls and twin is not obj
+    assert obj == obj and not (obj != obj) and obj != other
+    assert obj.__eq__(tuple(getattr(obj, f) for f in cls._fields)) is NotImplemented
+    if own.value_hash is None:
+        # numpy fields: equal only to itself, hashed by identity
+        assert twin != obj and not (twin == obj)
+        assert hash(obj) == object.__hash__(obj)
+        assert _same_value(twin, obj)
+    else:
+        assert twin == obj and not (twin != obj)
+        assert hash(obj) == hash(twin) == own.value_hash(obj)
+        assert repr(obj) == own.reprs[i]
 
 
 def test_constructor_argument_errors():
@@ -221,34 +319,3 @@ def test_cached_properties_survive_immutability_and_pickle():
     assert th._bracket == th._bracket  # cached on the instance
     twin = pickle.loads(pickle.dumps(th))
     assert twin == th and twin._bracket == th._bracket and twin.reflect() == th.reflect()
-
-
-def _hand_rolled_values():
-    """A sample of each immutable value type that is not a Record, and its slot fields."""
-    from nctorus.algebra import GaussRational, PhaseScalar
-
-    def f():
-        return loops.CircleFunction([0.5] * 256)
-
-    return [
-        (GaussRational(Fraction(1, 2), 3), ("re", "im")),
-        (PhaseScalar.lam(3), ("_c", "_d")),
-        (parse_element("(1+i) L^2 U V^-1 + 1/2"), ("_t", "_d")),
-        (f(), ("samples",)),
-        (loops.LoopElement(0.25, {0: f(), 1: f()}), ("beta", "n", "coeffs")),
-    ]
-
-
-HAND_ROLLED = _hand_rolled_values()
-
-
-@pytest.mark.parametrize("obj, fields", HAND_ROLLED, ids=[type(obj).__name__ for obj, _ in HAND_ROLLED])
-def test_hand_rolled_value_type_cannot_lose_a_field(obj, fields):
-    for f in fields:
-        before = getattr(obj, f)
-        with pytest.raises(AttributeError, match="immutable"):
-            delattr(obj, f)
-        with pytest.raises(AttributeError, match="immutable"):
-            setattr(obj, f, before)
-        assert getattr(obj, f) is before
-    pickle.loads(pickle.dumps(obj))  # the reduction reads every field

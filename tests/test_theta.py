@@ -140,12 +140,29 @@ def test_sign_linear_zero_on_every_theta():
 # ----------------------------------------------- references kept from the Fraction walk
 
 
+def brackets(th):
+    """Successively tighter rational intervals lo < theta < hi: consecutive
+    convergents clipped to th.interval, then the interval itself."""
+    pq = th.convergents
+    for j in range(len(pq) - 1):
+        x = Fraction(pq[j][0], pq[j][1])
+        y = Fraction(pq[j + 1][0], pq[j + 1][1])
+        lo, hi = (x, y) if x < y else (y, x)
+        if th.interval is not None:
+            lo, hi = max(lo, th.interval[0]), min(hi, th.interval[1])
+            if not lo < hi:
+                break
+        yield lo, hi
+    if th.interval is not None:
+        yield th.interval
+
+
 def reference_sign_linear(th, a, b):
     """The bracket walk from depth 0 over Fractions that sign_linear replaced."""
     a, b = Fraction(a), Fraction(b)
     if b == 0:
         return (a > 0) - (a < 0)
-    for lo, hi in th.brackets():
+    for lo, hi in brackets(th):
         v1, v2 = a + b * lo, a + b * hi
         if v1 > 0 and v2 > 0:
             return 1
@@ -185,7 +202,7 @@ THETAS = (
     ThetaParam(cf_terms=(1,) * 30, interval=(Fraction(3, 5), Fraction(7, 10))),
 )
 # the middle of each theta's narrowest bracket
-MIDPOINTS = {th: sum(min(th.brackets(), key=lambda br: br[1] - br[0])) / 2 for th in THETAS}
+MIDPOINTS = {th: sum(min(brackets(th), key=lambda br: br[1] - br[0])) / 2 for th in THETAS}
 
 # magnitudes spread evenly over 10^0 .. 10^40
 _big = st.sampled_from(range(41)).flatmap(lambda e: st.integers(-(10**e), 10**e))
@@ -260,7 +277,7 @@ BRACKET_THETAS += tuple(_reflections(BRACKET_THETAS))
 
 @pytest.mark.parametrize("th", BRACKET_THETAS, ids=lambda th: f"{th.cf_terms[:4]}-{len(th.cf_terms)}-{th.interval}")
 def test_bracket_is_the_narrowest_of_brackets(th):
-    lo, hi = min(th.brackets(), key=lambda br: br[1] - br[0])
+    lo, hi = min(brackets(th), key=lambda br: br[1] - br[0])
     assert th._bracket == ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
 
 
