@@ -30,19 +30,18 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "algebra": (
         "ONE", "U", "V", "Element", "GaussRational", "Monomial", "PhaseScalar",
-        "apply_automorphism", "canonical_trace", "element_to_text", "normalize_product",
-        "numeric_eval", "parse_element", "parse_phase", "phase_to_text", "sigma_average",
-        "star",
+        "apply_automorphism", "canonical_trace", "element_to_text", "numeric_eval",
+        "parse_element", "parse_phase", "phase_to_text", "sigma_average", "star",
     ),
     "lattice": (
         "ChernVector", "Genus", "K0Coordinates", "KScalar", "basis_rank", "basis_vectors",
         "chern_from_t4", "chern_to_text", "decompose", "genus_basis_decompose",
         "parse_chern", "parse_kscalar", "quantization_check", "recompose",
-        "semiflat_coordinates", "semiflat_membership", "synthesis_recipe", "trace_of",
+        "semiflat_coordinates", "semiflat_membership", "synthesis_recipe",
     ),
     "loops": (
-        "CircleFunction", "LoopElement", "bump_pair", "flip_apply", "loop_invariants",
-        "loop_mul", "loop_star", "pr_build",
+        "CircleFunction", "LoopElement", "flip_apply", "loop_invariants", "loop_mul",
+        "loop_star", "pr_build",
     ),
     "realization": (
         "Certificate", "Convergent", "FourSquares", "TraceValue", "certificate_from_json",

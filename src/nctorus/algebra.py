@@ -345,32 +345,6 @@ ONE = Element.one()
 # ----------------------------------------------------------------- operations
 
 
-def normalize_product(a: Monomial, b: Monomial) -> Tuple[PhaseScalar, Monomial]:
-    """Normal-order the product of two monomials.
-
-    (U^{ma} V^{na})(U^{mb} V^{nb}) = L^{4 na mb} U^{ma+mb} V^{na+nb}.
-    """
-    ma, na = a
-    mb, nb = b
-    return PhaseScalar.lam(4 * na * mb), Monomial(ma + mb, na + nb)
-
-
-def mul(x: Element, y: Element) -> Element:
-    return x * y
-
-
-def add(x: Element, y: Element) -> Element:
-    return x + y
-
-
-def sub(x: Element, y: Element) -> Element:
-    return x - y
-
-
-def scale(x: Element, scalar) -> Element:
-    return x.scale(scalar)
-
-
 def star(x: Element) -> Element:
     return x.star()
 

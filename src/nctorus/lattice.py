@@ -53,10 +53,6 @@ class KScalar(Record):
 
     __hash__ = Record.__hash__
 
-    @classmethod
-    def of(cls, a: Rat = 0, b: Rat = 0, c: Rat = 0, d: Rat = 0) -> "KScalar":
-        return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
-
     def __add__(self, other: "KScalar") -> "KScalar":
         return KScalar(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
 
@@ -94,8 +90,6 @@ class ChernVector(Record):
     psi20: KScalar
     psi21: KScalar
     psi22: KScalar
-
-    SLOTS = __slots__
 
     def __init__(self, tau: KScalar, psi10: KScalar, psi11: KScalar, psi20: KScalar, psi21: KScalar,
                  psi22: KScalar):
@@ -169,9 +163,7 @@ class Genus(Record):
         return all(g.denominator == 1 for g in self.as_tuple())
 
 
-def _ks(a=0, b=0, c=0, d=0) -> KScalar:
-    return KScalar.of(a, b, c, d)
-
+_ks = KScalar  # short name for the basis table
 
 _HALF = Fraction(1, 2)
 
@@ -301,30 +293,11 @@ class DecomposeResult(Record):
     """
 
     __slots__ = ("status", "coordinates", "rational")
+    _defaults = dict.fromkeys(__slots__[1:])
 
     status: str
     coordinates: Optional[K0Coordinates]
     rational: Optional[Tuple[Fraction, ...]]
-
-    def __init__(
-        self,
-        status: str,
-        coordinates: Optional[K0Coordinates] = None,
-        rational: Optional[Tuple[Fraction, ...]] = None,
-    ):
-        set_status, set_coordinates, set_rational = self._setters
-        set_status(self, status)
-        set_coordinates(self, coordinates)
-        set_rational(self, rational)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not DecomposeResult:
-            return NotImplemented
-        return (self.status, self.coordinates, self.rational) == (
-            other.status, other.coordinates, other.rational
-        )
-
-    __hash__ = Record.__hash__
 
     def __bool__(self) -> bool:
         return self.status == "ok"
@@ -337,12 +310,7 @@ def decompose(v: ChernVector) -> DecomposeResult:
         return DecomposeResult("not-in-span")
     if any(x.denominator != 1 for x in sol):
         return DecomposeResult("non-integer", rational=sol)
-    return DecomposeResult("ok", coordinates=K0Coordinates(*(int(x) for x in sol)), rational=sol)
-
-
-def trace_of(coords: K0Coordinates) -> KScalar:
-    """Exact trace of an integer coordinate vector, as a + b*theta."""
-    return recompose(coords).tau
+    return DecomposeResult("ok", K0Coordinates(*(int(x) for x in sol)), sol)
 
 
 def semiflat_coordinates(n1: int, n2: int, n3: int, n4: int, n9: int) -> K0Coordinates:
@@ -477,7 +445,7 @@ def genus_basis_decompose(g: Genus) -> Optional[Tuple[int, int, int]]:
 # Canonical positive-trace class with each basic genus: (2,0,0) and (0,0,2)
 # carry trace 2, (1,1,2) carries trace 2*theta.  A negated genus keeps the
 # same trace coset mod 4Z + 4Z*theta, so generators for -G use the same trace.
-_GENERATOR_TRACES = (KScalar.of(2), KScalar.of(0, 2), KScalar.of(2))
+_GENERATOR_TRACES = (KScalar(2), KScalar(0, 2), KScalar(2))
 
 
 def _generator_vector(genus: Tuple[int, int, int], trace: KScalar) -> ChernVector:
@@ -485,9 +453,9 @@ def _generator_vector(genus: Tuple[int, int, int], trace: KScalar) -> ChernVecto
         trace,
         KSCALAR_ZERO,
         KSCALAR_ZERO,
-        KScalar.of(genus[0]),
-        KScalar.of(genus[1]),
-        KScalar.of(genus[2]),
+        KScalar(genus[0]),
+        KScalar(genus[1]),
+        KScalar(genus[2]),
     )
 
 
@@ -680,5 +648,5 @@ def chern_from_t4(t4: T4Vector) -> ChernVector:
         if g is None:
             out.append(KSCALAR_ZERO)
         else:
-            out.append(KScalar.of(g.re, 0, g.im, 0))
+            out.append(KScalar(g.re, 0, g.im, 0))
     return ChernVector(*out)

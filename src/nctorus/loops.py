@@ -124,10 +124,6 @@ class CircleFunction(Record):
         return np.arange(_check_grid(n)) / n
 
     @classmethod
-    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], n: int = DEFAULT_GRID) -> "CircleFunction":
-        return cls(np.asarray(fn(cls.grid(n)), dtype=complex))
-
-    @classmethod
     def zero(cls, n: int = DEFAULT_GRID) -> "CircleFunction":
         return cls(np.zeros(n, dtype=complex))
 
@@ -148,9 +144,6 @@ class CircleFunction(Record):
 
     def __mul__(self, other) -> "CircleFunction":
         return self._binary(other, lambda a, b: a * b)
-
-    def __rmul__(self, scalar) -> "CircleFunction":
-        return CircleFunction(scalar * self.samples)
 
     def __neg__(self) -> "CircleFunction":
         return CircleFunction(-self.samples)
@@ -383,15 +376,6 @@ def bump_profiles(alpha: float, eps: float) -> Tuple[Callable, Callable]:
     return f_profile, g_profile
 
 
-def bump_pair(alpha: float, eps: float, n: int = DEFAULT_GRID) -> Tuple[CircleFunction, CircleFunction]:
-    """Sample the bump pair on an n-point grid."""
-    f_profile, g_profile = bump_profiles(alpha, eps)
-    return (
-        CircleFunction.from_function(f_profile, n),
-        CircleFunction.from_function(g_profile, n),
-    )
-
-
 # ------------------------------------------------------------------- building
 
 
@@ -406,7 +390,6 @@ class BuildGates(Record):
 
 def assemble_projection(
     alpha: float,
-    beta: float,
     *,
     n: int = DEFAULT_GRID,
     eps: Optional[float] = None,
@@ -415,11 +398,13 @@ def assemble_projection(
 ) -> LoopElement:
     """Assemble  e = V g(W) + f(W) + g(W) V^{-1}  by exact profile sampling.
 
-    All three coefficient arrays are evaluated from the closed-form
-    profiles (no interpolation enters the build itself).  With
-    ``centered=True`` both profiles are translated by (alpha + eps - 1)/2,
-    which puts the plateau of f at 1/2, makes f even, and makes g even
-    about (alpha + 1)/2 -- exactly the symmetry that the flip preserves.
+    alpha is both the trace of e and its base step: a build over W = U^r
+    has trace (r*theta) mod 1.  All three coefficient arrays are evaluated
+    from the closed-form profiles (no interpolation enters the build
+    itself).  With ``centered=True`` both profiles are translated by
+    (alpha + eps - 1)/2, which puts the plateau of f at 1/2, makes f even,
+    and makes g even about (alpha + 1)/2 -- exactly the symmetry that the
+    flip preserves.
     An extra ``offset`` of 1/2 keeps the symmetry while moving the
     support to the opposite arc; other offsets break it.
     """
@@ -431,7 +416,7 @@ def assemble_projection(
     f0 = CircleFunction(f_profile(t + delta).astype(complex))
     gm = CircleFunction(g_profile(t + delta).astype(complex))
     gp = CircleFunction(g_profile(t + delta + alpha).astype(complex))
-    return LoopElement(beta, {1: gp, 0: f0, -1: gm}, n)
+    return LoopElement(alpha, {1: gp, 0: f0, -1: gm}, n)
 
 
 def projection_gates(e: LoopElement, alpha: float, flip_symmetric: bool) -> BuildGates:
@@ -474,7 +459,7 @@ def _build_projection(
     beta = theta.turns(0, r)
     grid = _check_grid(n)
     while True:
-        e = assemble_projection(beta, beta, n=grid, eps=eps, centered=flip_symmetric, offset=offset)
+        e = assemble_projection(beta, n=grid, eps=eps, centered=flip_symmetric, offset=offset)
         gates = projection_gates(e, beta, flip_symmetric)
         ok = (
             gates.square_residual <= SQUARE_RESIDUAL_GATE

@@ -99,7 +99,7 @@ class TraceValue(Record):
     def __str__(self) -> str:
         from .lattice import kscalar_to_text, KScalar
 
-        return kscalar_to_text(KScalar.of(self.a, self.b))
+        return kscalar_to_text(KScalar(self.a, self.b))
 
 
 def parse_trace(text: str) -> TraceValue:
@@ -381,12 +381,14 @@ class _Node(Record):
 
 
 class _Certificate(_Node):
-    """A certificate node; ``kind`` is the realization kind it certifies."""
+    """A certificate node; ``kind`` is the realization kind it certifies and ``target`` the trace."""
 
     __slots__ = ()
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        if not isinstance(self.target, TraceValue):  # every replay reads it as one
+            raise CertificateFormatError(f"a {self.tag} certificate needs a TraceValue target, got {self.target!r}")
         node = self
         for _ in range(MAX_NESTING + 1):
             node = getattr(node, node._child) if node._child else None

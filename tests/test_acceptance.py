@@ -310,7 +310,7 @@ def test_criterion_10_powers_rieffel_numerics():
         for (r, s), expected in rows.items():
             alpha = r * theta.turns(0, 1) + s
             # literal 4096-point build: the stated tolerances hold on this grid
-            raw = assemble_projection(alpha, (r * theta.turns(0, 1)) % 1.0, n=4096, centered=True)
+            raw = assemble_projection(alpha, n=4096, centered=True)
             gates = projection_gates(raw, alpha, True)
             assert gates.square_residual <= 1e-8, (preset, r, s, gates)
             assert gates.trace_error <= 1e-10, (preset, r, s, gates)

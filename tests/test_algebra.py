@@ -15,7 +15,6 @@ from nctorus.algebra import (
     apply_automorphism,
     canonical_trace,
     element_to_text,
-    normalize_product,
     numeric_eval,
     parse_element,
     parse_phase,
@@ -31,31 +30,19 @@ from conftest import monomial_letters, random_element, reorder_word_oracle
 # ------------------------------------------------------------ normal ordering
 
 
-def test_normalize_product_trivial_order():
-    phase, mono = normalize_product(Monomial(1, 0), Monomial(0, 1))
-    assert phase == PhaseScalar.one() and mono == (1, 1)
-
-
-def test_normalize_product_basic_relation():
-    phase, mono = normalize_product(Monomial(0, 1), Monomial(1, 0))
-    assert phase == PhaseScalar.lam(4) and mono == (1, 1)
-
-
-def test_normalize_product_repeated_relation():
-    phase, mono = normalize_product(Monomial(0, -2), Monomial(1, 0))
-    assert phase == PhaseScalar.lam(-8) and mono == (1, -2)
-
-
-def test_normalize_product_matches_word_oracle_exhaustively():
+def test_monomial_product_matches_word_oracle_exhaustively():
+    # by hand: a product already in normal order, V U = L^4 U V, and the relation applied twice
+    for a, b, k, mono in (((1, 0), (0, 1), 0, (1, 1)), ((0, 1), (1, 0), 4, (1, 1)), ((0, -2), (1, 0), -8, (1, -2))):
+        assert Element.monomial(*a) * Element.monomial(*b) == Element.monomial(*mono, PhaseScalar.lam(k))
+        assert reorder_word_oracle(monomial_letters(*a) + monomial_letters(*b)) == (k, *mono)
     for ma in range(-6, 7):
         for na in range(-6, 7):
             left = monomial_letters(ma, na)
+            x = Element.monomial(ma, na)
             for mb in range(-6, 7):
                 for nb in range(-6, 7):
                     k, m, n = reorder_word_oracle(left + monomial_letters(mb, nb))
-                    phase, mono = normalize_product(Monomial(ma, na), Monomial(mb, nb))
-                    assert phase == PhaseScalar.lam(k)
-                    assert mono == (m, n)
+                    assert x * Element.monomial(mb, nb) == Element.monomial(m, n, PhaseScalar.lam(k))
 
 
 # -------------------------------------------------------------------- ring ops
@@ -397,19 +384,6 @@ def test_phase_roundtrip(rng):
     for _ in range(50):
         p = random_phase(rng)
         assert parse_phase(phase_to_text(p)) == p
-
-
-# ----------------------------------------------------- module-level companions
-
-
-def test_companion_ring_functions(rng):
-    from nctorus.algebra import add, mul, scale, sub
-
-    x, y = random_element(rng), random_element(rng)
-    assert mul(x, y) == x * y
-    assert add(x, y) == x + y
-    assert sub(x, y) == x - y
-    assert scale(x, 3) == x.scale(3)
 
 
 def test_t2_slots_real_on_flip_invariant_hermitian(rng):

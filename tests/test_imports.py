@@ -3,8 +3,9 @@
 Every case runs in a fresh interpreter, so the modules it reports are
 the ones that subcommand pulled in and nothing a previous test imported.
 No timing is asserted.  The last checks are on the source itself: theta
-is the one module that turns theta into a float, and theta.Record is the
-one class that guards fields against assignment.
+is the one module that turns theta into a float, theta.Record is the one
+class that guards fields against assignment, and every public function or
+class has a caller in the package or is exported.
 """
 
 import ast
@@ -150,3 +151,26 @@ def test_only_record_guards_its_fields(module):
                 n.id for t in getattr(node, "targets", ()) for n in ast.walk(t) if isinstance(n, ast.Name)]
             found += [f"line {node.lineno}: {cls.name}.{t}" for t in targets if t in ("__setattr__", "__delattr__")]
     assert not found, f"{module} hand-rolls what theta.Record gives: {found}"
+
+
+def test_every_public_name_is_exported_or_used_in_the_package():
+    # a public top-level function or class that is neither exported nor used by name in its own
+    # module, imported by another (``from .<module> import``) or read there as ``<module>.<name>``
+    # is a second spelling of an operation that only its own tests call
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in Path(SRC, "nctorus").glob("*.py") if p.name != "__init__.py"}
+    reached = set()  # (module, name) used from another module
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in trees.keys() - {module}:
+                reached.update((node.module, alias.name) for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in trees.keys() - {module}):
+                reached.add((node.value.id, node.attr))
+    unused = []
+    for module, tree in trees.items():
+        used = set(nctorus._EXPORTS.get(module, ())) | {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{module}.{node.name}" for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                   and node.name not in used and (module, node.name) not in reached]
+    assert not unused, f"public names no module uses and the package does not export: {unused}"

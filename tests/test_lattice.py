@@ -30,7 +30,6 @@ from nctorus.lattice import (
     semiflat_coordinates,
     semiflat_membership,
     synthesis_recipe,
-    trace_of,
     _solve_exact,
 )
 from nctorus.theta import ThetaParam
@@ -77,7 +76,7 @@ def test_decompose_not_in_lattice_flavours():
     assert res.status == "non-integer" and res.coordinates is None
     # a vector with an i*theta component in tau is outside the rational span
     v = parse_chern("(1;1,0;1,0,0)")
-    v = ChernVector(KScalar.of(1, 0, 0, 1), *v.slots()[1:])
+    v = ChernVector(KScalar(1, 0, 0, 1), *v.slots()[1:])
     assert decompose(v).status == "not-in-span"
 
 
@@ -89,26 +88,26 @@ def test_decompose_recompose_roundtrip():
         assert res and res.coordinates == coords
 
 
-# ------------------------------------------------------------------ trace_of
+# --------------------------------------------------------------------- trace
 
 
 def test_trace_examples():
-    assert trace_of(K0Coordinates(0, 0, 1, 0, 0, 0, 0, 0, 0)) == KScalar.of(1)
-    assert trace_of(semiflat_coordinates(0, 0, 0, 0, 1)) == KScalar.of(0, 2)
-    assert trace_of(semiflat_coordinates(1, 0, 0, 0, 0)) == KScalar.of(2)
+    assert recompose(K0Coordinates(0, 0, 1, 0, 0, 0, 0, 0, 0)).tau == KScalar(1)
+    assert recompose(semiflat_coordinates(0, 0, 0, 0, 1)).tau == KScalar(0, 2)
+    assert recompose(semiflat_coordinates(1, 0, 0, 0, 0)).tau == KScalar(2)
 
 
 def trace_closed_form(n):
     """The tau column of the basis, written out: 2n1 + 2n2 + n3 + 2n4 + 2n5 + n6 + (n7 + n8 + n9)*theta."""
-    return KScalar.of(2 * n.n1 + 2 * n.n2 + n.n3 + 2 * n.n4 + 2 * n.n5 + n.n6, n.n7 + n.n8 + n.n9)
+    return KScalar(2 * n.n1 + 2 * n.n2 + n.n3 + 2 * n.n4 + 2 * n.n5 + n.n6, n.n7 + n.n8 + n.n9)
 
 
 def test_trace_matches_recompose():
-    # trace_of is recompose(c).tau; the closed form is an independent oracle for it
+    # the closed form is an independent oracle for the trace slot of recompose
     rng = random.Random(8)
     for _ in range(100):
         coords = K0Coordinates(*(rng.randint(-10, 10) for _ in range(9)))
-        assert trace_of(coords) == trace_closed_form(coords)
+        assert recompose(coords).tau == trace_closed_form(coords)
 
 
 # ----------------------------------------------------------------- membership
@@ -118,7 +117,7 @@ def test_membership_basic_genus_112():
     d = semiflat_membership(parse_chern("(2t;0,0;1,1,2)"), GOLDEN)
     assert d.member
     assert d.genus.as_tuple() == (1, 1, 2)
-    assert d.trace == KScalar.of(0, 2)
+    assert d.trace == KScalar(0, 2)
 
 
 def test_membership_rejects_identity_character():
@@ -226,14 +225,14 @@ def test_synthesis_single_generator():
     r = synthesis_recipe(parse_chern("(2t;0,0;1,1,2)"), GOLDEN)
     assert len(r.generators) == 1
     g = r.generators[0]
-    assert g.count == 1 and g.genus == (1, 1, 2) and g.trace == KScalar.of(0, 2)
-    assert r.flat_trace == KScalar.of(0)
+    assert g.count == 1 and g.genus == (1, 1, 2) and g.trace == KScalar(0, 2)
+    assert r.flat_trace == KScalar(0)
 
 
 def test_synthesis_pure_flat():
     r = synthesis_recipe(parse_chern("(4;0,0;0,0,0)"), GOLDEN)
     assert r.generators == ()
-    assert r.flat_trace == KScalar.of(4)
+    assert r.flat_trace == KScalar(4)
 
 
 def test_synthesis_genus_020_with_flat_remainder():
@@ -301,11 +300,11 @@ def test_parity_lemma_brute_force_sampled():
 
 def test_kscalar_text_roundtrip():
     cases = [
-        KScalar.of(4, 2),
-        KScalar.of(Fraction(-1, 2), 0, Fraction(1, 2)),
-        KScalar.of(0, 2),
-        KScalar.of(0),
-        KScalar.of(0, 0, 0, Fraction(3, 2)),
+        KScalar(4, 2),
+        KScalar(Fraction(-1, 2), 0, Fraction(1, 2)),
+        KScalar(0, 2),
+        KScalar(0),
+        KScalar(0, 0, 0, Fraction(3, 2)),
     ]
     for s in cases:
         assert parse_kscalar(kscalar_to_text(s)) == s
@@ -315,8 +314,8 @@ def test_parse_kscalar_rejects_lax_text():
     for text in ("2 3", "tt", "1+", "--1", "1 - -2", "+", "2t t", "1 2t"):
         with pytest.raises(ChernParseError):
             parse_kscalar(text)
-    assert parse_kscalar("-1") == KScalar.of(-1)
-    assert parse_kscalar(" 2 t ") == KScalar.of(0, 2)
+    assert parse_kscalar("-1") == KScalar(-1)
+    assert parse_kscalar(" 2 t ") == KScalar(0, 2)
 
 
 _ks_rat = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -324,7 +323,7 @@ _ks_rat = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.builds(KScalar.of, _ks_rat, _ks_rat, _ks_rat, _ks_rat),
+    st.builds(KScalar, _ks_rat, _ks_rat, _ks_rat, _ks_rat),
     st.sampled_from(("+", "-", "*", "^", "(", "/", " 7", "x")),
 )
 def test_hypothesis_kscalar_roundtrip_and_junk_suffix(s, junk):
@@ -551,7 +550,7 @@ def test_parse_chern_rejects_empty_slots_with_their_position(text, position):
         parse_chern(text)
 
 
-_chern = st.builds(ChernVector, *[st.builds(KScalar.of, _ks_rat, _ks_rat, _ks_rat, _ks_rat)] * 6)
+_chern = st.builds(ChernVector, *[st.builds(KScalar, _ks_rat, _ks_rat, _ks_rat, _ks_rat)] * 6)
 
 
 @settings(max_examples=100, deadline=None)

@@ -23,7 +23,6 @@ from nctorus.loops import (
     LoopElement,
     ResidualExceeded,
     assemble_projection,
-    bump_pair,
     bump_profiles,
     flip_apply,
     loop_invariants,
@@ -61,7 +60,7 @@ def random_loop(rng, beta, n=N, kmax=2, band=32):
 
 def monomial_loop(k, m, n=N, beta=0.0):
     """The element W^m V^k as a loop element (coefficient t -> e(m t))."""
-    f = CircleFunction.from_function(lambda t: np.exp(2j * np.pi * m * t), n)
+    f = CircleFunction(np.exp(2j * np.pi * m * CircleFunction.grid(n)))
     return LoopElement(beta, {k: f}, n)
 
 
@@ -71,8 +70,9 @@ def monomial_loop(k, m, n=N, beta=0.0):
 def test_mul_rule_single_terms():
     beta = GOLDEN.turns(0, 1)
     # f V * h V^-1 -> f (h shifted by beta) V^0
-    fs = CircleFunction.from_function(lambda t: np.exp(2j * np.pi * 3 * t), N)
-    hs = CircleFunction.from_function(lambda t: np.cos(2 * np.pi * t), N)
+    t = CircleFunction.grid(N)
+    fs = CircleFunction(np.exp(2j * np.pi * 3 * t))
+    hs = CircleFunction(np.cos(2 * np.pi * t))
     x = LoopElement(beta, {1: fs}, N)
     y = LoopElement(beta, {-1: hs}, N)
     z = loop_mul(x, y)
@@ -214,22 +214,23 @@ def test_loop_invariants_match_exact_phi_slots_of_embedded_elements(theta, r, te
 
 def test_bump_integral_is_alpha():
     for alpha, eps in ((GOLDEN.turns(0, 1), 0.1), (0.31, 0.05), (0.82, 0.04)):
-        f, g = bump_pair(alpha, eps, 4096)
+        f_profile, _ = bump_profiles(alpha, eps)
+        f = CircleFunction(f_profile(CircleFunction.grid(4096)))
         assert abs(f.mean().real - alpha) <= 1e-10
 
 
 def test_bump_projection_identities_on_grid():
     alpha, eps = GOLDEN.turns(0, 1), 0.1
     n = 4096
-    f, g = bump_pair(alpha, eps, n)
     t = CircleFunction.grid(n)
     f_profile, g_profile = bump_profiles(alpha, eps)
+    f, g = CircleFunction(f_profile(t)), CircleFunction(g_profile(t))
     g_back = CircleFunction(g_profile(t - alpha).astype(complex))
     f_back = CircleFunction(f_profile(t - alpha).astype(complex))
     g_fwd = CircleFunction(g_profile(t + alpha).astype(complex))
     # g(t) g(t - alpha) = 0 ; g(t)(f(t) + f(t-alpha) - 1) = 0 ; f - f^2 = g^2 + g(.+alpha)^2
     assert (g * g_back).sup() <= 1e-10
-    assert (g * (f + f_back - CircleFunction.from_function(lambda u: np.ones_like(u), n))).sup() <= 1e-10
+    assert (g * (f + f_back - CircleFunction(np.ones(n)))).sup() <= 1e-10
     lhs = f - f * f
     rhs = g * g + g_fwd * g_fwd
     assert (lhs - rhs).sup() <= 1e-10
@@ -240,9 +241,9 @@ def test_bump_projection_identities_on_grid():
 
 def test_bump_width_validation():
     with pytest.raises(InvalidBumpWidth):
-        bump_pair(0.6, 0.5, 512)
+        bump_profiles(0.6, 0.5)
     with pytest.raises(AlphaOutOfRange):
-        bump_pair(1.2, 0.01, 512)
+        bump_profiles(1.2, 0.01)
 
 
 # -------------------------------------------------------------------- pr_build
@@ -299,10 +300,10 @@ def test_flip_alpha_next_to_one_is_exact_and_its_bump_too_narrow(monkeypatch, ca
     r, s = 102334155, -63245985
     sampled = []
     assemble = loops.assemble_projection
-    monkeypatch.setattr(loops, "assemble_projection", lambda a, b, **kw: sampled.append((a, b)) or assemble(a, b, **kw))
+    monkeypatch.setattr(loops, "assemble_projection", lambda a, **kw: sampled.append(a) or assemble(a, **kw))
     with pytest.raises(ResidualExceeded, match="^residual-exceeded: "):
         pr_build(r, s, GOLDEN, True)
-    assert set(sampled) == {(mp_turns("golden", s, r),) * 2} and 0.9999999956 < sampled[0][0] < 0.9999999957
+    assert set(sampled) == {mp_turns("golden", s, r)} and 0.9999999956 < sampled[0] < 0.9999999957
     code = main(["pr-build", "-r", str(r), "-s", str(s), "--flip"])
     assert code == 2 and capsys.readouterr().err.startswith("error: residual-exceeded: ")
 
@@ -362,10 +363,9 @@ def test_r_odd_s_even_row():
 
 def test_trace_additivity_of_orthogonal_builds():
     th = GOLDEN
-    alpha = 2 * th.turns(0, 1) - 1  # ~ 0.236
-    beta = (2 * th.turns(0, 1)) % 1.0
-    e = assemble_projection(alpha, beta, n=8192, eps=0.02, centered=True)
-    e2 = assemble_projection(alpha, beta, n=8192, eps=0.02, centered=True, offset=0.5)
+    alpha = 2 * th.turns(0, 1) - 1  # ~ 0.236, bit for bit the base step (2 theta) mod 1
+    e = assemble_projection(alpha, n=8192, eps=0.02, centered=True)
+    e2 = assemble_projection(alpha, n=8192, eps=0.02, centered=True, offset=0.5)
     total = e + e2
     assert total.coefficient(0).mean().real == pytest.approx(2 * alpha, abs=1e-10)
 
@@ -374,10 +374,9 @@ def test_semicyclic_surrogate_orthogonality():
     """Flip-symmetric builds on opposite arcs multiply to ~0."""
     th = GOLDEN
     alpha = 2 * th.turns(0, 1) - 1  # ~ 0.236 < 1/4 leaves room for disjoint supports
-    beta = (2 * th.turns(0, 1)) % 1.0
     n = 16384
-    e = assemble_projection(alpha, beta, n=n, eps=0.012, centered=True)
-    e2 = assemble_projection(alpha, beta, n=n, eps=0.012, centered=True, offset=0.5)
+    e = assemble_projection(alpha, n=n, eps=0.012, centered=True)
+    e2 = assemble_projection(alpha, n=n, eps=0.012, centered=True, offset=0.5)
     for x in (e, e2):
         gates = projection_gates(x, alpha, True)
         assert gates.square_residual <= 1e-8

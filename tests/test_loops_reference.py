@@ -139,12 +139,10 @@ def test_bump_builds_match_reference(theta, n):
     rng = random.Random(n)
     for r, s, centered in ((6, -3, True), (3, -1, True), (4, -1, True), (9, -3, True), (2, 0, False),
                            (rng.randint(1, 40), rng.randint(-40, 40), False)):
-        alpha = r * theta.turns(0, 1) + s
-        if not centered or not 0.5 < alpha < 1:
-            alpha %= 1.0
-            centered = False
-        beta = (r * theta.turns(0, 1)) % 1.0
-        e = assemble_projection(alpha, beta, n=n, centered=centered, offset=0.5 * rng.randrange(2))
+        # the trace is the base step (r theta) mod 1; a flip row's r theta + s is that float bit for bit
+        alpha = (r * theta.turns(0, 1)) % 1.0
+        centered = centered and 0.5 < r * theta.turns(0, 1) + s < 1
+        e = assemble_projection(alpha, n=n, centered=centered, offset=0.5 * rng.randrange(2))
         assert_identical(loop_mul(e, e), ref_loop_mul(e, e))
         assert_identical(loop_star(e), ref_loop_star(e))
         assert projection_gates(e, alpha, centered) == ref_projection_gates(e, alpha, centered)
@@ -152,10 +150,10 @@ def test_bump_builds_match_reference(theta, n):
 
 
 def ref_pr_build(r, s, theta, flip, n, eps=None, offset=0.0, max_n=loops.MAX_GRID):
-    # a plain alpha (r*theta + s) mod 1 and a flip alpha r*theta + s in (1/2, 1) are both beta
-    alpha = beta = mp_turns(theta.name, 0, r)
+    # a plain alpha (r*theta + s) mod 1 and a flip alpha r*theta + s in (1/2, 1) are both the base step
+    alpha = mp_turns(theta.name, 0, r)
     while True:
-        e = assemble_projection(alpha, beta, n=n, eps=eps, centered=flip, offset=offset)
+        e = assemble_projection(alpha, n=n, eps=eps, centered=flip, offset=offset)
         gates = ref_projection_gates(e, alpha, flip)
         if (gates.square_residual <= loops.SQUARE_RESIDUAL_GATE
                 and gates.adjoint_residual <= loops.ADJOINT_RESIDUAL_GATE
@@ -209,7 +207,7 @@ def numpy_calls(monkeypatch):
 
 
 def test_gate_attempt_transform_counts(numpy_calls):
-    e = assemble_projection(6 * GOLDEN.turns(0, 1) - 3, (6 * GOLDEN.turns(0, 1)) % 1.0, n=4096, centered=True)
+    e = assemble_projection(6 * GOLDEN.turns(0, 1) - 3, n=4096, centered=True)
     assert set(e.coeffs) == {-1, 0, 1}
     projection_gates(e, 6 * GOLDEN.turns(0, 1) - 3, True)
     assert numpy_calls["fft"] <= 13
@@ -217,7 +215,7 @@ def test_gate_attempt_transform_counts(numpy_calls):
 
 
 def test_invariant_transform_counts(numpy_calls):
-    e = assemble_projection(3 * GOLDEN.turns(0, 1) - 1, (3 * GOLDEN.turns(0, 1)) % 1.0, n=4096, centered=True)
+    e = assemble_projection(3 * GOLDEN.turns(0, 1) - 1, n=4096, centered=True)
     loop_invariants(e, GOLDEN, 3)
     assert numpy_calls["fft"] <= 3
     assert numpy_calls["complex_exp"] <= 1

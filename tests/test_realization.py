@@ -15,6 +15,7 @@ from nctorus.realization import (
     KINDS,
     MAX_NESTING,
     CertificateFormatError,
+    CyclicCert,
     OutOfRange,
     ReflectedCert,
     SemiflatCert,
@@ -618,6 +619,16 @@ def test_reflected_with_a_non_certificate_inner_is_a_failing_report(inner):
     report = verify_certificate(cert, GOLDEN)
     assert not report.ok
     assert report.failures == (("reflected", "reflected needs a certificate inner"),)
+
+
+@pytest.mark.parametrize("outer, target", [(ReflectedCert, 42), (SemiflatCert, None), (CyclicCert, 3)],
+                         ids=["reflected-int", "semiflat-none", "cyclic-int"])
+def test_a_target_that_is_not_a_trace_value_is_refused_at_construction(outer, target):
+    # every replay reads the target as a TraceValue; a JSON certificate always has one
+    cert = realize("flat", TraceValue(-4, 8), GOLDEN)
+    with pytest.raises(CertificateFormatError,
+                       match=f"^a {outer.tag} certificate needs a TraceValue target, got {target!r}$"):
+        outer(target, cert)
 
 
 # ---------------------------------------------------------- nesting limit

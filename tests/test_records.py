@@ -305,7 +305,6 @@ def test_constructor_argument_errors():
 
 def test_coercing_constructors():
     assert lattice.KScalar(1, 2).a == Fraction(1) and type(lattice.KScalar(1, 2).b) is Fraction
-    assert lattice.KScalar(a=Fraction(1, 2)) == lattice.KScalar.of(Fraction(1, 2))
     g = lattice.Genus(2, 0, Fraction(4, 2))
     assert all(type(x) is Fraction for x in g.as_tuple())
     with pytest.raises(ValueError):
