@@ -61,9 +61,6 @@ class GaussRational(Record):
     def __neg__(self) -> "GaussRational":
         return GaussRational(-self.re, -self.im)
 
-    def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
-
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
@@ -179,14 +176,6 @@ class PhaseScalar(Record):
 
     def __mul__(self, other: "PhaseScalar") -> "PhaseScalar":
         return (Element.monomial(0, 0, self) * Element.monomial(0, 0, other)).coefficient(0, 0)
-
-    def shifted(self, k: int) -> "PhaseScalar":
-        """Multiplication by L^k."""
-        return _phase({kk + k: v for kk, v in self._c.items()}, self._d)
-
-    def conjugate(self) -> "PhaseScalar":
-        """Complex conjugation: L^k -> L^(-k), coefficients conjugated."""
-        return _phase({-k: (a, -b) for k, (a, b) in self._c.items()}, self._d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseScalar):

@@ -183,9 +183,11 @@ def cmd_verify(args) -> int:
     theta = parse_theta(spec)
     # off the node layouts or past realization.MAX_NESTING levels: CertificateFormatError, a ValueError (exit 2)
     cert = realization.certificate_from_json(payload["certificate"])
+    if payload.get("kind", cert.kind) != cert.kind:  # the envelope's target is not checked (README)
+        raise DomainRejection(f"the file's kind {payload['kind']!r} is not the certificate's kind {cert.kind!r}")
     report = realization.verify_certificate(cert, theta)
     record = report.to_json()
-    record["kind"] = payload.get("kind")
+    record["kind"] = cert.kind
 
     def render(rec):
         if rec["ok"]:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from .theta import _SLOTS, Record, ThetaParam
@@ -197,7 +198,7 @@ class LoopElement(Record):
                 n = f.n
             if f.n != n:
                 raise GridMismatch("all coefficients must share one grid")
-            cleaned[int(k)] = f
+            cleaned[index(k)] = f  # an integral key: 1.5 is refused, not truncated
         if n is None:
             n = DEFAULT_GRID
         super().__init__(float(beta) % 1.0, cleaned, _check_grid(n))

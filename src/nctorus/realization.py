@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple, Union
 
 from .theta import PrecisionExhausted, Record, ThetaParam
@@ -292,9 +292,9 @@ def _shape_error(raw, keys, where: str, tag=None) -> CertificateFormatError:
 
 
 def _codec(kind) -> tuple:
-    """(JSON type, dump, load) of a layout field type; a dump of None means the value is its own JSON."""
+    """(type, parts test or None, JSON type, dump or None for its own JSON, load, noun) of a field type."""
     if kind in (int, str):
-        return kind, None, None
+        return kind, None, kind, None, None, "an integer" if kind is int else "a string"
     if isinstance(kind, tuple):  # a pair of leaf nodes
         leaf = kind[0]
 
@@ -303,78 +303,83 @@ def _codec(kind) -> tuple:
                 raise CertificateFormatError(f"{where}: expected a list of two {leaf.tag!r} nodes")
             return leaf._from_json(raw[0], where + "[0]"), leaf._from_json(raw[1], where + "[1]")
 
-        return list, lambda pair: [node._to_json() for node in pair], load
+        return (tuple, lambda pair: tuple(map(type, pair)) == kind, list,
+                lambda pair: [node._to_json() for node in pair], load, f"two {leaf.tag!r}")
     if issubclass(kind, _Node):
-        return dict, kind._to_json, kind._from_json
-    names, ints = kind._fields, [int] * len(kind._fields)  # FourSquares as a list, the others as an object
+        return kind, None, dict, kind._to_json, kind._from_json, f"a {kind.tag!r}"
+    names, ints = kind._fields, (int,) * len(kind._fields)  # FourSquares as a list, the others as an object
+    get = attrgetter(*names)
 
     def load(raw, where: str):
-        values = raw if kind is FourSquares else list(map(raw.get, names))
-        if len(raw) != len(names) or list(map(type, values)) != ints:
+        values = raw if kind is FourSquares else tuple(map(raw.get, names))
+        if len(raw) != len(names) or tuple(map(type, values)) != ints:
             raise CertificateFormatError(f"{where}: expected the integers {', '.join(names)}, got {raw!r}")
         return kind(*values)
 
-    get = attrgetter(*names)
-    return (list, list, load) if kind is FourSquares else (dict, lambda value: dict(zip(names, get(value))), load)
+    json_type, dump = (list, list) if kind is FourSquares else (dict, lambda value: dict(zip(names, get(value))))
+    return kind, lambda value: tuple(map(type, get(value))) == ints, json_type, dump, load, f"a {kind.__name__}"
 
 
 class _Node(Record):
-    """A certificate node, declared once: its JSON `node` tag, `lemma` slug and `layout`,
-    its replay checks (`_replay`) and, for a certificate, how `realize` builds it (`_realize`).
+    """A certificate node, declared once: its JSON `node` tag, `lemma` slug and `layout`, its
+    replay checks (`_replay`) and, for a certificate, how `realize` builds it (`_realize`).
 
-    ``layout`` maps each JSON key after ``node`` and ``lemma``, in serialized
-    order, to its field type: ``int``, ``str``, ``TraceValue``, ``Convergent``,
-    ``FourSquares``, a leaf node class, a pair of leaf classes, or
-    ``_Certificate`` for the certificate child, which comes last: serialize
-    and parse handle it apart from the node's own fields, and replay moves on
-    to it after them.  The codec tables the generic serializer and strict
-    parser use are built here.
-    """
+    ``layout`` maps each JSON key after ``node`` and ``lemma``, in serialized order, to the type of
+    the field of that name (``__slots__ = tuple(layout)``): ``int``, ``str``, ``TraceValue``,
+    ``Convergent``, ``FourSquares``, a leaf node class, a pair of leaf classes, or ``_Certificate``
+    for the certificate child, which comes last and is left to the replay; the other fields'
+    ``_codec`` rows are the constructor's type check and the serializer's and parser's table."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if "layout" not in cls.__dict__:
+        layout = cls.__dict__.get("layout", {})
+        if cls.__dict__["__slots__"] != tuple(layout):
+            raise TypeError(f"{cls.__name__}: a node's __slots__ are tuple(layout)")
+        if not layout:
             return
-        *order, last = cls.layout
-        cls._child = last if cls.layout[last] is _Certificate else None
-        cls._order = order = order if cls._child else [*order, last]
-        if _Certificate in map(cls.layout.get, order) or cls._child not in (None, cls._fields[-1]):
+        cls._child = cls._fields[-1] if layout[cls._fields[-1]] is _Certificate else None
+        own = cls._fields[:-1] if cls._child else cls._fields
+        if _Certificate in map(layout.get, own):
             raise TypeError(f"{cls.__name__}: the certificate child must be the last key and field")
-        cls._keys = frozenset(("node", "lemma", *cls.layout))
-        cls._types, dumps, loads = zip(*(_codec(cls.layout[key]) for key in order))
-        get = itemgetter(*order)
-        cls._values = staticmethod(get if len(order) > 1 else lambda raw: (get(raw),))
-        cls._dumpers = tuple(zip(order, dumps))
-        cls._loaders = tuple((i, "." + key, load) for i, (key, load) in enumerate(zip(order, loads)) if load)
-        if "_from_layout" not in cls.__dict__:  # the constructor takes the fields in layout order
-            cls._from_layout = cls
+        cls._keys = frozenset(("node", "lemma", *layout))
+        cls._codecs = tuple((key, *_codec(layout[key])) for key in own)  # (key, type, parts, ...) per own field
+        cls._shape = tuple(row[1] for row in cls._codecs)  # the constructor's fast path: the exact types first
+        cls._parts = tuple((i, row[2]) for i, row in enumerate(cls._codecs) if row[2])
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        values = args[: len(self._shape)]  # the certificate child, if any, is not checked
+        if tuple(map(type, values)) != self._shape or self._parts and not all(
+                parts(values[i]) for i, parts in self._parts):
+            for (key, kind, parts, *_, noun), value in zip(self._codecs, values):
+                if type(value) is not kind or parts and not parts(value):
+                    what = "certificate" if isinstance(self, _Certificate) else "node"
+                    raise CertificateFormatError(f"a {self.tag} {what} needs {noun} {key}, got {value!r}")
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
 
     def _to_json(self) -> dict:
         """This node's JSON, without its certificate child."""
         out = {"node": self.tag, "lemma": self.lemma}
-        for key, dump in self._dumpers:
-            value = getattr(self, key)
+        for (key, _, _, _, dump, _, _), value in zip(self._codecs, self._astuple(self)):
             out[key] = value if dump is None else dump(value)
         return out
 
     @classmethod
     def _from_json(cls, raw, where: str, child=None) -> "_Node":
-        """The node in raw, strictly checked; a certificate node is given its parsed child."""
+        """The node in raw, strictly checked, built by the constructor; a certificate is given its parsed child."""
         if not isinstance(raw, dict) or raw.get("node") != cls.tag or raw.keys() != cls._keys:
             raise _shape_error(raw, cls._keys, where, cls.tag)
-        values = cls._values(raw)
-        if tuple(map(type, values)) != cls._types:
-            for key, json_type, value in zip(cls._order, cls._types, values):
-                if type(value) is not json_type:
-                    want = {int: "an integer", str: "a string", dict: "an object", list: "a list"}[json_type]
-                    raise CertificateFormatError(f"{where}.{key}: expected {want}, got {value!r}")
-        if cls._loaders:
-            values = list(values)
-            for i, step, load in cls._loaders:
-                values[i] = load(values[i], where + step)
-        node = cls._from_layout(*values, child) if cls._child else cls._from_layout(*values)
+        values = []
+        for key, _, _, json_type, _, load, _ in cls._codecs:
+            if type(value := raw[key]) is not json_type:
+                want = {int: "an integer", str: "a string", dict: "an object", list: "a list"}[json_type]
+                raise CertificateFormatError(f"{where}.{key}: expected {want}, got {value!r}")
+            values.append(value if load is None else load(value, f"{where}.{key}"))
+        node = cls(*values, child) if cls._child else cls(*values)
         if raw["lemma"] != node.lemma:
             raise CertificateFormatError(f"{where}: a {cls.tag} node has lemma {node.lemma!r}, not {raw['lemma']!r}")
         return node
@@ -387,8 +392,6 @@ class _Certificate(_Node):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if not isinstance(self.target, TraceValue):  # every replay reads it as one
-            raise CertificateFormatError(f"a {self.tag} certificate needs a TraceValue target, got {self.target!r}")
         node = self
         for _ in range(MAX_NESTING + 1):
             node = getattr(node, node._child) if node._child else None
@@ -403,9 +406,9 @@ class ApproximantCyclic(_Node):
     Valid when p/q is reduced, 0 < q|q*theta - p| < 1 and k|q*theta - p| < 1/4.
     """
 
-    __slots__ = ("k", "p", "q")
     tag, lemma = "cyclic-approximant", "cyclic-from-rational-approximant"
     layout = {"k": int, "p": int, "q": int}
+    __slots__ = tuple(layout)
 
     def trace(self, theta: ThetaParam) -> TraceValue:
         if theta.sign_linear(-self.p, self.q) > 0:
@@ -428,9 +431,9 @@ class ApproximantCyclic(_Node):
 class OrbitFlat(_Node):
     """A flat projection as the full orbit sum of a cyclic one; trace is 4x the leaf's."""
 
-    __slots__ = ("leaf",)
     tag, lemma = "orbit-flat", "orbit-sum-of-cyclic"
     layout = {"leaf": ApproximantCyclic}
+    __slots__ = tuple(layout)
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str) -> TraceValue:
         """The leaf's checks; returns this projection's trace, 4x the leaf's."""
@@ -441,11 +444,11 @@ class OrbitFlat(_Node):
 class FlatCert(_Certificate):
     """Flat realization via a bracketing-convergent split and an orthogonal sum."""
 
-    __slots__ = ("target", "k", "n", "m", "low", "high", "a", "b", "legs")
     tag, lemma, kind = "flat", "bracketing-convergent-split", "flat"
     domain = (Fraction(0), Fraction(1), 4)  # (lo, hi, subgroup multiple) of realize's targets
     layout = {"target": TraceValue, "k": int, "n": int, "m": int, "low": Convergent,
               "high": Convergent, "a": int, "b": int, "legs": (OrbitFlat, OrbitFlat)}
+    __slots__ = tuple(layout)
 
     @classmethod
     def _realize(cls, t: TraceValue, theta: ThetaParam) -> "FlatCert":
@@ -479,10 +482,10 @@ class FlatCert(_Certificate):
 class CyclicCert(_Certificate):
     """Cyclic realization: quarter split of the flat certificate for 4t."""
 
-    __slots__ = ("target", "flat")
     tag, lemma, kind = "cyclic", "quarter-split-of-flat", "cyclic"
     domain = (Fraction(0), Fraction(1, 4), 1)
     layout = {"target": TraceValue, "flat": _Certificate}
+    __slots__ = tuple(layout)
 
     @classmethod
     def _realize(cls, t: TraceValue, theta: ThetaParam) -> "CyclicCert":
@@ -506,19 +509,17 @@ class SemicyclicCert(_Certificate):
     the right trace is taken beneath it.
     """
 
-    __slots__ = ("target", "mode", "inner")
     tag, kind = "semicyclic", "semicyclic"
     domain = (Fraction(0), Fraction(1, 2), 1)
     layout = {"mode": str, "target": TraceValue, "inner": _Certificate}
-
-    _from_layout = classmethod(lambda cls, mode, target, inner: cls(target, mode, inner))
+    __slots__ = tuple(layout)
 
     lemma = property(lambda self: "flip-orbit-double" if self.mode == "orbit-double" else "invariant-subprojection")
 
     @classmethod
     def _realize(cls, t: TraceValue, theta: ThetaParam) -> "SemicyclicCert":
         if t.in_subgroup(2):
-            return cls(t, "orbit-double", CyclicCert._realize(TraceValue(t.a // 2, t.b // 2), theta))
+            return cls("orbit-double", t, CyclicCert._realize(TraceValue(t.a // 2, t.b // 2), theta))
         # find an even bound 2x with t < 2x < 1/2, via a positive step 2(q*theta - p)
         # smaller than the room 1/2 - t above t
         for p, q in theta.convergents:
@@ -532,7 +533,7 @@ class SemicyclicCert(_Certificate):
         bound = gap.scale(theta.floor_ratio(t.a, t.b, gap.a, gap.b) + 1)
         if not bound.in_open_interval(theta, 0, Fraction(1, 2)) or theta.sign_linear(bound.a - t.a, bound.b - t.b) <= 0:
             raise InternalAssertion("even bound selection failed")
-        return cls(t, "subprojection", cls._realize(bound, theta))
+        return cls("subprojection", t, cls._realize(bound, theta))
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
         t, inner = self.target, self.inner
@@ -556,10 +557,10 @@ class SemicyclicCert(_Certificate):
 class SemiflatCert(_Certificate):
     """Semiflat realization: h + sigma(h) over a semicyclic h of half the trace."""
 
-    __slots__ = ("target", "inner")
     tag, lemma, kind = "semiflat", "transform-orbit-pairing", "semiflat"
     domain = (Fraction(0), Fraction(1), 2)
     layout = {"target": TraceValue, "inner": _Certificate}
+    __slots__ = tuple(layout)
 
     @classmethod
     def _realize(cls, t: TraceValue, theta: ThetaParam) -> "SemiflatCert":
@@ -578,9 +579,9 @@ class SemiflatCert(_Certificate):
 class EmbeddingLeg(_Node):
     """One scaled-copy leg of trace (m1^2 + m2^2)*theta - n_shift in [0, 1)."""
 
-    __slots__ = ("m1", "m2", "n_shift")
     tag, lemma = "embedding-leg", "scaled-generator-embedding"
     layout = {"m1": int, "m2": int, "n_shift": int}
+    __slots__ = tuple(layout)
 
     @property
     def scale(self) -> int:
@@ -607,14 +608,12 @@ class FourierInvariantCert(_Certificate):
     of one leg from the other (branch "complement-subtraction").
     """
 
-    __slots__ = ("target", "squares", "leg1", "leg2", "k", "branch")
     tag, lemma, kind = "fourier-invariant", "four-squares-split", "fourier_invariant"
     domain = (Fraction(0), Fraction(1), 1)
     layout = {"target": TraceValue, "squares": FourSquares, "legs": (EmbeddingLeg, EmbeddingLeg),
               "k": int, "branch": str}
-
-    _from_layout = classmethod(lambda cls, target, squares, legs, k, branch: cls(target, squares, *legs, k, branch))
-    legs = property(attrgetter("leg1", "leg2"))
+    __slots__ = tuple(layout)
+    leg1, leg2 = property(lambda self: self.legs[0]), property(lambda self: self.legs[1])
 
     @classmethod
     def _realize(cls, t: TraceValue, theta: ThetaParam) -> "FourierInvariantCert":
@@ -625,10 +624,10 @@ class FourierInvariantCert(_Certificate):
         k = -t.a - leg1.n_shift - leg2.n_shift
         if k not in (0, 1):
             raise InternalAssertion(f"combination defect k = {k} escaped {{0, 1}}")
-        return cls(t, sq, leg1, leg2, k, "orthogonal-sum" if k == 0 else "complement-subtraction")
+        return cls(t, sq, (leg1, leg2), k, "orthogonal-sum" if k == 0 else "complement-subtraction")
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str) -> None:
-        t, sq, leg1, leg2, k, branch = self._astuple(self)
+        t, sq, (leg1, leg2), k, branch = self._astuple(self)
         v.check(t.in_open_interval(theta, 0, 1), path, "target not in (0, 1)")
         v.check(t.b >= 1, path, "theta-coefficient must be positive here")
         v.check(sq.total() == t.b, path, "four squares do not sum to the theta-coefficient")
@@ -645,9 +644,9 @@ class FourierInvariantCert(_Certificate):
 class ReflectedCert(_Certificate):
     """Wrapper realizing a trace with negative theta-coefficient over 1 - theta."""
 
-    __slots__ = ("target", "inner")
     tag, lemma = "reflected", "angle-reflection"
     layout = {"target": TraceValue, "inner": _Certificate}
+    __slots__ = tuple(layout)
 
     # a malformed inner has no kind; the replay reports it under the node's tag
     kind = property(lambda self: self.inner.kind if isinstance(self.inner, _Certificate) else self.tag)

@@ -67,7 +67,8 @@ def ref_mul(x, y):
 
 def ref_star(x):
     # (c L^k U^m V^n)* = conj(c) L^{4mn - k} U^{-m} V^{-n}
-    return {(-m, -n): {4 * m * n - k: c.conjugate() for k, c in coef.items()} for (m, n), coef in x.items()}
+    return {(-m, -n): {4 * m * n - k: GaussRational(c.re, -c.im) for k, c in coef.items()}
+            for (m, n), coef in x.items()}
 
 
 def ref_automorphism(which, x):

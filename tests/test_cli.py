@@ -199,6 +199,30 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert code == 2 and rec["ok"] is False
 
 
+@pytest.mark.parametrize("kind", ["fourier_invariant", None, ["flat"]], ids=["other-kind", "null", "list"])
+def test_verify_rejects_an_envelope_kind_that_is_not_the_certificates(tmp_path, capsys, kind):
+    payload = _flat_certificate(tmp_path, capsys)
+    payload["kind"] = kind
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "--json", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: the file's kind {kind!r} is not the certificate's kind 'flat'\n"
+
+
+@pytest.mark.parametrize("trace", ["8t-4", "8-12t"], ids=["flat", "reflected"])
+def test_verify_reports_the_certificates_own_kind(tmp_path, capsys, trace):
+    path = tmp_path / "cert.json"
+    run(capsys, "realize", "--kind", "flat", "--trace", trace, "-o", str(path))
+    code, rec, _ = run_json(capsys, "verify", str(path))
+    assert (code, rec["ok"], rec["kind"]) == (0, True, "flat")
+    payload = json.loads(path.read_text())
+    del payload["kind"]  # a file without an envelope kind reports the certificate's own
+    path.write_text(json.dumps(payload))
+    code, rec, _ = run_json(capsys, "verify", str(path))
+    assert (code, rec["ok"], rec["kind"]) == (0, True, "flat")
+
+
 def test_verify_rejects_non_integer_field(tmp_path, capsys):
     path = tmp_path / "cert.json"
     run(capsys, "realize", "--kind", "flat", "--trace", "8t-4", "-o", str(path))

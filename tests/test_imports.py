@@ -4,8 +4,9 @@ Every case runs in a fresh interpreter, so the modules it reports are
 the ones that subcommand pulled in and nothing a previous test imported.
 No timing is asserted.  The last checks are on the source itself: theta
 is the one module that turns theta into a float, theta.Record is the one
-class that guards fields against assignment, and every public function or
-class has a caller in the package or is exported.
+class that guards fields against assignment, every public function or
+class has a caller in the package or is exported, and every public method
+is read by the package or the benchmark.
 """
 
 import ast
@@ -174,3 +175,28 @@ def test_every_public_name_is_exported_or_used_in_the_package():
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
                    and node.name not in used and (module, node.name) not in reached]
     assert not unused, f"public names no module uses and the package does not export: {unused}"
+
+
+# CircleFunction.shift is the trigonometric-shift oracle that tests/test_loops.py compares the FFT phase
+# tables of loop_mul and loop_adjoint against; the package itself shifts through those tables.
+TEST_ORACLE_METHODS = {"loops.CircleFunction.shift"}
+
+
+def test_every_public_method_is_read_in_the_package_or_the_benchmark():
+    # a public method that nothing in src/nctorus or perfbench/ reads by name, as an attribute or as a
+    # string (for attrgetter), is library code that only its own tests run
+    read = set()
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    for path in [*Path(SRC, "nctorus").glob("*.py"), *bench.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = set()
+    for path in Path(SRC, "nctorus").glob("*.py"):
+        for cls in (n for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(n, ast.ClassDef)):
+            unread.update(f"{path.stem}.{cls.name}.{node.name}" for node in cls.body
+                          if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                          and node.name not in read)
+    assert unread == TEST_ORACLE_METHODS, f"public methods the package and the benchmark never read: {sorted(unread)}"

@@ -91,6 +91,22 @@ def test_grid_and_beta_mismatch_rejected():
         loop_mul(x, z)
 
 
+@pytest.mark.parametrize("keys", [(1.5, -0.7), (1.0,), ("1",), (np.float64(2.0),)],
+                         ids=["fractional", "integral-float", "string", "numpy-float"])
+def test_loop_element_refuses_a_key_that_is_not_an_integer(keys):
+    # refused, not truncated: {1.5: f, -0.7: f} must not become the keys [0, 1]
+    f = CircleFunction.zero(256)
+    with pytest.raises(TypeError):
+        LoopElement(0.3, {k: f for k in keys}, 256)
+
+
+def test_loop_element_takes_numpy_integer_keys():
+    f = CircleFunction.zero(256)
+    x = LoopElement(0.3, {np.int64(-2): f, np.int32(1): f, 3: f}, 256)
+    assert sorted(x.coeffs) == [-2, 1, 3]
+    assert all(type(k) is int for k in x.coeffs)
+
+
 def test_associativity_random_triples():
     rng = random.Random(16)
     beta = SQRT2.turns(0, 1)

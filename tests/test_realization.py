@@ -15,7 +15,9 @@ from nctorus.realization import (
     KINDS,
     MAX_NESTING,
     CertificateFormatError,
+    Convergent,
     CyclicCert,
+    FourSquares,
     OutOfRange,
     ReflectedCert,
     SemiflatCert,
@@ -31,6 +33,7 @@ from nctorus.realization import (
     subalgebra_generators,
     verify_certificate,
 )
+from nctorus.realization import _Certificate
 from nctorus.theta import Record, ThetaParam
 
 from conftest import reflected_chain_json
@@ -629,6 +632,131 @@ def test_a_target_that_is_not_a_trace_value_is_refused_at_construction(outer, ta
     with pytest.raises(CertificateFormatError,
                        match=f"^a {outer.tag} certificate needs a TraceValue target, got {target!r}$"):
         outer(target, cert)
+
+
+# (theta, kind, trace): every node type on both angles, with reflected wrappers and both fourier branches
+EVERY_NODE = [(GOLDEN, "flat", "8t-4"), (GOLDEN, "cyclic", "2t-1"), (GOLDEN, "semicyclic", "2t-1"),
+              (GOLDEN, "semiflat", "2-2t"), (GOLDEN, "fourier_invariant", "18t-11"), (SQRT2, "flat", "4-8t"),
+              (SQRT2, "semicyclic", "t"), (SQRT2, "semiflat", "2t"), (SQRT2, "fourier_invariant", "3-6t"),
+              (SQRT2, "fourier_invariant", "t")]
+
+
+def _realized(spec):
+    theta, kind, trace = spec
+    return realize(kind, parse_trace(trace), theta)
+
+
+def _field_paths(node, prefix=()):
+    """(path, declared type) of every field below node, certificate children, leaf nodes and pair members
+    included; a path steps through field names and pair indexes."""
+    for key, value in zip(node._fields, node._astuple(node)):
+        path = (*prefix, key)
+        yield path, node.layout[key]
+        if type(value) is tuple:  # a pair of leaf nodes
+            for i, member in enumerate(value):
+                yield (*path, i), node.layout[key][i]
+                yield from _field_paths(member, (*path, i))
+        elif hasattr(value, "layout"):
+            yield from _field_paths(value, path)
+
+
+def _replaced(node, path, value):
+    """node with the field at path set to value, every node on the way rebuilt through its constructor."""
+    key, *rest = path
+    fields = dict(zip(node._fields, node._astuple(node)))
+    if rest and type(rest[0]) is int:  # a member of a pair
+        i, *rest = rest
+        pair = list(fields[key])
+        pair[i] = _replaced(pair[i], rest, value) if rest else value
+        fields[key] = tuple(pair)
+    else:
+        fields[key] = _replaced(fields[key], rest, value) if rest else value
+    return type(node)(**fields)
+
+
+def test_the_wrong_type_table_reaches_every_node_type():
+    tags = set()
+    for spec in EVERY_NODE:
+        cert = _realized(spec)
+        tags.add(cert.tag)
+        for path, _ in _field_paths(cert):
+            node = cert
+            for step in path:
+                node = node[step] if type(step) is int else getattr(node, step)
+            if hasattr(node, "tag"):
+                tags.add(node.tag)
+    assert tags == {"flat", "orbit-flat", "cyclic-approximant", "cyclic", "semicyclic", "semiflat",
+                    "fourier-invariant", "embedding-leg", "reflected"}
+
+
+WRONG = [None, "x", 1.5, True, TraceValue("a", None)]
+
+
+@pytest.mark.parametrize("spec", EVERY_NODE, ids=lambda s: f"{s[0].name}-{s[1]}-{s[2]}")
+def test_a_field_of_the_wrong_type_is_refused_at_construction(spec):
+    cert, cases = _realized(spec), 0
+    for path, declared in _field_paths(cert):
+        if declared is _Certificate:  # the child is checked by the replay, not here
+            continue
+        key = path[-1] if type(path[-1]) is str else path[-2]  # a pair member is checked as its pair
+        for wrong in WRONG:
+            if type(wrong) is declared:  # a string is a string field's own type
+                continue
+            with pytest.raises(CertificateFormatError, match=f" {key}, got "):
+                _replaced(cert, path, wrong)
+            cases += 1
+    assert cases
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("k",), None, "a flat certificate needs an integer k, got None"),
+    (("m",), True, "a flat certificate needs an integer m, got True"),
+    (("target",), TraceValue("a", None), "a flat certificate needs a TraceValue target, got TraceValue(a='a', b=None)"),
+    (("target",), TraceValue(-4, 8.0), "a flat certificate needs a TraceValue target, got TraceValue(a=-4, b=8.0)"),
+    (("low",), (3, 5), "a flat certificate needs a Convergent low, got (3, 5)"),
+    (("legs",), None, "a flat certificate needs two 'orbit-flat' legs, got None"),
+    (("legs", 0), None, "a flat certificate needs two 'orbit-flat' legs, got (None, OrbitFlat("),
+    (("legs", 1, "leaf"), None, "a orbit-flat node needs a 'cyclic-approximant' leaf, got None"),
+    (("legs", 1, "leaf", "q"), "5", "a cyclic-approximant node needs an integer q, got '5'"),
+])
+def test_field_messages_name_the_node_the_field_and_the_value(path, value, message):
+    with pytest.raises(CertificateFormatError) as info:
+        _replaced(realize("flat", TraceValue(-4, 8), GOLDEN), path, value)
+    assert str(info.value).startswith(message)
+
+
+_FLAT = realize("flat", TraceValue(-4, 8), GOLDEN)
+_FOURIER = realize("fourier_invariant", TraceValue(-11, 18), GOLDEN)
+# nodes and pairs of them, taken from valid certificates
+PARTS = [_FLAT, _FLAT.legs, _FLAT.legs[0].leaf, _FOURIER, _FOURIER.legs, realize("cyclic", TraceValue(-1, 2), GOLDEN),
+         realize("semiflat", TraceValue(-2, 4), GOLDEN).inner]
+
+# any value a field might be given from Python: the JSON kinds, tuples, lists and records with odd parts
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**6), 10**6), st.floats(allow_nan=False), st.text(max_size=3),
+    st.sampled_from(["orbit-double", "subprojection", "orthogonal-sum", "complement-subtraction"]),
+    st.builds(TraceValue, st.integers(-50, 50) | st.none(), st.integers(-50, 50) | st.text(max_size=1)),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+    st.lists(st.integers(-9, 9), max_size=4).map(tuple),
+    st.builds(Convergent, st.integers(-9, 9), st.integers(-9, 9)),
+    st.builds(FourSquares, *[st.integers(-3, 3)] * 4),
+    st.sampled_from([*PARTS, *(pair[0] for pair in PARTS if type(pair) is tuple)]),
+    st.lists(st.sampled_from([*PARTS, None]), min_size=1, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(EVERY_NODE), st.integers(0, 10**6), ANY_VALUE)
+def test_one_field_replaced_by_any_value_is_refused_or_replays_to_a_report(spec, pick, value):
+    cert = _realized(spec)
+    paths = [path for path, _ in _field_paths(cert)]
+    path = paths[pick % len(paths)]
+    try:
+        node = _replaced(cert, path, value)
+    except CertificateFormatError:
+        return
+    report = verify_certificate(node, spec[0])
+    assert isinstance(report.ok, bool) and isinstance(report.failures, tuple)
 
 
 # ---------------------------------------------------------- nesting limit

@@ -42,10 +42,10 @@ FIELDS = {
     realization.OrbitFlat: "leaf",
     realization.FlatCert: "target k n m low high a b legs",
     realization.CyclicCert: "target flat",
-    realization.SemicyclicCert: "target mode inner",
+    realization.SemicyclicCert: "mode target inner",
     realization.SemiflatCert: "target inner",
     realization.EmbeddingLeg: "m1 m2 n_shift",
-    realization.FourierInvariantCert: "target squares leg1 leg2 k branch",
+    realization.FourierInvariantCert: "target squares legs k branch",
     realization.ReflectedCert: "target inner",
     realization.VerificationReport: "ok failures",
     traces.T2Vector: "tau phi00 phi01 phi10 phi11",

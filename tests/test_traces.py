@@ -75,7 +75,7 @@ def test_t4_of_sigma_average_of_u():
     t4 = chern_T4(sigma_average(U))
     assert t4.tau == PhaseScalar.zero()
     assert t4.psi10 == PhaseScalar.zero()
-    assert t4.psi11 == PhaseScalar.of(4).shifted(-1)  # 4 L^-1
+    assert t4.psi11 == PhaseScalar.of(4) * PhaseScalar.lam(-1)  # 4 L^-1
     assert t4.psi20 == PhaseScalar.zero()
     assert t4.psi21 == PhaseScalar.zero()
     assert t4.psi22 == PhaseScalar.of(4)
