@@ -138,10 +138,6 @@ class PhaseScalar(Record):
     # ------------------------------------------------------------- factories
 
     @classmethod
-    def zero(cls) -> "PhaseScalar":
-        return _phase({}, 1)
-
-    @classmethod
     def one(cls) -> "PhaseScalar":
         return _phase({0: (1, 0)}, 1)
 
@@ -231,10 +227,6 @@ class Element(Record):
         return _element, (self._t, self._d)
 
     # ------------------------------------------------------------- factories
-
-    @classmethod
-    def zero(cls) -> "Element":
-        return _element({}, 1)
 
     @classmethod
     def one(cls) -> "Element":

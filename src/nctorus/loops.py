@@ -1,9 +1,10 @@
 """Numeric loop algebra: elements sum_k f_k(W) V^k with W = U^r.
 
-Coefficients are circle functions held as samples on a uniform dyadic
-grid; off-grid values come from trigonometric interpolation through the
-discrete Fourier coefficients.  With beta = r*theta mod 1 (the float ``theta.turns(0, r)``)
-the base unitary satisfies V W = e(beta) W V, hence the crossed-product rules
+Each coefficient f_k is a one-dimensional complex numpy array: its samples
+on a uniform dyadic grid.  Off-grid values come from trigonometric
+interpolation through the discrete Fourier coefficients.  With
+beta = r*theta mod 1 (the float ``theta.turns(0, r)``) the base unitary
+satisfies V W = e(beta) W V, hence the crossed-product rules
 
     (f V^a)(h V^b) = f * (h shifted by a*beta) V^{a+b}
     (f V^a)*       = conj(f) shifted by -a*beta, times V^{-a}
@@ -30,7 +31,7 @@ one complex exp.  projection_gates shares its phase table between e*e and
 e* (13 FFTs, one exp per attempt); loop_invariants transforms each
 coefficient once for all four slots.  The results equal the plain
 shift-per-term formulas bit for bit.  Spectra and phases live for one call
-only, never on a CircleFunction or a LoopElement: a failed build's element
+only and are never stored on a LoopElement: a failed build's element
 can outlive its call until the cyclic garbage collector runs (a kept
 traceback references it), and anything cached on it would live as long.
 
@@ -103,108 +104,33 @@ def _check_grid(n: int) -> int:
     return n
 
 
-class CircleFunction(Record):
-    """Complex samples on the grid t_j = j/N, N a power of two >= 256."""
-
-    __slots__ = ("samples",)
-    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
-
-    def __init__(self, samples: Iterable[complex]):
-        arr = np.asarray(samples, dtype=complex)
-        if arr.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        _check_grid(arr.shape[0])
-        self._setters[0](self, arr)
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    @staticmethod
-    def grid(n: int) -> np.ndarray:
-        return np.arange(_check_grid(n)) / n
-
-    @classmethod
-    def zero(cls, n: int = DEFAULT_GRID) -> "CircleFunction":
-        return cls(np.zeros(n, dtype=complex))
-
-    # ------------------------------------------------------------ operations
-
-    def _binary(self, other, op) -> "CircleFunction":
-        if isinstance(other, CircleFunction):
-            if other.n != self.n:
-                raise GridMismatch(f"grid sizes differ: {self.n} vs {other.n}")
-            return CircleFunction(op(self.samples, other.samples))
-        return CircleFunction(op(self.samples, other))
-
-    def __add__(self, other) -> "CircleFunction":
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other) -> "CircleFunction":
-        return self._binary(other, lambda a, b: a - b)
-
-    def __mul__(self, other) -> "CircleFunction":
-        return self._binary(other, lambda a, b: a * b)
-
-    def __neg__(self) -> "CircleFunction":
-        return CircleFunction(-self.samples)
-
-    def conj(self) -> "CircleFunction":
-        return CircleFunction(np.conj(self.samples))
-
-    def reflect(self) -> "CircleFunction":
-        """t -> -t; exact on the grid."""
-        idx = (-np.arange(self.n)) % self.n
-        return CircleFunction(self.samples[idx])
-
-    def freqs(self) -> np.ndarray:
-        """Integer frequencies in FFT order (Nyquist bin counted as -N/2)."""
-        return _freqs(self.n)
-
-    def coeffs(self) -> np.ndarray:
-        """Discrete Fourier coefficients c_m of sum c_m e(m t), FFT order."""
-        return np.fft.fft(self.samples) / self.n
-
-    def shift(self, s: float) -> "CircleFunction":
-        """Trigonometric interpolation of t -> f(t + s)."""
-        spectrum = np.fft.fft(self.samples)
-        phase = np.exp(2j * np.pi * self.freqs() * s)
-        return CircleFunction(np.fft.ifft(spectrum * phase))
-
-    def sup(self) -> float:
-        return float(np.abs(self.samples).max()) if self.n else 0.0
-
-    def mean(self) -> complex:
-        return complex(self.samples.mean())
-
-    def to_json(self) -> list:
-        return [[float(z.real), float(z.imag)] for z in self.samples]
-
-    @classmethod
-    def from_json(cls, data) -> "CircleFunction":
-        return cls(np.array([complex(re, im) for re, im in data]))
-
-
 class LoopElement(Record):
-    """Finite sum  sum_k f_k(W) V^k  over a fixed base step beta and grid."""
+    """Finite sum  sum_k f_k(W) V^k  over a fixed base step beta and grid.
+
+    Each coefficient f_k is a one-dimensional complex array of its samples
+    on the grid t_j = j/n, n a power of two >= 256.
+    """
 
     __slots__ = ("beta", "coeffs", "n")
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
-    def __init__(self, beta: float, coeffs: Mapping[int, CircleFunction], n: Optional[int] = None):
-        cleaned: Dict[int, CircleFunction] = {}
+    def __init__(self, beta: float, coeffs: Mapping[int, np.ndarray], n: Optional[int] = None):
+        cleaned: Dict[int, np.ndarray] = {}
         for k, f in dict(coeffs).items():
+            f = np.asarray(f, dtype=complex)
+            if f.ndim != 1:
+                raise ValueError("coefficients must be one-dimensional arrays of samples")
             if n is None:
-                n = f.n
-            if f.n != n:
+                n = f.shape[0]
+            if f.shape[0] != n:
                 raise GridMismatch("all coefficients must share one grid")
             cleaned[index(k)] = f  # an integral key: 1.5 is refused, not truncated
         if n is None:
             n = DEFAULT_GRID
         super().__init__(float(beta) % 1.0, cleaned, _check_grid(n))
 
-    def coefficient(self, k: int) -> CircleFunction:
-        return self.coeffs.get(k, CircleFunction.zero(self.n))
+    def coefficient(self, k: int) -> np.ndarray:
+        return self.coeffs.get(k, np.zeros(self.n, dtype=complex))
 
     def _compatible(self, other: "LoopElement") -> None:
         if self.n != other.n:
@@ -227,10 +153,13 @@ class LoopElement(Record):
         return LoopElement(self.beta, out, self.n)
 
     def __mul__(self, other: "LoopElement") -> "LoopElement":
-        return loop_mul(self, other)
+        """(f V^a)(h V^b) = f * (h shifted by a*beta) V^{a+b}, extended bilinearly."""
+        self._compatible(other)
+        return _mul(self, other, _phase_table(self.n, self.beta, self.coeffs))
 
     def star(self) -> "LoopElement":
-        return loop_star(self)
+        """(f V^a)* = conj(f) shifted by -a*beta, times V^{-a}."""
+        return _star(self, _phase_table(self.n, self.beta, (-a for a in self.coeffs)))
 
     def snorm(self) -> float:
         """The norm surrogate: sum over V-powers of coefficient sup-norms.
@@ -238,19 +167,14 @@ class LoopElement(Record):
         Submultiplicative for the product rule above, and it dominates the
         operator norm, so residual gates in it are meaningful.
         """
-        return sum(f.sup() for f in self.coeffs.values())
+        return sum(float(np.abs(f).max()) for f in self.coeffs.values())
 
     def to_json(self) -> dict:
         return {
             "beta": self.beta,
             "n": self.n,
-            "coeffs": {str(k): f.to_json() for k, f in sorted(self.coeffs.items())},
+            "coeffs": {str(k): np.stack((f.real, f.imag), 1).tolist() for k, f in sorted(self.coeffs.items())},
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LoopElement":
-        coeffs = {int(k): CircleFunction.from_json(v) for k, v in data["coeffs"].items()}
-        return cls(float(data["beta"]), coeffs, int(data["n"]))
 
 
 def _phase_table(n: int, beta: float, shifts: Iterable[int]) -> Dict[int, np.ndarray]:
@@ -272,35 +196,24 @@ def _phase_table(n: int, beta: float, shifts: Iterable[int]) -> Dict[int, np.nda
 
 
 def _mul(x: LoopElement, y: LoopElement, phases: Mapping[int, np.ndarray]) -> LoopElement:
-    """loop_mul of compatible operands; ``phases`` covers every nonzero V-power of x."""
-    spectra = {b: np.fft.fft(hb.samples) for b, hb in y.coeffs.items()} if any(x.coeffs) else {}
-    acc: Dict[int, CircleFunction] = {}
+    """x * y for compatible operands; ``phases`` covers every nonzero V-power of x."""
+    spectra = {b: np.fft.fft(hb) for b, hb in y.coeffs.items()} if any(x.coeffs) else {}
+    acc: Dict[int, np.ndarray] = {}
     for a, fa in x.coeffs.items():
         for b, hb in y.coeffs.items():
-            term = CircleFunction(fa.samples * np.fft.ifft(spectra[b] * phases[a])) if a else fa * hb
+            term = fa * np.fft.ifft(spectra[b] * phases[a]) if a else fa * hb
             k = a + b
             acc[k] = acc[k] + term if k in acc else term
     return LoopElement(x.beta, acc, x.n)
 
 
 def _star(x: LoopElement, phases: Mapping[int, np.ndarray]) -> LoopElement:
-    """loop_star; ``phases`` covers -a for every nonzero V-power a of x."""
-    out: Dict[int, CircleFunction] = {}
+    """x.star(); ``phases`` covers -a for every nonzero V-power a of x."""
+    out: Dict[int, np.ndarray] = {}
     for a, fa in x.coeffs.items():
-        g = np.conj(fa.samples)
-        out[-a] = CircleFunction(np.fft.ifft(np.fft.fft(g) * phases[-a]) if a else g)
+        g = np.conj(fa)
+        out[-a] = np.fft.ifft(np.fft.fft(g) * phases[-a]) if a else g
     return LoopElement(x.beta, out, x.n)
-
-
-def loop_mul(x: LoopElement, y: LoopElement) -> LoopElement:
-    """(f V^a)(h V^b) = f * (h shifted by a*beta) V^{a+b}, extended bilinearly."""
-    x._compatible(y)
-    return _mul(x, y, _phase_table(x.n, x.beta, x.coeffs))
-
-
-def loop_star(x: LoopElement) -> LoopElement:
-    """(f V^a)* = conj(f) shifted by -a*beta, times V^{-a}."""
-    return _star(x, _phase_table(x.n, x.beta, (-a for a in x.coeffs)))
 
 
 def flip_apply(e: LoopElement) -> LoopElement:
@@ -309,7 +222,8 @@ def flip_apply(e: LoopElement) -> LoopElement:
     Matches the exact automorphism U^{rm} V^k -> U^{-rm} V^{-k} on
     monomial loop elements; exact on the grid (index reflection).
     """
-    return LoopElement(e.beta, {-k: f.reflect() for k, f in e.coeffs.items()}, e.n)
+    reflect = -np.arange(e.n) % e.n  # t_j -> t_{-j}
+    return LoopElement(e.beta, {-k: f[reflect] for k, f in e.coeffs.items()}, e.n)
 
 
 # ------------------------------------------------------------------ bump pair
@@ -413,10 +327,10 @@ def assemble_projection(
         eps = min(alpha, 1 - alpha) / 4
     f_profile, g_profile = bump_profiles(alpha, eps)
     delta = ((alpha + eps - 1) / 2 if centered else 0.0) + math.fmod(offset, 1.0)
-    t = CircleFunction.grid(n)
-    f0 = CircleFunction(f_profile(t + delta).astype(complex))
-    gm = CircleFunction(g_profile(t + delta).astype(complex))
-    gp = CircleFunction(g_profile(t + delta + alpha).astype(complex))
+    t = np.arange(_check_grid(n)) / n
+    f0 = f_profile(t + delta).astype(complex)
+    gm = g_profile(t + delta).astype(complex)
+    gp = g_profile(t + delta + alpha).astype(complex)
     return LoopElement(alpha, {1: gp, 0: f0, -1: gm}, n)
 
 
@@ -426,7 +340,7 @@ def projection_gates(e: LoopElement, alpha: float, flip_symmetric: bool) -> Buil
     square = (_mul(e, e, phases) - e).snorm()
     adjoint = (_star(e, phases) - e).snorm()
     flip_res = (flip_apply(e) - e).snorm() if flip_symmetric else None
-    trace = abs(e.coefficient(0).mean().real - alpha)
+    trace = abs(float(e.coefficient(0).mean().real) - alpha)
     return BuildGates(square, adjoint, flip_res, trace)
 
 
@@ -553,7 +467,8 @@ def loop_invariants(e: LoopElement, theta: ThetaParam, r: int) -> InvariantRepor
     for k in {abs(k) for k in e.coeffs if k}:
         phases[k] = np.exp(-2j * np.pi * m * theta.turns(0, Fraction(-w * r * k, 4)))
         phases[-k] = np.conj(phases[k])
-    terms = {k: f.coeffs() * phases[k] if k else f.coeffs() for k, f in e.coeffs.items()}
+    # the Fourier coefficients c_m of each f = sum c_m e(m t), times the phase of its V-power
+    terms = {k: np.fft.fft(f) / e.n * phases[k] if k else np.fft.fft(f) / e.n for k, f in e.coeffs.items()}
     rm_parity = (r % 2) * m % 2  # r*m itself can overflow int64
     raw = []
     for _, classes in rows:

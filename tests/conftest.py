@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from nctorus.algebra import Element, GaussRational, PhaseScalar
@@ -26,6 +27,16 @@ def mp_turns(name, a, b):
     with mpmath.workdps(digits):
         x = mpmath.mpf(a.numerator) / a.denominator + mpmath.mpf(b.numerator) / b.denominator * MP_THETA[name]()
         return float(x - mpmath.floor(x))
+
+
+def ref_shift(f, s):
+    """Trigonometric interpolation of t -> f(t + s) for the samples f of a loop coefficient.
+
+    Each term shifted on its own: the oracle for the phase tables that ``loops`` shares.
+    """
+    n = len(f)
+    phase = np.exp(2j * np.pi * np.fft.fftfreq(n, 1.0 / n).astype(int) * s)
+    return np.fft.ifft(np.fft.fft(f) * phase)
 
 
 def reflected_chain_json(depth: int, certificate) -> str:
@@ -82,7 +93,7 @@ def random_phase(rng, lam_span=4, parts=2):
 
 
 def random_element(rng, max_terms=6, span=5):
-    x = Element.zero()
+    x = Element()
     for _ in range(rng.randint(1, max_terms)):
         x = x + Element.monomial(
             rng.randint(-span, span), rng.randint(-span, span), random_phase(rng)

@@ -55,7 +55,7 @@ def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
 
 
 def _random_element(rng, max_terms=6, span=5):
-    x = Element.zero()
+    x = Element()
     for _ in range(rng.randint(1, max_terms)):
         from nctorus.algebra import GaussRational
 

@@ -383,10 +383,17 @@ def test_pr_build_save_element(tmp_path, capsys):
         capsys, "pr-build", "-r", "1", "-s", "0", "--grid", "1024", "--save-element", str(path)
     )
     assert code == 0
-    from nctorus.loops import LoopElement
+    import numpy as np
+    from nctorus.loops import pr_build
+    from nctorus.theta import parse_theta
 
-    e = LoopElement.from_json(json.loads(path.read_text()))
-    assert e.n >= 1024 and set(e.coeffs) == {-1, 0, 1}
+    saved = json.loads(path.read_text())
+    e = pr_build(1, 0, parse_theta("golden"), n=1024)
+    assert saved.keys() == {"beta", "n", "coeffs"} and (saved["beta"], saved["n"]) == (e.beta, e.n)
+    assert list(saved["coeffs"]) == ["-1", "0", "1"]
+    for k, f in e.coeffs.items():
+        # [re, im] rows are the complex samples' own layout: equal bytes are the same samples, bit for bit
+        assert np.array(saved["coeffs"][str(k)]).tobytes() == f.tobytes()
 
 
 # ------------------------------------------------------------------ file paths

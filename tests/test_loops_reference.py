@@ -4,7 +4,8 @@
 vector per V-power.  The functions below are the direct transcription of
 the product, adjoint, gate and invariant formulas: every term shifted on
 its own, every invariant slot with its own transform and phases.  The two
-must agree bit for bit, not merely within a tolerance.  The references
+must agree bit for bit, not merely within a tolerance.  Every shift of a
+coefficient is ``conftest.ref_shift``, one transform per term.  The references
 take alpha, beta and the phase offsets x_k from mpmath, not from theta.
 """
 
@@ -19,19 +20,16 @@ from hypothesis import strategies as st
 from nctorus import loops
 from nctorus.loops import (
     BuildGates,
-    CircleFunction,
     LoopElement,
     ResidualExceeded,
     assemble_projection,
     flip_apply,
     loop_invariants,
-    loop_mul,
-    loop_star,
     pr_build,
     projection_gates,
 )
 from nctorus.theta import ThetaParam
-from conftest import mp_turns
+from conftest import mp_turns, ref_shift
 from test_loops import random_loop
 
 GOLDEN = ThetaParam.preset("golden")
@@ -39,12 +37,6 @@ SQRT2 = ThetaParam.preset("sqrt2")
 
 
 # ------------------------------------------------------------------ reference
-
-
-def ref_shift(f, s):
-    spectrum = np.fft.fft(f.samples)
-    phase = np.exp(2j * np.pi * f.freqs() * s)
-    return CircleFunction(np.fft.ifft(spectrum * phase))
 
 
 def ref_loop_mul(x, y):
@@ -60,7 +52,7 @@ def ref_loop_mul(x, y):
 def ref_loop_star(x):
     out = {}
     for a, fa in x.coeffs.items():
-        g = fa.conj()
+        g = np.conj(fa)
         out[-a] = ref_shift(g, -a * x.beta) if a else g
     return LoopElement(x.beta, out, x.n)
 
@@ -69,7 +61,7 @@ def ref_projection_gates(e, alpha, flip_symmetric):
     square = (ref_loop_mul(e, e) - e).snorm()
     adjoint = (ref_loop_star(e) - e).snorm()
     flip_res = (flip_apply(e) - e).snorm() if flip_symmetric else None
-    trace = abs(e.coefficient(0).mean().real - alpha)
+    trace = abs(float(e.coefficient(0).mean().real) - alpha)
     return BuildGates(square, adjoint, flip_res, trace)
 
 
@@ -82,8 +74,8 @@ def ref_loop_invariants(e, theta, r):
             for k, f in e.coeffs.items():
                 if (k - j) % 2 != 0:
                     continue
-                c = f.coeffs()
-                m = f.freqs()
+                c = np.fft.fft(f) / e.n
+                m = np.fft.fftfreq(e.n, 1.0 / e.n).astype(int)
                 sel = (r * m - i) % 2 == 0
                 if not np.any(sel):
                     continue
@@ -99,7 +91,7 @@ def assert_identical(x, y):
     assert (x.n, x.beta) == (y.n, y.beta)
     assert list(x.coeffs) == list(y.coeffs)
     for k in x.coeffs:
-        assert np.array_equal(x.coeffs[k].samples, y.coeffs[k].samples), f"coefficient {k} differs"
+        assert np.array_equal(x.coeffs[k], y.coeffs[k]), f"coefficient {k} differs"
 
 
 def assert_same_invariants(e, theta, r):
@@ -123,9 +115,9 @@ def test_random_loops_match_reference(seed, theta, r, n, kmax):
     beta = (r * theta.turns(0, 1)) % 1.0
     x = random_loop(rng, beta, n=n, kmax=kmax)
     y = random_loop(rng, beta, n=n, kmax=kmax)
-    assert_identical(loop_mul(x, y), ref_loop_mul(x, y))
-    assert_identical(loop_mul(x, x), ref_loop_mul(x, x))
-    assert_identical(loop_star(x), ref_loop_star(x))
+    assert_identical(x * y, ref_loop_mul(x, y))
+    assert_identical(x * x, ref_loop_mul(x, x))
+    assert_identical(x.star(), ref_loop_star(x))
     assert projection_gates(x, 0.5, True) == ref_projection_gates(x, 0.5, True)
     assert_same_invariants(x, theta, r)
 
@@ -143,8 +135,8 @@ def test_bump_builds_match_reference(theta, n):
         alpha = (r * theta.turns(0, 1)) % 1.0
         centered = centered and 0.5 < r * theta.turns(0, 1) + s < 1
         e = assemble_projection(alpha, n=n, centered=centered, offset=0.5 * rng.randrange(2))
-        assert_identical(loop_mul(e, e), ref_loop_mul(e, e))
-        assert_identical(loop_star(e), ref_loop_star(e))
+        assert_identical(e * e, ref_loop_mul(e, e))
+        assert_identical(e.star(), ref_loop_star(e))
         assert projection_gates(e, alpha, centered) == ref_projection_gates(e, alpha, centered)
         assert_same_invariants(e, theta, r)
 

@@ -160,7 +160,7 @@ def parse_element(text: str) -> Element:
     ts = _Tokens(text)
     if not ts.toks:
         raise ElementParseError("empty input", 0)
-    total = Element.zero()
+    total = Element()
     sign = 1
     if ts.peek() in ("+", "-"):
         sign = -1 if ts.take() == "-" else 1

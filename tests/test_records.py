@@ -119,10 +119,6 @@ def _samples():
 SAMPLES = _samples()
 
 
-def _circle(value):
-    return loops.CircleFunction([value] * 256)
-
-
 class Own(NamedTuple):
     """A value type that keeps parts of its own: its fields, two samples with
     their reprs, a rebuild from public parts, and the hash it has always had
@@ -152,13 +148,9 @@ OWN = {
         ["Element('(1/2) + (1+1i) L^2 U V^-1')", "Element('(-3/4) V + (1) U^2')"],
         lambda x: Element(dict(x.terms())), lambda x: hash((x._d, frozenset(x._t.items()))),
     ),
-    loops.CircleFunction: Own(
-        "samples", [_circle(0.5), _circle(1j)], None,
-        lambda x: loops.CircleFunction(x.samples.copy()), None,
-    ),
     loops.LoopElement: Own(
-        "beta coeffs n", [loops.LoopElement(0.25, {0: _circle(0.5), 1: _circle(1)}), loops.LoopElement(0.5, {}, 512)],
-        None, lambda x: loops.LoopElement(x.beta, x.coeffs, x.n), None,
+        "beta coeffs n", [loops.LoopElement(0.25, {0: [0.5] * 256, 1: [1] * 256}), loops.LoopElement(0.5, {}, 512)],
+        None, lambda x: loops.LoopElement(x.beta, {k: f.copy() for k, f in x.coeffs.items()}, x.n), None,
     ),
 }
 
