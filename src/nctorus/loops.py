@@ -23,17 +23,26 @@ sqrt(B(u) B(1-u))/(B(u)+B(1-u)) straight from the branches; going
 through sqrt(f - f^2) would lose half the working precision to
 cancellation next to the plateau.
 
-Every shift goes through the spectrum: a product transforms each right
-coefficient once and builds one phase vector e(m*a*beta) per V-power a of
-the left factor (the vector for -a is the conjugate of the one for +a), so
-a product of two 3-term elements costs 3 forward and 6 inverse FFTs and
-one complex exp.  projection_gates shares its phase table between e*e and
-e* (13 FFTs, one exp per attempt); loop_invariants transforms each
-coefficient once for all four slots.  The results equal the plain
-shift-per-term formulas bit for bit.  Spectra and phases live for one call
-only and are never stored on a LoopElement: a failed build's element
-can outlive its call until the cyclic garbage collector runs (a kept
-traceback references it), and anything cached on it would live as long.
+Every shift goes through the spectrum, and each transform stage is one
+batched numpy call over the stacked (K, n) rows of the coefficients it
+moves.  A product makes one forward FFT call over the K right coefficients
+and one inverse call of K rows per nonzero V-power of the left factor, with
+one phase vector e(m*a*beta) per |a| (the vector for -a is the conjugate of
+the one for +a): a product of two 3-term elements is 3 calls over 9 rows
+and one complex exp.  The adjoint is one forward and one inverse call over
+its moved coefficients.  projection_gates shares its phase table between
+e*e and e* (5 calls over 13 rows, one exp per attempt); loop_invariants
+makes one forward call over all coefficients.  The results equal the
+plain shift-per-term formulas bit for bit, so operand order is kept in
+every complex product (a*b and b*a may differ in the last bit).
+
+A call writes only arrays it allocated itself, never its operands'; that
+is what lets the transforms and the elementwise steps work in place
+(numpy.fft takes ``out=`` from numpy 2.0 on, hence the package's numpy
+pin).  Spectra and phases live for one call only and are never stored on
+a LoopElement: a failed build's element can outlive its call until the
+cyclic garbage collector runs (a kept traceback references it), and
+anything cached on it would live as long.
 
 loop_invariants reads only the phi rows of ``theta._SLOTS``: the psi10/psi11
 phase e(-theta*(rm+k)^2/4) is quadratic in the frequency m, so it would take a
@@ -187,7 +196,7 @@ def _phase_table(n: int, beta: float, shifts: Iterable[int]) -> Dict[int, np.nda
     freqs = _freqs(n)
     table: Dict[int, np.ndarray] = {}
     for a in {abs(a) for a in wanted if a}:
-        phase = np.exp(2j * np.pi * freqs * (a * beta))
+        phase = _exp_i_freqs(2j * np.pi, freqs, a * beta)
         if a in wanted:
             table[a] = phase
         if -a in wanted:
@@ -195,25 +204,54 @@ def _phase_table(n: int, beta: float, shifts: Iterable[int]) -> Dict[int, np.nda
     return table
 
 
+def _exp_i_freqs(scale: complex, freqs: np.ndarray, x: float) -> np.ndarray:
+    """np.exp(scale * freqs * x), bit for bit, in one array."""
+    phase = np.multiply(scale, freqs)
+    phase *= x
+    return np.exp(phase, out=phase)
+
+
+def _rows(coeffs: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """The given coefficients copied into the rows of one new (K, n) array; K may be 0."""
+    return np.array(list(coeffs), dtype=complex).reshape(-1, n)
+
+
 def _mul(x: LoopElement, y: LoopElement, phases: Mapping[int, np.ndarray]) -> LoopElement:
-    """x * y for compatible operands; ``phases`` covers every nonzero V-power of x."""
-    spectra = {b: np.fft.fft(hb) for b, hb in y.coeffs.items()} if any(x.coeffs) else {}
+    """x * y for compatible operands; ``phases`` covers every nonzero V-power of x.
+
+    The result's coefficients are rows of the (K, n) blocks made here (K the
+    number of coefficients of y): a kept product holds up to K rows per
+    nonzero V-power of x, and K more if x has a V-power 0.
+    """
+    if any(x.coeffs):
+        spectra = _rows(y.coeffs.values(), x.n)
+        np.fft.fft(spectra, out=spectra)
     acc: Dict[int, np.ndarray] = {}
     for a, fa in x.coeffs.items():
-        for b, hb in y.coeffs.items():
-            term = fa * np.fft.ifft(spectra[b] * phases[a]) if a else fa * hb
+        if a:  # row i becomes fa * (h_i shifted by a*beta)
+            shifted = np.multiply(spectra, phases[a])
+            np.fft.ifft(shifted, out=shifted)
+            np.multiply(fa, shifted, out=shifted)
+        for i, (b, hb) in enumerate(y.coeffs.items()):
+            term = shifted[i] if a else fa * hb
             k = a + b
-            acc[k] = acc[k] + term if k in acc else term
+            if k in acc:
+                acc[k] += term
+            else:
+                acc[k] = term
     return LoopElement(x.beta, acc, x.n)
 
 
 def _star(x: LoopElement, phases: Mapping[int, np.ndarray]) -> LoopElement:
     """x.star(); ``phases`` covers -a for every nonzero V-power a of x."""
-    out: Dict[int, np.ndarray] = {}
-    for a, fa in x.coeffs.items():
-        g = np.conj(fa)
-        out[-a] = np.fft.ifft(np.fft.fft(g) * phases[-a]) if a else g
-    return LoopElement(x.beta, out, x.n)
+    moved = [a for a in x.coeffs if a]
+    shifted = _rows((x.coeffs[a] for a in moved), x.n)
+    np.conj(shifted, out=shifted)
+    np.fft.fft(shifted, out=shifted)
+    for row, a in zip(shifted, moved):
+        row *= phases[-a]
+    rows = iter(np.fft.ifft(shifted, out=shifted))
+    return LoopElement(x.beta, {-a: next(rows) if a else np.conj(fa) for a, fa in x.coeffs.items()}, x.n)
 
 
 def flip_apply(e: LoopElement) -> LoopElement:
@@ -385,6 +423,7 @@ def _build_projection(
         if ok:
             return e, gates
         if grid * 4 > max_n:
+            del e  # the raised traceback keeps this frame, and must not keep the element's arrays
             raise ResidualExceeded(
                 f"residual-exceeded: gates {gates} not met at grid {grid} "
                 f"(limit {max_n}); the grid is too coarse for this bump"
@@ -465,20 +504,25 @@ def loop_invariants(e: LoopElement, theta: ThetaParam, r: int) -> InvariantRepor
     # as m is an integer, built once and shared by the slots of its parity; one exp per |k|.
     phases: Dict[int, np.ndarray] = {}
     for k in {abs(k) for k in e.coeffs if k}:
-        phases[k] = np.exp(-2j * np.pi * m * theta.turns(0, Fraction(-w * r * k, 4)))
+        phases[k] = _exp_i_freqs(-2j * np.pi, m, theta.turns(0, Fraction(-w * r * k, 4)))
         phases[-k] = np.conj(phases[k])
     # the Fourier coefficients c_m of each f = sum c_m e(m t), times the phase of its V-power
-    terms = {k: np.fft.fft(f) / e.n * phases[k] if k else np.fft.fft(f) / e.n for k, f in e.coeffs.items()}
-    rm_parity = (r % 2) * m % 2  # r*m itself can overflow int64
+    terms = _rows(e.coeffs.values(), e.n)
+    np.fft.fft(terms, out=terms)
+    terms /= e.n
+    for t, k in zip(terms, e.coeffs):
+        if k:
+            t *= phases[k]
+    # rm mod 2 is the parity of the index of m when r is odd (n is even), and 0 when r is even
+    parity_class = (slice(0, None, 2), slice(1, None, 2)) if r % 2 else (slice(None), None)
     raw = []
     for _, classes in rows:
         total = 0j
         for i, j in classes:
-            sel = rm_parity == i
-            if np.any(sel):
-                for k, t in terms.items():
+            if parity_class[i] is not None:
+                for k, t in zip(e.coeffs, terms):
                     if (k - j) % 2 == 0:
-                        total += complex(np.sum(t[sel]))
+                        total += complex(np.sum(t[parity_class[i]]))
         raw.append(total)
     raw_t = (raw[0], raw[1], raw[2], raw[3])  # (00, 01, 10, 11)
     return InvariantReport(

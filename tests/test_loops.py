@@ -17,6 +17,7 @@ from nctorus.loops import (
     SQUARE_RESIDUAL_GATE,
     TRACE_GATE,
     AlphaOutOfRange,
+    BuildGates,
     GridMismatch,
     InvalidBumpWidth,
     LoopElement,
@@ -157,6 +158,34 @@ def test_snorm_submultiplicative():
     for _ in range(25):
         x, y = random_loop(rng, beta), random_loop(rng, beta)
         assert (x * y).snorm() <= x.snorm() * y.snorm() * (1 + 1e-9)
+
+
+def test_loop_operations_leave_their_operands_unchanged():
+    # the operations compute in place, but only in arrays they allocated themselves
+    rng = random.Random(23)
+    beta = GOLDEN.turns(0, 1)
+    x, y = random_loop(rng, beta, kmax=3), random_loop(rng, beta, kmax=3)
+    assert 0 in x.coeffs and any(x.coeffs) and 0 in y.coeffs and any(y.coeffs)
+    e = assemble_projection(6 * beta - 3, n=N, centered=True)
+    saved = [(el, dict(el.coeffs), {k: f.copy() for k, f in el.coeffs.items()}) for el in (x, y, e)]
+    x * y, x * x, x.star(), flip_apply(e)
+    projection_gates(e, e.beta, True)
+    loop_invariants(e, GOLDEN, 6)
+    for el, arrays, values in saved:
+        assert list(el.coeffs) == list(values)
+        for k, f in el.coeffs.items():
+            assert f is arrays[k] and np.array_equal(f, values[k]), f"coefficient {k} was written"
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_the_zero_element_is_zero_in_every_operation(r):
+    zero = LoopElement(0.3, {}, 256)
+    x = random_loop(random.Random(24), 0.3, n=256)
+    for z in (zero * x, x * zero, zero * zero, zero.star()):
+        assert (z.coeffs, z.n, z.beta) == ({}, 256, 0.3)
+    assert projection_gates(zero, 0.5, True) == BuildGates(0, 0, 0, 0.5)
+    rep = loop_invariants(zero, GOLDEN, r)
+    assert (rep.tau, rep.raw, rep.rounded) == (0.0, (0j,) * 4, (Fraction(0),) * 4)
 
 
 def test_pickle_and_copy_round_trip():
@@ -442,6 +471,17 @@ def test_build_refines_grid_when_too_coarse():
     e = pr_build(1, 0, GOLDEN, n=256)
     assert e.n > 256
     assert projection_gates(e, GOLDEN.turns(0, 1), False).square_residual <= 1e-8
+
+
+def test_a_failed_build_leaves_no_element_in_its_traceback():
+    # a kept exception must not keep the last grid's arrays alive through the raising frame
+    with pytest.raises(ResidualExceeded) as info:
+        pr_build(11, -6, GOLDEN, n=4096, eps=0.0009, max_n=16384)
+    tb = info.value.__traceback__
+    while tb is not None:
+        held = [name for name, v in tb.tb_frame.f_locals.items() if isinstance(v, LoopElement)]
+        assert not held, f"{tb.tb_frame.f_code.co_name} holds {held}"
+        tb = tb.tb_next
 
 
 # ------------------------------------------------------------------ invariants

@@ -125,12 +125,20 @@ def test_random_loops_match_reference(seed, theta, r, n, kmax):
 # --------------------------------------------------------------- bump builds
 
 
-@pytest.mark.parametrize("n", [256, 1024, 4096, 16384])
+# the largest grid, which the benchmark's builds reach, checks one flip row per preset
+LARGEST_GRID_ROW = {"golden": (6, -3), "sqrt2": (4, -1)}
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096, 16384, loops.MAX_GRID])
 @pytest.mark.parametrize("theta", [GOLDEN, SQRT2], ids=["golden", "sqrt2"])
 def test_bump_builds_match_reference(theta, n):
     rng = random.Random(n)
-    for r, s, centered in ((6, -3, True), (3, -1, True), (4, -1, True), (9, -3, True), (2, 0, False),
-                           (rng.randint(1, 40), rng.randint(-40, 40), False)):
+    rows = ((6, -3, True), (3, -1, True), (4, -1, True), (9, -3, True), (2, 0, False),
+            (rng.randint(1, 40), rng.randint(-40, 40), False))
+    if n == loops.MAX_GRID:
+        rows = [row for row in rows if row[:2] == LARGEST_GRID_ROW[theta.name]]
+        assert len(rows) == 1
+    for r, s, centered in rows:
         # the trace is the base step (r theta) mod 1; a flip row's r theta + s is that float bit for bit
         alpha = (r * theta.turns(0, 1)) % 1.0
         centered = centered and 0.5 < r * theta.turns(0, 1) + s < 1
@@ -182,19 +190,25 @@ def test_pr_build_matches_reference_through_refinement(r, s, theta, flip, n, eps
 
 @pytest.fixture
 def numpy_calls(monkeypatch):
-    """Count the FFTs and the complex exps made through numpy."""
-    counts = {"fft": 0, "complex_exp": 0}
+    """Count the FFT calls, the rows they transform, and the complex exps made through numpy."""
+    counts = {"fft_calls": 0, "fft_rows": 0, "complex_exp": 0}
 
-    def counted(name, fn):
+    def counted_fft(fn):
         def call(x, *args, **kwargs):
-            if name != "exp" or np.iscomplexobj(x):
-                counts["fft" if name != "exp" else "complex_exp"] += 1
+            counts["fft_calls"] += 1
+            counts["fft_rows"] += np.size(x) // np.shape(x)[-1]
             return fn(x, *args, **kwargs)
         return call
 
-    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
-    monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
-    monkeypatch.setattr(np, "exp", counted("exp", np.exp))
+    exp = np.exp
+
+    def counted_exp(x, *args, **kwargs):
+        counts["complex_exp"] += np.iscomplexobj(x)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted_fft(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counted_fft(np.fft.ifft))
+    monkeypatch.setattr(np, "exp", counted_exp)
     return counts
 
 
@@ -202,12 +216,14 @@ def test_gate_attempt_transform_counts(numpy_calls):
     e = assemble_projection(6 * GOLDEN.turns(0, 1) - 3, n=4096, centered=True)
     assert set(e.coeffs) == {-1, 0, 1}
     projection_gates(e, 6 * GOLDEN.turns(0, 1) - 3, True)
-    assert numpy_calls["fft"] <= 13
+    assert numpy_calls["fft_rows"] <= 13
+    assert numpy_calls["fft_calls"] <= 5
     assert numpy_calls["complex_exp"] <= 1
 
 
 def test_invariant_transform_counts(numpy_calls):
     e = assemble_projection(3 * GOLDEN.turns(0, 1) - 1, n=4096, centered=True)
     loop_invariants(e, GOLDEN, 3)
-    assert numpy_calls["fft"] <= 3
+    assert numpy_calls["fft_rows"] <= 3
+    assert numpy_calls["fft_calls"] <= 1
     assert numpy_calls["complex_exp"] <= 1
