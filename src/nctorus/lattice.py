@@ -154,7 +154,7 @@ class Genus(Record):
     g22: Fraction
 
     def __init__(self, g20: Rat, g21: Rat, g22: Rat):
-        super().__init__(Fraction(g20), Fraction(g21), Fraction(g22))
+        super().__init__(*(g if type(g) is Fraction else Fraction(g) for g in (g20, g21, g22)))
 
     def as_tuple(self) -> Tuple[Fraction, Fraction, Fraction]:
         return (self.g20, self.g21, self.g22)
@@ -196,9 +196,11 @@ def _reduced(nums: List[int], den: int) -> Tuple[List[int], int]:
 def _elimination_transform() -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, int], ...], ...], int]:
     """One-time RREF of [M | I]: pivot columns, the 24 x 24 transform E and its denominator.
 
-    E is stored row-sparse as integer numerators over one common
-    denominator; row r of E applied to any rhs gives the value of the r-th
-    reduced row, so solving M x = rhs is a single sparse apply.  Gauss-Jordan
+    E is stored column-sparse as integer numerators over one common
+    denominator: column j holds the (row, numerator) pairs of its nonzero
+    entries.  Row r of E applied to any rhs gives the value of the r-th
+    reduced row, so solving M x = rhs is a single sparse apply, which visits
+    only the columns of the nonzero rhs entries.  Gauss-Jordan
     runs fraction-free: each row is integer numerators over a positive row
     denominator, reduced by their gcd after every row operation.  It runs
     on the first solve, not at import, and its result is kept.
@@ -233,24 +235,29 @@ def _elimination_transform() -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, in
         rank += 1
     den = math.lcm(*(d // math.gcd(d, x) for nums, d in rows for x in nums[9:]))
     transform = tuple(
-        tuple((j, x * den // d) for j, x in enumerate(nums[9:]) if x) for nums, d in rows
+        tuple((r, nums[9 + j] * den // d) for r, (nums, d) in enumerate(rows) if nums[9 + j]) for j in range(24)
     )
     return tuple(pivots), transform, den
 
 
-def _solve_exact(rhs: Sequence[Rat]) -> Optional[Tuple[Fraction, ...]]:
-    """Solve M x = rhs over Q for the 24 x 9 basis matrix; None if inconsistent."""
+def _solve_exact(nums: Sequence[int], den: int) -> Optional[Tuple[List[int], int]]:
+    """Solve M x = nums/den (den > 0) for the 24 x 9 basis matrix; None if inconsistent.
+
+    The solution comes as integer numerators over one positive denominator,
+    in lowest terms: it is integral exactly when that denominator is 1.
+    """
     pivots, transform, transform_den = _elimination_transform()
-    rhs_den = math.lcm(*(x.denominator for x in rhs))
-    nums = [x.numerator * (rhs_den // x.denominator) for x in rhs]
-    reduced = [sum(coef * nums[j] for j, coef in row) for row in transform]
+    reduced = [0] * 24
+    for x, column in zip(nums, transform):
+        if x:
+            for r, coef in column:
+                reduced[r] += coef * x
     if any(reduced[len(pivots):]):
         return None
-    den = transform_den * rhs_den
-    solution = [Fraction(0)] * 9
+    solution = [0] * 9
     for r, col in enumerate(pivots):
-        solution[col] = Fraction(reduced[r], den)
-    return tuple(solution)
+        solution[col] = reduced[r]
+    return _reduced(solution, transform_den * den)
 
 
 def basis_rank() -> int:
@@ -260,9 +267,23 @@ def basis_rank() -> int:
 
 def _numerators(v: ChernVector, den: int) -> Tuple[Tuple[int, int], ...]:
     """The nonzero entries of den * v.flatten() as (index, integer) pairs; den clears v."""
-    return tuple(
-        (i, x.numerator * (den // x.denominator)) for i, x in enumerate(v.flatten()) if x
-    )
+    return tuple((i, x.numerator * (den // x.denominator)) for i, x in enumerate(v.flatten()) if x)
+
+
+def _row(v: ChernVector) -> Tuple[List[int], int]:
+    """v.flatten() as integer numerators over their least common denominator."""
+    ratios = [x.as_integer_ratio() for x in v.flatten()]  # one call per entry, not two property reads
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _chern(nums: Sequence[int], den: int) -> ChernVector:
+    """The vector whose flattened entries are nums[i]/den; only a nonzero entry builds a Fraction."""
+    slots = []
+    for i in range(0, 24, 4):
+        part = nums[i : i + 4]
+        slots.append(KScalar(*(Fraction(x, den) if x else _ZERO for x in part)) if any(part) else KSCALAR_ZERO)
+    return ChernVector(*slots)
 
 
 def _combination(terms: Iterable[Tuple[int, Tuple[Tuple[int, int], ...]]], den: int) -> ChernVector:
@@ -272,8 +293,7 @@ def _combination(terms: Iterable[Tuple[int, Tuple[Tuple[int, int], ...]]], den: 
         if n:
             for i, x in row:
                 acc[i] += n * x
-    flat = [Fraction(x, den) for x in acc]
-    return ChernVector(*(KScalar(*flat[i : i + 4]) for i in range(0, 24, 4)))
+    return _chern(acc, den)
 
 
 # Every basis entry lies in (1/2)Z.
@@ -305,12 +325,14 @@ class DecomposeResult(Record):
 
 def decompose(v: ChernVector) -> DecomposeResult:
     """Express v over the nine basis vectors with integer coefficients, if possible."""
-    sol = _solve_exact(v.flatten())
+    sol = _solve_exact(*_row(v))
     if sol is None:
         return DecomposeResult("not-in-span")
-    if any(x.denominator != 1 for x in sol):
-        return DecomposeResult("non-integer", rational=sol)
-    return DecomposeResult("ok", K0Coordinates(*(int(x) for x in sol)), sol)
+    nums, den = sol
+    rational = tuple(Fraction(x, den) if x else _ZERO for x in nums)
+    if den != 1:
+        return DecomposeResult("non-integer", rational=rational)
+    return DecomposeResult("ok", K0Coordinates(*nums), rational)
 
 
 def semiflat_coordinates(n1: int, n2: int, n3: int, n4: int, n9: int) -> K0Coordinates:
@@ -353,20 +375,26 @@ def semiflat_membership(v: ChernVector, theta: ThetaParam) -> MembershipDecision
     (decided exactly from rational brackets of theta).  On membership the
     genus, v's slots (psi20, psi21, psi22), is returned.
     """
-    res = decompose(v)
-    if not res:
+    return _membership(v, _row(v), theta)
+
+
+def _membership(v: ChernVector, row: Tuple[List[int], int], theta: ThetaParam) -> MembershipDecision:
+    """semiflat_membership of v, whose integer row (numerators, denominator) is given."""
+    sol = _solve_exact(*row)
+    if sol is None or sol[1] != 1:
         return MembershipDecision(False, reason="not-in-lattice")
+    n = K0Coordinates(*sol[0])
     if not v.psi10.is_zero():
-        return MembershipDecision(False, reason="psi10-nonzero", coordinates=res.coordinates)
+        return MembershipDecision(False, reason="psi10-nonzero", coordinates=n)
     if not v.psi11.is_zero():
-        return MembershipDecision(False, reason="psi11-nonzero", coordinates=res.coordinates)
-    n = res.coordinates
+        return MembershipDecision(False, reason="psi11-nonzero", coordinates=n)
     # cross-check the linear relations forced by the vanishing slots
     if semiflat_coordinates(n.n1, n.n2, n.n3, n.n4, n.n9) != n:
         raise AssertionError("decomposition violates the semiflat constraint relations")
     # v decomposed integrally, so v = recompose(n): its slots are the basis's values on n
+    # (tau in Z + Z*theta); its row's first two numerators are tau's a, b over a positive denominator
     trace = v.tau
-    if theta.sign_linear(trace.a, trace.b) <= 0:
+    if theta.sign_linear(row[0][0], row[0][1]) <= 0:
         return MembershipDecision(False, reason="nonpositive-trace", coordinates=n, trace=trace)
     genus = Genus(v.psi20.a, v.psi21.a, v.psi22.a)
     return MembershipDecision(True, coordinates=n, genus=genus, trace=trace)
@@ -449,14 +477,21 @@ _GENERATOR_TRACES = (KScalar(2), KScalar(0, 2), KScalar(2))
 
 
 def _generator_vector(genus: Tuple[int, int, int], trace: KScalar) -> ChernVector:
-    return ChernVector(
-        trace,
-        KSCALAR_ZERO,
-        KSCALAR_ZERO,
-        KScalar(genus[0]),
-        KScalar(genus[1]),
-        KScalar(genus[2]),
-    )
+    return ChernVector(trace, KSCALAR_ZERO, KSCALAR_ZERO, *(KScalar(g) if g else KSCALAR_ZERO for g in genus))
+
+
+def _signed_generator(base: Tuple[int, int, int], sign: int, trace: KScalar) -> tuple:
+    """(genus, trace, vector, the vector's integer row) of the generator of genus sign * base."""
+    genus = tuple(sign * x for x in base)
+    vector = _generator_vector(genus, trace)
+    return genus, trace, vector, _numerators(vector, 1)
+
+
+# The six signed generators, per basic genus: {sign: (genus, trace, vector, integer row)}.
+_GENERATORS = tuple(
+    {sign: _signed_generator(base, sign, trace) for sign in (1, -1)}
+    for base, trace in zip(BASIC_GENERA, _GENERATOR_TRACES)
+)
 
 
 class GeneratorSpec(Record):
@@ -482,7 +517,7 @@ class SynthesisRecipe(Record):
     flat_trace: KScalar
 
     def total(self) -> ChernVector:
-        terms = [(1, _generator_vector((0, 0, 0), self.flat_trace))]
+        terms = [(1, ChernVector(self.flat_trace, *(KSCALAR_ZERO,) * 5))]
         terms += [(g.count, g.vector) for g in self.generators]
         den = math.lcm(*(x.denominator for _, v in terms for x in v.flatten()))
         return _combination(((n, _numerators(v, den)) for n, v in terms), den)
@@ -508,26 +543,30 @@ def synthesis_recipe(v: ChernVector, theta: ThetaParam) -> SynthesisRecipe:
     class and must land in 4Z + 4Z*theta; anything else indicates a
     corrupted input and raises.
     """
-    decision = semiflat_membership(v, theta)
+    nums, den = row = _row(v)
+    decision = _membership(v, row, theta)
     if not decision:
         raise ValueError(f"not a semiflat cone member: {decision.reason}")
     coeffs = genus_basis_decompose(decision.genus)
     if coeffs is None:
         raise SynthesisError("cone member genus failed the basic-genus parity conditions")
     gens: list[GeneratorSpec] = []
-    used = KSCALAR_ZERO
-    for c, base, trace in zip(coeffs, BASIC_GENERA, _GENERATOR_TRACES):
+    total = [0] * 24  # the generators' sum, then the recipe's, as integers
+    for c, signed in zip(coeffs, _GENERATORS):
         if c == 0:
             continue
-        sign = 1 if c > 0 else -1
-        genus = tuple(sign * x for x in base)
-        gens.append(GeneratorSpec(abs(c), genus, trace, _generator_vector(genus, trace)))
-        used = used + trace.scale(abs(c))
-    flat = decision.trace - used
-    if flat.a % 4 != 0 or flat.b % 4 != 0 or flat.c or flat.d:
-        raise SynthesisError(f"flat remainder {flat} is not in 4Z + 4Z*theta")
-    recipe = SynthesisRecipe(tuple(gens), flat)
-    if recipe.total() != v:
+        genus, trace, vector, gen_row = signed[1 if c > 0 else -1]
+        gens.append(GeneratorSpec(abs(c), genus, trace, vector))
+        for i, x in gen_row:
+            total[i] += abs(c) * x
+    # the flat trace v.tau - (the generators' traces), times den
+    flat = [x - den * used for x, used in zip(nums[:4], total)]
+    if flat[0] % (4 * den) or flat[1] % (4 * den) or flat[2] or flat[3]:
+        raise SynthesisError(f"flat remainder {KScalar(*(Fraction(x, den) for x in flat))} is not in 4Z + 4Z*theta")
+    total[0] += flat[0] // den
+    total[1] += flat[1] // den
+    recipe = SynthesisRecipe(tuple(gens), KScalar(*(Fraction(x // den) if x else _ZERO for x in flat)))
+    if [den * x for x in total] != nums:
         raise SynthesisError("recipe does not recompose to its input")
     return recipe
 
@@ -541,7 +580,7 @@ def kscalar_to_text(s: KScalar) -> str:
     for coef, suffix in ((s.a, ""), (s.b, "t"), (s.c, "i"), (s.d, "ti")):
         if coef == 0:
             continue
-        body = _rat_str(*abs(coef).as_integer_ratio())
+        body = _rat_str(abs(coef.numerator), coef.denominator)
         if suffix and body == "1":
             body = ""
         piece = f"{body}{suffix}"
@@ -567,8 +606,14 @@ def parse_kscalar(text: str, pos: int = 0, end: Optional[int] = None) -> KScalar
     before it, and the text may not end in a sign.  Error positions are
     indices into the whole of ``text``.
     """
+    nums, den = _parse_numerators(text, pos, end)
+    return KScalar(*(Fraction(x, den) if x else _ZERO for x in nums))
+
+
+def _parse_numerators(text: str, pos: int = 0, end: Optional[int] = None) -> Tuple[List[int], int]:
+    """parse_kscalar's (a, b, c, d) as integer numerators over one positive denominator."""
     end = len(text) if end is None else end
-    total = [Fraction(0)] * 4
+    nums, den = [0, 0, 0, 0], 1
     sign = None  # the sign read since the last atom, if any
     saw_any = False
     while pos < end:
@@ -587,21 +632,25 @@ def parse_kscalar(text: str, pos: int = 0, end: Optional[int] = None) -> KScalar
             continue
         if saw_any and sign is None:
             raise ChernParseError(f"missing sign before {tok!r} at {start}")
-        coef = Fraction(sign or 1)
+        p, q = 1, 1
         if tok not in _KS_SLOTS:
-            coef *= Fraction(*_read_ratio(tok, lambda message: ChernParseError(f"{message} at {start}")))
+            p, q = _read_ratio(tok, lambda message: ChernParseError(f"{message} at {start}"))
             rest = _KS_TOKEN.match(text, pos, end)
             if rest and rest.group(1) in _KS_SLOTS:
                 tok = rest.group(1)
                 pos = rest.end()
-        total[_KS_SLOTS.get(tok, 0)] += coef
+        if den % q:  # widen the shared denominator to lcm(den, q)
+            widen = q // math.gcd(den, q)
+            nums = [x * widen for x in nums]
+            den *= widen
+        nums[_KS_SLOTS.get(tok, 0)] += (-p if sign == -1 else p) * (den // q)
         sign = None
         saw_any = True
     if sign is not None:
         raise ChernParseError("trailing sign")
     if not saw_any:
         raise ChernParseError("empty scalar")
-    return KScalar(*total)
+    return nums, den
 
 
 def chern_to_text(v: ChernVector) -> str:

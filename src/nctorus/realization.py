@@ -62,9 +62,6 @@ class Convergent(NamedTuple):
     p: int
     q: int
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
 
 class TraceValue(Record):
     """The number a + b*theta with integer a, b."""
@@ -104,14 +101,14 @@ class TraceValue(Record):
 
 def parse_trace(text: str) -> TraceValue:
     """Parse ``a+bt`` into a TraceValue (integer coefficients required)."""
-    from .lattice import parse_kscalar
+    from .lattice import _parse_numerators
 
-    s = parse_kscalar(text)
-    if s.c or s.d:
+    (a, b, c, d), den = _parse_numerators(text)
+    if c or d:
         raise ValueError("trace values are real: no i parts allowed")
-    if s.a.denominator != 1 or s.b.denominator != 1:
+    if a % den or b % den:
         raise ValueError("trace values need integer coordinates over {1, theta}")
-    return TraceValue(int(s.a), int(s.b))
+    return TraceValue(a // den, b // den)
 
 
 # ----------------------------------------------------------------- convergents
@@ -122,22 +119,23 @@ def convergents(theta: ThetaParam) -> list[Convergent]:
     return [Convergent(p, q) for p, q in theta.convergents]
 
 
-def _bracketing_pair(theta: ThetaParam, bound: Fraction) -> Tuple[Convergent, Convergent]:
+def _bracketing_pair(theta: ThetaParam, bound: Union[int, Fraction]) -> Tuple[Convergent, Convergent]:
     """First consecutive-convergent pair (low, high) with bound < low < theta < high.
 
-    Every stored convergent is searched.  Orientation: the member below theta
-    is returned first; for any consecutive pair this ordering satisfies
-    high.p*low.q - low.p*high.q = 1.  The two signs the certificate replays are
-    settled here, so a pair the stored prefix cannot place raises
-    PrecisionExhausted, as does a prefix with no pair past the bound.
+    Every stored convergent is searched, and compared by cross-multiplying.
+    Orientation: the member below theta is returned first; for any
+    consecutive pair this ordering satisfies high.p*low.q - low.p*high.q = 1.
+    The two signs the certificate replays are settled here, so a pair the
+    stored prefix cannot place raises PrecisionExhausted, as does a prefix
+    with no pair past the bound.
     """
+    m, n = bound.numerator, bound.denominator
     pq = theta.convergents
     for j in range(len(pq) - 1):
-        x, y = Convergent(*pq[j]), Convergent(*pq[j + 1])
-        low, high = (x, y) if x.as_fraction() < y.as_fraction() else (y, x)
-        if low.as_fraction() > bound:
-            if theta.sign_linear(-low.p, low.q) > 0 and theta.sign_linear(high.p, -high.q) > 0:
-                return low, high
+        (p1, q1), (p2, q2) = pq[j], pq[j + 1]
+        (p, q), high = (pq[j], pq[j + 1]) if p1 * q2 < p2 * q1 else (pq[j + 1], pq[j])
+        if p * n > m * q and theta.sign_linear(-p, q) > 0 and theta.sign_linear(high[0], -high[1]) > 0:
+            return Convergent(p, q), Convergent(*high)
     raise PrecisionExhausted(f"insufficient-cf-data: no pair of stored convergents brackets theta past {bound}")
 
 

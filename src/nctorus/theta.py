@@ -67,13 +67,19 @@ def _cf_terms_of_fraction(x: Fraction) -> list[int]:
     return out
 
 
-def _sign(x: Rat) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _rational(x) -> Rat:
     """x itself when int or Fraction, else its exact Fraction."""
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _integer_form(a: Rat, b: Rat, c: Rat = 0) -> Tuple[int, int]:
+    """Integers (A, B) with A + B*theta a positive multiple of (a - c) + b*theta; builds no Fraction."""
+    ad, bd, cd = a.denominator, b.denominator, c.denominator
+    return (a.numerator * cd - c.numerator * ad) * bd, b.numerator * ad * cd
+
+
+def _unsettled(a: Rat, b: Rat) -> PrecisionExhausted:
+    return PrecisionExhausted(f"insufficient-cf-data: cannot settle sign of {a} + {b}*theta")
 
 
 def _rat_str(num: int, den: int = 1) -> str:
@@ -324,10 +330,15 @@ class ThetaParam(Record):
     def sign_linear(self, a: Rat, b: Rat) -> int:
         """Exact sign of a + b*theta.  Returns 0 only for a = b = 0."""
         a, b = _rational(a), _rational(b)
-        if b == 0:
-            return _sign(a)
-        # times the positive a.denominator * b.denominator: integers A + B*theta
-        A, B = a.numerator * b.denominator, b.numerator * a.denominator
+        sign = self._sign(*_integer_form(a, b))
+        if sign is None:
+            raise _unsettled(a, b)
+        return sign
+
+    def _sign(self, A: int, B: int) -> Optional[int]:
+        """The sign of A + B*theta for integers A, B; None where the bracket cannot settle it."""
+        if not B:
+            return (A > 0) - (A < 0)
         # at an endpoint p/q, A + B*p/q has the sign of A*q + B*p
         (p1, q1), (p2, q2) = self._bracket
         v1, v2 = A * q1 + B * p1, A * q2 + B * p2
@@ -335,36 +346,45 @@ class ThetaParam(Record):
             return 1
         if v1 < 0 and v2 < 0:
             return -1
-        raise PrecisionExhausted(
-            f"insufficient-cf-data: cannot settle sign of {a} + {b}*theta"
-        )
+        return None
 
     def in_open_interval(self, a: Rat, b: Rat, lo: Rat, hi: Rat) -> bool:
         """Exact test of lo < a + b*theta < hi for rational lo, hi."""
-        a = _rational(a)
-        return (
-            self.sign_linear(a - _rational(lo), b) > 0
-            and self.sign_linear(a - _rational(hi), b) < 0
-        )
+        a, b, lo, hi = _rational(a), _rational(b), _rational(lo), _rational(hi)
+        above_lo = self._sign(*_integer_form(a, b, lo))
+        if above_lo is None:
+            raise _unsettled(a - lo, b)
+        if above_lo <= 0:
+            return False
+        below_hi = self._sign(*_integer_form(a, b, hi))
+        if below_hi is None:
+            raise _unsettled(a - hi, b)
+        return below_hi < 0
 
     def floor_ratio(self, a: Rat, b: Rat, c: Rat, d: Rat) -> int:
         """floor((a + b*theta) / (c + d*theta)), exact, for c + d*theta > 0."""
-        a, b, c, d = (_rational(x) for x in (a, b, c, d))
+        a, b, c, d = _rational(a), _rational(b), _rational(c), _rational(d)
+        # times the positive common denominator m, the ratio is one of integer forms
+        m = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        A, B, C, D = (x.numerator * (m // x.denominator) for x in (a, b, c, d))
         p, q = self._bracket[0]
-        den = c * q + d * p
+        den = C * q + D * p
         if den <= 0:
             # the denominator changes sign inside the bracket
-            raise PrecisionExhausted(
-                f"insufficient-cf-data: cannot settle sign of {c} + {d}*theta"
-            )
+            raise _unsettled(c, d)
         # n is the floor at the endpoint p/q.  Two signs that settle on the
         # bracket make it the floor on all of it, theta included; a sign
         # that does not settle raises.
-        n = (a * q + b * p) // den
-        if self.sign_linear(a - n * c, b - n * d) >= 0 > self.sign_linear(
-            a - (n + 1) * c, b - (n + 1) * d
-        ):
-            return n
+        n = (A * q + B * p) // den
+        at_n = self._sign(A - n * C, B - n * D)
+        if at_n is None:
+            raise _unsettled(a - n * c, b - n * d)
+        if at_n >= 0:
+            past_n = self._sign(A - (n + 1) * C, B - (n + 1) * D)
+            if past_n is None:
+                raise _unsettled(a - (n + 1) * c, b - (n + 1) * d)
+            if past_n < 0:
+                return n
         raise AssertionError(f"floor {n} at a bracket endpoint is not the floor on the bracket")
 
     def floor_linear(self, b: Rat) -> int:

@@ -1,0 +1,269 @@
+"""The certify path's integer arithmetic against the Fraction code it replaced.
+
+``parse_kscalar`` sums integer numerators over one denominator; the parser
+it replaced, which summed one ``Fraction`` per atom, is kept below
+verbatim (its helpers are imported, not redefined), and the two must agree
+on every text: the same ``KScalar``, or a ``ChernParseError`` with the same
+message and position.  ``parse_trace`` is held to the old parse-then-check
+on top of it.  The interval test, the floor of a ratio and the bracketing
+pair search put integer forms to the bracket; each is checked against the
+Fraction version on int and Fraction inputs.  Last, the count of Fractions
+each step of the certify path builds is pinned.
+"""
+
+import math
+from fractions import Fraction
+from typing import Optional
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from nctorus.lattice import (
+    KScalar,
+    ChernParseError,
+    _KS_SLOTS,
+    _KS_TOKEN,
+    decompose,
+    parse_chern,
+    parse_kscalar,
+    recompose,
+    semiflat_coordinates,
+    semiflat_membership,
+    synthesis_recipe,
+)
+from nctorus.realization import Convergent, TraceValue, _bracketing_pair, parse_trace
+from nctorus.theta import PrecisionExhausted, ThetaParam, _read_ratio
+
+from test_theta import THETAS, reference_floor_ratio, reference_sign_linear
+
+# ---------------------------------------------- reference (verbatim, Fraction parser)
+
+
+def reference_parse_kscalar(text: str, pos: int = 0, end: Optional[int] = None) -> KScalar:
+    """Parse the ``a+bt+ci+dti`` grammar in ``text[pos:end]``.
+
+    One optional sign may lead; every later atom needs exactly one sign
+    before it, and the text may not end in a sign.  Error positions are
+    indices into the whole of ``text``.
+    """
+    end = len(text) if end is None else end
+    total = [Fraction(0)] * 4
+    sign = None  # the sign read since the last atom, if any
+    saw_any = False
+    while pos < end:
+        m = _KS_TOKEN.match(text, pos, end)
+        if m is None:
+            junk = text[pos:end].lstrip()
+            if junk:
+                raise ChernParseError(f"unexpected character {junk[0]!r} at {end - len(junk)}")
+            break
+        tok, start = m.group(1), m.start(1)
+        pos = m.end()
+        if tok in ("+", "-"):
+            if sign is not None:
+                raise ChernParseError(f"second sign in a row at {start}")
+            sign = -1 if tok == "-" else 1
+            continue
+        if saw_any and sign is None:
+            raise ChernParseError(f"missing sign before {tok!r} at {start}")
+        coef = Fraction(sign or 1)
+        if tok not in _KS_SLOTS:
+            coef *= Fraction(*_read_ratio(tok, lambda message: ChernParseError(f"{message} at {start}")))
+            rest = _KS_TOKEN.match(text, pos, end)
+            if rest and rest.group(1) in _KS_SLOTS:
+                tok = rest.group(1)
+                pos = rest.end()
+        total[_KS_SLOTS.get(tok, 0)] += coef
+        sign = None
+        saw_any = True
+    if sign is not None:
+        raise ChernParseError("trailing sign")
+    if not saw_any:
+        raise ChernParseError("empty scalar")
+    return KScalar(*total)
+
+
+def reference_parse_trace(text: str) -> TraceValue:
+    s = reference_parse_kscalar(text)
+    if s.c or s.d:
+        raise ValueError("trace values are real: no i parts allowed")
+    if s.a.denominator != 1 or s.b.denominator != 1:
+        raise ValueError("trace values need integer coordinates over {1, theta}")
+    return TraceValue(int(s.a), int(s.b))
+
+
+def outcome(f, *args):
+    """f's value, or the type and message of the ValueError or PrecisionExhausted it raised."""
+    try:
+        return f(*args)
+    except (ValueError, PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+
+
+# ------------------------------------------------------------------ texts
+
+_number = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.tuples(st.integers(0, 10**4), st.integers(0, 12)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
+)
+_atom = st.tuples(
+    st.sampled_from(("", "+", "-", " - ", "+ ")),
+    st.one_of(st.just(""), _number),
+    st.sampled_from(("", "t", "i", "ti", "it", " t")),
+).map("".join)
+_junk = st.sampled_from(("", "", "", "+", "-", "*", "^", "(", "/", " 7", "x", "tt", "--", " ", "1/", "/2"))
+_texts = st.tuples(st.lists(_atom, min_size=0, max_size=5).map("".join), _junk).map("".join)
+_soup = st.text(alphabet="0123456789/+-ti x", max_size=14)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_texts, _soup))
+@example("1/2 + 1/3t - 5/6i + 7/4ti")  # four denominators
+@example("1/2 - 1/2 + 3/6t")  # widened and back
+@example("1/0t")
+@example("2/4 - t 1")
+@example(" ")
+def test_parse_kscalar_matches_the_fraction_parser(text):
+    got, want = outcome(parse_kscalar, text), outcome(reference_parse_kscalar, text)
+    assert got == want
+    if isinstance(got, KScalar):
+        assert {type(x) for x in (got.a, got.b, got.c, got.d)} == {Fraction}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_texts, _soup), st.integers(0, 4), st.integers(0, 4))
+def test_parse_kscalar_in_a_window_matches_the_fraction_parser(text, cut_start, cut_end):
+    text = "(" + text + ";"
+    pos, end = min(cut_start, len(text)), max(len(text) - cut_end, 0)
+    assert outcome(parse_kscalar, text, pos, end) == outcome(reference_parse_kscalar, text, pos, end)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_texts, _soup))
+@example("6/3 - 8/2t")
+@example("1/2 + 1/2 + 2t")
+@example("1/3t")
+def test_parse_trace_matches_the_fraction_parse(text):
+    assert outcome(parse_trace, text) == outcome(reference_parse_trace, text)
+
+
+# ------------------------------------------------------------ sign decisions
+
+
+def reference_in_open_interval(th, a, b, lo, hi):
+    """lo < a + b*theta < hi by two reference signs over Fractions; an unsettled sign raises
+    with the message the Fraction version gave."""
+    a = Fraction(a)
+    for bound, want in ((lo, 1), (hi, -1)):
+        shifted = a - bound
+        try:
+            sign = reference_sign_linear(th, shifted, b)
+        except PrecisionExhausted:
+            raise PrecisionExhausted(f"insufficient-cf-data: cannot settle sign of {shifted} + {b}*theta") from None
+        if sign != want:
+            return False
+    return True
+
+
+_big = st.sampled_from(range(25)).flatmap(lambda e: st.integers(-(10**e), 10**e))
+_rat = st.one_of(_big, st.builds(Fraction, _big, st.integers(1, 10**4)))
+_bounds = st.sampled_from((0, 1, Fraction(1, 4), Fraction(1, 2), -1, Fraction(-3, 7), Fraction(5, 3)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(THETAS), _rat, _rat, _bounds, _bounds, st.booleans())
+def test_in_open_interval_matches_the_fraction_version(th, a, b, lo, hi, near):
+    if near:  # put a + b*theta next to lo, where the bracket decides
+        a = lo - b * Fraction(*th.convergents[-1]) + a % 3
+    assert outcome(th.in_open_interval, a, b, lo, hi) == outcome(reference_in_open_interval, th, a, b, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(THETAS), _rat, _rat, st.integers(1, 10**6), _rat, st.integers(1, 10**3))
+def test_floor_ratio_on_fractions_matches_the_reference_walk(th, a, b, c, d, scale):
+    # c + d*theta > 0 when c >= |d| + 1, as 0 < theta < 1; scale makes c a Fraction too
+    c = Fraction(c + math.ceil(abs(d)), scale)
+    d = Fraction(d) / scale
+    got = outcome(th.floor_ratio, a, b, c, d)
+    assert got == outcome(th.floor_ratio, *(Fraction(x) for x in (a, b, c, d)))
+    want = outcome(reference_floor_ratio, th, a, b, c, d)
+    assert got == want or got[0] is want[0] is PrecisionExhausted
+
+
+def reference_bracketing_pair(theta, bound):
+    """The Fraction search _bracketing_pair replaced."""
+    pq = theta.convergents
+    for j in range(len(pq) - 1):
+        x, y = Convergent(*pq[j]), Convergent(*pq[j + 1])
+        low, high = (x, y) if Fraction(x.p, x.q) < Fraction(y.p, y.q) else (y, x)
+        if Fraction(low.p, low.q) > bound:
+            if theta.sign_linear(-low.p, low.q) > 0 and theta.sign_linear(high.p, -high.q) > 0:
+                return low, high
+    raise PrecisionExhausted(f"insufficient-cf-data: no pair of stored convergents brackets theta past {bound}")
+
+
+_pair_thetas = THETAS + (ThetaParam.from_cf([1]), ThetaParam.from_cf([3, 1]), ThetaParam.from_cf([100] * 12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(_pair_thetas),
+    st.one_of(st.integers(-2, 1), st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))),
+)
+def test_bracketing_pair_matches_the_fraction_search(th, bound):
+    assert outcome(_bracketing_pair, th, bound) == outcome(reference_bracketing_pair, th, bound)
+
+
+def test_bracketing_pair_near_a_convergent_bound():
+    th = ThetaParam.preset("golden")
+    for p, q in th.convergents[:40]:
+        for bound in (Fraction(p, q), Fraction(p * 10**6 - 1, q * 10**6), Fraction(p * 10**6 + 1, q * 10**6)):
+            assert outcome(_bracketing_pair, th, bound) == outcome(reference_bracketing_pair, th, bound)
+
+
+# -------------------------------------------------------------- Fraction counts
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """count(f, *args): f's value and the number of Fractions its call constructed."""
+    original = Fraction.__new__
+
+    def count(f, *args):
+        built = []
+
+        def counting_new(cls, *a, **kw):
+            built.append(a)
+            return original(cls, *a, **kw)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        try:
+            return f(*args), len(built)
+        finally:
+            monkeypatch.undo()
+
+    return count
+
+
+def test_certify_steps_build_only_their_outputs_fractions(fractions_built):
+    golden = ThetaParam.preset("golden")
+    # genus (-2, 10, 6) over all three basic genera; flat trace -28 - 16t
+    member = recompose(semiflat_coordinates(-3, -1, 1, 3, 3))
+    assert member == parse_chern("(-2+4t; 0, 0; -2, 10, 6)")
+    decompose(member), golden.floor_linear(7)  # the one-time elimination and bracket run outside the counts
+
+    assert fractions_built(parse_trace, "12-7t") == (TraceValue(12, -7), 0)
+    assert fractions_built(parse_trace, "3/3 + 6/2t - 4/4") == (TraceValue(0, 3), 0)
+    assert fractions_built(golden.in_open_interval, -3, 5, 0, 1) == (True, 0)
+    assert fractions_built(golden.in_open_interval, -3, 5, Fraction(1, 4), Fraction(1, 2)) == (False, 0)
+    assert fractions_built(golden.floor_linear, 10**12) == (618033988749, 0)
+    assert fractions_built(golden.floor_ratio, 7, -2, 3, 1) == (1, 0)
+    # decompose builds its rational coordinates: one Fraction per nonzero coordinate (here all nine)
+    res, built = fractions_built(decompose, member)
+    assert tuple(res.coordinates) == (-3, -1, 1, 3, -1, 1, 2, -1, 3) and built == 9
+    decision, built = fractions_built(semiflat_membership, member, golden)
+    assert decision and decision.genus.as_tuple() == (-2, 10, 6) and built == 0
+    # the recipe builds its flat trace's two nonzero parts and nothing else: the check builds none
+    recipe, built = fractions_built(synthesis_recipe, member, golden)
+    assert recipe.flat_trace == KScalar(-28, -16) and built == 2
+    assert fractions_built(recompose, decision.coordinates)[1] == 5  # tau's a, b; psi20, psi21, psi22
