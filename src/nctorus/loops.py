@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import index
+from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from .theta import _SLOTS, Record, ThetaParam
@@ -113,11 +114,43 @@ def _check_grid(n: int) -> int:
     return n
 
 
+def _frozen(f: np.ndarray) -> bool:
+    """Whether f and every array under it (its base, the base's base, ...) is read-only.
+
+    Only then can nothing write f's samples: a read-only view of a writable
+    base still changes when the base is written, so it is not frozen, and
+    neither is an array over a buffer that is not a numpy array.
+    """
+    while isinstance(f, np.ndarray):
+        if f.flags.writeable:
+            return False
+        f = f.base
+    return f is None
+
+
+def _freeze(arrays: Iterable[np.ndarray]) -> None:
+    """Mark arrays this module allocated, and every array under them, read-only.
+
+    An operation calls it on its result rows once it has written them (a
+    row's base is the block it was computed in), so that LoopElement keeps
+    them without a copy.
+    """
+    for f in arrays:
+        while isinstance(f, np.ndarray):
+            f.flags.writeable = False
+            f = f.base
+
+
 class LoopElement(Record):
     """Finite sum  sum_k f_k(W) V^k  over a fixed base step beta and grid.
 
     Each coefficient f_k is a one-dimensional complex array of its samples
-    on the grid t_j = j/n, n a power of two >= 256.
+    on the grid t_j = j/n, n a power of two >= 256.  The element is
+    immutable: ``coeffs`` is a read-only mapping, and each coefficient is a
+    frozen array (see :func:`_frozen`).  The constructor keeps an array
+    that is frozen already, as the loop operations make their results, and
+    takes a read-only copy of any other, such as a caller's writable array
+    or a read-only view of one.
     """
 
     __slots__ = ("beta", "coeffs", "n")
@@ -133,13 +166,25 @@ class LoopElement(Record):
                 n = f.shape[0]
             if f.shape[0] != n:
                 raise GridMismatch("all coefficients must share one grid")
+            if not _frozen(f):
+                f = f.copy()
+                f.flags.writeable = False
             cleaned[index(k)] = f  # an integral key: 1.5 is refused, not truncated
         if n is None:
             n = DEFAULT_GRID
-        super().__init__(float(beta) % 1.0, cleaned, _check_grid(n))
+        super().__init__(float(beta) % 1.0, MappingProxyType(cleaned), _check_grid(n))
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle; the constructor takes the plain dict
+        return LoopElement, (self.beta, dict(self.coeffs), self.n)
 
     def coefficient(self, k: int) -> np.ndarray:
-        return self.coeffs.get(k, np.zeros(self.n, dtype=complex))
+        """The samples of f_k, read-only; zeros when k is not a V-power of the element."""
+        f = self.coeffs.get(k)
+        if f is None:
+            f = np.zeros(self.n, dtype=complex)
+            f.flags.writeable = False
+        return f
 
     def _compatible(self, other: "LoopElement") -> None:
         if self.n != other.n:
@@ -151,7 +196,11 @@ class LoopElement(Record):
         self._compatible(other)
         out = dict(self.coeffs)
         for k, f in other.coeffs.items():
-            out[k] = out[k] + f if k in out else f
+            if k in out:
+                out[k] = out[k] + f
+                _freeze((out[k],))
+            else:
+                out[k] = f
         return LoopElement(self.beta, out, self.n)
 
     def __sub__(self, other: "LoopElement") -> "LoopElement":
@@ -159,6 +208,7 @@ class LoopElement(Record):
         out = dict(self.coeffs)
         for k, f in other.coeffs.items():
             out[k] = out[k] - f if k in out else -f
+            _freeze((out[k],))
         return LoopElement(self.beta, out, self.n)
 
     def __mul__(self, other: "LoopElement") -> "LoopElement":
@@ -239,6 +289,7 @@ def _mul(x: LoopElement, y: LoopElement, phases: Mapping[int, np.ndarray]) -> Lo
                 acc[k] += term
             else:
                 acc[k] = term
+    _freeze(acc.values())
     return LoopElement(x.beta, acc, x.n)
 
 
@@ -251,7 +302,9 @@ def _star(x: LoopElement, phases: Mapping[int, np.ndarray]) -> LoopElement:
     for row, a in zip(shifted, moved):
         row *= phases[-a]
     rows = iter(np.fft.ifft(shifted, out=shifted))
-    return LoopElement(x.beta, {-a: next(rows) if a else np.conj(fa) for a, fa in x.coeffs.items()}, x.n)
+    out = {-a: next(rows) if a else np.conj(fa) for a, fa in x.coeffs.items()}
+    _freeze(out.values())
+    return LoopElement(x.beta, out, x.n)
 
 
 def flip_apply(e: LoopElement) -> LoopElement:
@@ -261,7 +314,9 @@ def flip_apply(e: LoopElement) -> LoopElement:
     monomial loop elements; exact on the grid (index reflection).
     """
     reflect = -np.arange(e.n) % e.n  # t_j -> t_{-j}
-    return LoopElement(e.beta, {-k: f[reflect] for k, f in e.coeffs.items()}, e.n)
+    out = {-k: f[reflect] for k, f in e.coeffs.items()}
+    _freeze(out.values())
+    return LoopElement(e.beta, out, e.n)
 
 
 # ------------------------------------------------------------------ bump pair
@@ -369,6 +424,7 @@ def assemble_projection(
     f0 = f_profile(t + delta).astype(complex)
     gm = g_profile(t + delta).astype(complex)
     gp = g_profile(t + delta + alpha).astype(complex)
+    _freeze((gp, f0, gm))
     return LoopElement(alpha, {1: gp, 0: f0, -1: gm}, n)
 
 

@@ -580,3 +580,43 @@ def test_invariant_report_rounding_tolerance():
     assert _round_quarter(0.25 + 1e-8 + 0j) == 0.25
     assert _round_quarter(0.25 + 1e-3 + 0j) is None
     assert _round_quarter(0.1 + 0j) is None
+
+
+def test_a_built_element_cannot_be_changed():
+    f = np.arange(256, dtype=complex)
+    x = LoopElement(0.3, {0: f})
+    before = x.coeffs[0].copy()
+    f[0] = 7  # the caller's array was copied
+    with pytest.raises(ValueError):
+        x.coeffs[0][1] = 5  # the kept array is read-only
+    with pytest.raises(TypeError):
+        x.coeffs[3] = np.ones(7)  # the mapping is read-only
+    assert list(x.coeffs) == [0] and np.array_equal(x.coeffs[0], before)
+    with pytest.raises(ValueError):
+        x.coefficient(2)[0] = 1
+    # a read-only view of a writable base would change with the base, so it is copied too
+    view = f.view()
+    view.flags.writeable = False
+    y = LoopElement(0.3, {0: view})
+    f[1] = 9
+    assert y.coeffs[0] is not view and y.coeffs[0][1] == 1
+    # a frozen array is kept as it is
+    frozen = np.ones(256, dtype=complex)
+    frozen.flags.writeable = False
+    assert LoopElement(0.3, {0: frozen}).coeffs[0] is frozen
+
+
+def test_loop_operations_build_their_elements_without_a_copy(monkeypatch):
+    from nctorus import loops
+
+    checked = []
+    real = loops._frozen
+    monkeypatch.setattr(loops, "_frozen", lambda f: checked.append(real(f)) or checked[-1])
+    rng = random.Random(25)
+    beta = GOLDEN.turns(0, 1)
+    x, y = random_loop(rng, beta, kmax=3), random_loop(rng, beta, kmax=3)
+    checked.clear()
+    x * y, x * x, x.star(), x + y, x - y, y - x
+    e = assemble_projection(6 * beta - 3, n=N, centered=True)
+    flip_apply(e), projection_gates(e, e.beta, True)
+    assert len(checked) > 30 and all(checked)
