@@ -4,10 +4,18 @@ The character range of sigma-invariant classes is the integer span of
 nine vectors in (Q + Q*theta + iQ + iQ*theta)^6.  Flattening each slot
 over the basis {1, theta} x {1, i} turns "is v an integral combination?"
 into an exact 24 x 9 rational linear system.  It is eliminated once,
-fraction-free, on the first solve rather than at import; every solve and
-every integral combination runs in integer arithmetic over a common
-denominator.  theta is irrational, so {1, theta} is independent over Q
-and the flattening is faithful.
+fraction-free, on the first solve rather than at import.  theta is
+irrational, so {1, theta} is independent over Q and the flattening is
+faithful.
+
+The values keep ``Fraction`` fields (a ``KScalar`` is four, a
+``ChernVector`` six ``KScalar`` slots), but the arithmetic between them is
+integer: a vector is read as its 24 integer numerators over one positive
+denominator, and the solve, the integral combinations, the membership
+decision, the synthesis recipe and its self-check, and the text parser
+all work on such rows.  A Fraction is built only where a value is handed
+out, and only for a nonzero entry; a zero entry is the shared ``_ZERO``,
+an all-zero slot ``KSCALAR_ZERO``.
 """
 
 from __future__ import annotations

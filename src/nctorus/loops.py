@@ -132,8 +132,8 @@ def _freeze(arrays: Iterable[np.ndarray]) -> None:
     """Mark arrays this module allocated, and every array under them, read-only.
 
     An operation calls it on its result rows once it has written them (a
-    row's base is the block it was computed in), so that LoopElement keeps
-    them without a copy.
+    row's base is the block it was computed in; a row taken over from an
+    operand is frozen already), so that LoopElement keeps them without a copy.
     """
     for f in arrays:
         while isinstance(f, np.ndarray):
@@ -196,11 +196,8 @@ class LoopElement(Record):
         self._compatible(other)
         out = dict(self.coeffs)
         for k, f in other.coeffs.items():
-            if k in out:
-                out[k] = out[k] + f
-                _freeze((out[k],))
-            else:
-                out[k] = f
+            out[k] = out[k] + f if k in out else f
+        _freeze(out.values())
         return LoopElement(self.beta, out, self.n)
 
     def __sub__(self, other: "LoopElement") -> "LoopElement":
@@ -208,7 +205,7 @@ class LoopElement(Record):
         out = dict(self.coeffs)
         for k, f in other.coeffs.items():
             out[k] = out[k] - f if k in out else -f
-            _freeze((out[k],))
+        _freeze(out.values())
         return LoopElement(self.beta, out, self.n)
 
     def __mul__(self, other: "LoopElement") -> "LoopElement":

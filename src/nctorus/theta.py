@@ -350,16 +350,14 @@ class ThetaParam(Record):
 
     def in_open_interval(self, a: Rat, b: Rat, lo: Rat, hi: Rat) -> bool:
         """Exact test of lo < a + b*theta < hi for rational lo, hi."""
-        a, b, lo, hi = _rational(a), _rational(b), _rational(lo), _rational(hi)
-        above_lo = self._sign(*_integer_form(a, b, lo))
-        if above_lo is None:
-            raise _unsettled(a - lo, b)
-        if above_lo <= 0:
-            return False
-        below_hi = self._sign(*_integer_form(a, b, hi))
-        if below_hi is None:
-            raise _unsettled(a - hi, b)
-        return below_hi < 0
+        a, b = _rational(a), _rational(b)
+        for bound, inside in ((_rational(lo), 1), (_rational(hi), -1)):
+            sign = self._sign(*_integer_form(a, b, bound))
+            if sign is None:
+                raise _unsettled(a - bound, b)
+            if sign != inside:
+                return False
+        return True
 
     def floor_ratio(self, a: Rat, b: Rat, c: Rat, d: Rat) -> int:
         """floor((a + b*theta) / (c + d*theta)), exact, for c + d*theta > 0."""
