@@ -364,7 +364,7 @@ class ThetaParam(Record):
         a, b, c, d = _rational(a), _rational(b), _rational(c), _rational(d)
         # times the positive common denominator m, the ratio is one of integer forms
         m = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-        A, B, C, D = (x.numerator * (m // x.denominator) for x in (a, b, c, d))
+        A, B, C, D = [x.numerator * (m // x.denominator) for x in (a, b, c, d)]
         p, q = self._bracket[0]
         den = C * q + D * p
         if den <= 0:
