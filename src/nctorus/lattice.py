@@ -484,14 +484,10 @@ def genus_basis_decompose(g: Genus) -> Optional[Tuple[int, int, int]]:
 _GENERATOR_TRACES = (KScalar(2), KScalar(0, 2), KScalar(2))
 
 
-def _generator_vector(genus: Tuple[int, int, int], trace: KScalar) -> ChernVector:
-    return ChernVector(trace, KSCALAR_ZERO, KSCALAR_ZERO, *(KScalar(g) if g else KSCALAR_ZERO for g in genus))
-
-
 def _signed_generator(base: Tuple[int, int, int], sign: int, trace: KScalar) -> tuple:
     """(genus, trace, vector, the vector's integer row) of the generator of genus sign * base."""
     genus = tuple(sign * x for x in base)
-    vector = _generator_vector(genus, trace)
+    vector = ChernVector(trace, KSCALAR_ZERO, KSCALAR_ZERO, *(KScalar(g) if g else KSCALAR_ZERO for g in genus))
     return genus, trace, vector, _numerators(vector, 1)
 
 
