@@ -8,14 +8,16 @@ fraction-free, on the first solve rather than at import.  theta is
 irrational, so {1, theta} is independent over Q and the flattening is
 faithful.
 
-The values keep ``Fraction`` fields (a ``KScalar`` is four, a
-``ChernVector`` six ``KScalar`` slots), but the arithmetic between them is
-integer: a vector is read as its 24 integer numerators over one positive
-denominator, and the solve, the integral combinations, the membership
-decision, the synthesis recipe and its self-check, and the text parser
-all work on such rows.  A Fraction is built only where a value is handed
-out, and only for a nonzero entry; a zero entry is the shared ``_ZERO``,
-an all-zero slot ``KSCALAR_ZERO``.
+Every lattice value is stored as ``Element`` is: integer numerators
+``_n`` over one positive denominator ``_d``, in lowest terms.  A
+``KScalar`` holds its four numerators (a, b, c, d), a ``ChernVector`` its
+24 (six slots of four, in slot order), a ``Genus`` its three; equality
+and hashing are tuple comparisons.  The solve, the integral combinations,
+the membership decision, the synthesis recipe and its self-check, the
+quantization check and the text I/O all read and build these rows.  The
+public fields (``KScalar.a..d``, the six ``ChernVector`` slots, ``Genus``
+entries) are built when read, so a ``Fraction`` appears only where a
+caller asks for one.
 """
 
 from __future__ import annotations
@@ -34,105 +36,90 @@ if TYPE_CHECKING:
 Rat = Union[int, Fraction]
 
 
-_ZERO = Fraction(0)
+def _ratios(values: Iterable[Rat]) -> Tuple[Tuple[int, ...], int]:
+    """values as integer numerators over their least common denominator, which is lowest terms."""
+    ratios = [(x if type(x) is int or type(x) is Fraction else Fraction(x)).as_integer_ratio() for x in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return tuple(n * (den // d) for n, d in ratios), den
 
 
-class KScalar(Record):
+def _reduced(nums: Sequence[int], den: int) -> Tuple[Tuple[int, ...], int]:
+    """The row nums/den (den > 0) with gcd(den, nums) divided out: numerators in lowest terms."""
+    g = math.gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
+
+
+def _entry(i: int) -> property:
+    """The read-only field that is numerator i over the denominator, as a Fraction."""
+    return property(lambda self: Fraction(self._n[i], self._d))
+
+
+class _Numerators(Record):
+    """A value stored as integer numerators ``_n`` over one positive denominator ``_d``, in lowest terms.
+
+    Its public fields, named in ``_public``, are read off the store; its
+    repr is the one it had as a dataclass of them.  Pickle and copy rebuild
+    through :meth:`_of`.
+    """
+
+    __slots__ = ()
+    _public: Tuple[str, ...] = ()
+
+    @classmethod
+    def _of(cls, nums: Sequence[int], den: int):
+        """The value nums/den (den > 0), reduced to lowest terms."""
+        x = object.__new__(cls)
+        x._set(*_reduced(nums, den))
+        return x
+
+    def _set(self, nums: Tuple[int, ...], den: int) -> None:
+        set_n, set_d = self._setters
+        set_n(self, nums)
+        set_d(self, den)
+
+    def __reduce__(self):
+        return self._of, (self._n, self._d)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._public)
+        return f"{self.__class__.__qualname__}({body})"
+
+
+class KScalar(_Numerators):
     """An exact value (a + b*theta) + i*(c + d*theta) with rational a, b, c, d."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_n", "_d")
+    _public = ("a", "b", "c", "d")
+    a, b, c, d = map(_entry, range(4))
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def __init__(self, a: Rat = _ZERO, b: Rat = _ZERO, c: Rat = _ZERO, d: Rat = _ZERO):
-        set_a, set_b, set_c, set_d = self._setters
-        set_a(self, a if type(a) is Fraction else Fraction(a))
-        set_b(self, b if type(b) is Fraction else Fraction(b))
-        set_c(self, c if type(c) is Fraction else Fraction(c))
-        set_d(self, d if type(d) is Fraction else Fraction(d))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not KScalar:
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    __hash__ = Record.__hash__
-
-    def __add__(self, other: "KScalar") -> "KScalar":
-        return KScalar(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other: "KScalar") -> "KScalar":
-        return KScalar(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
-
-    def __neg__(self) -> "KScalar":
-        return KScalar(-self.a, -self.b, -self.c, -self.d)
-
-    def scale(self, r: Rat) -> "KScalar":
-        r = Fraction(r)
-        return KScalar(self.a * r, self.b * r, self.c * r, self.d * r)
-
-    def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
-
-    def flatten(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
+    def __init__(self, a: Rat = 0, b: Rat = 0, c: Rat = 0, d: Rat = 0):
+        self._set(*_ratios((a, b, c, d)))
 
     def __str__(self) -> str:
         return kscalar_to_text(self)
 
 
-KSCALAR_ZERO = KScalar()
+def _slot(i: int) -> property:
+    """The read-only slot i of a ChernVector, as a KScalar."""
+    return property(lambda self: KScalar._of(self._n[4 * i : 4 * i + 4], self._d))
 
 
-class ChernVector(Record):
+class ChernVector(_Numerators):
     """Six exact slots (tau; psi10, psi11; psi20, psi21, psi22)."""
 
-    __slots__ = ("tau", "psi10", "psi11", "psi20", "psi21", "psi22")
-
-    tau: KScalar
-    psi10: KScalar
-    psi11: KScalar
-    psi20: KScalar
-    psi21: KScalar
-    psi22: KScalar
+    __slots__ = ("_n", "_d")
+    _public = ("tau", "psi10", "psi11", "psi20", "psi21", "psi22")
+    tau, psi10, psi11, psi20, psi21, psi22 = map(_slot, range(6))
 
     def __init__(self, tau: KScalar, psi10: KScalar, psi11: KScalar, psi20: KScalar, psi21: KScalar,
                  psi22: KScalar):
-        set_tau, set_psi10, set_psi11, set_psi20, set_psi21, set_psi22 = self._setters
-        set_tau(self, tau)
-        set_psi10(self, psi10)
-        set_psi11(self, psi11)
-        set_psi20(self, psi20)
-        set_psi21(self, psi21)
-        set_psi22(self, psi22)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not ChernVector:
-            return NotImplemented
-        return self.slots() == other.slots()
-
-    __hash__ = Record.__hash__
+        slots = (tau, psi10, psi11, psi20, psi21, psi22)
+        den = math.lcm(*[s._d for s in slots])
+        self._set(tuple(x * (den // s._d) for s in slots for x in s._n), den)
 
     def slots(self) -> Tuple[KScalar, ...]:
-        return (self.tau, self.psi10, self.psi11, self.psi20, self.psi21, self.psi22)
-
-    def flatten(self) -> Tuple[Fraction, ...]:
-        out: list[Fraction] = []
-        for s in self.slots():
-            out.extend(s.flatten())
-        return tuple(out)
-
-    def __add__(self, other: "ChernVector") -> "ChernVector":
-        return ChernVector(*(x + y for x, y in zip(self.slots(), other.slots())))
-
-    def __sub__(self, other: "ChernVector") -> "ChernVector":
-        return ChernVector(*(x - y for x, y in zip(self.slots(), other.slots())))
-
-    def scale(self, r: Rat) -> "ChernVector":
-        return ChernVector(*(s.scale(r) for s in self.slots()))
+        n, d = self._n, self._d
+        return tuple(KScalar._of(n[i : i + 4], d) for i in range(0, 24, 4))
 
     def __str__(self) -> str:
         return chern_to_text(self)
@@ -152,23 +139,21 @@ class K0Coordinates(NamedTuple):
     n9: int
 
 
-class Genus(Record):
+class Genus(_Numerators):
     """The topological genus (psi20, psi21, psi22) of a semiflat class."""
 
-    __slots__ = ("g20", "g21", "g22")
-
-    g20: Fraction
-    g21: Fraction
-    g22: Fraction
+    __slots__ = ("_n", "_d")
+    _public = ("g20", "g21", "g22")
+    g20, g21, g22 = map(_entry, range(3))
 
     def __init__(self, g20: Rat, g21: Rat, g22: Rat):
-        super().__init__(*(g if type(g) is Fraction else Fraction(g) for g in (g20, g21, g22)))
+        self._set(*_ratios((g20, g21, g22)))
 
     def as_tuple(self) -> Tuple[Fraction, Fraction, Fraction]:
         return (self.g20, self.g21, self.g22)
 
     def is_integral(self) -> bool:
-        return all(g.denominator == 1 for g in self.as_tuple())
+        return self._d == 1
 
 
 _ks = KScalar  # short name for the basis table
@@ -194,12 +179,6 @@ def basis_vectors() -> Tuple[ChernVector, ...]:
     return _BASIS
 
 
-def _reduced(nums: List[int], den: int) -> Tuple[List[int], int]:
-    """The row nums/den (den > 0) with gcd(den, nums) divided out."""
-    g = math.gcd(den, *nums)
-    return [x // g for x in nums], den // g
-
-
 @cache
 def _elimination_transform() -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, int], ...], ...], int]:
     """One-time RREF of [M | I]: pivot columns, the 24 x 24 transform E and its denominator.
@@ -213,13 +192,10 @@ def _elimination_transform() -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, in
     denominator, reduced by their gcd after every row operation.  It runs
     on the first solve, not at import, and its result is kept.
     """
-    flat = [v.flatten() for v in _BASIS]
-    rows = []
-    for i in range(24):
-        entries = [f[i] for f in flat]
-        d = math.lcm(*(x.denominator for x in entries))
-        nums = [x.numerator * (d // x.denominator) for x in entries] + [d * (i == j) for j in range(24)]
-        rows.append(_reduced(nums, d))
+    # row i of [M | I] over 2, which clears every basis entry
+    rows = [
+        _reduced([v._n[i] * (2 // v._d) for v in _BASIS] + [2 * (i == j) for j in range(24)], 2) for i in range(24)
+    ]
     pivots: list[int] = []
     rank = 0
     for col in range(9):
@@ -248,7 +224,7 @@ def _elimination_transform() -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, in
     return tuple(pivots), transform, den
 
 
-def _solve_exact(nums: Sequence[int], den: int) -> Optional[Tuple[List[int], int]]:
+def _solve_exact(nums: Sequence[int], den: int) -> Optional[Tuple[Tuple[int, ...], int]]:
     """Solve M x = nums/den (den > 0) for the 24 x 9 basis matrix; None if inconsistent.
 
     The solution comes as integer numerators over one positive denominator,
@@ -273,44 +249,18 @@ def basis_rank() -> int:
     return len(_elimination_transform()[0])
 
 
-def _numerators(v: ChernVector, den: int) -> Tuple[Tuple[int, int], ...]:
-    """The nonzero entries of den * v.flatten() as (index, integer) pairs; den clears v."""
-    return tuple((i, x.numerator * (den // x.denominator)) for i, x in enumerate(v.flatten()) if x)
-
-
-def _row(v: ChernVector) -> Tuple[List[int], int]:
-    """v.flatten() as integer numerators over their least common denominator."""
-    ratios = [x.as_integer_ratio() for x in v.flatten()]  # one call per entry, not two property reads
-    den = math.lcm(*[d for _, d in ratios])
-    return [n * (den // d) for n, d in ratios], den
-
-
-def _chern(nums: Sequence[int], den: int) -> ChernVector:
-    """The vector whose flattened entries are nums[i]/den; only a nonzero entry builds a Fraction."""
-    slots = []
-    for i in range(0, 24, 4):
-        part = nums[i : i + 4]
-        slots.append(KScalar(*(Fraction(x, den) if x else _ZERO for x in part)) if any(part) else KSCALAR_ZERO)
-    return ChernVector(*slots)
-
-
-def _combination(terms: Iterable[Tuple[int, Tuple[Tuple[int, int], ...]]], den: int) -> ChernVector:
-    """sum n * row / den over (n, row) pairs of sparse integer rows from :func:`_numerators`."""
-    acc = [0] * 24
-    for n, row in terms:
-        if n:
-            for i, x in row:
-                acc[i] += n * x
-    return _chern(acc, den)
-
-
-# Every basis entry lies in (1/2)Z.
-_BASIS_NUMERATORS = tuple(_numerators(v, 2) for v in _BASIS)
+# Every basis entry lies in (1/2)Z: each basis vector as the (index, numerator over 2) pairs of its nonzero entries.
+_BASIS_NUMERATORS = tuple(tuple((i, x * (2 // v._d)) for i, x in enumerate(v._n) if x) for v in _BASIS)
 
 
 def recompose(coords: K0Coordinates) -> ChernVector:
     """The exact integral combination sum N_j V_j."""
-    return _combination(zip(coords, _BASIS_NUMERATORS), 2)
+    acc = [0] * 24
+    for n, row in zip(coords, _BASIS_NUMERATORS):
+        if n:
+            for i, x in row:
+                acc[i] += n * x
+    return ChernVector._of(acc, 2)
 
 
 class DecomposeResult(Record):
@@ -333,13 +283,13 @@ class DecomposeResult(Record):
 
 def decompose(v: ChernVector) -> DecomposeResult:
     """Express v over the nine basis vectors with integer coefficients, if possible."""
-    sol = _solve_exact(*_row(v))
+    sol = _solve_exact(v._n, v._d)
     if sol is None:
-        return DecomposeResult("not-in-span")
+        return DecomposeResult("not-in-span", None, None)
     nums, den = sol
-    rational = tuple(Fraction(x, den) if x else _ZERO for x in nums)
+    rational = tuple(Fraction(x, den) for x in nums)
     if den != 1:
-        return DecomposeResult("non-integer", rational=rational)
+        return DecomposeResult("non-integer", None, rational)
     return DecomposeResult("ok", K0Coordinates(*nums), rational)
 
 
@@ -383,29 +333,23 @@ def semiflat_membership(v: ChernVector, theta: ThetaParam) -> MembershipDecision
     (decided exactly from rational brackets of theta).  On membership the
     genus, v's slots (psi20, psi21, psi22), is returned.
     """
-    return _membership(v, _row(v), theta)
-
-
-def _membership(v: ChernVector, row: Tuple[List[int], int], theta: ThetaParam) -> MembershipDecision:
-    """semiflat_membership of v, whose integer row (numerators, denominator) is given."""
-    sol = _solve_exact(*row)
+    nums, den = v._n, v._d
+    sol = _solve_exact(nums, den)
     if sol is None or sol[1] != 1:
-        return MembershipDecision(False, reason="not-in-lattice")
+        return MembershipDecision(False, "not-in-lattice", None, None, None)
     n = K0Coordinates(*sol[0])
-    if not v.psi10.is_zero():
-        return MembershipDecision(False, reason="psi10-nonzero", coordinates=n)
-    if not v.psi11.is_zero():
-        return MembershipDecision(False, reason="psi11-nonzero", coordinates=n)
+    if any(nums[4:8]):
+        return MembershipDecision(False, "psi10-nonzero", n, None, None)
+    if any(nums[8:12]):
+        return MembershipDecision(False, "psi11-nonzero", n, None, None)
     # cross-check the linear relations forced by the vanishing slots
     if semiflat_coordinates(n.n1, n.n2, n.n3, n.n4, n.n9) != n:
         raise AssertionError("decomposition violates the semiflat constraint relations")
-    # v decomposed integrally, so v = recompose(n): its slots are the basis's values on n
-    # (tau in Z + Z*theta); its row's first two numerators are tau's a, b over a positive denominator
-    trace = v.tau
-    if theta.sign_linear(row[0][0], row[0][1]) <= 0:
-        return MembershipDecision(False, reason="nonpositive-trace", coordinates=n, trace=trace)
-    genus = Genus(v.psi20.a, v.psi21.a, v.psi22.a)
-    return MembershipDecision(True, coordinates=n, genus=genus, trace=trace)
+    # v decomposed integrally, so tau lies in Z + Z*theta: its sign is that of nums[0] + nums[1]*theta
+    trace = KScalar._of(nums[:4], den)
+    if theta.sign_linear(nums[0], nums[1]) <= 0:
+        return MembershipDecision(False, "nonpositive-trace", n, None, trace)
+    return MembershipDecision(True, None, n, Genus._of(nums[12:24:4], den), trace)
 
 
 # --------------------------------------------------------------- quantization
@@ -421,21 +365,17 @@ class QuantizationReport(Record):
         return self.ok
 
 
-def _in_half_lattice(s: KScalar) -> bool:
-    """Membership in Z + Z*(1-i)/2: no theta part, p + q*(1-i)/2 solvable over Z."""
-    if s.b or s.d:
-        return False
-    q = -2 * s.c
-    p = s.a + s.c
-    return q.denominator == 1 and p.denominator == 1
+def _in_half_lattice(a: int, b: int, c: int, d: int, den: int) -> bool:
+    """Membership of (a, b, c, d)/den in Z + Z*(1-i)/2: no theta part, p + q*(1-i)/2 solvable over Z."""
+    return not (b or d) and (2 * c) % den == 0 and (a + c) % den == 0  # q = -2c, p = a + c
 
 
-def _in_half_integers(s: KScalar) -> bool:
-    return not (s.b or s.c or s.d) and (2 * s.a).denominator == 1
+def _in_half_integers(a: int, b: int, c: int, d: int, den: int) -> bool:
+    return not (b or c or d) and (2 * a) % den == 0
 
 
-def _in_integers(s: KScalar) -> bool:
-    return not (s.b or s.c or s.d) and s.a.denominator == 1
+def _in_integers(a: int, b: int, c: int, d: int, den: int) -> bool:
+    return not (b or c or d) and a % den == 0
 
 
 def quantization_check(v: ChernVector) -> QuantizationReport:
@@ -444,12 +384,13 @@ def quantization_check(v: ChernVector) -> QuantizationReport:
     psi10, psi11 must lie in Z + Z*(1-i)/2; psi20, psi21 in (1/2)Z;
     psi22 in Z.  The trace slot is unconstrained.
     """
+    n, den = v._n, v._d
     slots = {
-        "psi10": _in_half_lattice(v.psi10),
-        "psi11": _in_half_lattice(v.psi11),
-        "psi20": _in_half_integers(v.psi20),
-        "psi21": _in_half_integers(v.psi21),
-        "psi22": _in_integers(v.psi22),
+        "psi10": _in_half_lattice(*n[4:8], den),
+        "psi11": _in_half_lattice(*n[8:12], den),
+        "psi20": _in_half_integers(*n[12:16], den),
+        "psi21": _in_half_integers(*n[16:20], den),
+        "psi22": _in_integers(*n[20:24], den),
     }
     return QuantizationReport(all(slots.values()), slots)
 
@@ -467,7 +408,7 @@ def genus_basis_decompose(g: Genus) -> Optional[Tuple[int, int, int]]:
     """
     if not g.is_integral():
         raise ValueError("genus entries must be integers")
-    g20, g21, g22 = (int(x) for x in g.as_tuple())
+    g20, g21, g22 = g._n
     if (g20 - g21) % 2 != 0 or g22 % 2 != 0:
         return None
     c2 = g21
@@ -485,13 +426,13 @@ _GENERATOR_TRACES = (KScalar(2), KScalar(0, 2), KScalar(2))
 
 
 def _signed_generator(base: Tuple[int, int, int], sign: int, trace: KScalar) -> tuple:
-    """(genus, trace, vector, the vector's integer row) of the generator of genus sign * base."""
+    """(genus, trace, vector, the vector's nonzero (index, entry) pairs) of the generator of genus sign * base."""
     genus = tuple(sign * x for x in base)
-    vector = ChernVector(trace, KSCALAR_ZERO, KSCALAR_ZERO, *(KScalar(g) if g else KSCALAR_ZERO for g in genus))
-    return genus, trace, vector, _numerators(vector, 1)
+    vector = ChernVector(trace, KScalar(), KScalar(), *map(KScalar, genus))
+    return genus, trace, vector, tuple((i, x) for i, x in enumerate(vector._n) if x)  # integers: _d is 1
 
 
-# The six signed generators, per basic genus: {sign: (genus, trace, vector, integer row)}.
+# The six signed generators, per basic genus: {sign: (genus, trace, vector, nonzero entries)}.
 _GENERATORS = tuple(
     {sign: _signed_generator(base, sign, trace) for sign in (1, -1)}
     for base, trace in zip(BASIC_GENERA, _GENERATOR_TRACES)
@@ -520,12 +461,6 @@ class SynthesisRecipe(Record):
     generators: Tuple[GeneratorSpec, ...]
     flat_trace: KScalar
 
-    def total(self) -> ChernVector:
-        terms = [(1, ChernVector(self.flat_trace, *(KSCALAR_ZERO,) * 5))]
-        terms += [(g.count, g.vector) for g in self.generators]
-        den = math.lcm(*(x.denominator for _, v in terms for x in v.flatten()))
-        return _combination(((n, _numerators(v, den)) for n, v in terms), den)
-
     def to_json(self) -> dict:
         return {
             "generators": [g.to_json() for g in self.generators],
@@ -547,14 +482,14 @@ def synthesis_recipe(v: ChernVector, theta: ThetaParam) -> SynthesisRecipe:
     class and must land in 4Z + 4Z*theta; anything else indicates a
     corrupted input and raises.
     """
-    nums, den = row = _row(v)
-    decision = _membership(v, row, theta)
+    decision = semiflat_membership(v, theta)
     if not decision:
         raise ValueError(f"not a semiflat cone member: {decision.reason}")
     coeffs = genus_basis_decompose(decision.genus)
     if coeffs is None:
         raise SynthesisError("cone member genus failed the basic-genus parity conditions")
     gens: list[GeneratorSpec] = []
+    nums, den = v._n, v._d
     total = [0] * 24  # the generators' sum, then the recipe's, as integers
     for c, signed in zip(coeffs, _GENERATORS):
         if c == 0:
@@ -565,12 +500,13 @@ def synthesis_recipe(v: ChernVector, theta: ThetaParam) -> SynthesisRecipe:
             total[i] += abs(c) * x
     # the flat trace v.tau - (the generators' traces), times den
     flat = [x - den * used for x, used in zip(nums[:4], total)]
+    flat_trace = KScalar._of(flat, den)
     if flat[0] % (4 * den) or flat[1] % (4 * den) or flat[2] or flat[3]:
-        raise SynthesisError(f"flat remainder {KScalar(*(Fraction(x, den) for x in flat))} is not in 4Z + 4Z*theta")
+        raise SynthesisError(f"flat remainder {flat_trace} is not in 4Z + 4Z*theta")
     total[0] += flat[0] // den
     total[1] += flat[1] // den
-    recipe = SynthesisRecipe(tuple(gens), KScalar(*(Fraction(x // den) if x else _ZERO for x in flat)))
-    if [den * x for x in total] != nums:
+    recipe = SynthesisRecipe(tuple(gens), flat_trace)
+    if tuple(den * x for x in total) != nums:
         raise SynthesisError("recipe does not recompose to its input")
     return recipe
 
@@ -581,17 +517,17 @@ def synthesis_recipe(v: ChernVector, theta: ThetaParam) -> SynthesisRecipe:
 def kscalar_to_text(s: KScalar) -> str:
     """Render like ``4+2t``, ``-1/2+1/2i``, ``2t``; t stands for theta."""
     parts: list[str] = []
-    for coef, suffix in ((s.a, ""), (s.b, "t"), (s.c, "i"), (s.d, "ti")):
-        if coef == 0:
+    for x, suffix in zip(s._n, ("", "t", "i", "ti")):
+        if x == 0:
             continue
-        body = _rat_str(abs(coef.numerator), coef.denominator)
+        body = _rat_str(abs(x), s._d)
         if suffix and body == "1":
             body = ""
         piece = f"{body}{suffix}"
         if not parts:
-            parts.append(piece if coef > 0 else f"-{piece}")
+            parts.append(piece if x > 0 else f"-{piece}")
         else:
-            parts.append(f"+{piece}" if coef > 0 else f"-{piece}")
+            parts.append(f"+{piece}" if x > 0 else f"-{piece}")
     return "".join(parts) if parts else "0"
 
 
@@ -610,8 +546,7 @@ def parse_kscalar(text: str, pos: int = 0, end: Optional[int] = None) -> KScalar
     before it, and the text may not end in a sign.  Error positions are
     indices into the whole of ``text``.
     """
-    nums, den = _parse_numerators(text, pos, end)
-    return KScalar(*(Fraction(x, den) if x else _ZERO for x in nums))
+    return KScalar._of(*_parse_numerators(text, pos, end))
 
 
 def _parse_numerators(text: str, pos: int = 0, end: Optional[int] = None) -> Tuple[List[int], int]:
@@ -699,7 +634,7 @@ def chern_from_t4(t4: T4Vector) -> ChernVector:
             raise ValueError("slot contains phase powers; not a lattice-compatible vector")
         g = coeffs.get(0)
         if g is None:
-            out.append(KSCALAR_ZERO)
+            out.append(KScalar())
         else:
             out.append(KScalar(g.re, 0, g.im, 0))
     return ChernVector(*out)

@@ -519,11 +519,9 @@ class SemicyclicCert(_Certificate):
         if t.in_subgroup(2):
             return cls("orbit-double", t, CyclicCert._realize(TraceValue(t.a // 2, t.b // 2), theta))
         # find an even bound 2x with t < 2x < 1/2, via a positive step 2(q*theta - p)
-        # smaller than the room 1/2 - t above t
+        # smaller than the room 1/2 - t above t: 1/2 - t - 2(q*theta - p) > 0, doubled
         for p, q in theta.convergents:
-            if q > 0 and theta.sign_linear(-p, q) > 0 and (
-                theta.sign_linear(Fraction(1, 2) - t.a + 2 * p, -t.b - 2 * q) > 0
-            ):
+            if q > 0 and theta.sign_linear(-p, q) > 0 and theta.sign_linear(1 - 2 * t.a + 4 * p, -2 * t.b - 4 * q) > 0:
                 gap = TraceValue(-2 * p, 2 * q)
                 break
         else:

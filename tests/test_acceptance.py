@@ -22,6 +22,7 @@ from nctorus.algebra import (
 from nctorus.lattice import (
     Genus,
     K0Coordinates,
+    KScalar,
     basis_rank,
     chern_from_t4,
     decompose,
@@ -189,8 +190,8 @@ def test_criterion_06_quantization_brute_force():
     m1, m2, _, _ = _parity_masks(sample)
     for j in range(sample.shape[0]):
         exact = recompose(K0Coordinates(*(int(x) for x in sample[j])))
-        assert bool(m1[j]) == (exact.psi10.is_zero() and exact.psi11.is_zero())
-        assert bool(m2[j]) == all(s.is_zero() for s in exact.slots()[1:])
+        assert bool(m1[j]) == (exact.psi10 == exact.psi11 == KScalar())
+        assert bool(m2[j]) == all(s == KScalar() for s in exact.slots()[1:])
     elapsed = time.monotonic() - start
     # the all-zero surface is a two-parameter family, so only a handful of
     # grid points satisfy it; nonvacuity is what matters

@@ -252,6 +252,9 @@ def test_certify_steps_build_only_their_outputs_fractions(fractions_built):
     assert member == parse_chern("(-2+4t; 0, 0; -2, 10, 6)")
     decompose(member), golden.floor_linear(7)  # the one-time elimination and bracket run outside the counts
 
+    scalar = KScalar(Fraction(1, 2), Fraction(3, 4), -5, Fraction(1, 3))
+    assert fractions_built(parse_kscalar, "1/2 + 3/4t - 5i + 2/6ti") == (scalar, 0)
+    assert fractions_built(parse_chern, "(-2+4t; 0, 0; -2, 10, 6)") == (member, 0)
     assert fractions_built(parse_trace, "12-7t") == (TraceValue(12, -7), 0)
     assert fractions_built(parse_trace, "3/3 + 6/2t - 4/4") == (TraceValue(0, 3), 0)
     assert fractions_built(golden.in_open_interval, -3, 5, 0, 1) == (True, 0)
@@ -263,7 +266,7 @@ def test_certify_steps_build_only_their_outputs_fractions(fractions_built):
     assert tuple(res.coordinates) == (-3, -1, 1, 3, -1, 1, 2, -1, 3) and built == 9
     decision, built = fractions_built(semiflat_membership, member, golden)
     assert decision and decision.genus.as_tuple() == (-2, 10, 6) and built == 0
-    # the recipe builds its flat trace's two nonzero parts and nothing else: the check builds none
+    # the lattice values are integer numerators: the recipe, its check and recompose build none
     recipe, built = fractions_built(synthesis_recipe, member, golden)
-    assert recipe.flat_trace == KScalar(-28, -16) and built == 2
-    assert fractions_built(recompose, decision.coordinates)[1] == 5  # tau's a, b; psi20, psi21, psi22
+    assert recipe.flat_trace == KScalar(-28, -16) and built == 0
+    assert fractions_built(recompose, decision.coordinates) == (member, 0)

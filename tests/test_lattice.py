@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from nctorus.algebra import ONE
 from nctorus.lattice import (
-    KSCALAR_ZERO,
     ChernParseError,
     ChernVector,
     Genus,
@@ -39,6 +39,28 @@ from nctorus.traces import chern_T4
 GOLDEN = ThetaParam.preset("golden")
 
 
+# ------------------------------------------------ Fraction references, read off the public fields
+
+
+def flatten(v):
+    """v's 24 entries as Fractions, slot by slot over (1, theta, i, i*theta)."""
+    return tuple(x for s in v.slots() for x in (s.a, s.b, s.c, s.d))
+
+
+def reference_combination(terms):
+    """sum n * v over (n, v) pairs, entry by entry in Fractions."""
+    total = [Fraction(0)] * 24
+    for n, v in terms:
+        total = [x + n * y for x, y in zip(total, flatten(v))]
+    return ChernVector(*(KScalar(*total[i : i + 4]) for i in range(0, 24, 4)))
+
+
+def recipe_total(r):
+    """The class a synthesis recipe writes: its flat trace plus count copies of each generator."""
+    flat = ChernVector(r.flat_trace, *[KScalar()] * 5)
+    return reference_combination([(1, flat)] + [(g.count, g.vector) for g in r.generators])
+
+
 # ----------------------------------------------------------------- basis facts
 
 
@@ -49,7 +71,7 @@ def test_basis_v3_matches_identity_character():
 
 def test_v7_plus_v9():
     b = basis_vectors()
-    total = b[6] + b[8]
+    total = reference_combination([(1, b[6]), (1, b[8])])
     assert total == parse_chern("(2t; 0, 0; 1, 1, 2)")
 
 
@@ -244,7 +266,7 @@ def test_synthesis_genus_020_with_flat_remainder():
     r = synthesis_recipe(v, GOLDEN)
     by_genus = {g.genus: g.count for g in r.generators}
     assert by_genus == {(-2, 0, 0): 1, (1, 1, 2): 2, (0, 0, -2): 2}
-    assert r.total() == v
+    assert recipe_total(r) == v
 
 
 def test_synthesis_recomposes_on_random_members():
@@ -257,7 +279,7 @@ def test_synthesis_recomposes_on_random_members():
         if not d.member:
             continue
         r = synthesis_recipe(v, GOLDEN)
-        assert r.total() == v
+        assert recipe_total(r) == v
         # every generator is itself a cone member
         for g in r.generators:
             assert semiflat_membership(g.vector, GOLDEN).member
@@ -287,11 +309,11 @@ def test_parity_lemma_brute_force_sampled():
         else:
             coords = K0Coordinates(*(rng.randint(-3, 3) for _ in range(9)))
         v = recompose(coords)
-        if v.psi10.is_zero() and v.psi11.is_zero():
+        if v.psi10 == v.psi11 == KScalar():
             hits += 1
             t = v.tau
             assert t.a % 2 == 0 and t.b % 2 == 0
-            if v.psi20.is_zero() and v.psi21.is_zero() and v.psi22.is_zero():
+            if v.psi20 == v.psi21 == v.psi22 == KScalar():
                 assert t.a % 4 == 0 and t.b % 4 == 0
     assert hits > 1500  # the premise must actually have been exercised
 
@@ -384,12 +406,66 @@ def test_chern_from_t4_rejects_phase_slots():
         chern_from_t4(chern_T4(sigma_average(U)))
 
 
+# ------------------------------------------------------------- canonical form
+
+_ratio = st.tuples(st.integers(-12, 12), st.integers(1, 12))  # n/d as drawn: often unreduced, as 2/4 or 0/6
+_quad = st.lists(_ratio, min_size=4, max_size=4)
+
+
+def unreduced_text(pairs):
+    """The a+bt+ci+dti text of four n/d pairs, each written as drawn."""
+    signs = ("-" if n < 0 else "+" for n, _ in pairs)
+    return "".join(f"{sign}{abs(n)}/{d}{suffix}" for sign, (n, d), suffix in zip(signs, pairs, ("", "t", "i", "ti")))
+
+
+def assert_lowest_terms(value):
+    assert value._d > 0 and math.gcd(value._d, *value._n) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quad, _quad, st.integers(2, 6))
+def test_kscalar_is_stored_in_lowest_terms(p, q, k):
+    fp, fq = (tuple(Fraction(n, d) for n, d in pairs) for pairs in (p, q))
+    x, y = KScalar(*fp), KScalar(*fq)
+    # the same value from the unreduced text, and from that text with every n/d widened by k
+    for twin in (parse_kscalar(unreduced_text(p)), parse_kscalar(unreduced_text([(n * k, d * k) for n, d in p]))):
+        assert twin == x and not (twin != x) and hash(twin) == hash(x)
+        assert (twin._n, twin._d) == (x._n, x._d)
+    assert (x == y) is (fp == fq) and (x != y) is (fp != fq)
+    if x == y:
+        assert hash(x) == hash(y)
+    for value, parts in ((x, fp), (y, fq)):
+        assert (value.a, value.b, value.c, value.d) == parts
+        assert (value._d == 1) is all(r.denominator == 1 for r in parts)
+        assert_lowest_terms(value)
+    g = Genus(*fp[:3])
+    assert g.as_tuple() == fp[:3] and g == Genus(*(parse_kscalar(unreduced_text([r])).a for r in p[:3]))
+    assert g.is_integral() is (g._d == 1) is all(r.denominator == 1 for r in fp[:3])
+    assert_lowest_terms(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_quad, min_size=6, max_size=6))
+def test_chern_vector_is_stored_in_lowest_terms(quads):
+    slots = tuple(KScalar(*(Fraction(n, d) for n, d in pairs)) for pairs in quads)
+    v = ChernVector(*slots)
+    assert v.slots() == (v.tau, v.psi10, v.psi11, v.psi20, v.psi21, v.psi22) == slots
+    for s in v.slots():
+        assert_lowest_terms(s)
+    assert_lowest_terms(v)
+    assert (v._d == 1) is all(x.denominator == 1 for x in flatten(v))
+    unreduced = parse_chern("(" + "; ".join(unreduced_text(pairs) for pairs in quads) + ")")
+    for twin in (parse_chern(chern_to_text(v)), unreduced, pickle.loads(pickle.dumps(v))):
+        assert twin == v and not (twin != v) and hash(twin) == hash(v)
+        assert (twin._n, twin._d) == (v._n, v._d) and repr(twin) == repr(v)
+
+
 # ------------------------------------------ references kept from the Fraction solver
 
 
 def reference_solve(rhs):
     """Gauss-Jordan elimination of [M | rhs] over Fractions; None if inconsistent."""
-    basis = [v.flatten() for v in basis_vectors()]
+    basis = [flatten(v) for v in basis_vectors()]
     rows = [[Fraction(col[r]) for col in basis] + [Fraction(rhs[r])] for r in range(24)]
     pivots = []
     for col in range(9):
@@ -424,15 +500,6 @@ def integer_solve(rhs):
     return tuple(Fraction(x, d) for x in nums)
 
 
-def reference_combination(terms):
-    """sum n * v by ChernVector.scale and __add__, one term at a time."""
-    out = ChernVector(*([KSCALAR_ZERO] * 6))
-    for n, v in terms:
-        if n:
-            out = out + v.scale(n)
-    return out
-
-
 _coord = st.sampled_from(range(13)).flatmap(lambda e: st.integers(-(10**e), 10**e))
 _coords = st.lists(_coord, min_size=9, max_size=9)
 
@@ -443,7 +510,7 @@ def test_recompose_decompose_match_references(coords):
     coords = K0Coordinates(*coords)
     v = recompose(coords)
     assert v == reference_combination(zip(coords, basis_vectors()))
-    assert integer_solve(v.flatten()) == reference_solve(v.flatten()) == tuple(coords)
+    assert integer_solve(flatten(v)) == reference_solve(flatten(v)) == tuple(coords)
     res = decompose(v)
     assert res and res.coordinates == coords
 
@@ -452,7 +519,7 @@ def test_recompose_decompose_match_references(coords):
 @given(st.lists(st.fractions(max_denominator=12).filter(lambda x: abs(x) < 10**6), min_size=9, max_size=9))
 def test_solve_exact_matches_reference_on_rational_span(coords):
     v = reference_combination(zip(coords, basis_vectors()))
-    assert integer_solve(v.flatten()) == reference_solve(v.flatten()) == tuple(coords)
+    assert integer_solve(flatten(v)) == reference_solve(flatten(v)) == tuple(coords)
 
 
 @settings(max_examples=100, deadline=None)
@@ -474,8 +541,7 @@ def test_synthesis_total_matches_reference(free):
     if not semiflat_membership(v, GOLDEN):
         return
     r = synthesis_recipe(v, GOLDEN)
-    flat = ChernVector(r.flat_trace, *([KSCALAR_ZERO] * 5))
-    assert r.total() == reference_combination([(1, flat)] + [(g.count, g.vector) for g in r.generators]) == v
+    assert recipe_total(r) == v
 
 
 @settings(max_examples=200, deadline=None)
@@ -516,7 +582,7 @@ def reference_elimination_transform():
     """The one-time Gauss-Jordan of [M | I] over Fractions that the integer version replaced."""
     import math
 
-    flat = [v.flatten() for v in basis_vectors()]
+    flat = [flatten(v) for v in basis_vectors()]
     rows = [[f[i] for f in flat] + [Fraction(int(i == j)) for j in range(24)] for i in range(24)]
     pivots = []
     rank = 0

@@ -29,9 +29,6 @@ SQRT2 = ThetaParam.preset("sqrt2")
 # The dataclass fields of each type, in order, as they were declared.
 FIELDS = {
     ThetaParam: "cf_terms name interval",
-    lattice.KScalar: "a b c d",
-    lattice.ChernVector: "tau psi10 psi11 psi20 psi21 psi22",
-    lattice.Genus: "g20 g21 g22",
     lattice.DecomposeResult: "status coordinates rational",
     lattice.MembershipDecision: "member reason coordinates genus trace",
     lattice.QuantizationReport: "ok slots",
@@ -148,6 +145,34 @@ OWN = {
         ["Element('(1/2) + (1+1i) L^2 U V^-1')", "Element('(-3/4) V + (1) U^2')"],
         lambda x: Element(dict(x.terms())), lambda x: hash((x._d, frozenset(x._t.items()))),
     ),
+    lattice.KScalar: Own(
+        "_n _d", [lattice.KScalar(), lattice.parse_kscalar("2/4+t-3i+4/2ti")],
+        ["KScalar(a=Fraction(0, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(0, 1))",
+         "KScalar(a=Fraction(1, 2), b=Fraction(1, 1), c=Fraction(-3, 1), d=Fraction(2, 1))"],
+        lambda x: lattice.KScalar(x.a, x.b, x.c, x.d), lambda x: hash((x._n, x._d)),
+    ),
+    lattice.ChernVector: Own(
+        "_n _d", [lattice.parse_chern("(2t;0,0;1,1,2)"), lattice.parse_chern("(1/3; 1/2-1/2i, 0; 0, 0, 3ti)")],
+        ["ChernVector(tau=KScalar(a=Fraction(0, 1), b=Fraction(2, 1), c=Fraction(0, 1), d=Fraction(0, 1)), "
+         "psi10=KScalar(a=Fraction(0, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(0, 1)), "
+         "psi11=KScalar(a=Fraction(0, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(0, 1)), "
+         "psi20=KScalar(a=Fraction(1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(0, 1)), "
+         "psi21=KScalar(a=Fraction(1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(0, 1)), "
+         "psi22=KScalar(a=Fraction(2, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(0, 1)))",
+         "ChernVector(tau=KScalar(a=Fraction(1, 3), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(0, 1)), "
+         "psi10=KScalar(a=Fraction(1, 2), b=Fraction(0, 1), c=Fraction(-1, 2), d=Fraction(0, 1)), "
+         "psi11=KScalar(a=Fraction(0, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(0, 1)), "
+         "psi20=KScalar(a=Fraction(0, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(0, 1)), "
+         "psi21=KScalar(a=Fraction(0, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(0, 1)), "
+         "psi22=KScalar(a=Fraction(0, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(3, 1)))"],
+        lambda x: lattice.ChernVector(*x.slots()), lambda x: hash((x._n, x._d)),
+    ),
+    lattice.Genus: Own(
+        "_n _d", [lattice.Genus(1, 1, 2), lattice.Genus(Fraction(1, 2), 0, Fraction(-6, 2))],
+        ["Genus(g20=Fraction(1, 1), g21=Fraction(1, 1), g22=Fraction(2, 1))",
+         "Genus(g20=Fraction(1, 2), g21=Fraction(0, 1), g22=Fraction(-3, 1))"],
+        lambda x: lattice.Genus(*x.as_tuple()), lambda x: hash((x._n, x._d)),
+    ),
     loops.LoopElement: Own(
         "beta coeffs n", [loops.LoopElement(0.25, {0: [0.5] * 256, 1: [1] * 256}), loops.LoopElement(0.5, {}, 512)],
         None, lambda x: loops.LoopElement(x.beta, {k: f.copy() for k, f in x.coeffs.items()}, x.n), None,
@@ -169,8 +194,9 @@ def _concrete_records():
 def test_every_value_type_is_sampled_twice_with_different_values():
     assert _concrete_records() == set(FIELDS) | set(OWN)
     assert not set(FIELDS) & set(OWN)
-    # PhaseScalar is reached through the character vectors; OWN samples it
-    assert set(SAMPLES) == set(FIELDS) | {PhaseScalar}
+    # PhaseScalar is reached through the character vectors, the lattice values through the
+    # lattice records; OWN samples them
+    assert set(SAMPLES) == set(FIELDS) | {PhaseScalar, lattice.KScalar, lattice.ChernVector, lattice.Genus}
     for cls, objs in SAMPLES.items():
         assert len(set(map(repr, objs))) >= 2, cls.__name__
     for cls, own in OWN.items():
