@@ -267,30 +267,39 @@ class DecomposeResult(Record):
     """Outcome of the lattice decomposition.
 
     status: "ok" (integral), "non-integer" (in the rational span only), or
-    "not-in-span" (inconsistent system).
+    "not-in-span" (inconsistent system).  The rational solution is stored as
+    integer numerators ``_n`` over one positive denominator ``_d``, in lowest
+    terms (both None off the span); ``rational``, its nine Fractions, is
+    built when read.  The repr is the one it had as a dataclass of
+    (status, coordinates, rational).
     """
 
-    __slots__ = ("status", "coordinates", "rational")
+    __slots__ = ("status", "coordinates", "_n", "_d")
     _defaults = dict.fromkeys(__slots__[1:])
 
     status: str
     coordinates: Optional[K0Coordinates]
-    rational: Optional[Tuple[Fraction, ...]]
+
+    @property
+    def rational(self) -> Optional[Tuple[Fraction, ...]]:
+        return None if self._n is None else tuple(Fraction(x, self._d) for x in self._n)
 
     def __bool__(self) -> bool:
         return self.status == "ok"
+
+    def __repr__(self) -> str:
+        return f"DecomposeResult(status={self.status!r}, coordinates={self.coordinates!r}, rational={self.rational!r})"
 
 
 def decompose(v: ChernVector) -> DecomposeResult:
     """Express v over the nine basis vectors with integer coefficients, if possible."""
     sol = _solve_exact(v._n, v._d)
     if sol is None:
-        return DecomposeResult("not-in-span", None, None)
+        return DecomposeResult("not-in-span", None, None, None)
     nums, den = sol
-    rational = tuple(Fraction(x, den) for x in nums)
     if den != 1:
-        return DecomposeResult("non-integer", None, rational)
-    return DecomposeResult("ok", K0Coordinates(*nums), rational)
+        return DecomposeResult("non-integer", None, nums, den)
+    return DecomposeResult("ok", K0Coordinates(*nums), nums, den)
 
 
 def semiflat_coordinates(n1: int, n2: int, n3: int, n4: int, n9: int) -> K0Coordinates:

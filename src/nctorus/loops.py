@@ -36,13 +36,34 @@ makes one forward call over all coefficients.  The results equal the
 plain shift-per-term formulas bit for bit, so operand order is kept in
 every complex product (a*b and b*a may differ in the last bit).
 
-A call writes only arrays it allocated itself, never its operands'; that
-is what lets the transforms and the elementwise steps work in place
-(numpy.fft takes ``out=`` from numpy 2.0 on, hence the package's numpy
-pin).  Spectra and phases live for one call only and are never stored on
-a LoopElement: a failed build's element can outlive its call until the
-cyclic garbage collector runs (a kept traceback references it), and
-anything cached on it would live as long.
+A call computes only in arrays it allocated itself, never in its
+operands'; that is what lets the transforms and the elementwise steps work
+in place (numpy.fft takes ``out=`` from numpy 2.0 on, hence the package's
+numpy pin).  ``x * y``, ``x.star()`` and flip_apply write their
+coefficients into one fresh block each and freeze it.  A gate attempt
+(projection_gates) allocates one workspace per call: K^2 rows of n for a
+K-term element, a row per phase vector, and half a row for the |.| of the
+residuals.  e*e, e* and the flip write into it in turn, each residual is
+taken in place, and no element is built.  The workspace is freed when the
+call returns; no LoopElement keeps it and there is no module-level buffer,
+so calls stay safe to run concurrently.  Nor are spectra or phases ever
+stored on a LoopElement: a failed build's element can outlive its call
+until the cyclic garbage collector runs (a kept traceback references it),
+and anything cached on it would live as long.
+
+The one workspace is also what keeps a gate attempt off fresh pages, by
+way of glibc's malloc and not of arithmetic.  glibc serves a block at or
+above its mmap threshold (128 KiB at first) with mmap; when such a block is
+freed it raises that threshold to the block's size, and its heap trim
+threshold to twice that.  At grid 65536 a three-term projection's workspace
+is 11.5 MiB, so after the first one is freed the trim threshold is about
+23 MiB, above what a gate attempt frees, and the heap is no longer trimmed
+between attempts: its pages stay mapped.  Separate 3 MiB (K, n) blocks and
+phase vectors left that threshold near 6 MiB, so each attempt's heap was
+trimmed and grown again, and a grid-65536 flip build (gates and
+invariants) faulted in about 10,000 pages, a third of its time.  The
+package sets no allocator option; this is glibc's default dynamic
+behaviour, and another allocator just sees fewer, larger blocks.
 
 loop_invariants reads only the phi rows of ``theta._SLOTS``: the psi10/psi11
 phase e(-theta*(rm+k)^2/4) is quadratic in the frequency m, so it would take a
@@ -53,6 +74,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import index
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
@@ -102,10 +124,6 @@ class InvalidBumpWidth(ValueError):
 
 class ResidualExceeded(ArithmeticError):
     """Projection gates failed even on the largest allowed grid."""
-
-
-def _freqs(n: int) -> np.ndarray:
-    return np.fft.fftfreq(n, 1.0 / n).astype(int)
 
 
 def _check_grid(n: int) -> int:
@@ -211,19 +229,20 @@ class LoopElement(Record):
     def __mul__(self, other: "LoopElement") -> "LoopElement":
         """(f V^a)(h V^b) = f * (h shifted by a*beta) V^{a+b}, extended bilinearly."""
         self._compatible(other)
-        return _mul(self, other, _phase_table(self.n, self.beta, self.coeffs))
+        shifts = [a for a in self.coeffs if a]
+        phases = _phase_table(self.beta, shifts, np.empty((len(shifts), self.n), dtype=complex))
+        rows = np.empty((len(self.coeffs) * len(other.coeffs), self.n), dtype=complex)
+        out = _mul(self, other, phases, rows)
+        _freeze(out.values())
+        return LoopElement(self.beta, out, self.n)
 
     def star(self) -> "LoopElement":
         """(f V^a)* = conj(f) shifted by -a*beta, times V^{-a}."""
-        return _star(self, _phase_table(self.n, self.beta, (-a for a in self.coeffs)))
-
-    def snorm(self) -> float:
-        """The norm surrogate: sum over V-powers of coefficient sup-norms.
-
-        Submultiplicative for the product rule above, and it dominates the
-        operator norm, so residual gates in it are meaningful.
-        """
-        return sum(float(np.abs(f).max()) for f in self.coeffs.values())
+        shifts = [-a for a in self.coeffs if a]
+        phases = _phase_table(self.beta, shifts, np.empty((len(shifts), self.n), dtype=complex))
+        out = _star(self, phases, np.empty((len(self.coeffs), self.n), dtype=complex))
+        _freeze(out.values())
+        return LoopElement(self.beta, out, self.n)
 
     def to_json(self) -> dict:
         return {
@@ -233,29 +252,34 @@ class LoopElement(Record):
         }
 
 
-def _phase_table(n: int, beta: float, shifts: Iterable[int]) -> Dict[int, np.ndarray]:
-    """{a: e(m*a*beta) over the FFT frequencies m} for the nonzero a in ``shifts``.
+def _phase_table(beta: float, shifts: Iterable[int], rows: np.ndarray) -> Dict[int, np.ndarray]:
+    """{a: e(m*a*beta) over the FFT frequencies m} for the nonzero ``shifts`` a, one row of ``rows`` each.
 
     One complex exp per |a|; the vector for -a is the conjugate of the one
     for +a, which equals the directly computed one bit for bit.
     """
     wanted = set(shifts)
-    freqs = _freqs(n)
+    free = iter(rows)
     table: Dict[int, np.ndarray] = {}
-    for a in {abs(a) for a in wanted if a}:
-        phase = _exp_i_freqs(2j * np.pi, freqs, a * beta)
+    for a in {abs(a) for a in wanted}:
+        phase = _exp_i_freqs(2j * np.pi, a * beta, next(free))
         if a in wanted:
             table[a] = phase
-        if -a in wanted:
-            table[-a] = np.conj(phase)
+        if -a in wanted:  # conjugated in its own row, or in place when +a is not wanted
+            table[-a] = np.conj(phase, out=next(free) if a in wanted else phase)
     return table
 
 
-def _exp_i_freqs(scale: complex, freqs: np.ndarray, x: float) -> np.ndarray:
-    """np.exp(scale * freqs * x), bit for bit, in one array."""
-    phase = np.multiply(scale, freqs)
-    phase *= x
-    return np.exp(phase, out=phase)
+def _exp_i_freqs(scale: complex, x: float, out: np.ndarray) -> np.ndarray:
+    """np.exp(scale * m * x) over the FFT frequencies m of len(out), written into out, bit for bit.
+
+    The frequencies are np.fft.fftfreq's integers: 0 .. n/2 - 1, then -n/2 .. -1.
+    """
+    half = len(out) // 2
+    np.multiply(scale, np.arange(half), out=out[:half])
+    np.multiply(scale, np.arange(-half, 0), out=out[half:])
+    out *= x
+    return np.exp(out, out=out)
 
 
 def _rows(coeffs: Iterable[np.ndarray], n: int) -> np.ndarray:
@@ -263,45 +287,94 @@ def _rows(coeffs: Iterable[np.ndarray], n: int) -> np.ndarray:
     return np.array(list(coeffs), dtype=complex).reshape(-1, n)
 
 
-def _mul(x: LoopElement, y: LoopElement, phases: Mapping[int, np.ndarray]) -> LoopElement:
-    """x * y for compatible operands; ``phases`` covers every nonzero V-power of x.
+def _mul(x: LoopElement, y: LoopElement, phases: Mapping[int, np.ndarray], rows: np.ndarray) -> Dict[int, np.ndarray]:
+    """The coefficients {V-power: row} of x * y for compatible operands, written into ``rows``.
 
-    The result's coefficients are rows of the (K, n) blocks made here (K the
-    number of coefficients of y): a kept product holds up to K rows per
-    nonzero V-power of x, and K more if x has a V-power 0.
+    ``phases`` covers every nonzero V-power of x.  ``rows`` is a block of
+    K * len(x.coeffs) rows of n (K the number of coefficients of y) that the
+    caller provides: the first K hold y's spectra, in which the last nonzero
+    V-power of x is computed in place, and each other coefficient of x takes
+    the next K.  Every result row is a row of that block, so a kept x * y
+    holds all of it.
     """
-    if any(x.coeffs):
-        spectra = _rows(y.coeffs.values(), x.n)
+    K = len(y.coeffs)
+    moved = [a for a in x.coeffs if a]
+    spectra = rows[:K]
+    if moved:
+        for row, h in zip(spectra, y.coeffs.values()):
+            row[...] = h
         np.fft.fft(spectra, out=spectra)
+    used = K if moved else 0
     acc: Dict[int, np.ndarray] = {}
     for a, fa in x.coeffs.items():
+        if a and a == moved[-1]:
+            block = spectra
+        else:
+            block, used = rows[used : used + K], used + K
         if a:  # row i becomes fa * (h_i shifted by a*beta)
-            shifted = np.multiply(spectra, phases[a])
-            np.fft.ifft(shifted, out=shifted)
-            np.multiply(fa, shifted, out=shifted)
-        for i, (b, hb) in enumerate(y.coeffs.items()):
-            term = shifted[i] if a else fa * hb
+            np.multiply(spectra, phases[a], out=block)
+            np.fft.ifft(block, out=block)
+            np.multiply(fa, block, out=block)
+        else:
+            for row, hb in zip(block, y.coeffs.values()):
+                np.multiply(fa, hb, out=row)
+        for row, b in zip(block, y.coeffs):
             k = a + b
             if k in acc:
-                acc[k] += term
+                acc[k] += row
             else:
-                acc[k] = term
-    _freeze(acc.values())
-    return LoopElement(x.beta, acc, x.n)
+                acc[k] = row
+    return acc
 
 
-def _star(x: LoopElement, phases: Mapping[int, np.ndarray]) -> LoopElement:
-    """x.star(); ``phases`` covers -a for every nonzero V-power a of x."""
+def _star(x: LoopElement, phases: Mapping[int, np.ndarray], rows: np.ndarray) -> Dict[int, np.ndarray]:
+    """The coefficients {V-power: row} of x.star(), written into ``rows`` (one per coefficient of x).
+
+    ``phases`` covers -a for every nonzero V-power a of x.  The moved
+    coefficients take the first rows, the V-power 0 the row after them.
+    """
     moved = [a for a in x.coeffs if a]
-    shifted = _rows((x.coeffs[a] for a in moved), x.n)
-    np.conj(shifted, out=shifted)
+    shifted = rows[: len(moved)]
+    for row, a in zip(shifted, moved):
+        np.conj(x.coeffs[a], out=row)
     np.fft.fft(shifted, out=shifted)
     for row, a in zip(shifted, moved):
         row *= phases[-a]
-    rows = iter(np.fft.ifft(shifted, out=shifted))
-    out = {-a: next(rows) if a else np.conj(fa) for a, fa in x.coeffs.items()}
-    _freeze(out.values())
-    return LoopElement(x.beta, out, x.n)
+    np.fft.ifft(shifted, out=shifted)
+    moved_rows, rest = iter(shifted), iter(rows[len(moved) :])
+    return {-a: next(moved_rows) if a else np.conj(fa, out=next(rest)) for a, fa in x.coeffs.items()}
+
+
+def _flip(e: LoopElement, rows: np.ndarray) -> Dict[int, np.ndarray]:
+    """The coefficients {-k: f_k(-t)} of flip_apply(e), written into ``rows`` (one per coefficient of e).
+
+    On the grid t_j -> t_{-j} is a reflection of the indices: sample 0 stays,
+    samples 1..n-1 reverse.
+    """
+    out = {}
+    for (k, f), row in zip(e.coeffs.items(), rows):
+        row[0] = f[0]
+        row[1:] = f[:0:-1]
+        out[-k] = row
+    return out
+
+
+def _residual(rows: Mapping[int, np.ndarray], e: LoopElement, absrow: np.ndarray) -> float:
+    """|x - e| for the coefficients {V-power: row} of x, subtracting e from those rows in place.
+
+    |.| is the norm surrogate of the gates: the sum over V-powers of the
+    coefficient sup-norms.  It is submultiplicative for the product rule and
+    dominates the operator norm, so gates in it are meaningful.  The sum runs
+    in the order ``x - e`` lists its coefficients (x's V-powers, then e's that
+    x lacks; |-f| is |f| bit for bit), as one ``sum`` call; each coefficient's
+    |.| goes into ``absrow``, n floats.
+    """
+    for k, row in rows.items():
+        f = e.coeffs.get(k)
+        if f is not None:
+            row -= f
+    missing = (f for k, f in e.coeffs.items() if k not in rows)
+    return sum(float(np.abs(f, out=absrow).max()) for f in chain(rows.values(), missing))
 
 
 def flip_apply(e: LoopElement) -> LoopElement:
@@ -310,8 +383,7 @@ def flip_apply(e: LoopElement) -> LoopElement:
     Matches the exact automorphism U^{rm} V^k -> U^{-rm} V^{-k} on
     monomial loop elements; exact on the grid (index reflection).
     """
-    reflect = -np.arange(e.n) % e.n  # t_j -> t_{-j}
-    out = {-k: f[reflect] for k, f in e.coeffs.items()}
+    out = _flip(e, np.empty((len(e.coeffs), e.n), dtype=complex))
     _freeze(out.values())
     return LoopElement(e.beta, out, e.n)
 
@@ -426,11 +498,24 @@ def assemble_projection(
 
 
 def projection_gates(e: LoopElement, alpha: float, flip_symmetric: bool) -> BuildGates:
+    """The gates of one build attempt: |e^2 - e|, |e* - e|, |flip(e) - e| (or None) and |tau(e) - alpha|.
+
+    It builds no element: e*e, e* and flip(e) are written in turn into one
+    workspace allocated here (see the module docstring) and each residual is
+    taken in place; the workspace is freed on return.
+    """
     # e*e and e* shift by the same +-a*beta: one phase table serves both
-    phases = _phase_table(e.n, e.beta, [s * a for a in e.coeffs for s in (1, -1)])
-    square = (_mul(e, e, phases) - e).snorm()
-    adjoint = (_star(e, phases) - e).snorm()
-    flip_res = (flip_apply(e) - e).snorm() if flip_symmetric else None
+    shifts = {s * a for a in e.coeffs for s in (1, -1) if a}
+    # K^2 rows for e*e, which the adjoint and then the flip reuse once the residual before has
+    # consumed them; a row per phase; then half a row, viewed as the n floats each |.| goes into
+    products = len(e.coeffs) ** 2
+    size = (products + len(shifts)) * e.n
+    workspace = np.empty(size + e.n // 2, dtype=complex)
+    rows, absrow = workspace[:size].reshape(-1, e.n), workspace[size:].view(float)
+    phases = _phase_table(e.beta, shifts, rows[products:])
+    square = _residual(_mul(e, e, phases, rows), e, absrow)
+    adjoint = _residual(_star(e, phases, rows), e, absrow)
+    flip_res = _residual(_flip(e, rows), e, absrow) if flip_symmetric else None
     trace = abs(float(e.coefficient(0).mean().real) - alpha)
     return BuildGates(square, adjoint, flip_res, trace)
 
@@ -550,14 +635,13 @@ def loop_invariants(e: LoopElement, theta: ThetaParam, r: int) -> InvariantRepor
     weight; tau is the mean of the V^0 coefficient.
     """
     tau = e.coefficient(0).mean().real
-    m = _freqs(e.n)
     rows = [row for slot, row in _SLOTS.items() if slot.startswith("phi")]
     (w,) = {form[1] for form, _ in rows}  # their one mn weight
     # Each coefficient's spectrum times its phase L^{w*rm*k} = e(-m*x_k), x_k = (-w*r*k*theta/4) mod 1
     # as m is an integer, built once and shared by the slots of its parity; one exp per |k|.
     phases: Dict[int, np.ndarray] = {}
     for k in {abs(k) for k in e.coeffs if k}:
-        phases[k] = _exp_i_freqs(-2j * np.pi, m, theta.turns(0, Fraction(-w * r * k, 4)))
+        phases[k] = _exp_i_freqs(-2j * np.pi, theta.turns(0, Fraction(-w * r * k, 4)), np.empty(e.n, dtype=complex))
         phases[-k] = np.conj(phases[k])
     # the Fourier coefficients c_m of each f = sum c_m e(m t), times the phase of its V-power
     terms = _rows(e.coeffs.values(), e.n)

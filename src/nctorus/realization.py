@@ -419,10 +419,10 @@ class ApproximantCyclic(_Node):
         if not v.check(q >= 1, path, "q must be >= 1") or not ok:
             return
         v.check(math.gcd(p, q) == 1, path, "p/q must be reduced")
-        # d = |q*theta - p| satisfies 0 < q*d < 1 and k*d < 1/4
+        # d = |q*theta - p| satisfies 0 < q*d < 1 and k*d < 1/4, i.e. 0 < 4k*d < 1
         a, b = (-p, q) if theta.sign_linear(-p, q) > 0 else (p, -q)
         v.check(theta.in_open_interval(q * a, q * b, 0, 1), path, "approximant quality 0 < q|q*theta - p| < 1 fails")
-        v.check(theta.in_open_interval(k * a, k * b, 0, Fraction(1, 4)), path,
+        v.check(theta.in_open_interval(4 * k * a, 4 * k * b, 0, 1), path,
                 "cyclic trace bound k|q*theta - p| < 1/4 fails")
 
 
@@ -491,7 +491,7 @@ class CyclicCert(_Certificate):
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
         t, flat = self.target, self.flat
-        v.check(t.in_open_interval(theta, 0, Fraction(1, 4)), path, "target not in (0, 1/4)")
+        v.check(t.in_open_interval(theta, *self.domain[:2]), path, "target not in (0, 1/4)")
         if not v.check(isinstance(flat, FlatCert), path, "cyclic needs a flat inner"):
             return None
         v.check(flat.target == t.scale(4), path, "flat certificate is not for 4x the target")
@@ -527,13 +527,13 @@ class SemicyclicCert(_Certificate):
         else:
             raise PrecisionExhausted(f"insufficient-cf-data: no stored convergent fits a step between {t} and 1/2")
         bound = gap.scale(theta.floor_ratio(t.a, t.b, gap.a, gap.b) + 1)
-        if not bound.in_open_interval(theta, 0, Fraction(1, 2)) or theta.sign_linear(bound.a - t.a, bound.b - t.b) <= 0:
+        if not bound.in_open_interval(theta, *cls.domain[:2]) or theta.sign_linear(bound.a - t.a, bound.b - t.b) <= 0:
             raise InternalAssertion("even bound selection failed")
         return cls("subprojection", t, cls._realize(bound, theta))
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
         t, inner = self.target, self.inner
-        v.check(t.in_open_interval(theta, 0, Fraction(1, 2)), path, "target not in (0, 1/2)")
+        v.check(t.in_open_interval(theta, *self.domain[:2]), path, "target not in (0, 1/2)")
         if self.mode == "orbit-double":
             if not v.check(isinstance(inner, CyclicCert), path, "orbit-double needs a cyclic inner"):
                 return None

@@ -39,6 +39,12 @@ def ref_shift(f, s):
     return np.fft.ifft(np.fft.fft(f) * phase)
 
 
+def snorm(x):
+    """The norm surrogate of a loop element in which the projection gates are stated: the sum over
+    V-powers of its coefficient sup-norms."""
+    return sum(float(np.abs(f).max()) for f in x.coeffs.values())
+
+
 def reflected_chain_json(depth: int, certificate) -> str:
     """JSON text of a certificate under ``depth`` reflected wrappers, each with the target 1 - theta.
 

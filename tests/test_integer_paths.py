@@ -261,9 +261,10 @@ def test_certify_steps_build_only_their_outputs_fractions(fractions_built):
     assert fractions_built(golden.in_open_interval, -3, 5, Fraction(1, 4), Fraction(1, 2)) == (False, 0)
     assert fractions_built(golden.floor_linear, 10**12) == (618033988749, 0)
     assert fractions_built(golden.floor_ratio, 7, -2, 3, 1) == (1, 0)
-    # decompose builds its rational coordinates: one Fraction per nonzero coordinate (here all nine)
+    # decompose keeps its rational coordinates as numerators; reading ``rational`` builds the nine Fractions
     res, built = fractions_built(decompose, member)
-    assert tuple(res.coordinates) == (-3, -1, 1, 3, -1, 1, 2, -1, 3) and built == 9
+    assert tuple(res.coordinates) == (-3, -1, 1, 3, -1, 1, 2, -1, 3) and built == 0
+    assert fractions_built(lambda: res.rational) == (tuple(map(Fraction, res.coordinates)), 9)
     decision, built = fractions_built(semiflat_membership, member, golden)
     assert decision and decision.genus.as_tuple() == (-2, 10, 6) and built == 0
     # the lattice values are integer numerators: the recipe, its check and recompose build none

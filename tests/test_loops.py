@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import warnings
 
 from fractions import Fraction
@@ -34,7 +35,7 @@ from nctorus.realization import ApproximantCyclic, ReflectedCert, TraceValue, re
 from nctorus.theta import Record, ThetaParam
 from nctorus.traces import chern_T2
 
-from conftest import mp_turns, ref_shift
+from conftest import mp_turns, ref_shift, snorm
 
 GOLDEN = ThetaParam.preset("golden")
 SQRT2 = ThetaParam.preset("sqrt2")
@@ -131,7 +132,7 @@ def test_associativity_random_triples():
         x, y, z = (random_loop(rng, beta) for _ in range(3))
         left = (x * y) * z
         right = x * (y * z)
-        assert (left - right).snorm() <= 1e-12 * max(1.0, x.snorm() * y.snorm() * z.snorm())
+        assert snorm(left - right) <= 1e-12 * max(1.0, snorm(x) * snorm(y) * snorm(z))
 
 
 def test_star_involution():
@@ -139,7 +140,7 @@ def test_star_involution():
     beta = GOLDEN.turns(0, 1)
     for _ in range(12):
         x = random_loop(rng, beta)
-        assert (x.star().star() - x).snorm() <= 1e-14 * max(1.0, x.snorm())
+        assert snorm(x.star().star() - x) <= 1e-14 * max(1.0, snorm(x))
 
 
 def test_star_antihomomorphism():
@@ -149,7 +150,7 @@ def test_star_antihomomorphism():
         x, y = random_loop(rng, beta), random_loop(rng, beta)
         lhs = (x * y).star()
         rhs = y.star() * x.star()
-        assert (lhs - rhs).snorm() <= 1e-11 * max(1.0, x.snorm() * y.snorm())
+        assert snorm(lhs - rhs) <= 1e-11 * max(1.0, snorm(x) * snorm(y))
 
 
 def test_snorm_submultiplicative():
@@ -157,7 +158,7 @@ def test_snorm_submultiplicative():
     beta = GOLDEN.turns(0, 1)
     for _ in range(25):
         x, y = random_loop(rng, beta), random_loop(rng, beta)
-        assert (x * y).snorm() <= x.snorm() * y.snorm() * (1 + 1e-9)
+        assert snorm(x * y) <= snorm(x) * snorm(y) * (1 + 1e-9)
 
 
 def test_loop_operations_leave_their_operands_unchanged():
@@ -175,6 +176,44 @@ def test_loop_operations_leave_their_operands_unchanged():
         assert list(el.coeffs) == list(values)
         for k, f in el.coeffs.items():
             assert f is arrays[k] and np.array_equal(f, values[k]), f"coefficient {k} was written"
+            assert loops._frozen(f), f"coefficient {k} was made writable"
+
+
+def _root(f):
+    """The array at the bottom of f's chain of bases."""
+    while f.base is not None:
+        f = f.base
+    return f
+
+
+def test_products_and_adjoints_share_no_array_across_calls():
+    # each call computes in a block of its own, never in a buffer kept between calls
+    rng = random.Random(26)
+    beta = GOLDEN.turns(0, 1)
+    x, y = random_loop(rng, beta, kmax=3), random_loop(rng, beta, kmax=3)
+    e = assemble_projection(6 * beta - 3, n=N, centered=True)
+    results = [x * y, x * y, x.star(), x.star(), e * e, e.star(), e * e, flip_apply(e), flip_apply(e)]
+    owners = [{id(_root(f)) for f in z.coeffs.values()} for z in results]
+    for i, a in enumerate(owners):
+        for b in owners[i + 1:]:
+            assert not a & b
+
+
+def test_a_gate_attempt_peaks_below_twelve_rows():
+    # e*e, e*, the flip, their phases and residuals share one workspace; 12 rows of n complex is
+    # the peak of a gate attempt that builds e*e, e* and flip(e) and subtracts e from each
+    n = MAX_GRID
+    alpha = 6 * GOLDEN.turns(0, 1) - 3
+    e = assemble_projection(alpha, n=n, centered=True)
+    projection_gates(e, alpha, True)  # numpy's FFT plans for n are made outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        projection_gates(e, alpha, True)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * n * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -220,13 +259,13 @@ def test_flip_on_base_monomial():
     w = monomial_loop(0, 1, 512, 0.37)
     flipped = flip_apply(w)
     want = monomial_loop(0, -1, 512, 0.37)
-    assert (flipped - want).snorm() <= 1e-12
+    assert snorm(flipped - want) <= 1e-12
 
 
 def test_flip_involutive():
     rng = random.Random(21)
     x = random_loop(rng, GOLDEN.turns(0, 1))
-    assert (flip_apply(flip_apply(x)) - x).snorm() <= 1e-14 * max(1.0, x.snorm())
+    assert snorm(flip_apply(flip_apply(x)) - x) <= 1e-14 * max(1.0, snorm(x))
 
 
 @pytest.mark.parametrize("rm,k", [(2, 1), (3, -2), (-1, 0), (0, 2)])
@@ -240,7 +279,7 @@ def test_flip_matches_exact_engine_on_monomials(rm, k):
     ((mm, nn), coef), = exact.terms()
     assert nn == -k and mm == -r * rm and coef.items()
     want = monomial_loop(-k, -rm, n, loop.beta)
-    assert (flipped - want).snorm() <= 1e-12
+    assert snorm(flipped - want) <= 1e-12
 
 
 _TERMS = st.lists(
@@ -439,8 +478,8 @@ def test_semicyclic_surrogate_orthogonality():
         gates = projection_gates(x, alpha, True)
         assert gates.square_residual <= 1e-8
         assert gates.flip_residual <= 1e-8
-    assert (e * e2).snorm() <= 1e-8
-    assert (e2 * e).snorm() <= 1e-8
+    assert snorm(e * e2) <= 1e-8
+    assert snorm(e2 * e) <= 1e-8
 
 
 def test_plain_build_with_large_shift_meets_the_adjoint_gate():

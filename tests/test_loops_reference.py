@@ -29,7 +29,7 @@ from nctorus.loops import (
     projection_gates,
 )
 from nctorus.theta import ThetaParam
-from conftest import mp_turns, ref_shift
+from conftest import mp_turns, ref_shift, snorm
 from test_loops import random_loop
 
 GOLDEN = ThetaParam.preset("golden")
@@ -58,9 +58,9 @@ def ref_loop_star(x):
 
 
 def ref_projection_gates(e, alpha, flip_symmetric):
-    square = (ref_loop_mul(e, e) - e).snorm()
-    adjoint = (ref_loop_star(e) - e).snorm()
-    flip_res = (flip_apply(e) - e).snorm() if flip_symmetric else None
+    square = snorm(ref_loop_mul(e, e) - e)
+    adjoint = snorm(ref_loop_star(e) - e)
+    flip_res = snorm(flip_apply(e) - e) if flip_symmetric else None
     trace = abs(float(e.coefficient(0).mean().real) - alpha)
     return BuildGates(square, adjoint, flip_res, trace)
 

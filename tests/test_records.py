@@ -13,6 +13,7 @@ own semantics are pinned in their table.
 
 import copy
 import dataclasses
+import math
 import pickle
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -29,7 +30,6 @@ SQRT2 = ThetaParam.preset("sqrt2")
 # The dataclass fields of each type, in order, as they were declared.
 FIELDS = {
     ThetaParam: "cf_terms name interval",
-    lattice.DecomposeResult: "status coordinates rational",
     lattice.MembershipDecision: "member reason coordinates genus trace",
     lattice.QuantizationReport: "ok slots",
     lattice.GeneratorSpec: "count genus trace vector",
@@ -116,6 +116,12 @@ def _samples():
 SAMPLES = _samples()
 
 
+def _numerators(fractions):
+    """The Fractions as integer numerators over their least common denominator."""
+    den = math.lcm(*(f.denominator for f in fractions))
+    return tuple(f.numerator * (den // f.denominator) for f in fractions), den
+
+
 class Own(NamedTuple):
     """A value type that keeps parts of its own: its fields, two samples with
     their reprs, a rebuild from public parts, and the hash it has always had
@@ -173,6 +179,18 @@ OWN = {
          "Genus(g20=Fraction(1, 2), g21=Fraction(0, 1), g22=Fraction(-3, 1))"],
         lambda x: lattice.Genus(*x.as_tuple()), lambda x: hash((x._n, x._d)),
     ),
+    lattice.DecomposeResult: Own(
+        "status coordinates _n _d",
+        [lattice.decompose(lattice.parse_chern("(2t;0,0;1,1,2)")), lattice.decompose(lattice.parse_chern("(1;0,0;0,0,0)"))],
+        ["DecomposeResult(status='ok', coordinates=K0Coordinates(n1=0, n2=0, n3=0, n4=0, n5=0, n6=0, n7=1, n8=0, "
+         "n9=1), rational=(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), "
+         "Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)))",
+         "DecomposeResult(status='non-integer', coordinates=None, rational=(Fraction(1, 4), Fraction(1, 4), "
+         "Fraction(-1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(-1, 2), Fraction(1, 4), Fraction(0, 1), "
+         "Fraction(-1, 4)))"],
+        lambda x: lattice.DecomposeResult(x.status, x.coordinates, *_numerators(x.rational)),
+        lambda x: hash((x.status, x.coordinates, x._n, x._d)),
+    ),
     loops.LoopElement: Own(
         "beta coeffs n", [loops.LoopElement(0.25, {0: [0.5] * 256, 1: [1] * 256}), loops.LoopElement(0.5, {}, 512)],
         None, lambda x: loops.LoopElement(x.beta, {k: f.copy() for k, f in x.coeffs.items()}, x.n), None,
@@ -195,8 +213,9 @@ def test_every_value_type_is_sampled_twice_with_different_values():
     assert _concrete_records() == set(FIELDS) | set(OWN)
     assert not set(FIELDS) & set(OWN)
     # PhaseScalar is reached through the character vectors, the lattice values through the
-    # lattice records; OWN samples them
-    assert set(SAMPLES) == set(FIELDS) | {PhaseScalar, lattice.KScalar, lattice.ChernVector, lattice.Genus}
+    # lattice records, DecomposeResult as a root; OWN samples them
+    assert set(SAMPLES) == set(FIELDS) | {PhaseScalar, lattice.KScalar, lattice.ChernVector, lattice.Genus,
+                                          lattice.DecomposeResult}
     for cls, objs in SAMPLES.items():
         assert len(set(map(repr, objs))) >= 2, cls.__name__
     for cls, own in OWN.items():
