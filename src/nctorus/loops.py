@@ -511,8 +511,9 @@ def projection_gates(e: LoopElement, alpha: float, flip_symmetric: bool) -> Buil
     products = len(e.coeffs) ** 2
     size = (products + len(shifts)) * e.n
     workspace = np.empty(size + e.n // 2, dtype=complex)
-    rows, absrow = workspace[:size].reshape(-1, e.n), workspace[size:].view(float)
-    phases = _phase_table(e.beta, shifts, rows[products:])
+    block = workspace[:size].reshape(-1, e.n)
+    rows, absrow = block[:products], workspace[size:].view(float)
+    phases = _phase_table(e.beta, shifts, block[products:])
     square = _residual(_mul(e, e, phases, rows), e, absrow)
     adjoint = _residual(_star(e, phases, rows), e, absrow)
     flip_res = _residual(_flip(e, rows), e, absrow) if flip_symmetric else None
