@@ -39,7 +39,7 @@ _EXPORTS = {
         "parse_chern", "parse_kscalar", "quantization_check", "recompose",
         "semiflat_coordinates", "semiflat_membership", "synthesis_recipe",
     ),
-    "loops": ("LoopElement", "flip_apply", "loop_invariants", "pr_build"),
+    "loops": ("LoopElement", "flip_apply", "loop_invariants", "pr_build", "projection_gates"),
     "realization": (
         "Certificate", "Convergent", "FourSquares", "TraceValue", "certificate_from_json",
         "certificate_to_json", "convergents", "flat_decompose", "four_squares", "parse_trace",

@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple, Union
 
-from .theta import PrecisionExhausted, Record, ThetaParam
+from .theta import PrecisionExhausted, Record, ThetaParam, _rat_str
 
 if TYPE_CHECKING:
     from .algebra import Element
@@ -119,8 +119,8 @@ def convergents(theta: ThetaParam) -> list[Convergent]:
     return [Convergent(p, q) for p, q in theta.convergents]
 
 
-def _bracketing_pair(theta: ThetaParam, bound: Union[int, Fraction]) -> Tuple[Convergent, Convergent]:
-    """First consecutive-convergent pair (low, high) with bound < low < theta < high.
+def _bracketing_pair(theta: ThetaParam, m: int, n: int) -> Tuple[Convergent, Convergent]:
+    """First consecutive-convergent pair (low, high) with m/n < low < theta < high (n > 0).
 
     Every stored convergent is searched, and compared by cross-multiplying.
     Orientation: the member below theta is returned first; for any
@@ -129,14 +129,13 @@ def _bracketing_pair(theta: ThetaParam, bound: Union[int, Fraction]) -> Tuple[Co
     stored prefix cannot place raises PrecisionExhausted, as does a prefix
     with no pair past the bound.
     """
-    m, n = bound.numerator, bound.denominator
     pq = theta.convergents
     for j in range(len(pq) - 1):
         (p1, q1), (p2, q2) = pq[j], pq[j + 1]
         (p, q), high = (pq[j], pq[j + 1]) if p1 * q2 < p2 * q1 else (pq[j + 1], pq[j])
         if p * n > m * q and theta.sign_linear(-p, q) > 0 and theta.sign_linear(high[0], -high[1]) > 0:
             return Convergent(p, q), Convergent(*high)
-    raise PrecisionExhausted(f"insufficient-cf-data: no pair of stored convergents brackets theta past {bound}")
+    raise PrecisionExhausted(f"insufficient-cf-data: no pair of stored convergents brackets theta past {_rat_str(m, n)}")
 
 
 def flat_decompose(t: TraceValue, theta: ThetaParam) -> Tuple[int, int, Convergent, Convergent]:
@@ -155,7 +154,7 @@ def flat_decompose(t: TraceValue, theta: ThetaParam) -> Tuple[int, int, Converge
     if not t.in_open_interval(theta, 0, 1):
         raise OutOfRange(f"out-of-range: trace {t} is not in (0, 1)")
     k, n, m = _canonical_knm(t)
-    low, high = _bracketing_pair(theta, Fraction(m, n))
+    low, high = _bracketing_pair(theta, m, n)
     a = k * (n * high.p - m * high.q)
     b = k * (n * low.p - m * low.q)
     if a < 1 or b < 1:

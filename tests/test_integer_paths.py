@@ -31,7 +31,7 @@ from nctorus.lattice import (
     semiflat_membership,
     synthesis_recipe,
 )
-from nctorus.realization import Convergent, TraceValue, _bracketing_pair, parse_trace
+from nctorus.realization import Convergent, TraceValue, _bracketing_pair, flat_decompose, parse_trace
 from nctorus.theta import PrecisionExhausted, ThetaParam, _read_ratio
 
 from test_theta import THETAS, reference_floor_ratio, reference_sign_linear
@@ -211,14 +211,16 @@ _pair_thetas = THETAS + (ThetaParam.from_cf([1]), ThetaParam.from_cf([3, 1]), Th
     st.one_of(st.integers(-2, 1), st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))),
 )
 def test_bracketing_pair_matches_the_fraction_search(th, bound):
-    assert outcome(_bracketing_pair, th, bound) == outcome(reference_bracketing_pair, th, bound)
+    got = outcome(_bracketing_pair, th, *bound.as_integer_ratio())
+    assert got == outcome(reference_bracketing_pair, th, bound)
 
 
 def test_bracketing_pair_near_a_convergent_bound():
     th = ThetaParam.preset("golden")
     for p, q in th.convergents[:40]:
         for bound in (Fraction(p, q), Fraction(p * 10**6 - 1, q * 10**6), Fraction(p * 10**6 + 1, q * 10**6)):
-            assert outcome(_bracketing_pair, th, bound) == outcome(reference_bracketing_pair, th, bound)
+            got = outcome(_bracketing_pair, th, *bound.as_integer_ratio())
+            assert got == outcome(reference_bracketing_pair, th, bound)
 
 
 # -------------------------------------------------------------- Fraction counts
@@ -261,6 +263,8 @@ def test_certify_steps_build_only_their_outputs_fractions(fractions_built):
     assert fractions_built(golden.in_open_interval, -3, 5, Fraction(1, 4), Fraction(1, 2)) == (False, 0)
     assert fractions_built(golden.floor_linear, 10**12) == (618033988749, 0)
     assert fractions_built(golden.floor_ratio, 7, -2, 3, 1) == (1, 0)
+    # 40t - 24 = 8(5t - 3) splits over the convergents 8/13 < theta < 5/8 with the bracket by integers
+    assert fractions_built(flat_decompose, TraceValue(-24, 40), golden) == ((2, 2, Convergent(8, 13), Convergent(5, 8)), 0)
     # decompose keeps its rational coordinates as numerators; reading ``rational`` builds the nine Fractions
     res, built = fractions_built(decompose, member)
     assert tuple(res.coordinates) == (-3, -1, 1, 3, -1, 1, 2, -1, 3) and built == 0

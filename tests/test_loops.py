@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -197,6 +200,43 @@ def test_products_and_adjoints_share_no_array_across_calls():
     for i, a in enumerate(owners):
         for b in owners[i + 1:]:
             assert not a & b
+
+
+def test_a_product_keeps_only_its_coefficient_rows():
+    # e*e of a three-term e is computed in 9 rows; the product keeps a block of its 5 coefficients
+    e = assemble_projection(6 * GOLDEN.turns(0, 1) - 3, n=N, centered=True)
+    square = e * e
+    assert len(square.coeffs) == 5
+    blocks = {id(b): b for b in map(_root, square.coeffs.values())}
+    assert sum(b.nbytes for b in blocks.values()) == 5 * N * np.dtype(complex).itemsize
+
+
+# Warm-up builds, then the minor page faults of a few grid-65536 flip builds with their invariants, in a
+# fresh interpreter: what the gate workspace keeps mapped between attempts does not depend on earlier tests.
+FAULTS_PROBE = """
+import resource
+from nctorus.loops import loop_invariants, pr_build
+from nctorus.theta import ThetaParam
+golden = ThetaParam.preset("golden")
+def build():
+    loop_invariants(pr_build(6, -3, golden, True, n=65536), golden, 6)
+for _ in range(3):
+    build()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(4):
+    build()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 4)
+"""
+
+
+def test_steady_grid_65536_flip_builds_fault_in_no_fresh_pages():
+    # a workspace split in separate blocks (the phase rows apart) lets glibc trim the heap between
+    # attempts, and then each build faults its pages in again: about 3,000 per build
+    src = os.path.dirname(os.path.dirname(loops.__file__))
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PROBE], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 1000
 
 
 def test_a_gate_attempt_peaks_below_twelve_rows():

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nctorus import loops
@@ -23,6 +23,7 @@ from nctorus.loops import (
     LoopElement,
     ResidualExceeded,
     assemble_projection,
+    bump_profiles,
     flip_apply,
     loop_invariants,
     pr_build,
@@ -63,6 +64,31 @@ def ref_projection_gates(e, alpha, flip_symmetric):
     flip_res = snorm(flip_apply(e) - e) if flip_symmetric else None
     trace = abs(float(e.coefficient(0).mean().real) - alpha)
     return BuildGates(square, adjoint, flip_res, trace)
+
+
+def ref_bump_profiles(alpha, eps):
+    """The bump pair sampled through np.mod(t, 1.0), which ``bump_profiles`` no longer calls."""
+
+    def f_profile(t):
+        t = np.mod(np.asarray(t, dtype=float), 1.0)
+        out = np.zeros_like(t)
+        up = t < eps
+        out[up] = loops._smoothstep(t[up] / eps)
+        out[(t >= eps) & (t <= alpha)] = 1.0
+        down = (t > alpha) & (t < alpha + eps)
+        out[down] = 1.0 - loops._smoothstep((t[down] - alpha) / eps)
+        return out
+
+    def g_profile(t):
+        t = np.mod(np.asarray(t, dtype=float), 1.0)
+        out = np.zeros_like(t)
+        down = (t > alpha) & (t < alpha + eps)
+        bu, b1 = loops._branches((t[down] - alpha) / eps)
+        denom = bu + b1
+        out[down] = np.sqrt(bu * b1) / np.where(denom > 0, denom, 1.0)
+        return out
+
+    return f_profile, g_profile
 
 
 def ref_loop_invariants(e, theta, r):
@@ -123,6 +149,30 @@ def test_random_loops_match_reference(seed, theta, r, n, kmax):
 
 
 # --------------------------------------------------------------- bump builds
+
+
+_EDGES = [-0.0, 0.0, -1.0, 1.0, -2.0, 2.0, 1 - 2**-53, -(1 - 2**-53), 1e-17, -1e-17, 5e-324, -5e-324,
+          2.0**51 + 0.5, -(2.0**51 + 0.5), 2.0**52 + 0.5, -(2.0**52 + 0.5), 1e300, -1e300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(0.02, 0.98),
+    width=st.floats(0.01, 0.99),
+    points=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+    offset=st.floats(-3, 3),
+)
+@example(alpha=0.3, width=0.5, points=_EDGES, offset=1.2)
+@example(alpha=0.7, width=0.99, points=_EDGES, offset=-1.3)
+def test_bump_profiles_sample_as_np_mod_did(alpha, width, points, offset):
+    # t - floor(t) is np.mod(t, 1.0) bit for bit on every finite float: huge, subnormal and signed zeros
+    # among the points, and a grid moved by an offset past +-1
+    eps = width * min(alpha, 1 - alpha) / 2
+    t = np.concatenate([np.array(points, dtype=float), np.arange(256) / 256 + offset])
+    with np.errstate(over="ignore"):  # -1/u overflows to -inf for a subnormal u, and exp takes it to 0
+        for got, want in zip(bump_profiles(alpha, eps), ref_bump_profiles(alpha, eps)):
+            assert got(t).tobytes() == want(t).tobytes()
+
 
 
 # the largest grid, which the benchmark's builds reach, checks one flip row per preset
@@ -227,3 +277,24 @@ def test_invariant_transform_counts(numpy_calls):
     assert numpy_calls["fft_rows"] <= 3
     assert numpy_calls["fft_calls"] <= 1
     assert numpy_calls["complex_exp"] <= 1
+
+
+def test_a_refining_attempt_stops_at_its_first_failed_gate(numpy_calls, monkeypatch):
+    # below the ceiling the trace and adjoint gates come first, and a failed adjoint decides; the attempt
+    # at the ceiling takes all four gates, which its ResidualExceeded reports
+    marks = []
+    assemble = loops.assemble_projection
+
+    def marked(*args, **kwargs):
+        marks.append(dict(numpy_calls))
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(loops, "assemble_projection", marked)
+    with pytest.raises(ResidualExceeded) as info:
+        pr_build(11, -6, GOLDEN, n=4096, eps=0.0009, max_n=16384)
+    marks.append(dict(numpy_calls))
+    first, ceiling = ({k: b[k] - a[k] for k in a} for a, b in zip(marks, marks[1:]))
+    assert first["fft_calls"] <= 2 and first["fft_rows"] <= 4 and first["complex_exp"] <= 1
+    assert ceiling == {"fft_calls": 5, "fft_rows": 13, "complex_exp": 1}
+    for gate in BuildGates.__slots__:
+        assert f"{gate}=" in str(info.value)
