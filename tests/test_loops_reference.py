@@ -172,6 +172,7 @@ def test_bump_profiles_sample_as_np_mod_did(alpha, width, points, offset):
     with np.errstate(over="ignore"):  # -1/u overflows to -inf for a subnormal u, and exp takes it to 0
         for got, want in zip(bump_profiles(alpha, eps), ref_bump_profiles(alpha, eps)):
             assert got(t).tobytes() == want(t).tobytes()
+            assert repr(got(offset)) == repr(want(offset))  # a scalar argument gives a 0-d array
 
 
 
