@@ -135,7 +135,8 @@ def _bracketing_pair(theta: ThetaParam, m: int, n: int) -> Tuple[Convergent, Con
         (p, q), high = (pq[j], pq[j + 1]) if p1 * q2 < p2 * q1 else (pq[j + 1], pq[j])
         if p * n > m * q and theta.sign_linear(-p, q) > 0 and theta.sign_linear(high[0], -high[1]) > 0:
             return Convergent(p, q), Convergent(*high)
-    raise PrecisionExhausted(f"insufficient-cf-data: no pair of stored convergents brackets theta past {_rat_str(m, n)}")
+    bound = _rat_str(m, n)
+    raise PrecisionExhausted(f"insufficient-cf-data: no pair of stored convergents brackets theta past {bound}")
 
 
 def flat_decompose(t: TraceValue, theta: ThetaParam) -> Tuple[int, int, Convergent, Convergent]:

@@ -264,7 +264,8 @@ def test_certify_steps_build_only_their_outputs_fractions(fractions_built):
     assert fractions_built(golden.floor_linear, 10**12) == (618033988749, 0)
     assert fractions_built(golden.floor_ratio, 7, -2, 3, 1) == (1, 0)
     # 40t - 24 = 8(5t - 3) splits over the convergents 8/13 < theta < 5/8 with the bracket by integers
-    assert fractions_built(flat_decompose, TraceValue(-24, 40), golden) == ((2, 2, Convergent(8, 13), Convergent(5, 8)), 0)
+    split = (2, 2, Convergent(8, 13), Convergent(5, 8))
+    assert fractions_built(flat_decompose, TraceValue(-24, 40), golden) == (split, 0)
     # decompose keeps its rational coordinates as numerators; reading ``rational`` builds the nine Fractions
     res, built = fractions_built(decompose, member)
     assert tuple(res.coordinates) == (-3, -1, 1, 3, -1, 1, 2, -1, 3) and built == 0

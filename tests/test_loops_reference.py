@@ -175,7 +175,6 @@ def test_bump_profiles_sample_as_np_mod_did(alpha, width, points, offset):
             assert repr(got(offset)) == repr(want(offset))  # a scalar argument gives a 0-d array
 
 
-
 # the largest grid, which the benchmark's builds reach, checks one flip row per preset
 LARGEST_GRID_ROW = {"golden": (6, -3), "sqrt2": (4, -1)}
 
