@@ -417,8 +417,9 @@ def _branches(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     b1 = np.zeros_like(u)
     inside = (u > 0) & (u < 1)
     ui = u[inside]
-    bu[inside] = np.exp(-1.0 / ui)
-    b1[inside] = np.exp(-1.0 / (1.0 - ui))
+    with np.errstate(over="ignore"):  # -1/u is -inf for a subnormal u, and exp takes it to 0
+        bu[inside] = np.exp(-1.0 / ui)
+        b1[inside] = np.exp(-1.0 / (1.0 - ui))
     bu[u >= 1] = 1.0
     b1[u <= 0] = 1.0
     return bu, b1
@@ -582,8 +583,9 @@ def _build_projection(
     if not math.isfinite(offset):
         raise ValueError(f"offset must be a finite number, got {offset}")
     if flip_symmetric:
-        # exact interval check on r*theta + s
-        if not theta.in_open_interval(Fraction(s), r, Fraction(1, 2), 1):
+        # exact interval check on r*theta + s; the bound 1/2 (not the doubled
+        # form 2s + 2r*theta against 1) keeps an unsettled check's "-1/2 + 1*theta"
+        if not theta.in_open_interval(s, r, Fraction(1, 2), 1):
             raise AlphaOutOfRange(
                 f"alpha-out-of-range: r*theta + s = {r}*theta{s:+d} is not in (1/2, 1)"
             )

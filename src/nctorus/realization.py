@@ -443,7 +443,7 @@ class FlatCert(_Certificate):
     """Flat realization via a bracketing-convergent split and an orthogonal sum."""
 
     tag, lemma, kind = "flat", "bracketing-convergent-split", "flat"
-    domain = (Fraction(0), Fraction(1), 4)  # (lo, hi, subgroup multiple) of realize's targets
+    domain = (0, 1, 4)  # (lo, hi, subgroup multiple) of realize's targets
     layout = {"target": TraceValue, "k": int, "n": int, "m": int, "low": Convergent,
               "high": Convergent, "a": int, "b": int, "legs": (OrbitFlat, OrbitFlat)}
     __slots__ = tuple(layout)
@@ -481,7 +481,7 @@ class CyclicCert(_Certificate):
     """Cyclic realization: quarter split of the flat certificate for 4t."""
 
     tag, lemma, kind = "cyclic", "quarter-split-of-flat", "cyclic"
-    domain = (Fraction(0), Fraction(1, 4), 1)
+    domain = (0, Fraction(1, 4), 1)
     layout = {"target": TraceValue, "flat": _Certificate}
     __slots__ = tuple(layout)
 
@@ -508,7 +508,7 @@ class SemicyclicCert(_Certificate):
     """
 
     tag, kind = "semicyclic", "semicyclic"
-    domain = (Fraction(0), Fraction(1, 2), 1)
+    domain = (0, Fraction(1, 2), 1)
     layout = {"mode": str, "target": TraceValue, "inner": _Certificate}
     __slots__ = tuple(layout)
 
@@ -554,7 +554,7 @@ class SemiflatCert(_Certificate):
     """Semiflat realization: h + sigma(h) over a semicyclic h of half the trace."""
 
     tag, lemma, kind = "semiflat", "transform-orbit-pairing", "semiflat"
-    domain = (Fraction(0), Fraction(1), 2)
+    domain = (0, 1, 2)
     layout = {"target": TraceValue, "inner": _Certificate}
     __slots__ = tuple(layout)
 
@@ -605,7 +605,7 @@ class FourierInvariantCert(_Certificate):
     """
 
     tag, lemma, kind = "fourier-invariant", "four-squares-split", "fourier_invariant"
-    domain = (Fraction(0), Fraction(1), 1)
+    domain = (0, 1, 1)
     layout = {"target": TraceValue, "squares": FourSquares, "legs": (EmbeddingLeg, EmbeddingLeg),
               "k": int, "branch": str}
     __slots__ = tuple(layout)

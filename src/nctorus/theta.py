@@ -6,7 +6,10 @@ bracket the number by rationals, so questions like "is a + b*theta
 positive?" are answered exactly at some finite depth (a + b*theta is
 never zero for integer (a, b) != (0, 0) when theta is irrational).  The
 brackets are nested, so every such question is put, in integer
-arithmetic, to the tightest stored bracket alone.
+arithmetic, to the tightest stored bracket alone.  Integer arguments go
+to the bracket as they are; only other inputs (Fractions, floats, bools,
+numpy integers) are first normalised to integers over a common
+denominator.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -68,18 +71,41 @@ def _cf_terms_of_fraction(x: Fraction) -> list[int]:
 
 
 def _rational(x) -> Rat:
-    """x itself when int or Fraction, else its exact Fraction."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+    """x itself when int or Fraction, else its exact value: a Python int for an integer type, else a Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    try:
+        return index(x)  # Fraction(np.int64(n)) keeps a fixed-width numerator, which overflows
+    except TypeError:
+        return Fraction(x)
 
 
-def _integer_form(a: Rat, b: Rat, c: Rat = 0) -> Tuple[int, int]:
-    """Integers (A, B) with A + B*theta a positive multiple of (a - c) + b*theta; builds no Fraction."""
-    ad, bd, cd = a.denominator, b.denominator, c.denominator
-    return (a.numerator * cd - c.numerator * ad) * bd, b.numerator * ad * cd
+def _integer_form(a: Rat, b: Rat, c: Rat = 0, d: Rat = 0) -> Tuple[int, int, int, int]:
+    """Integers (A, B, C, D): the numbers a, b, c, d times one positive rational.
+
+    The sign decisions' one normaliser: a linear form a + b*theta, or two of
+    them, or a form and two bounds, keeps every sign it has.  Exact ints
+    (``x.__class__ is int``, so no bool or numpy integer) come back as they
+    are; any other argument is read as a rational and the four are scaled by
+    their least common denominator, building no Fraction from int or Fraction
+    arguments.
+    """
+    if a.__class__ is int and b.__class__ is int and c.__class__ is int and d.__class__ is int:
+        return a, b, c, d
+    a, b, c, d = _rational(a), _rational(b), _rational(c), _rational(d)
+    ad, bd, cd, dd = a.denominator, b.denominator, c.denominator, d.denominator
+    m = math.lcm(ad, bd, cd, dd)
+    return a.numerator * (m // ad), b.numerator * (m // bd), c.numerator * (m // cd), d.numerator * (m // dd)
 
 
 def _unsettled(a: Rat, b: Rat) -> PrecisionExhausted:
     return PrecisionExhausted(f"insufficient-cf-data: cannot settle sign of {a} + {b}*theta")
+
+
+def _unsettled_at(k: int, a: Rat, b: Rat, c: Rat, d: Rat) -> PrecisionExhausted:
+    """The unsettled sign of (a + b*theta) - k*(c + d*theta), over the arguments read as rationals."""
+    a, b, c, d = _rational(a), _rational(b), _rational(c), _rational(d)
+    return _unsettled(a - k * c, b - k * d)
 
 
 def _rat_str(num: int, den: int = 1) -> str:
@@ -329,10 +355,10 @@ class ThetaParam(Record):
 
     def sign_linear(self, a: Rat, b: Rat) -> int:
         """Exact sign of a + b*theta.  Returns 0 only for a = b = 0."""
-        a, b = _rational(a), _rational(b)
-        sign = self._sign(*_integer_form(a, b))
+        A, B, _, _ = _integer_form(a, b)
+        sign = self._sign(A, B)
         if sign is None:
-            raise _unsettled(a, b)
+            raise _unsettled(_rational(a), _rational(b))
         return sign
 
     def _sign(self, A: int, B: int) -> Optional[int]:
@@ -350,37 +376,34 @@ class ThetaParam(Record):
 
     def in_open_interval(self, a: Rat, b: Rat, lo: Rat, hi: Rat) -> bool:
         """Exact test of lo < a + b*theta < hi for rational lo, hi."""
-        a, b = _rational(a), _rational(b)
-        for bound, inside in ((_rational(lo), 1), (_rational(hi), -1)):
-            sign = self._sign(*_integer_form(a, b, bound))
+        A, B, L, H = _integer_form(a, b, lo, hi)
+        for bound, C, inside in ((lo, L, 1), (hi, H, -1)):
+            sign = self._sign(A - C, B)
             if sign is None:
-                raise _unsettled(a - bound, b)
+                raise _unsettled(_rational(a) - _rational(bound), _rational(b))
             if sign != inside:
                 return False
         return True
 
     def floor_ratio(self, a: Rat, b: Rat, c: Rat, d: Rat) -> int:
         """floor((a + b*theta) / (c + d*theta)), exact, for c + d*theta > 0."""
-        a, b, c, d = _rational(a), _rational(b), _rational(c), _rational(d)
-        # times the positive common denominator m, the ratio is one of integer forms
-        m = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-        A, B, C, D = [x.numerator * (m // x.denominator) for x in (a, b, c, d)]
+        A, B, C, D = _integer_form(a, b, c, d)
         p, q = self._bracket[0]
         den = C * q + D * p
         if den <= 0:
             # the denominator changes sign inside the bracket
-            raise _unsettled(c, d)
+            raise _unsettled(_rational(c), _rational(d))
         # n is the floor at the endpoint p/q.  Two signs that settle on the
         # bracket make it the floor on all of it, theta included; a sign
         # that does not settle raises.
         n = (A * q + B * p) // den
         at_n = self._sign(A - n * C, B - n * D)
         if at_n is None:
-            raise _unsettled(a - n * c, b - n * d)
+            raise _unsettled_at(n, a, b, c, d)
         if at_n >= 0:
             past_n = self._sign(A - (n + 1) * C, B - (n + 1) * D)
             if past_n is None:
-                raise _unsettled(a - (n + 1) * c, b - (n + 1) * d)
+                raise _unsettled_at(n + 1, a, b, c, d)
             if past_n < 0:
                 return n
         raise AssertionError(f"floor {n} at a bracket endpoint is not the floor on the bracket")

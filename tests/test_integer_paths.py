@@ -7,14 +7,19 @@ on every text: the same ``KScalar``, or a ``ChernParseError`` with the same
 message and position.  ``parse_trace`` is held to the old parse-then-check
 on top of it.  The interval test, the floor of a ratio and the bracketing
 pair search put integer forms to the bracket; each is checked against the
-Fraction version on int and Fraction inputs.  Last, the count of Fractions
-each step of the certify path builds is pinned.
+Fraction version on int and Fraction inputs, and every sign decision gives
+an int argument the outcome of its Fraction, bool or numpy twin.  Last, the
+count of Fractions each step of the certify path builds is pinned, and so
+is the count of arguments realize and verify send through the rational
+normaliser.
 """
 
 import math
+import re
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -31,8 +36,18 @@ from nctorus.lattice import (
     semiflat_membership,
     synthesis_recipe,
 )
-from nctorus.realization import Convergent, TraceValue, _bracketing_pair, flat_decompose, parse_trace
-from nctorus.theta import PrecisionExhausted, ThetaParam, _read_ratio
+from nctorus import theta as theta_module
+from nctorus.realization import (
+    KINDS,
+    Convergent,
+    TraceValue,
+    _bracketing_pair,
+    flat_decompose,
+    parse_trace,
+    realize,
+    verify_certificate,
+)
+from nctorus.theta import PrecisionExhausted, ThetaParam, _read_ratio, parse_theta
 
 from test_theta import THETAS, reference_floor_ratio, reference_sign_linear
 
@@ -221,6 +236,151 @@ def test_bracketing_pair_near_a_convergent_bound():
         for bound in (Fraction(p, q), Fraction(p * 10**6 - 1, q * 10**6), Fraction(p * 10**6 + 1, q * 10**6)):
             got = outcome(_bracketing_pair, th, *bound.as_integer_ratio())
             assert got == outcome(reference_bracketing_pair, th, bound)
+
+
+# ------------------------------------------------- int arguments and their twins
+
+
+def decision(f, *args):
+    """f's value, or the type and message of whatever it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _twin(x: int, how: str):
+    """x as another type where that type holds it: a Fraction, a bool or a numpy int64."""
+    if how == "fraction":
+        return Fraction(x)
+    if how == "bool" and x in (0, 1):
+        return bool(x)
+    if how == "int64" and -(2**63) <= x < 2**63:
+        return np.int64(x)
+    return x
+
+
+def _as_ints(got):
+    """A message names a bool argument as True or False; its int twin as 1 or 0."""
+    if isinstance(got, tuple):
+        return got[0], re.sub(r"\bFalse\b", "0", re.sub(r"\bTrue\b", "1", got[1]))
+    return got
+
+
+# the presets and the rest of THETAS, the certify angle [0; 100, 100, ...] (a bracket of 1064-bit
+# integers), decimals whose interval clips the bracket, and prefixes too short for many signs
+_TWIN_THETAS = THETAS + (
+    parse_theta("cf:" + ",".join(["100"] * 160)),
+    parse_theta("0.5"),
+    parse_theta("0.25e0"),
+    parse_theta("cf:1"),
+    parse_theta("cf:2"),
+    parse_theta("cf:1,1"),
+    parse_theta("cf:3,1"),
+)
+_QUERIES = {  # name -> (query, its number of arguments)
+    "sign_linear": (ThetaParam.sign_linear, 2),
+    "in_open_interval": (ThetaParam.in_open_interval, 4),
+    "floor_ratio": (ThetaParam.floor_ratio, 4),
+    "floor_linear": (ThetaParam.floor_linear, 1),
+}
+_int = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from((8, 64, 200, 1100, 2500)).flatmap(lambda e: st.integers(-(2**e), 2**e)),
+)
+_how = st.sampled_from(("int", "fraction", "bool", "int64"))
+
+
+@settings(max_examples=800, deadline=None)
+@given(
+    st.sampled_from(_TWIN_THETAS),
+    st.sampled_from(sorted(_QUERIES)),
+    st.lists(_int, min_size=4, max_size=4),
+    st.lists(_how, min_size=4, max_size=4),
+    st.booleans(),
+)
+@example(parse_theta("cf:2"), "sign_linear", [0, 1, 0, 0], ["bool"] * 4, False)  # unsettled: theta itself
+@example(parse_theta("cf:1"), "in_open_interval", [0, 1, 0, 1], ["bool", "bool", "int", "int"], False)
+@example(parse_theta("cf:1,1"), "floor_ratio", [0, 2, 1, 0], ["int64"] * 4, False)  # 2*theta near 1
+@example(ThetaParam.preset("golden"), "in_open_interval", [-3, 5, 0, 1], ["int", "int", "fraction", "int"], False)
+def test_int_arguments_decide_as_their_twins_do(th, name, ints, hows, near):
+    query, arity = _QUERIES[name]
+    ints = ints[:arity]
+    if near and arity > 1:  # put a + b*theta next to a bound or an integer multiple, where the bracket decides
+        p, q = th.convergents[-1]
+        ints[0] = -(ints[1] * p // q) + ints[0] % 3 - 1
+    if name == "in_open_interval":  # small bounds, so the interval test is not decided by its size alone
+        ints[2:] = [ints[2] % 3 - 1, ints[3] % 3]
+    want = decision(query, th, *ints)
+    assert decision(query, th, *map(Fraction, ints)) == want
+    assert _as_ints(decision(query, th, *map(_twin, ints, hows))) == want
+
+
+def test_int_fast_path_takes_exact_ints_only():
+    assert theta_module._integer_form(3, -4, 5) == (3, -4, 5, 0)
+    assert theta_module._integer_form(Fraction(1, 2), 1, Fraction(1, 3)) == (3, 6, 2, 0)
+    for x in (True, np.int64(7), Fraction(7), 7.0):  # each goes through the rational branch, and reads as itself
+        assert theta_module._integer_form(x, 2) == (int(x), 2, 0, 0)
+        assert all(type(v) is int for v in theta_module._integer_form(x, 2))
+
+
+# ------------------------------------------------------- rational normaliser count
+
+
+@pytest.fixture
+def rationals_read(monkeypatch):
+    """count(f, *args): f's value and the number of arguments the theta queries sent through ``_rational``."""
+    original = theta_module._rational
+
+    def count(f, *args):
+        read = []
+
+        def counting(x):
+            read.append(x)
+            return original(x)
+
+        monkeypatch.setattr(theta_module, "_rational", counting)
+        try:
+            return f(*args), len(read)
+        finally:
+            monkeypatch.undo()
+
+    return count
+
+
+# (kind, integer target on golden, arguments realize reads, arguments verify reads) through the rational
+# normaliser.  The (0, 1) domains and every sign and floor on integer forms read none; an interval test
+# against 1/4 or 1/2 reads four (a, b and both bounds), and a cyclic or semicyclic node makes one
+# on realize (two under a reflection, which checks the target and the reflected one) and one on
+# replay, and a subprojection one more for its bound
+RATIONALS_READ = [
+    ("flat", TraceValue(-24, 40), 0, 0),
+    ("flat", TraceValue(28, -44), 0, 0),  # reflected
+    ("cyclic", TraceValue(-1, 2), 4, 4),
+    ("cyclic", TraceValue(2, -3), 8, 4),
+    ("semicyclic", TraceValue(-2, 4), 4, 8),  # orbit-double over a cyclic
+    ("semicyclic", TraceValue(-3, 5), 8, 12),  # subprojection under an orbit-double bound
+    ("semicyclic", TraceValue(2, -3), 12, 12),
+    ("semiflat", TraceValue(-2, 4), 4, 12),
+    ("semiflat", TraceValue(4, -6), 4, 12),
+    ("fourier_invariant", TraceValue(-3, 5), 0, 0),
+    ("fourier_invariant", TraceValue(9, -14), 0, 0),
+]
+
+
+def test_the_count_rows_cover_every_kind():
+    assert {row[0] for row in RATIONALS_READ} == set(KINDS)
+
+
+@pytest.mark.parametrize("kind, t, realize_read, verify_read", RATIONALS_READ, ids=str)
+def test_realize_and_verify_send_integer_forms_straight_to_the_bracket(kind, t, realize_read, verify_read,
+                                                                       rationals_read):
+    golden = ThetaParam.preset("golden")
+    realize(kind, t, golden)  # the reflection's convergents and bracket are built outside the count
+    cert, read = rationals_read(realize, kind, t, golden)
+    assert read == realize_read
+    report, read = rationals_read(verify_certificate, cert, golden)
+    assert report.ok and read == verify_read
 
 
 # -------------------------------------------------------------- Fraction counts

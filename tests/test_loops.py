@@ -35,7 +35,7 @@ from nctorus.loops import (
     _build_projection,
 )
 from nctorus.realization import ApproximantCyclic, ReflectedCert, TraceValue, realize
-from nctorus.theta import Record, ThetaParam
+from nctorus.theta import PrecisionExhausted, Record, ThetaParam
 from nctorus.traces import chern_T2
 
 from conftest import mp_turns, ref_shift, snorm
@@ -398,6 +398,18 @@ def test_plain_build_golden():
 def test_build_rejects_bad_flip_interval():
     with pytest.raises(AlphaOutOfRange):
         pr_build(1, 0, SQRT2, flip_symmetric=True)  # alpha = 0.414 not in (1/2, 1)
+
+
+def test_flip_interval_check_keeps_its_texts():
+    # r*theta + s against 1/2 and 1; on [0; 2] and [0; 1, 2] the bracket cannot place theta against
+    # 1/2 and 1 respectively, and the unsettled texts name the form shifted by that bound
+    with pytest.raises(AlphaOutOfRange) as out:
+        pr_build(1, 0, SQRT2, flip_symmetric=True)
+    assert str(out.value) == "alpha-out-of-range: r*theta + s = 1*theta+0 is not in (1/2, 1)"
+    for terms, text in (([2], "-1/2 + 1*theta"), ([1, 2], "-1 + 1*theta")):
+        with pytest.raises(PrecisionExhausted) as unsettled:
+            pr_build(1, 0, ThetaParam.from_cf(terms), flip_symmetric=True)
+        assert str(unsettled.value) == f"insufficient-cf-data: cannot settle sign of {text}"
 
 
 def test_build_r_validation():

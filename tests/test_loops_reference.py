@@ -169,10 +169,20 @@ def test_bump_profiles_sample_as_np_mod_did(alpha, width, points, offset):
     # among the points, and a grid moved by an offset past +-1
     eps = width * min(alpha, 1 - alpha) / 2
     t = np.concatenate([np.array(points, dtype=float), np.arange(256) / 256 + offset])
-    with np.errstate(over="ignore"):  # -1/u overflows to -inf for a subnormal u, and exp takes it to 0
-        for got, want in zip(bump_profiles(alpha, eps), ref_bump_profiles(alpha, eps)):
-            assert got(t).tobytes() == want(t).tobytes()
-            assert repr(got(offset)) == repr(want(offset))  # a scalar argument gives a 0-d array
+    for got, want in zip(bump_profiles(alpha, eps), ref_bump_profiles(alpha, eps)):
+        assert got(t).tobytes() == want(t).tobytes()
+        assert repr(got(offset)) == repr(want(offset))  # a scalar argument gives a 0-d array
+
+
+def test_bump_profiles_take_a_subnormal_argument_where_overflow_raises():
+    # u = t/eps is subnormal, so -1/u overflows to -inf inside _branches; exp takes it to 0, the right value
+    f_profile, g_profile = bump_profiles(0.3, 0.075)
+    t = np.array([5e-324, 0.0, 1e-17])
+    with np.errstate(over="raise"):
+        assert f_profile(t).tolist() == [0.0, 0.0, 0.0]
+        assert g_profile(t).tolist() == [0.0, 0.0, 0.0]
+        bu, b1 = loops._branches(np.array([5e-324]))
+    assert (bu[0], b1[0]) == (0.0, np.exp(-1.0))
 
 
 # the largest grid, which the benchmark's builds reach, checks one flip row per preset
