@@ -29,9 +29,10 @@ import cmath
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple, Union
 
-from .theta import Record, ThetaParam, _rat_str, _read_int, _read_ratio
+from .theta import Record, ThetaParam, _numerators, _rat_str, _rational, _read_int, _read_ratio
 
 Rat = Union[int, Fraction]
 
@@ -43,8 +44,8 @@ class GaussRational(Record):
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
         set_re, set_im = self._setters
-        set_re(self, Fraction(re))
-        set_im(self, Fraction(im))
+        set_re(self, Fraction(_rational(re)))
+        set_im(self, Fraction(_rational(im)))
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
         return GaussRational(self.re + other.re, self.im + other.im)
@@ -126,9 +127,10 @@ class PhaseScalar(Record):
     __slots__ = ("_c", "_d")
 
     def __init__(self, coeffs: Mapping[int, GaussRational] = ()):
-        pairs = [(int(k), v.re.as_integer_ratio(), v.im.as_integer_ratio()) for k, v in dict(coeffs).items()]
-        d = lcm(*(den for _, (_, da), (_, db) in pairs for den in (da, db)))
-        c, d = _canonical({k: (a * (d // da), b * (d // db)) for k, (a, da), (b, db) in pairs}, d)
+        coeffs = dict(coeffs)
+        nums, d = _numerators([x for v in coeffs.values() for x in (v.re, v.im)])
+        re_im = iter(nums)
+        c, d = _canonical({index(k): (a, b) for k, a, b in zip(coeffs, re_im, re_im)}, d)
         _PHASE_C(self, c)
         _PHASE_D(self, d)
 
@@ -144,7 +146,7 @@ class PhaseScalar(Record):
     @classmethod
     def lam(cls, k: int = 1) -> "PhaseScalar":
         """The phase L^k."""
-        return _phase({k: (1, 0)}, 1)
+        return _phase({index(k): (1, 0)}, 1)
 
     @classmethod
     def of(cls, value: Union[int, Fraction, GaussRational, "PhaseScalar"]) -> "PhaseScalar":
@@ -152,7 +154,7 @@ class PhaseScalar(Record):
             return value
         if isinstance(value, GaussRational):
             return cls({0: value})
-        num, den = value.as_integer_ratio()
+        num, den = _rational(value).as_integer_ratio()
         return _phase({0: (num, 0)} if num else {}, den)
 
     # ------------------------------------------------------------ arithmetic
@@ -216,7 +218,7 @@ class Element(Record):
         d = lcm(*(coef._d for _, coef in items))
         t = {}
         for (m, n), coef in items:
-            f = d // coef._d
+            m, n, f = index(m), index(n), d // coef._d
             for k, (a, b) in coef._c.items():
                 t[(m, n, k)] = (a * f, b * f)
         t, d = _canonical(t, d)
@@ -234,7 +236,7 @@ class Element(Record):
 
     @classmethod
     def monomial(cls, m: int, n: int, coef: Union[int, Fraction, GaussRational, PhaseScalar] = 1) -> "Element":
-        s = PhaseScalar.of(coef)
+        s, m, n = PhaseScalar.of(coef), index(m), index(n)
         return _element({(m, n, k): v for k, v in s._c.items()}, s._d)
 
     # --------------------------------------------------------------- queries

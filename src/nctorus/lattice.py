@@ -26,21 +26,15 @@ import math
 import re
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from operator import index
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .theta import Record, ThetaParam, _rat_str, _read_ratio
+from .theta import Record, ThetaParam, _numerators, _rat_str, _read_ratio
 
 if TYPE_CHECKING:
     from .traces import T4Vector
 
 Rat = Union[int, Fraction]
-
-
-def _ratios(values: Iterable[Rat]) -> Tuple[Tuple[int, ...], int]:
-    """values as integer numerators over their least common denominator, which is lowest terms."""
-    ratios = [(x if type(x) is int or type(x) is Fraction else Fraction(x)).as_integer_ratio() for x in values]
-    den = math.lcm(*[d for _, d in ratios])
-    return tuple(n * (den // d) for n, d in ratios), den
 
 
 def _reduced(nums: Sequence[int], den: int) -> Tuple[Tuple[int, ...], int]:
@@ -93,7 +87,7 @@ class KScalar(_Numerators):
     a, b, c, d = map(_entry, range(4))
 
     def __init__(self, a: Rat = 0, b: Rat = 0, c: Rat = 0, d: Rat = 0):
-        self._set(*_ratios((a, b, c, d)))
+        self._set(*_numerators((a, b, c, d)))
 
     def __str__(self) -> str:
         return kscalar_to_text(self)
@@ -147,7 +141,7 @@ class Genus(_Numerators):
     g20, g21, g22 = map(_entry, range(3))
 
     def __init__(self, g20: Rat, g21: Rat, g22: Rat):
-        self._set(*_ratios((g20, g21, g22)))
+        self._set(*_numerators((g20, g21, g22)))
 
     def as_tuple(self) -> Tuple[Fraction, Fraction, Fraction]:
         return (self.g20, self.g21, self.g22)
@@ -256,7 +250,7 @@ _BASIS_NUMERATORS = tuple(tuple((i, x * (2 // v._d)) for i, x in enumerate(v._n)
 def recompose(coords: K0Coordinates) -> ChernVector:
     """The exact integral combination sum N_j V_j."""
     acc = [0] * 24
-    for n, row in zip(coords, _BASIS_NUMERATORS):
+    for n, row in zip(map(index, coords), _BASIS_NUMERATORS):
         if n:
             for i, x in row:
                 acc[i] += n * x
@@ -308,6 +302,7 @@ def semiflat_coordinates(n1: int, n2: int, n3: int, n4: int, n9: int) -> K0Coord
     Vanishing of the two order-four invariants pins n6 = n3, n5 = n2,
     n7 = n9 - n3, n8 = 2*n2 + n3, leaving (n1, n2, n3, n4, n9) free.
     """
+    n1, n2, n3, n4, n9 = index(n1), index(n2), index(n3), index(n4), index(n9)
     return K0Coordinates(n1, n2, n3, n4, n2, n3, n9 - n3, 2 * n2 + n3, n9)
 
 

@@ -144,6 +144,7 @@ class ResidualExceeded(ArithmeticError):
 
 
 def _check_grid(n: int) -> int:
+    n = index(n)
     if n < MIN_GRID or n & (n - 1):
         raise ValueError(f"grid size must be a power of two >= {MIN_GRID}, got {n}")
     return n
@@ -576,6 +577,7 @@ def _build_projection(
     max_n: int,
 ) -> Tuple[LoopElement, BuildGates]:
     """pr_build, returning the accepted element together with its gates."""
+    r, s, max_n = index(r), index(s), index(max_n)  # 1.5 is refused, not truncated
     if n > max_n:  # before anything is sampled on the grid
         raise ValueError(f"grid size {n} is above the refinement ceiling {max_n}")
     if r < 1:
@@ -682,6 +684,7 @@ def loop_invariants(e: LoopElement, theta: ThetaParam, r: int) -> InvariantRepor
     (rm mod 2, k mod 2) of the row, of c_{k,m} L^{w*rm*k} with w the row's mn
     weight; tau is the mean of the V^0 coefficient.
     """
+    r = index(r)
     tau = e.coefficient(0).mean().real
     rows = [row for slot, row in _SLOTS.items() if slot.startswith("phi")]
     (w,) = {form[1] for form, _ in rows}  # their one mn weight

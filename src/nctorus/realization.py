@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple, Union
 
 from .theta import PrecisionExhausted, Record, ThetaParam, _rat_str
@@ -148,6 +148,7 @@ def flat_decompose(t: TraceValue, theta: ThetaParam) -> Tuple[int, int, Converge
     a = k(np' - mq') and b = k(np - mq) are positive integers; the
     identity holds exactly in (Z, Z*theta) coordinates.
     """
+    t = TraceValue(index(t.a), index(t.b))
     if not t.in_subgroup(4):
         raise WrongSubgroup(f"wrong-subgroup: {t} is not in 4Z + 4Z*theta")
     if t.b < 4:
@@ -198,6 +199,7 @@ def _not_three_squares(n: int) -> bool:
 
 def four_squares(m: int) -> FourSquares:
     """Lexicographically largest descending (m1, m2, m3, m4) with sum of squares m."""
+    m = index(m)
     if m < 0:
         raise ValueError("m must be nonnegative")
     # A sum of four squares divisible by 8 has only even terms, and halving
@@ -245,6 +247,7 @@ def subalgebra_generators(m: int, n: int) -> Tuple[Element, Element, TraceValue]
     """
     from .algebra import Element, PhaseScalar
 
+    m, n = index(m), index(n)
     if (m, n) == (0, 0):
         raise ValueError("(m, n) must be nonzero")
     # V^{-n} U^m = L^{-4mn} U^m V^{-n}, so Ut picks up net phase L^{-2mn}
@@ -672,6 +675,7 @@ def realize(kind: str, t: TraceValue, theta: ThetaParam) -> Certificate:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r} (expected one of {KINDS})")
+    t = TraceValue(index(t.a), index(t.b))  # a bool or numpy coordinate is the int it stands for
     lo, hi, mult = _BY_KIND[kind].domain
     if not t.in_subgroup(mult):
         raise WrongSubgroup(f"wrong-subgroup: {t} is not in {mult}Z + {mult}Z*theta")

@@ -10,6 +10,14 @@ arithmetic, to the tightest stored bracket alone.  Integer arguments go
 to the bracket as they are; only other inputs (Fractions, floats, bools,
 numpy integers) are first normalised to integers over a common
 denominator.
+
+This module also holds the one rule by which the exact layers (theta,
+lattice, algebra, realization, loops) read a caller's numbers.  An integer
+field (an exponent, an L-power, a continued-fraction term, a K0 coordinate,
+``r`` and ``s``, a trace coordinate) is read by ``operator.index``: a bool or
+a numpy integer becomes the Python int it stands for, and 1.5 is a
+TypeError, never truncated.  A rational field is read by :func:`_rational`,
+and several rationals kept over one denominator by :func:`_numerators`.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter, index
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -71,13 +79,21 @@ def _cf_terms_of_fraction(x: Fraction) -> list[int]:
 
 
 def _rational(x) -> Rat:
-    """x itself when int or Fraction, else its exact value: a Python int for an integer type, else a Fraction."""
+    """The exact layers' one reading of a caller's rational: x itself when int or Fraction, else its exact
+    value, a Python int for an integer type (``operator.index``) and otherwise ``Fraction(x)``."""
     if isinstance(x, (int, Fraction)):
         return x
     try:
         return index(x)  # Fraction(np.int64(n)) keeps a fixed-width numerator, which overflows
     except TypeError:
         return Fraction(x)
+
+
+def _numerators(values: Iterable) -> Tuple[Tuple[int, ...], int]:
+    """values, each read by _rational, as integer numerators over their least common denominator: lowest terms."""
+    ratios = [_rational(x).as_integer_ratio() for x in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return tuple(n * (den // d) for n, d in ratios), den
 
 
 def _integer_form(a: Rat, b: Rat, c: Rat = 0, d: Rat = 0) -> Tuple[int, int, int, int]:
@@ -240,10 +256,14 @@ class ThetaParam(Record):
     ) -> None:
         if not cf_terms and interval is None:
             raise ValueError("continued-fraction prefix must be nonempty")
-        if any((not isinstance(a, int)) or a < 1 for a in cf_terms):
+        try:
+            cf_terms = tuple(map(index, cf_terms))
+        except TypeError:
+            cf_terms = (0,)  # not an integer: refused as a term below 1 is
+        if cf_terms and min(cf_terms) < 1:
             raise ValueError("continued-fraction terms must be positive integers")
         if interval is not None:
-            lo, hi = interval
+            interval = lo, hi = tuple(map(_rational, interval))
             if not (0 < lo < hi < 1):
                 raise ValueError("interval must satisfy 0 < lo < hi < 1")
         super().__init__(cf_terms, name, interval)
@@ -261,7 +281,7 @@ class ThetaParam(Record):
 
     @classmethod
     def from_cf(cls, terms: Sequence[int], name: Optional[str] = None) -> "ThetaParam":
-        return cls(cf_terms=tuple(int(a) for a in terms), name=name)
+        return cls(cf_terms=tuple(terms), name=name)
 
     @classmethod
     def from_decimal(cls, text: Union[str, float]) -> "ThetaParam":
@@ -345,6 +365,7 @@ class ThetaParam(Record):
         Taken at the narrowest bracket's midpoint, reduced exactly and rounded once, it is off by at most |b|
         times the bracket's half width plus 2^-54; where that could exceed TURNS_ERROR, PrecisionExhausted.
         """
+        a, b = _rational(a), _rational(b)
         (p1, q1), (p2, q2) = self._bracket
         if abs(b) * Fraction(p2 * q1 - p1 * q2, 2 * q1 * q2) > _BRACKET_BUDGET:
             raise PrecisionExhausted(f"insufficient-cf-data: cannot settle ({a} + {b}*theta) mod 1 to {TURNS_ERROR}")
@@ -386,13 +407,15 @@ class ThetaParam(Record):
         return True
 
     def floor_ratio(self, a: Rat, b: Rat, c: Rat, d: Rat) -> int:
-        """floor((a + b*theta) / (c + d*theta)), exact, for c + d*theta > 0."""
+        """floor((a + b*theta) / (c + d*theta)), exact, for c + d*theta > 0; ValueError where it is not."""
         A, B, C, D = _integer_form(a, b, c, d)
         p, q = self._bracket[0]
         den = C * q + D * p
         if den <= 0:
-            # the denominator changes sign inside the bracket
-            raise _unsettled(_rational(c), _rational(d))
+            c, d = _rational(c), _rational(d)
+            if self._sign(C, D) is None:  # the denominator changes sign inside the bracket
+                raise _unsettled(c, d)
+            raise ValueError(f"floor_ratio needs c + d*theta > 0, got {c} + {d}*theta")
         # n is the floor at the endpoint p/q.  Two signs that settle on the
         # bracket make it the floor on all of it, theta included; a sign
         # that does not settle raises.

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -256,6 +257,19 @@ def test_floor_ratio_integral_quotient():
     th = ThetaParam.preset("golden")
     assert th.floor_ratio(6, 9, 2, 3) == 3
     assert th.floor_ratio(-6, -9, 2, 3) == -3
+
+
+@pytest.mark.parametrize("a, b, c, d", [(1, 0, -1, 0), (5, 1, 0, 0), (1, 0, 1, -2), (3, 1, np.int64(-1), 0)])
+def test_floor_ratio_refuses_a_denominator_out_of_its_domain(a, b, c, d):
+    # the bracket settles c + d*theta <= 0: the input breaks the domain, the prefix is not short
+    with pytest.raises(ValueError, match=rf"c \+ d\*theta > 0, got {c} \+ {d}\*theta$"):
+        ThetaParam.preset("golden").floor_ratio(a, b, c, d)
+
+
+def test_floor_ratio_calls_a_denominator_the_prefix_cannot_place_unsettled():
+    # -1 + 4*theta changes sign inside cf:2's bracket (0, 1/2)
+    with pytest.raises(PrecisionExhausted, match=r"cannot settle sign of -1 \+ 4\*theta"):
+        parse_theta("cf:2").floor_ratio(1, 0, -1, 4)
 
 
 # ------------------------------------------------------ the narrowest bracket
