@@ -99,6 +99,14 @@ class TraceValue(Record):
         return kscalar_to_text(KScalar(self.a, self.b))
 
 
+def _read_target(t: TraceValue) -> TraceValue:
+    """t with its coordinates read by operator.index (a bool or numpy integer is the int it stands for,
+    1.5 a TypeError); t itself when both are ints already."""
+    if t.a.__class__ is int and t.b.__class__ is int:
+        return t
+    return TraceValue(index(t.a), index(t.b))
+
+
 def parse_trace(text: str) -> TraceValue:
     """Parse ``a+bt`` into a TraceValue (integer coefficients required)."""
     from .lattice import _parse_numerators
@@ -148,7 +156,7 @@ def flat_decompose(t: TraceValue, theta: ThetaParam) -> Tuple[int, int, Converge
     a = k(np' - mq') and b = k(np - mq) are positive integers; the
     identity holds exactly in (Z, Z*theta) coordinates.
     """
-    t = TraceValue(index(t.a), index(t.b))
+    t = _read_target(t)
     if not t.in_subgroup(4):
         raise WrongSubgroup(f"wrong-subgroup: {t} is not in 4Z + 4Z*theta")
     if t.b < 4:
@@ -675,7 +683,7 @@ def realize(kind: str, t: TraceValue, theta: ThetaParam) -> Certificate:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r} (expected one of {KINDS})")
-    t = TraceValue(index(t.a), index(t.b))  # a bool or numpy coordinate is the int it stands for
+    t = _read_target(t)
     lo, hi, mult = _BY_KIND[kind].domain
     if not t.in_subgroup(mult):
         raise WrongSubgroup(f"wrong-subgroup: {t} is not in {mult}Z + {mult}Z*theta")

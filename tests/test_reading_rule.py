@@ -145,6 +145,7 @@ INTEGER_FIELDS = {
     "ThetaParam": lambda x: ThetaParam((x, 1)).convergents,
     "from_cf": lambda x: ThetaParam.from_cf([2, x]).convergents,
     "realize": lambda x: certificate_to_json(realize("fourier_invariant", _fourier_target(x), GOLDEN)),
+    "flat_decompose": lambda x: flat_decompose(TraceValue(x, 8), GOLDEN),
     "four_squares": four_squares,
     "subalgebra_generators": lambda x: subalgebra_generators(x, 1),
 }
