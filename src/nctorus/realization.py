@@ -101,9 +101,7 @@ class TraceValue(Record):
 
 def _read_target(t: TraceValue) -> TraceValue:
     """t with its coordinates read by operator.index (a bool or numpy integer is the int it stands for,
-    1.5 a TypeError); t itself when both are ints already."""
-    if t.a.__class__ is int and t.b.__class__ is int:
-        return t
+    1.5 a TypeError)."""
     return TraceValue(index(t.a), index(t.b))
 
 

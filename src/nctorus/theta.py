@@ -35,6 +35,7 @@ Rat = Union[int, Fraction]
 
 _PRESET_TERMS = 160  # continued-fraction terms stored for a preset
 _DECIMAL_TERMS = 128  # the most terms read off a decimal's bounds
+_CF_TERMS = "continued-fraction terms must be positive integers"
 # far more digits than a 128-term continued-fraction prefix can use
 _MAX_DECIMAL_PLACE = 10_000
 # ThetaParam.turns' absolute error bound, in turns; rounding to a float takes 2^-54 of it
@@ -259,9 +260,9 @@ class ThetaParam(Record):
         try:
             cf_terms = tuple(map(index, cf_terms))
         except TypeError:
-            cf_terms = (0,)  # not an integer: refused as a term below 1 is
+            raise ValueError(_CF_TERMS) from None
         if cf_terms and min(cf_terms) < 1:
-            raise ValueError("continued-fraction terms must be positive integers")
+            raise ValueError(_CF_TERMS)
         if interval is not None:
             interval = lo, hi = tuple(map(_rational, interval))
             if not (0 < lo < hi < 1):

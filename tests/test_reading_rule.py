@@ -9,6 +9,7 @@ never truncated.  The first tests are the defects this rule mends, one
 each; the properties below cover every entry point with the rule.
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -132,7 +133,10 @@ def _fourier_target(b):
     return TraceValue(-GOLDEN.floor_linear(b), b)  # in (0, 1) for every b > 0
 
 
-_LOOP = pr_build(1, 0, GOLDEN)
+@functools.cache
+def _loop():
+    """One built projection for loop_invariants, made when a test first asks for it."""
+    return pr_build(1, 0, GOLDEN)
 
 # entry point -> a call that reads x in one of its integer fields, and returns what to compare
 INTEGER_FIELDS = {
@@ -153,7 +157,7 @@ INTEGER_FIELDS = {
 LOOP_FIELDS = {
     "pr_build r": lambda x: _projection(pr_build(x, 0, GOLDEN)),
     "pr_build s": lambda x: _projection(pr_build(1, x, GOLDEN, True)),
-    "loop_invariants r": lambda x: loop_invariants(_LOOP, GOLDEN, x),
+    "loop_invariants r": lambda x: loop_invariants(_loop(), GOLDEN, x),
 }
 RATIONAL_FIELDS = {
     "KScalar": lambda x: (lambda v: (v, decompose(v)))(ChernVector(*[KScalar(x, 0, 0, 1)] * 6)),
