@@ -17,7 +17,8 @@ multiply the denominators, sums bring both sides to the lcm of theirs, and
 each result is reduced by one gcd; arithmetic, the automorphisms, traces
 and text output never build a Fraction.  GaussRational, the public
 coefficient type, appears only at the boundary: ``PhaseScalar(mapping)``
-reads it and ``PhaseScalar.items()`` builds it.  The parser reads text
+reads it (a plain number too, as ``GaussRational(value)``) and
+``PhaseScalar.items()`` builds it.  The parser reads text
 straight into the store.
 
 All operations return new values; nothing is mutated in place.
@@ -126,8 +127,8 @@ class PhaseScalar(Record):
 
     __slots__ = ("_c", "_d")
 
-    def __init__(self, coeffs: Mapping[int, GaussRational] = ()):
-        coeffs = dict(coeffs)
+    def __init__(self, coeffs: Mapping[int, Union[Rat, GaussRational]] = ()):
+        coeffs = {k: v if isinstance(v, GaussRational) else GaussRational(v) for k, v in dict(coeffs).items()}
         nums, d = _numerators([x for v in coeffs.values() for x in (v.re, v.im)])
         re_im = iter(nums)
         c, d = _canonical({index(k): (a, b) for k, a, b in zip(coeffs, re_im, re_im)}, d)
@@ -213,8 +214,8 @@ class Element(Record):
 
     __slots__ = ("_t", "_d")
 
-    def __init__(self, terms: Mapping[Monomial, PhaseScalar] = ()):
-        items = [(mono, coef) for mono, coef in dict(terms).items() if coef]
+    def __init__(self, terms: Mapping[Monomial, Union[Rat, GaussRational, PhaseScalar]] = ()):
+        items = [(mono, coef) for mono, value in dict(terms).items() if (coef := PhaseScalar.of(value))]
         d = lcm(*(coef._d for _, coef in items))
         t = {}
         for (m, n), coef in items:

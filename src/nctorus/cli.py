@@ -6,8 +6,9 @@ it as JSON, the default renders the same record as text.  Exit codes:
 1 internal error.
 
 Each subcommand imports the layers it uses when it runs, so a process
-pays only for those: ``cone`` never loads the algebra, and only
-``pr-build`` loads numpy.
+pays only for those: ``cone`` never loads the algebra, ``realize`` and
+``verify`` never load the lattice (the ``a+bt`` text of a trace is
+theta's), and only ``pr-build`` loads numpy.
 """
 
 from __future__ import annotations

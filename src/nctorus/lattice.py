@@ -14,10 +14,10 @@ Every lattice value is stored as ``Element`` is: integer numerators
 24 (six slots of four, in slot order), a ``Genus`` its three; equality
 and hashing are tuple comparisons.  The solve, the integral combinations,
 the membership decision, the synthesis recipe and its self-check, the
-quantization check and the text I/O all read and build these rows.  The
-public fields (``KScalar.a..d``, the six ``ChernVector`` slots, ``Genus``
-entries) are built when read, so a ``Fraction`` appears only where a
-caller asks for one.
+quantization check and the text I/O (theta's scalar grammar) all read and
+build these rows.  The public fields (``KScalar.a..d``, the six
+``ChernVector`` slots, ``Genus`` entries) are built when read, so a
+``Fraction`` appears only where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import re
 from fractions import Fraction
 from functools import cache
 from operator import index
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .theta import Record, ThetaParam, _numerators, _rat_str, _read_ratio
+from .theta import ChernParseError, Record, ThetaParam, _kscalar_str, _numerators, _parse_numerators
 
 if TYPE_CHECKING:
     from .traces import T4Vector
@@ -520,80 +520,12 @@ def synthesis_recipe(v: ChernVector, theta: ThetaParam) -> SynthesisRecipe:
 
 def kscalar_to_text(s: KScalar) -> str:
     """Render like ``4+2t``, ``-1/2+1/2i``, ``2t``; t stands for theta."""
-    parts: list[str] = []
-    for x, suffix in zip(s._n, ("", "t", "i", "ti")):
-        if x == 0:
-            continue
-        body = _rat_str(abs(x), s._d)
-        if suffix and body == "1":
-            body = ""
-        piece = f"{body}{suffix}"
-        if not parts:
-            parts.append(piece if x > 0 else f"-{piece}")
-        else:
-            parts.append(f"+{piece}" if x > 0 else f"-{piece}")
-    return "".join(parts) if parts else "0"
-
-
-_KS_TOKEN = re.compile(r"\s*([0-9]+/[0-9]+|[0-9]+|ti|it|[ti+\-])")  # ASCII digits only
-_KS_SLOTS = {"t": 1, "i": 2, "ti": 3, "it": 3}
-
-
-class ChernParseError(ValueError):
-    pass
+    return _kscalar_str(s._n, s._d)
 
 
 def parse_kscalar(text: str, pos: int = 0, end: Optional[int] = None) -> KScalar:
-    """Parse the ``a+bt+ci+dti`` grammar in ``text[pos:end]``.
-
-    One optional sign may lead; every later atom needs exactly one sign
-    before it, and the text may not end in a sign.  Error positions are
-    indices into the whole of ``text``.
-    """
+    """Parse the ``a+bt+ci+dti`` grammar in ``text[pos:end]`` (see ``theta._parse_numerators``)."""
     return KScalar._of(*_parse_numerators(text, pos, end))
-
-
-def _parse_numerators(text: str, pos: int = 0, end: Optional[int] = None) -> Tuple[List[int], int]:
-    """parse_kscalar's (a, b, c, d) as integer numerators over one positive denominator."""
-    end = len(text) if end is None else end
-    nums, den = [0, 0, 0, 0], 1
-    sign = None  # the sign read since the last atom, if any
-    saw_any = False
-    while pos < end:
-        m = _KS_TOKEN.match(text, pos, end)
-        if m is None:
-            junk = text[pos:end].lstrip()
-            if junk:
-                raise ChernParseError(f"unexpected character {junk[0]!r} at {end - len(junk)}")
-            break
-        tok, start = m.group(1), m.start(1)
-        pos = m.end()
-        if tok in ("+", "-"):
-            if sign is not None:
-                raise ChernParseError(f"second sign in a row at {start}")
-            sign = -1 if tok == "-" else 1
-            continue
-        if saw_any and sign is None:
-            raise ChernParseError(f"missing sign before {tok!r} at {start}")
-        p, q = 1, 1
-        if tok not in _KS_SLOTS:
-            p, q = _read_ratio(tok, lambda message: ChernParseError(f"{message} at {start}"))
-            rest = _KS_TOKEN.match(text, pos, end)
-            if rest and rest.group(1) in _KS_SLOTS:
-                tok = rest.group(1)
-                pos = rest.end()
-        if den % q:  # widen the shared denominator to lcm(den, q)
-            widen = q // math.gcd(den, q)
-            nums = [x * widen for x in nums]
-            den *= widen
-        nums[_KS_SLOTS.get(tok, 0)] += (-p if sign == -1 else p) * (den // q)
-        sign = None
-        saw_any = True
-    if sign is not None:
-        raise ChernParseError("trailing sign")
-    if not saw_any:
-        raise ChernParseError("empty scalar")
-    return nums, den
 
 
 def chern_to_text(v: ChernVector) -> str:

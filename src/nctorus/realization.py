@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import attrgetter, index
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple, Union
 
-from .theta import PrecisionExhausted, Record, ThetaParam, _rat_str
+from .theta import PrecisionExhausted, Record, ThetaParam, _kscalar_str, _numerators, _parse_numerators, _rat_str
 
 if TYPE_CHECKING:
     from .algebra import Element
@@ -94,9 +94,7 @@ class TraceValue(Record):
         return TraceValue(k * self.a, k * self.b)
 
     def __str__(self) -> str:
-        from .lattice import kscalar_to_text, KScalar
-
-        return kscalar_to_text(KScalar(self.a, self.b))
+        return _kscalar_str(*_numerators((self.a, self.b)))
 
 
 def _read_target(t: TraceValue) -> TraceValue:
@@ -107,8 +105,6 @@ def _read_target(t: TraceValue) -> TraceValue:
 
 def parse_trace(text: str) -> TraceValue:
     """Parse ``a+bt`` into a TraceValue (integer coefficients required)."""
-    from .lattice import _parse_numerators
-
     (a, b, c, d), den = _parse_numerators(text)
     if c or d:
         raise ValueError("trace values are real: no i parts allowed")

@@ -18,6 +18,9 @@ field (an exponent, an L-power, a continued-fraction term, a K0 coordinate,
 a numpy integer becomes the Python int it stands for, and 1.5 is a
 TypeError, never truncated.  A rational field is read by :func:`_rational`,
 and several rationals kept over one denominator by :func:`_numerators`.
+
+It also holds the ``a+bt+ci+dti`` text grammar (t stands for theta) that
+lattice slots and realization's ``a+bt`` traces are read and printed in.
 """
 
 from __future__ import annotations
@@ -153,6 +156,71 @@ def _read_ratio(tok: str, error: Callable[[str], Exception]) -> Tuple[int, int]:
     if not q:
         raise error("zero denominator")
     return _read_int(p, error), q
+
+
+_KS_TOKEN = re.compile(r"\s*([0-9]+/[0-9]+|[0-9]+|ti|it|[ti+\-])")  # ASCII digits only
+_KS_SLOTS = {"t": 1, "i": 2, "ti": 3, "it": 3}
+
+
+class ChernParseError(ValueError):
+    """Text that is not an ``a+bt+ci+dti`` scalar (or a Chern vector of six); the message gives the position."""
+
+
+def _kscalar_str(nums: Sequence[int], den: int) -> str:
+    """Numerators (a, b, c, d), or a prefix of them, over den > 0 as ``4+2t``, ``-1/2+1/2i``, ``2t``."""
+    parts: list[str] = []
+    for x, suffix in zip(nums, ("", "t", "i", "ti")):
+        if x == 0:
+            continue
+        body = "" if suffix and abs(x) == den else _rat_str(abs(x), den)  # t, not 1t
+        sign = "-" if x < 0 else "+" if parts else ""
+        parts.append(f"{sign}{body}{suffix}")
+    return "".join(parts) if parts else "0"
+
+
+def _parse_numerators(text: str, pos: int = 0, end: Optional[int] = None) -> Tuple[list[int], int]:
+    """(a, b, c, d) of the ``a+bt+ci+dti`` grammar in ``text[pos:end]``, as integer numerators over one
+    positive denominator.  One optional sign may lead; every later atom needs exactly one sign before
+    it, and the text may not end in a sign.  Error positions are indices into the whole of ``text``."""
+    end = len(text) if end is None else end
+    nums, den = [0, 0, 0, 0], 1
+    sign = None  # the sign read since the last atom, if any
+    saw_any = False
+    while pos < end:
+        m = _KS_TOKEN.match(text, pos, end)
+        if m is None:
+            junk = text[pos:end].lstrip()
+            if junk:
+                raise ChernParseError(f"unexpected character {junk[0]!r} at {end - len(junk)}")
+            break
+        tok, start = m.group(1), m.start(1)
+        pos = m.end()
+        if tok in ("+", "-"):
+            if sign is not None:
+                raise ChernParseError(f"second sign in a row at {start}")
+            sign = -1 if tok == "-" else 1
+            continue
+        if saw_any and sign is None:
+            raise ChernParseError(f"missing sign before {tok!r} at {start}")
+        p, q = 1, 1
+        if tok not in _KS_SLOTS:
+            p, q = _read_ratio(tok, lambda message: ChernParseError(f"{message} at {start}"))
+            rest = _KS_TOKEN.match(text, pos, end)
+            if rest and rest.group(1) in _KS_SLOTS:
+                tok = rest.group(1)
+                pos = rest.end()
+        if den % q:  # widen the shared denominator to lcm(den, q)
+            widen = q // math.gcd(den, q)
+            nums = [x * widen for x in nums]
+            den *= widen
+        nums[_KS_SLOTS.get(tok, 0)] += (-p if sign == -1 else p) * (den // q)
+        sign = None
+        saw_any = True
+    if sign is not None:
+        raise ChernParseError("trailing sign")
+    if not saw_any:
+        raise ChernParseError("empty scalar")
+    return nums, den
 
 
 class Record:

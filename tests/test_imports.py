@@ -2,11 +2,13 @@
 
 Every case runs in a fresh interpreter, so the modules it reports are
 the ones that subcommand pulled in and nothing a previous test imported.
-No timing is asserted.  The last checks are on the source itself: theta
-is the one module that turns theta into a float, theta.Record is the one
-class that guards fields against assignment, every public function or
-class has a caller in the package or is exported, and every public method
-is read by the package or the benchmark.
+No timing is asserted.  The last checks are on the source itself: the
+layers each module imports, at module level and inside its functions,
+are pinned as one graph, theta is the one module that turns theta into a
+float, theta.Record is the one class that guards fields against
+assignment, every public function or class has a caller in the package
+or is exported, and every public method is read by the package or the
+benchmark.
 """
 
 import ast
@@ -57,8 +59,7 @@ CASES = [
     (["eval", "--expr", "L^4 U^2 V^-1 + 1/2"], _layers("theta", "algebra", "traces")),
     (["decompose", "--vector", "(1;1,0;1,0,0)"], _layers("theta", "lattice")),
     (["cone", "--vector", "(2t;0,0;1,1,2)"], _layers("theta", "lattice")),
-    (["realize", "--kind", "semiflat", "--trace", "4t-2", "-o", "cert.json"],
-     _layers("theta", "lattice", "realization")),
+    (["realize", "--kind", "semiflat", "--trace", "4t-2", "-o", "cert.json"], _layers("theta", "realization")),
     (["pr-build", "-r", "6", "-s", "-3", "--flip"], _layers("theta", "loops")),
 ]
 
@@ -69,6 +70,13 @@ def test_subcommand_loads_only_its_layers(tmp_path, argv, modules):
     assert got["code"] == 0
     assert got["modules"] == modules
     assert got["numpy"] is (argv[0] == "pr-build")
+
+
+def test_a_realize_rejection_loads_only_theta_and_realization(tmp_path):
+    # the rejection's message prints the trace, in the a+bt text that theta holds
+    got = _probe(["realize", "--kind", "cyclic", "--trace", "4t-2"], tmp_path)
+    assert got["code"] == 2
+    assert got["modules"] == _layers("theta", "realization")
 
 
 def test_verify_of_semiflat_certificate_loads_only_realization(tmp_path):
@@ -91,6 +99,44 @@ def test_subcommand_loads_no_dataclasses(tmp_path, argv):
     assert got["dataclasses"] is False
     if argv[0] != "pr-build":
         assert got["inspect"] is False
+
+
+def _layer_imports(tree):
+    """The layers a module names in ``from .<layer> import`` or ``from . import <layer>``: at module
+    level ("top"), inside a function ("local") and under ``if TYPE_CHECKING`` ("typing")."""
+    found = {"top": set(), "local": set(), "typing": set()}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, "local")
+            elif isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+                visit(child, "typing")
+            elif isinstance(child, ast.ImportFrom) and child.level == 1:
+                found[where].update([child.module] if child.module else [a.name for a in child.names])
+            else:
+                visit(child, where)
+
+    visit(tree, "top")
+    return {where: sorted(layers) for where, layers in found.items() if layers}
+
+
+def test_the_layer_graph_is_the_declared_one():
+    # the subprocess cases see only the paths they run; this sees every import the source spells,
+    # including one that runs only on a rejection.  realization reads and prints its a+bt traces
+    # through theta and needs algebra only for the embedding checks, so it never loads lattice.
+    graph = {p.stem: _layer_imports(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(Path(SRC, "nctorus").glob("*.py"))}
+    assert graph == {
+        "__init__": {},
+        "algebra": {"top": ["theta"]},
+        "cli": {"top": ["theta"], "local": ["algebra", "lattice", "loops", "realization", "traces"]},
+        "lattice": {"top": ["theta"], "typing": ["traces"]},
+        "loops": {"top": ["theta"]},
+        "realization": {"top": ["theta"], "local": ["algebra"], "typing": ["algebra"]},
+        "theta": {},
+        "traces": {"top": ["algebra", "theta"]},
+    }
 
 
 def test_import_nctorus_loads_no_submodule():

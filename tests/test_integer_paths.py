@@ -26,8 +26,6 @@ from hypothesis import example, given, settings, strategies as st
 from nctorus.lattice import (
     KScalar,
     ChernParseError,
-    _KS_SLOTS,
-    _KS_TOKEN,
     decompose,
     parse_chern,
     parse_kscalar,
@@ -47,7 +45,7 @@ from nctorus.realization import (
     realize,
     verify_certificate,
 )
-from nctorus.theta import PrecisionExhausted, ThetaParam, _read_ratio, parse_theta
+from nctorus.theta import _KS_SLOTS, _KS_TOKEN, PrecisionExhausted, ThetaParam, _read_ratio, parse_theta
 
 from test_theta import THETAS, reference_floor_ratio, reference_sign_linear
 

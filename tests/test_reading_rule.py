@@ -69,6 +69,20 @@ def test_a_monomial_takes_a_numpy_coefficient():
     assert PhaseScalar.of(np.int64(3)) == PhaseScalar.of(3)
 
 
+def test_a_plain_number_is_a_coefficient_of_an_element_and_a_phase():
+    assert Element({Monomial(1, 0): 3}) == Element({Monomial(1, 0): GaussRational(3)}) == Element.monomial(1, 0, 3)
+    assert PhaseScalar({0: 3}) == PhaseScalar.of(3)
+    assert PhaseScalar({0: 1.5}) == PhaseScalar.of(Fraction(3, 2))
+
+
+@pytest.mark.parametrize("value", [None, object(), 1j], ids=["None", "object", "complex"])
+def test_a_coefficient_that_is_not_a_number_is_refused(value):
+    with pytest.raises(TypeError):
+        PhaseScalar({0: value})
+    with pytest.raises(TypeError):
+        Element({Monomial(1, 0): value})
+
+
 @pytest.mark.parametrize("build", [
     lambda: PhaseScalar({1.5: GaussRational(1)}),
     lambda: PhaseScalar.lam(1.5),
@@ -165,6 +179,8 @@ RATIONAL_FIELDS = {
     "GaussRational": lambda x: _squared(Element({Monomial(1, 0): PhaseScalar({0: GaussRational(x, 1)})})),
     "PhaseScalar.of": lambda x: _squared(PhaseScalar.of(x)),
     "Element.monomial coefficient": lambda x: _squared(Element.monomial(0, 1, x)),
+    "Element coefficient": lambda x: _squared(Element({Monomial(1, 0): x})),
+    "PhaseScalar coefficient": lambda x: _squared(PhaseScalar({0: x})),
     "ThetaParam.turns": lambda x: GOLDEN.turns(1, x),
 }
 

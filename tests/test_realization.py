@@ -6,11 +6,13 @@ import random
 import time
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nctorus.algebra import Element, PhaseScalar, apply_automorphism
-from nctorus.lattice import ChernParseError
+from nctorus.lattice import ChernParseError, KScalar
 from nctorus.realization import (
     KINDS,
     MAX_NESTING,
@@ -337,6 +339,43 @@ def test_realize_and_verify_random_100_per_kind_per_preset():
                     assert cert.k in (0, 1)
 
 
+# each kind's domain (0, hi) within hZ + hZ*theta, h the subgroup multiple, as the module docstring states it
+DOMAINS = {"cyclic": (Fraction(1, 4), 1), "semicyclic": (Fraction(1, 2), 1), "flat": (Fraction(1), 4),
+           "semiflat": (Fraction(1), 2), "fourier_invariant": (Fraction(1), 1)}
+MP_THETA = {"golden": lambda: (mpmath.sqrt(5) - 1) / 2, "sqrt2": lambda: mpmath.sqrt(2) - 1}
+
+
+def _realize_outcome(kind, t, theta):
+    """The rejection realize raises, or "verified" for a certificate of t that replays."""
+    try:
+        cert = realize(kind, t, theta)
+    except (WrongSubgroup, OutOfRange) as exc:
+        return type(exc)
+    report = verify_certificate(cert, theta)
+    return "verified" if report.ok and cert.target == t else ("fails", report.first_failure)
+
+
+def test_realize_accepts_exactly_its_domain_on_a_bounded_grid():
+    # every kind on |b| <= 200 and the four a that put x = a + b*theta in [-2, 2), against an oracle of
+    # its own: the interval by mpmath at 60 digits, the subgroup by %
+    seen, accepted, wrong = 0, 0, []
+    with mpmath.workdps(60):
+        for theta in PRESETS:
+            value = MP_THETA[theta.name]()
+            for b in range(-200, 201):
+                n = -int(mpmath.floor(b * value))
+                for a, x in ((a, a + b * value) for a in range(n - 2, n + 2)):
+                    for kind, (hi, mult) in DOMAINS.items():
+                        inside = 0 < x and x * hi.denominator < hi.numerator
+                        want = WrongSubgroup if a % mult or b % mult else "verified" if inside else OutOfRange
+                        got = _realize_outcome(kind, TraceValue(a, b), theta)
+                        seen, accepted = seen + 1, accepted + (want == "verified")
+                        if got != want:
+                            wrong.append((theta.name, kind, a, b, want, got))
+    assert not wrong, wrong[:10]
+    assert (seen, accepted) == (16040, 1650)
+
+
 def test_fourier_k_always_binary(rng):
     for th in PRESETS:
         for _ in range(100):
@@ -470,6 +509,14 @@ def test_parse_trace_grammar():
         parse_trace("1/2t")
     with pytest.raises(ValueError):
         parse_trace("1+2i")
+
+
+@pytest.mark.parametrize("a, b, text", [
+    (0, 0, "0"), (1, 0, "1"), (0, 1, "t"), (0, -1, "-t"), (-4, 8, "-4+8t"), (3, -1, "3-t"),
+    (True, 2, "1+2t"), (np.int64(-2), 4, "-2+4t"), (Fraction(1, 2), 3, "1/2+3t"),
+])
+def test_trace_value_text(a, b, text):
+    assert str(TraceValue(a, b)) == text == str(KScalar(a, b))
 
 
 def test_parse_trace_rejects_zero_denominators_and_non_ascii_digits():
