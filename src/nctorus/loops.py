@@ -29,8 +29,10 @@ moves.  A product makes one forward FFT call over the K right coefficients
 and one inverse call of K rows per nonzero V-power of the left factor, with
 one phase vector e(m*a*beta) per |a| (the vector for -a is the conjugate of
 the one for +a): a product of two 3-term elements is 3 calls over 9 rows
-and one complex exp.  The adjoint is one forward and one inverse call over
-its moved coefficients.  A gate attempt shares its phase table between
+and one complex exp.  A phase vector is one complex exp over the n/2 + 1
+frequencies 0..n/2; the negative ones are their conjugates, bit for bit.
+The adjoint is one forward and one inverse call over its moved
+coefficients.  A gate attempt shares its phase table between
 e* and e*e (5 calls over 13 rows, one exp, when it takes every gate);
 loop_invariants makes one forward call over all coefficients, and sums
 each parity-class slice of a spectrum once for all phi rows.  The results
@@ -275,8 +277,8 @@ class LoopElement(Record):
 def _phase_table(beta: float, shifts: Iterable[int], rows: np.ndarray) -> Dict[int, np.ndarray]:
     """{a: e(m*a*beta) over the FFT frequencies m} for the nonzero ``shifts`` a, one row of ``rows`` each.
 
-    One complex exp per |a|; the vector for -a is the conjugate of the one
-    for +a, which equals the directly computed one bit for bit.
+    One complex exp per |a|, over the n/2 + 1 frequencies 0..n/2 (see _exp_i_freqs); the vector for -a
+    is the conjugate of the one for +a, which equals the directly computed one bit for bit.
     """
     wanted = set(shifts)
     free = iter(rows)
@@ -293,13 +295,27 @@ def _phase_table(beta: float, shifts: Iterable[int], rows: np.ndarray) -> Dict[i
 def _exp_i_freqs(scale: complex, x: float, out: np.ndarray) -> np.ndarray:
     """np.exp(scale * m * x) over the FFT frequencies m of len(out), written into out, bit for bit.
 
-    The frequencies are np.fft.fftfreq's integers: 0 .. n/2 - 1, then -n/2 .. -1.
+    The frequencies are np.fft.fftfreq's integers: 0 .. n/2 - 1, then -n/2 .. -1.  For an imaginary
+    scale the exp at -m is the conjugate of the exp at +m to the last bit (cos is even and sin odd), so
+    one complex exp over m = 0 .. n/2 fills out[: n/2 + 1] and the negative frequencies are conjugated
+    from it, m = -n/2 last as it overwrites the value at +n/2.  A zero x is the one exception: every
+    product scale * m * x is then a signed zero whose sign the mirror does not keep, and the negative
+    half takes its own exp.
     """
     half = len(out) // 2
-    np.multiply(scale, np.arange(half), out=out[:half])
-    np.multiply(scale, np.arange(-half, 0), out=out[half:])
-    out *= x
-    return np.exp(out, out=out)
+    pos = out[: half + 1]
+    np.multiply(scale, np.arange(half + 1), out=pos)
+    pos *= x
+    np.exp(pos, out=pos)
+    if x:
+        np.conj(out[half - 1 : 0 : -1], out=out[half + 1 :])
+        out[half] = out[half].conjugate()
+    else:
+        neg = out[half:]
+        np.multiply(scale, np.arange(-half, 0), out=neg)
+        neg *= x
+        np.exp(neg, out=neg)
+    return out
 
 
 def _rows(coeffs: Iterable[np.ndarray], n: int) -> np.ndarray:

@@ -17,7 +17,8 @@ field (an exponent, an L-power, a continued-fraction term, a K0 coordinate,
 ``r`` and ``s``, a trace coordinate) is read by ``operator.index``: a bool or
 a numpy integer becomes the Python int it stands for, and 1.5 is a
 TypeError, never truncated.  A rational field is read by :func:`_rational`,
-and several rationals kept over one denominator by :func:`_numerators`.
+which refuses text with a TypeError, and several rationals kept over one
+denominator by :func:`_numerators`.
 
 It also holds the ``a+bt+ci+dti`` text grammar (t stands for theta) that
 lattice slots and realization's ``a+bt`` traces are read and printed in.
@@ -84,9 +85,12 @@ def _cf_terms_of_fraction(x: Fraction) -> list[int]:
 
 def _rational(x) -> Rat:
     """The exact layers' one reading of a caller's rational: x itself when int or Fraction, else its exact
-    value, a Python int for an integer type (``operator.index``) and otherwise ``Fraction(x)``."""
+    value, a Python int for an integer type (``operator.index``) and otherwise ``Fraction(x)``.  Text is
+    a TypeError: Fraction would parse it, but a number field takes numbers."""
     if isinstance(x, (int, Fraction)):
         return x
+    if isinstance(x, (str, bytes)):
+        raise TypeError(f"a rational field takes a number, not text: {x!r}")
     try:
         return index(x)  # Fraction(np.int64(n)) keeps a fixed-width numerator, which overflows
     except TypeError:

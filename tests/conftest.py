@@ -29,14 +29,18 @@ def mp_turns(name, a, b):
         return float(x - mpmath.floor(x))
 
 
+def ref_phase(n, s, scale=2j * np.pi):
+    """exp(scale*m*s) over the n FFT frequencies m, e(m*s) by default: the plain phase formula, one complex
+    exp per frequency."""
+    return np.exp(scale * np.fft.fftfreq(n, 1.0 / n).astype(int) * s)
+
+
 def ref_shift(f, s):
     """Trigonometric interpolation of t -> f(t + s) for the samples f of a loop coefficient.
 
     Each term shifted on its own: the oracle for the phase tables that ``loops`` shares.
     """
-    n = len(f)
-    phase = np.exp(2j * np.pi * np.fft.fftfreq(n, 1.0 / n).astype(int) * s)
-    return np.fft.ifft(np.fft.fft(f) * phase)
+    return np.fft.ifft(np.fft.fft(f) * ref_phase(len(f), s))
 
 
 def snorm(x):

@@ -377,6 +377,34 @@ def test_pr_build_rejects_a_grid_above_the_ceiling(capsys):
     assert code == 2 and "above the refinement ceiling 65536" in err
 
 
+GOLDEN_38 = "0.61803398874989484820458683436563811772"  # golden to 38 decimal places
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("-r", "6", "-s", "-3", "--flip", "--eps", "nan"), 2),
+    (("-r", "1", "-s", "0", "--eps", "inf"), 2),
+    (("-r", "1", "-s", "0", "--eps", "-1"), 2),
+    (("-r", "1", "-s", "0", "--eps", "5e-324"), 2),  # refines to 65536, then exceeds the trace gate
+    (("-r", "1", "-s", "0", "--offset", "nan"), 2),
+    (("-r", "1", "-s", "0", "--offset", "1e308"), 0),
+    (("-r", "6", "-s", "-3", "--flip", "--offset", "-0.0"), 0),
+    (("-r", "6", "-s", "-3", "--flip", "--offset", "0.5"), 0),
+    (("-r", "1", "-s", "0", "--grid", "0"), 2),
+    (("-r", "1", "-s", "0", "--grid", "-4096"), 2),
+    (("-r", "100000000000000000000", "-s", "0"), 0),
+    (("-r", "1", "-s", "0", "--theta", "cf:1,1,1"), 2),
+    (("-r", "1", "-s", "0", "--theta", GOLDEN_38), 0),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_pr_build_fixed_cases_end_in_an_answer_or_a_rejection(capsys, argv, want):
+    code, out, err = run(capsys, "pr-build", *argv, "--json")
+    assert code == want, err
+    assert "Traceback" not in err
+    if code == 0:
+        assert json.loads(out)["grid"] >= 256
+    else:
+        assert err.strip() and not out
+
+
 def test_pr_build_save_element(tmp_path, capsys):
     path = tmp_path / "element.json"
     code, rec, _ = run_json(

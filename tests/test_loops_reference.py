@@ -30,7 +30,7 @@ from nctorus.loops import (
     projection_gates,
 )
 from nctorus.theta import ThetaParam
-from conftest import mp_turns, ref_shift, snorm
+from conftest import mp_turns, ref_phase, ref_shift, snorm
 from test_loops import random_loop
 
 GOLDEN = ThetaParam.preset("golden")
@@ -148,6 +148,25 @@ def test_random_loops_match_reference(seed, theta, r, n, kmax):
     assert_same_invariants(x, theta, r)
 
 
+# ------------------------------------------------------------- phase vectors
+
+
+@pytest.mark.parametrize("scale", [2j * np.pi, -2j * np.pi], ids=["+2j*pi", "-2j*pi"])
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([256, 1024, 4096, 16384, loops.MAX_GRID]), x=st.floats(-50, 50))
+@example(n=256, x=0.0)
+@example(n=256, x=-0.0)
+@example(n=256, x=5e-324)
+@example(n=256, x=1e-17)
+@example(n=4096, x=0.5)
+@example(n=loops.MAX_GRID, x=1 - 2**-53)
+def test_phase_vector_is_the_plain_formula(scale, n, x):
+    # the negative frequencies are conjugates of the positive ones: exact only while libm's sin is odd and
+    # cos even to the last bit, and at a zero x the signs of the zeros decide
+    got = loops._exp_i_freqs(scale, x, np.empty(n, dtype=complex))
+    assert got.tobytes() == ref_phase(n, x, scale).tobytes()
+
+
 # --------------------------------------------------------------- bump builds
 
 
@@ -250,8 +269,8 @@ def test_pr_build_matches_reference_through_refinement(r, s, theta, flip, n, eps
 
 @pytest.fixture
 def numpy_calls(monkeypatch):
-    """Count the FFT calls, the rows they transform, and the complex exps made through numpy."""
-    counts = {"fft_calls": 0, "fft_rows": 0, "complex_exp": 0}
+    """Count the FFT calls, the rows they transform, and the complex exps made through numpy and their points."""
+    counts = {"fft_calls": 0, "fft_rows": 0, "complex_exp": 0, "complex_exp_points": 0}
 
     def counted_fft(fn):
         def call(x, *args, **kwargs):
@@ -263,7 +282,9 @@ def numpy_calls(monkeypatch):
     exp = np.exp
 
     def counted_exp(x, *args, **kwargs):
-        counts["complex_exp"] += np.iscomplexobj(x)
+        if np.iscomplexobj(x):
+            counts["complex_exp"] += 1
+            counts["complex_exp_points"] += np.size(x)
         return exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fft", counted_fft(np.fft.fft))
@@ -279,6 +300,7 @@ def test_gate_attempt_transform_counts(numpy_calls):
     assert numpy_calls["fft_rows"] <= 13
     assert numpy_calls["fft_calls"] <= 5
     assert numpy_calls["complex_exp"] <= 1
+    assert numpy_calls["complex_exp_points"] <= 4096 // 2 + 1  # the frequencies 0..n/2
 
 
 def test_invariant_transform_counts(numpy_calls):
@@ -287,6 +309,7 @@ def test_invariant_transform_counts(numpy_calls):
     assert numpy_calls["fft_rows"] <= 3
     assert numpy_calls["fft_calls"] <= 1
     assert numpy_calls["complex_exp"] <= 1
+    assert numpy_calls["complex_exp_points"] <= (4096 // 2 + 1) * len({abs(k) for k in e.coeffs if k})
 
 
 def test_a_refining_attempt_stops_at_its_first_failed_gate(numpy_calls, monkeypatch):
@@ -305,6 +328,7 @@ def test_a_refining_attempt_stops_at_its_first_failed_gate(numpy_calls, monkeypa
     marks.append(dict(numpy_calls))
     first, ceiling = ({k: b[k] - a[k] for k in a} for a, b in zip(marks, marks[1:]))
     assert first["fft_calls"] <= 2 and first["fft_rows"] <= 4 and first["complex_exp"] <= 1
-    assert ceiling == {"fft_calls": 5, "fft_rows": 13, "complex_exp": 1}
+    assert first["complex_exp_points"] <= 4096 // 2 + 1
+    assert ceiling == {"fft_calls": 5, "fft_rows": 13, "complex_exp": 1, "complex_exp_points": 16384 // 2 + 1}
     for gate in BuildGates.__slots__:
         assert f"{gate}=" in str(info.value)

@@ -231,3 +231,21 @@ def test_a_non_integral_value_in_an_integer_field_is_refused(name, x):
 def test_a_float_in_a_rational_field_reads_as_its_exact_value(name):
     read = RATIONAL_FIELDS[name]
     assert outcome(read, 1.5) == outcome(read, Fraction(3, 2)) == outcome(read, np.float64(1.5))
+
+
+TEXT = ["1/2", "1", " 3/4 ", "x", b"1/2"]
+# theta's exact queries and its interval, each with one text argument among numbers
+TEXT_QUERIES = {
+    "sign_linear": lambda x: GOLDEN.sign_linear(x, -2),
+    "in_open_interval": lambda x: GOLDEN.in_open_interval(1, -1, 0, x),
+    "floor_ratio": lambda x: GOLDEN.floor_ratio(x, 1, 1, 0),
+    "ThetaParam interval": lambda x: ThetaParam((1, 1), interval=(x, Fraction(1, 2))),
+}
+
+
+@pytest.mark.parametrize("x", TEXT, ids=repr)
+@pytest.mark.parametrize("name", sorted(RATIONAL_FIELDS) + sorted(TEXT_QUERIES))
+def test_text_in_a_rational_field_is_refused(name, x):
+    # Fraction would parse "1/2" and raise ValueError on "x"; a rational field takes numbers only
+    with pytest.raises(TypeError, match="not text"):
+        {**RATIONAL_FIELDS, **TEXT_QUERIES}[name](x)
