@@ -32,16 +32,30 @@ the one for +a): a product of two 3-term elements is 3 calls over 9 rows
 and one complex exp.  A phase vector is one complex exp over the n/2 + 1
 frequencies 0..n/2; the negative ones are their conjugates, bit for bit.
 The adjoint is one forward and one inverse call over its moved
-coefficients.  A gate attempt shares its phase table between
-e* and e*e (5 calls over 13 rows, one exp, when it takes every gate);
-loop_invariants makes one forward call over all coefficients, and sums
-each parity-class slice of a spectrum once for all phi rows.  The results
-equal the plain shift-per-term formulas bit for bit, so operand order is
-kept in every complex product (a*b and b*a may differ in the last bit).
+coefficients.  loop_invariants makes one forward call over all
+coefficients, and sums each parity-class slice of a spectrum once for all
+phi rows.  The results equal the plain shift-per-term formulas bit for
+bit, so operand order is kept in every complex product (a*b and b*a may
+differ in the last bit), and so is the order of each sum.
+
+A gate attempt shares its phase table between e* and e*e, and when no
+coefficient has a nonzero imaginary part (-0.0 is zero) its transforms
+too.  e*'s moved coefficient conj(f_a) shifted by -a*beta is then f_a
+shifted by -a*beta: e*e's row for the pair (-a, a) before its product
+with f_{-a}, from the spectrum of f_a that e*e needs anyway.  So e* keeps
+f_a's spectrum and that row, and e*e transforms only f_0 forward and its
+other pairs inverse: a three-term element takes 5 calls over 9 rows (3
+forward, 6 inverse) and one exp, against 13 rows (5 and 8) for complex
+coefficients, which keep the plain path.  The values of the shared path
+differ from conj(f_a)'s only in the signs of zeros: conj(f_a) is f_a with
+its zero imaginary parts negated, IEEE +, - and * (all an FFT does) take
+operands equal up to zero signs to results equal up to zero signs, and
+|.| maps -0.0 to +0.0.  Every gate value is the same float either way.
 
 A build attempt takes its gates from cheapest to dearest: the trace (a
 mean), the adjoint (2 calls over 4 rows for a three-term element), the
-flip (no transform) and then the square (3 calls over 9 rows).  An attempt
+flip (no transform) and then the square (3 calls over 9 rows, over 5 when
+it shares the adjoint's).  An attempt
 below the refinement ceiling stops at the first gate over its limit, as
 the next grid is tried whatever the others read; the attempt at the
 ceiling and an accepted attempt take all four, because ResidualExceeded
@@ -60,10 +74,13 @@ in place (numpy.fft takes ``out=`` from numpy 2.0 on, hence the package's
 numpy pin).  ``x.star()`` and flip_apply write their coefficients into one
 fresh block each and freeze it; ``x * y`` computes in a block of
 K * len(x.coeffs) rows and keeps a copy of its coefficient rows only.  A
-gate attempt allocates one workspace: K^2 rows of n for a K-term element,
-a row per phase vector, and half a row for the |.| of the residuals.  e*,
-the flip and e*e write into it in turn, each residual is taken in place,
-and no element is built.  The workspace is freed when the attempt ends;
+gate attempt allocates one workspace: the rows of e*e (K^2 for a K-term
+element; with the adjoint's shared, also the rows e* keeps, less the
+pairs they stand for, so 9 for a three-term projection either way), a
+row per phase vector, and half a row for the |.| of the residuals.  e*,
+the flip and e*e write into it in turn, each residual is taken in place
+(out of place, into a free row, from the rows e* keeps), and no element
+is built.  The workspace is freed when the attempt ends;
 no LoopElement keeps it and there is no module-level buffer,
 so calls stay safe to run concurrently.  Nor are spectra or phases ever
 stored on a LoopElement: a failed build's element can outlive its call
@@ -195,6 +212,11 @@ class LoopElement(Record):
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
     def __init__(self, beta: float, coeffs: Mapping[int, np.ndarray], n: Optional[int] = None):
+        if isinstance(beta, (str, bytes)):  # float() would parse it, but a base step is a number
+            raise TypeError(f"beta must be a number, not text: {beta!r}")
+        beta = float(beta)
+        if not math.isfinite(beta):
+            raise ValueError(f"beta must be a finite number, got {beta}")
         cleaned: Dict[int, np.ndarray] = {}
         for k, f in dict(coeffs).items():
             f = np.asarray(f, dtype=complex)
@@ -210,7 +232,7 @@ class LoopElement(Record):
             cleaned[index(k)] = f  # an integral key: 1.5 is refused, not truncated
         if n is None:
             n = DEFAULT_GRID
-        super().__init__(float(beta) % 1.0, MappingProxyType(cleaned), _check_grid(n))
+        super().__init__(beta % 1.0, MappingProxyType(cleaned), _check_grid(n))
 
     def __reduce__(self):
         # a mapping proxy does not pickle; the constructor takes the plain dict
@@ -323,39 +345,59 @@ def _rows(coeffs: Iterable[np.ndarray], n: int) -> np.ndarray:
     return np.array(list(coeffs), dtype=complex).reshape(-1, n)
 
 
-def _mul(x: LoopElement, y: LoopElement, phases: Mapping[int, np.ndarray], rows: np.ndarray) -> Dict[int, np.ndarray]:
+def _mul(
+    x: LoopElement,
+    y: LoopElement,
+    phases: Mapping[int, np.ndarray],
+    rows: np.ndarray,
+    spectra: Mapping[int, np.ndarray] = MappingProxyType({}),
+    shifted: Mapping[Tuple[int, int], np.ndarray] = MappingProxyType({}),
+) -> Dict[int, np.ndarray]:
     """The coefficients {V-power: row} of x * y for compatible operands, written into ``rows``.
 
-    ``phases`` covers every nonzero V-power of x.  ``rows`` is a block of
-    K * len(x.coeffs) rows of n (K the number of coefficients of y) that the
-    caller provides: the first K hold y's spectra, in which the last nonzero
-    V-power of x is computed in place, and each other coefficient of x takes
-    the next K.  Every result row is a row of that block, so a kept x * y
-    holds all of it.
+    ``phases`` covers every nonzero V-power of x.  The row of a pair (a, b)
+    is f_a * (h_b shifted by a*beta), made from the FFT of h_b.  A caller
+    may hand over some of those FFTs as ``spectra`` {b: row} and some
+    shifted h_b as ``shifted`` {(a, b): row}: rows of its own, which are
+    overwritten (a gate attempt hands over e*'s).  ``rows`` takes the other
+    spectra, then the rows of the other pairs with a nonzero, then those of
+    a = 0, which reuse the spectra once every shift is made.  With nothing
+    handed over that is K * len(x.coeffs) rows of n (K the number of
+    coefficients of y), as the last nonzero V-power of x is shifted in
+    place in the spectra.  Each V-power sums its rows in the order of x's
+    V-powers.  Every result row is a row of ``rows`` or a handed one, so a
+    kept x * y holds all of them.
     """
-    K = len(y.coeffs)
     moved = [a for a in x.coeffs if a]
-    spectra = rows[:K]
-    if moved:
-        for row, h in zip(spectra, y.coeffs.values()):
-            row[...] = h
-        np.fft.fft(spectra, out=spectra)
-    used = K if moved else 0
+    spectra = dict(spectra)
+    terms = dict(shifted)  # (a, b) -> its row, h_b shifted by a*beta and then times f_a
+    missing = [b for b in y.coeffs if b not in spectra] if moved else []
+    used = len(missing)
+    for row, b in zip(rows, missing):
+        row[...] = y.coeffs[b]
+        spectra[b] = row
+    if missing:
+        np.fft.fft(rows[:used], out=rows[:used])
+    in_place = False
+    for a in moved:
+        wanted = [b for b in y.coeffs if (a, b) not in terms]
+        in_place = a == moved[-1] and wanted == missing  # each spectrum is read for the last time
+        block = rows[: len(wanted)] if in_place else rows[used : used + len(wanted)]
+        for row, b in zip(block, wanted):
+            np.multiply(spectra[b], phases[a], out=row)
+        np.fft.ifft(block, out=block)
+        terms.update(zip([(a, b) for b in wanted], block))
+        used += 0 if in_place else len(wanted)
+    for (a, b), row in terms.items():
+        np.multiply(x.coeffs[a], row, out=row)
+    if 0 in x.coeffs:
+        spare = chain([] if in_place else spectra.values(), rows[used:])
+        for b, hb in y.coeffs.items():
+            terms[0, b] = np.multiply(x.coeffs[0], hb, out=next(spare))
     acc: Dict[int, np.ndarray] = {}
-    for a, fa in x.coeffs.items():
-        if a and a == moved[-1]:
-            block = spectra
-        else:
-            block, used = rows[used : used + K], used + K
-        if a:  # row i becomes fa * (h_i shifted by a*beta)
-            np.multiply(spectra, phases[a], out=block)
-            np.fft.ifft(block, out=block)
-            np.multiply(fa, block, out=block)
-        else:
-            for row, hb in zip(block, y.coeffs.values()):
-                np.multiply(fa, hb, out=row)
-        for row, b in zip(block, y.coeffs):
-            k = a + b
+    for a in x.coeffs:
+        for b in y.coeffs:
+            row, k = terms[a, b], a + b
             if k in acc:
                 acc[k] += row
             else:
@@ -363,19 +405,28 @@ def _mul(x: LoopElement, y: LoopElement, phases: Mapping[int, np.ndarray], rows:
     return acc
 
 
-def _star(x: LoopElement, phases: Mapping[int, np.ndarray], rows: np.ndarray) -> Dict[int, np.ndarray]:
+def _star(
+    x: LoopElement, phases: Mapping[int, np.ndarray], rows: np.ndarray, spectra: Optional[np.ndarray] = None
+) -> Dict[int, np.ndarray]:
     """The coefficients {V-power: row} of x.star(), written into ``rows`` (one per coefficient of x).
 
     ``phases`` covers -a for every nonzero V-power a of x.  The moved
     coefficients take the first rows, the V-power 0 the row after them.
+    Given ``spectra``, one row per moved coefficient, x's coefficients must
+    be real: the FFT of f_a itself, equal to that of conj(f_a) up to the
+    signs of zeros, is kept there and shifted into ``rows`` out of place.
     """
     moved = [a for a in x.coeffs if a]
     shifted = rows[: len(moved)]
-    for row, a in zip(shifted, moved):
-        np.conj(x.coeffs[a], out=row)
-    np.fft.fft(shifted, out=shifted)
-    for row, a in zip(shifted, moved):
-        row *= phases[-a]
+    kept = shifted if spectra is None else spectra
+    for row, a in zip(kept, moved):
+        if spectra is None:
+            np.conj(x.coeffs[a], out=row)
+        else:
+            row[...] = x.coeffs[a]
+    np.fft.fft(kept, out=kept)
+    for spectrum, row, a in zip(kept, shifted, moved):
+        np.multiply(spectrum, phases[-a], out=row)
     np.fft.ifft(shifted, out=shifted)
     moved_rows, rest = iter(shifted), iter(rows[len(moved) :])
     return {-a: next(moved_rows) if a else np.conj(fa, out=next(rest)) for a, fa in x.coeffs.items()}
@@ -395,7 +446,9 @@ def _flip(e: LoopElement, rows: np.ndarray) -> Dict[int, np.ndarray]:
     return out
 
 
-def _residual(rows: Mapping[int, np.ndarray], e: LoopElement, absrow: np.ndarray) -> float:
+def _residual(
+    rows: Mapping[int, np.ndarray], e: LoopElement, absrow: np.ndarray, scratch: Optional[np.ndarray] = None
+) -> float:
     """|x - e| for the coefficients {V-power: row} of x, subtracting e from those rows in place.
 
     |.| is the norm surrogate of the gates: the sum over V-powers of the
@@ -403,14 +456,17 @@ def _residual(rows: Mapping[int, np.ndarray], e: LoopElement, absrow: np.ndarray
     dominates the operator norm, so gates in it are meaningful.  The sum runs
     in the order ``x - e`` lists its coefficients (x's V-powers, then e's that
     x lacks; |-f| is |f| bit for bit), as one ``sum`` call; each coefficient's
-    |.| goes into ``absrow``, n floats.
+    |.| goes into ``absrow``, n floats.  Given a ``scratch`` row, each
+    difference is written there instead and the rows are left as they are.
     """
-    for k, row in rows.items():
-        f = e.coeffs.get(k)
-        if f is not None:
-            row -= f
-    missing = (f for k, f in e.coeffs.items() if k not in rows)
-    return sum(float(np.abs(f, out=absrow).max()) for f in chain(rows.values(), missing))
+
+    def differences() -> Iterator[np.ndarray]:
+        for k, row in rows.items():
+            f = e.coeffs.get(k)
+            yield row if f is None else np.subtract(row, f, out=row if scratch is None else scratch)
+        yield from (f for k, f in e.coeffs.items() if k not in rows)
+
+    return sum(float(np.abs(f, out=absrow).max()) for f in differences())
 
 
 def flip_apply(e: LoopElement) -> LoopElement:
@@ -549,25 +605,36 @@ def _gate_attempt(e: LoopElement, alpha: float, flip_symmetric: bool) -> Iterato
     at a failed gate computes none of the dearer ones.  No element is built:
     e*, flip(e) and e*e are written in turn into one workspace allocated
     after the trace (see the module docstring), and each residual is taken
-    in place; the workspace is freed when the generator finishes or is closed.
+    without a new array; the workspace is freed when the generator finishes
+    or is closed.  With real coefficients e*e reuses e*'s transforms.
     """
     trace = abs(float(e.coefficient(0).mean().real) - alpha)
     yield trace, trace <= TRACE_GATE
     # e* and e*e shift by the same -+a*beta: one phase table serves both
-    shifts = {s * a for a in e.coeffs for s in (1, -1) if a}
-    # K^2 rows for e*e; the adjoint and then the flip use its first K once the residual before has
-    # consumed them; a row per phase; then half a row, viewed as the n floats each |.| goes into
-    products = len(e.coeffs) ** 2
+    moved = [a for a in e.coeffs if a]
+    shifts = {s * a for a in moved for s in (1, -1)}
+    # real coefficients (-0.0 is zero): e* keeps its spectra and moved rows for e*e (module docstring)
+    real = bool(moved) and not any(f.imag.any() for f in e.coeffs.values())
+    kept, K = len(moved) if real else 0, len(e.coeffs)
+    shared = [a for a in moved if -a in e.coeffs] if real else []
+    # e*e's rows: the kept spectra, then e*'s rows (its moved ones kept too), then e*e's other spectra
+    # and pairs, the flip's first once the adjoint's residual has consumed e*'s V-power 0 (K^2 rows when
+    # nothing is kept); then a row per phase; then half a row, viewed as the n floats each |.| goes into
+    products = (kept + 1) * K + kept - len(shared) if real else K * K
     size = (products + len(shifts)) * e.n
     workspace = np.empty(size + e.n // 2, dtype=complex)
     block = workspace[:size].reshape(-1, e.n)
-    rows, absrow = block[:products], workspace[size:].view(float)
+    spectra, rows, absrow = block[:kept], block[kept:products], workspace[size:].view(float)
     phases = _phase_table(e.beta, shifts, block[products:])
-    adjoint = _residual(_star(e, phases, rows), e, absrow)
+    star = _star(e, phases, rows, spectra if real else None)
+    # e*'s moved rows are kept as they are: each difference goes into the last product row
+    adjoint = _residual(star, e, absrow, block[products - 1] if real else None)
     yield adjoint, adjoint <= ADJOINT_RESIDUAL_GATE
+    rows = rows[kept:]
     flip_res = _residual(_flip(e, rows), e, absrow) if flip_symmetric else None
     yield flip_res, flip_res is None or flip_res <= FLIP_RESIDUAL_GATE
-    square = _residual(_mul(e, e, phases, rows), e, absrow)
+    square = _mul(e, e, phases, rows, dict(zip(moved, spectra)), {(-a, a): star[-a] for a in shared})
+    square = _residual(square, e, absrow)
     yield square, square <= SQUARE_RESIDUAL_GATE
 
 
@@ -576,7 +643,7 @@ def projection_gates(e: LoopElement, alpha: float, flip_symmetric: bool) -> Buil
 
     It builds no element: e*, flip(e) and e*e are written in turn into one
     workspace allocated here (see the module docstring) and each residual is
-    taken in place; the workspace is freed on return.
+    taken without a new array; the workspace is freed on return.
     """
     trace, adjoint, flip_res, square = (value for value, _ in _gate_attempt(e, alpha, flip_symmetric))
     return BuildGates(square, adjoint, flip_res, trace)
@@ -701,6 +768,8 @@ def loop_invariants(e: LoopElement, theta: ThetaParam, r: int) -> InvariantRepor
     weight; tau is the mean of the V^0 coefficient.
     """
     r = index(r)
+    if r < 1:
+        raise ValueError("r must be a positive integer")
     tau = e.coefficient(0).mean().real
     rows = [row for slot, row in _SLOTS.items() if slot.startswith("phi")]
     (w,) = {form[1] for form, _ in rows}  # their one mn weight

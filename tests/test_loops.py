@@ -105,6 +105,16 @@ def test_loop_element_refuses_coefficients_off_one_dyadic_grid(coeffs, n, error,
         LoopElement(0.3, coeffs, n)
 
 
+@pytest.mark.parametrize("beta, error", [
+    (float("inf"), ValueError), (-float("inf"), ValueError), (float("nan"), ValueError),
+    ("0.3", TypeError), (b"0.3", TypeError),
+], ids=["inf", "-inf", "nan", "text", "bytes"])
+def test_loop_element_refuses_a_non_finite_or_text_beta(beta, error):
+    # an infinite beta read as nan, and squared to coefficients that were all nan; text went through float()
+    with pytest.raises(error, match="beta must be"):
+        LoopElement(beta, {0: np.ones(256), 1: np.ones(256)}, 256)
+
+
 def test_loop_element_holds_complex_sample_arrays():
     x = LoopElement(0.3, {1: [0.5] * 256})
     assert x.n == 256 and x.coeffs[1].dtype == complex and x.coeffs[1].shape == (256,)
@@ -576,6 +586,15 @@ def test_a_failed_build_leaves_no_element_in_its_traceback():
 
 
 # ------------------------------------------------------------------ invariants
+
+
+@pytest.mark.parametrize("r", [0, -3, -6])
+def test_loop_invariants_refuse_r_below_one(r):
+    # r = -3 and -6 read rounded (0, 0, 0, 0) for the golden (6, -3) row, whose invariants are (0, 1, 0, 0)
+    e = pr_build(6, -3, GOLDEN, True)
+    assert [str(v) for v in loop_invariants(e, GOLDEN, 6).rounded] == ["0", "1", "0", "0"]
+    with pytest.raises(ValueError, match="r must be a positive integer"):
+        loop_invariants(e, GOLDEN, r)
 
 
 def test_invariants_of_a_base_power_beyond_int64():

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nctorus import loops
@@ -269,13 +269,16 @@ def test_pr_build_matches_reference_through_refinement(r, s, theta, flip, n, eps
 
 @pytest.fixture
 def numpy_calls(monkeypatch):
-    """Count the FFT calls, the rows they transform, and the complex exps made through numpy and their points."""
-    counts = {"fft_calls": 0, "fft_rows": 0, "complex_exp": 0, "complex_exp_points": 0}
+    """Count the FFT calls, the rows they transform (forward, inverse and both), and the complex exps made
+    through numpy and their points."""
+    counts = {"fft_calls": 0, "fft_rows": 0, "forward_rows": 0, "inverse_rows": 0,
+              "complex_exp": 0, "complex_exp_points": 0}
 
-    def counted_fft(fn):
+    def counted_fft(fn, rows):
         def call(x, *args, **kwargs):
             counts["fft_calls"] += 1
             counts["fft_rows"] += np.size(x) // np.shape(x)[-1]
+            counts[rows] += np.size(x) // np.shape(x)[-1]
             return fn(x, *args, **kwargs)
         return call
 
@@ -287,20 +290,86 @@ def numpy_calls(monkeypatch):
             counts["complex_exp_points"] += np.size(x)
         return exp(x, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "fft", counted_fft(np.fft.fft))
-    monkeypatch.setattr(np.fft, "ifft", counted_fft(np.fft.ifft))
+    monkeypatch.setattr(np.fft, "fft", counted_fft(np.fft.fft, "forward_rows"))
+    monkeypatch.setattr(np.fft, "ifft", counted_fft(np.fft.ifft, "inverse_rows"))
     monkeypatch.setattr(np, "exp", counted_exp)
     return counts
 
 
 def test_gate_attempt_transform_counts(numpy_calls):
+    # real coefficients: e* keeps its spectra and moved rows, which e*e takes for its pairs (-1, 1) and (1, -1)
     e = assemble_projection(6 * GOLDEN.turns(0, 1) - 3, n=4096, centered=True)
     assert set(e.coeffs) == {-1, 0, 1}
     projection_gates(e, 6 * GOLDEN.turns(0, 1) - 3, True)
-    assert numpy_calls["fft_rows"] <= 13
-    assert numpy_calls["fft_calls"] <= 5
+    assert numpy_calls["fft_calls"] == 5
+    assert (numpy_calls["forward_rows"], numpy_calls["inverse_rows"], numpy_calls["fft_rows"]) == (3, 6, 9)
     assert numpy_calls["complex_exp"] <= 1
     assert numpy_calls["complex_exp_points"] <= 4096 // 2 + 1  # the frequencies 0..n/2
+
+
+def _counted(numpy_calls, fn, *args):
+    """fn(*args), and what numpy_calls counted during that call alone."""
+    before = dict(numpy_calls)
+    value = fn(*args)
+    return value, {k: numpy_calls[k] - before[k] for k in before}
+
+
+def _gate_rows(e):
+    """(forward, inverse) FFT rows of a full gate attempt on e: shared when e's coefficients are real."""
+    moved = [a for a in e.coeffs if a]
+    if not moved:
+        return 0, 0
+    K = len(e.coeffs)
+    if all(not f.imag.any() for f in e.coeffs.values()):
+        return K, len(moved) * (K + 1) - sum(-a in e.coeffs for a in moved)
+    return len(moved) + K, len(moved) * (K + 1)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), kmax=st.integers(1, 3))
+def test_complex_loops_take_the_adjoint_apart_and_match_reference(numpy_calls, seed, kmax):
+    x = random_loop(random.Random(seed), GOLDEN.turns(0, 1), n=256, kmax=kmax)
+    assert any(f.imag.any() for f in x.coeffs.values())
+    gates, counts = _counted(numpy_calls, projection_gates, x, 0.5, True)
+    assert gates == ref_projection_gates(x, 0.5, True)
+    assert (counts["forward_rows"], counts["inverse_rows"]) == _gate_rows(x)
+
+
+def test_a_complex_three_term_attempt_takes_13_rows(numpy_calls):
+    rng = random.Random(3)
+    x = random_loop(rng, GOLDEN.turns(0, 1), n=1024, kmax=1)
+    x = LoopElement(x.beta, {k: x.coefficient(k) + 1j for k in (1, 0, -1)}, x.n)
+    gates, counts = _counted(numpy_calls, projection_gates, x, 0.5, True)
+    assert gates == ref_projection_gates(x, 0.5, True)
+    assert counts["fft_calls"] == 5
+    assert (counts["forward_rows"], counts["inverse_rows"], counts["fft_rows"]) == (5, 8, 13)
+
+
+def _real_loop(rng, powers, n=1024, negative_zeros=False):
+    t = np.arange(n) / n
+    coeffs = {}
+    for k in powers:
+        f = sum(rng.uniform(-1, 1) * np.cos(2 * np.pi * (rng.randint(0, 32) * t + rng.random())) for _ in range(6))
+        coeffs[k] = f.astype(complex)
+        if negative_zeros:
+            coeffs[k].imag[::3] = -0.0
+    return LoopElement(GOLDEN.turns(0, 3), coeffs, n)
+
+
+@pytest.mark.parametrize("powers", [(1, 0, -1), (0, 1), (2, 0, -1), (1, -1), (-2,)])
+@pytest.mark.parametrize("negative_zeros", [False, True], ids=["+0.0", "-0.0"])
+def test_real_loops_share_the_adjoint_rows_and_match_reference(numpy_calls, powers, negative_zeros):
+    # -0.0 is a zero imaginary part: the shared path, whose e* differs from conj's only in signs of zeros
+    x = _real_loop(random.Random(len(powers)), powers, negative_zeros=negative_zeros)
+    assert np.signbit(x.coeffs[powers[0]].imag).any() == negative_zeros
+    gates, counts = _counted(numpy_calls, projection_gates, x, 0.5, True)
+    assert gates == ref_projection_gates(x, 0.5, True)
+    assert counts["forward_rows"] == len(powers)  # each coefficient once; the complex path twice if moved
+    assert (counts["forward_rows"], counts["inverse_rows"]) == _gate_rows(x)
+    attempt = loops._gate_attempt(x, 0.5, True)  # stopped at the adjoint gate: the adjoint's rows only
+    _, counts = _counted(numpy_calls, lambda: (next(attempt), next(attempt)))
+    assert (counts["fft_calls"], counts["fft_rows"]) == (2, 2 * sum(1 for k in powers if k))
+    attempt.close()
 
 
 def test_invariant_transform_counts(numpy_calls):
@@ -329,6 +398,7 @@ def test_a_refining_attempt_stops_at_its_first_failed_gate(numpy_calls, monkeypa
     first, ceiling = ({k: b[k] - a[k] for k in a} for a, b in zip(marks, marks[1:]))
     assert first["fft_calls"] <= 2 and first["fft_rows"] <= 4 and first["complex_exp"] <= 1
     assert first["complex_exp_points"] <= 4096 // 2 + 1
-    assert ceiling == {"fft_calls": 5, "fft_rows": 13, "complex_exp": 1, "complex_exp_points": 16384 // 2 + 1}
+    assert ceiling == {"fft_calls": 5, "fft_rows": 9, "forward_rows": 3, "inverse_rows": 6, "complex_exp": 1,
+                       "complex_exp_points": 16384 // 2 + 1}
     for gate in BuildGates.__slots__:
         assert f"{gate}=" in str(info.value)
