@@ -55,12 +55,12 @@ operands equal up to zero signs to results equal up to zero signs, and
 A build attempt takes its gates from cheapest to dearest: the trace (a
 mean), the adjoint (2 calls over 4 rows for a three-term element), the
 flip (no transform) and then the square (3 calls over 9 rows, over 5 when
-it shares the adjoint's).  An attempt
-below the refinement ceiling stops at the first gate over its limit, as
-the next grid is tried whatever the others read; the attempt at the
-ceiling and an accepted attempt take all four, because ResidualExceeded
-reports them and pr_build's caller may read them.  The values are those
-of projection_gates, which always takes all four.
+it shares the adjoint's).  An attempt below the refinement ceiling stops
+at the first gate over its limit, as the next grid is tried whatever the
+others read; the attempt at the ceiling and an accepted attempt take all
+four, because ResidualExceeded reports them and pr_build's caller may
+read them.  The values are those of projection_gates, which always takes
+all four.
 
 The bump profiles reduce t mod 1 as t - floor(t), not np.mod(t, 1.0):
 both are exact for every finite float (the fractional part is exact, and

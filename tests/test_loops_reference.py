@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from nctorus import loops
@@ -327,9 +327,9 @@ def _gate_rows(e):
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**32 - 1), kmax=st.integers(1, 3))
-def test_complex_loops_take_the_adjoint_apart_and_match_reference(numpy_calls, seed, kmax):
+def test_complex_loops_keep_the_plain_gate_path_and_match_reference(numpy_calls, seed, kmax):
     x = random_loop(random.Random(seed), GOLDEN.turns(0, 1), n=256, kmax=kmax)
-    assert any(f.imag.any() for f in x.coeffs.values())
+    assume(any(f.imag.any() for f in x.coeffs.values()))  # not the zero element random_loop may draw
     gates, counts = _counted(numpy_calls, projection_gates, x, 0.5, True)
     assert gates == ref_projection_gates(x, 0.5, True)
     assert (counts["forward_rows"], counts["inverse_rows"]) == _gate_rows(x)
