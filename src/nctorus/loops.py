@@ -212,8 +212,9 @@ class LoopElement(Record):
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
     def __init__(self, beta: float, coeffs: Mapping[int, np.ndarray], n: Optional[int] = None):
-        if isinstance(beta, (str, bytes)):  # float() would parse it, but a base step is a number
-            raise TypeError(f"beta must be a number, not text: {beta!r}")
+        # float() would parse text, and drop a numpy complex's imaginary part with only a warning
+        if isinstance(beta, (str, bytes)) or np.iscomplexobj(beta):
+            raise TypeError(f"beta must be a real number, not {beta!r}")
         beta = float(beta)
         if not math.isfinite(beta):
             raise ValueError(f"beta must be a finite number, got {beta}")

@@ -107,10 +107,12 @@ def test_loop_element_refuses_coefficients_off_one_dyadic_grid(coeffs, n, error,
 
 @pytest.mark.parametrize("beta, error", [
     (float("inf"), ValueError), (-float("inf"), ValueError), (float("nan"), ValueError),
-    ("0.3", TypeError), (b"0.3", TypeError),
-], ids=["inf", "-inf", "nan", "text", "bytes"])
-def test_loop_element_refuses_a_non_finite_or_text_beta(beta, error):
-    # an infinite beta read as nan, and squared to coefficients that were all nan; text went through float()
+    ("0.3", TypeError), (b"0.3", TypeError), (0.3 + 0.1j, TypeError), (np.complex128(0.3 + 0.1j), TypeError),
+    (np.complex64(0.3), TypeError),
+], ids=["inf", "-inf", "nan", "text", "bytes", "complex", "complex128", "complex64"])
+def test_loop_element_refuses_a_non_finite_text_or_complex_beta(beta, error):
+    # an infinite beta read as nan, and squared to coefficients that were all nan; text went through float(),
+    # and a numpy complex lost its imaginary part with a ComplexWarning
     with pytest.raises(error, match="beta must be"):
         LoopElement(beta, {0: np.ones(256), 1: np.ones(256)}, 256)
 
