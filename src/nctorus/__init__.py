@@ -25,7 +25,7 @@ its module on first access (PEP 562), so a caller pays only for the
 layers it touches.
 """
 
-from importlib import import_module as _import_module
+import sys as _sys
 
 _EXPORTS = {
     "algebra": (
@@ -63,7 +63,8 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    mod = _import_module(f".{module}", __name__)
+    __import__(f"{__name__}.{module}")  # not importlib.import_module, which python -X importtime does not trace
+    mod = _sys.modules[f"{__name__}.{module}"]
     value = mod if name == module else getattr(mod, name)
     globals()[name] = value
     return value

@@ -113,15 +113,7 @@ def cmd_cone(args) -> int:
     from . import lattice
 
     theta = parse_theta(args.theta)
-    v = lattice.parse_chern(args.vector)
-    decision = lattice.semiflat_membership(v, theta)
-    record = decision.to_json()
-    record["vector"] = lattice.chern_to_text(v)
-    if decision:
-        recipe = lattice.synthesis_recipe(v, theta)
-        record["recipe"] = recipe.to_json()
-    else:
-        record["recipe"] = None
+    record = lattice.semiflat_membership(lattice.parse_chern(args.vector), theta).to_json()
 
     def render(rec):
         print(f"vector: {rec['vector']}")

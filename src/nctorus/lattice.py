@@ -15,9 +15,11 @@ Every lattice value is stored as ``Element`` is: integer numerators
 and hashing are tuple comparisons.  The solve, the integral combinations,
 the membership decision, the synthesis recipe and its self-check, the
 quantization check and the text I/O (theta's scalar grammar) all read and
-build these rows.  The public fields (``KScalar.a..d``, the six
-``ChernVector`` slots, ``Genus`` entries) are built when read, so a
-``Fraction`` appears only where a caller asks for one.
+build these rows.  A cone query solves once: the membership decision
+carries the vector it decided, and its recipe is read off the decision.
+The public fields (``KScalar.a..d``, the six ``ChernVector`` slots,
+``Genus`` entries) are built when read, so a ``Fraction`` appears only
+where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -307,7 +309,7 @@ def semiflat_coordinates(n1: int, n2: int, n3: int, n4: int, n9: int) -> K0Coord
 
 
 class MembershipDecision(Record):
-    __slots__ = ("member", "reason", "coordinates", "genus", "trace")
+    __slots__ = ("member", "reason", "coordinates", "genus", "trace", "vector")
     _defaults = dict.fromkeys(__slots__[1:])
 
     member: bool
@@ -315,17 +317,21 @@ class MembershipDecision(Record):
     coordinates: Optional[K0Coordinates]
     genus: Optional[Genus]
     trace: Optional[KScalar]
+    vector: Optional[ChernVector]
 
     def __bool__(self) -> bool:
         return self.member
 
     def to_json(self) -> dict:
+        """The cone record: the decision, the vector it decided and, for a member, its synthesis recipe."""
         return {
             "member": self.member,
             "reason": self.reason,
             "coordinates": list(self.coordinates) if self.coordinates else None,
             "genus": [str(g) for g in self.genus.as_tuple()] if self.genus else None,
             "trace": kscalar_to_text(self.trace) if self.trace else None,
+            "vector": chern_to_text(self.vector) if self.vector else None,
+            "recipe": _recipe(self).to_json() if self.member else None,
         }
 
 
@@ -340,20 +346,20 @@ def semiflat_membership(v: ChernVector, theta: ThetaParam) -> MembershipDecision
     nums, den = v._n, v._d
     sol = _solve_exact(nums, den)
     if sol is None or sol[1] != 1:
-        return MembershipDecision(False, "not-in-lattice", None, None, None)
+        return MembershipDecision(False, "not-in-lattice", None, None, None, v)
     n = K0Coordinates(*sol[0])
     if any(nums[4:8]):
-        return MembershipDecision(False, "psi10-nonzero", n, None, None)
+        return MembershipDecision(False, "psi10-nonzero", n, None, None, v)
     if any(nums[8:12]):
-        return MembershipDecision(False, "psi11-nonzero", n, None, None)
+        return MembershipDecision(False, "psi11-nonzero", n, None, None, v)
     # cross-check the linear relations forced by the vanishing slots
     if semiflat_coordinates(n.n1, n.n2, n.n3, n.n4, n.n9) != n:
         raise AssertionError("decomposition violates the semiflat constraint relations")
     # v decomposed integrally, so tau lies in Z + Z*theta: its sign is that of nums[0] + nums[1]*theta
     trace = KScalar._of(nums[:4], den)
     if theta.sign_linear(nums[0], nums[1]) <= 0:
-        return MembershipDecision(False, "nonpositive-trace", n, None, trace)
-    return MembershipDecision(True, None, n, Genus._of(nums[12:24:4], den), trace)
+        return MembershipDecision(False, "nonpositive-trace", n, None, trace, v)
+    return MembershipDecision(True, None, n, Genus._of(nums[12:24:4], den), trace, v)
 
 
 # --------------------------------------------------------------- quantization
@@ -476,24 +482,23 @@ class SynthesisError(ArithmeticError):
     """Internal consistency failure while assembling a recipe."""
 
 
-def synthesis_recipe(v: ChernVector, theta: ThetaParam) -> SynthesisRecipe:
-    """Write a cone member as basic-genus generators plus a flat class.
+def _recipe(decision: MembershipDecision) -> SynthesisRecipe:
+    """Write the decided cone member as basic-genus generators plus a flat class.
 
-    The genus of v is decomposed over the three basic genera; each nonzero
+    The genus is decomposed over the three basic genera; each nonzero
     coefficient c contributes |c| copies of a generator of genus
     sign(c) * G (negation of a genus is realizable at class level) with
     the canonical trace for G.  The remaining trace is carried by a flat
     class and must land in 4Z + 4Z*theta; anything else indicates a
     corrupted input and raises.
     """
-    decision = semiflat_membership(v, theta)
     if not decision:
         raise ValueError(f"not a semiflat cone member: {decision.reason}")
     coeffs = genus_basis_decompose(decision.genus)
     if coeffs is None:
         raise SynthesisError("cone member genus failed the basic-genus parity conditions")
     gens: list[GeneratorSpec] = []
-    nums, den = v._n, v._d
+    nums, den = decision.vector._n, decision.vector._d
     total = [0] * 24  # the generators' sum, then the recipe's, as integers
     for c, signed in zip(coeffs, _GENERATORS):
         if c == 0:
@@ -513,6 +518,11 @@ def synthesis_recipe(v: ChernVector, theta: ThetaParam) -> SynthesisRecipe:
     if tuple(den * x for x in total) != nums:
         raise SynthesisError("recipe does not recompose to its input")
     return recipe
+
+
+def synthesis_recipe(v: ChernVector, theta: ThetaParam) -> SynthesisRecipe:
+    """The synthesis recipe of a cone member: basic-genus generators plus a flat class (see ``_recipe``)."""
+    return _recipe(semiflat_membership(v, theta))
 
 
 # ------------------------------------------------------------- serialization

@@ -18,7 +18,8 @@ Supported kinds and their domains (t = a + b*theta):
   fourier_invariant  (0, 1)    within  Z + Z*theta
 
 A negative theta-coefficient is normalized through the angle reflection
-theta -> 1 - theta, which maps (a, b) to (a + b, -b).
+theta -> 1 - theta, which maps (a, b) to (a + b, -b).  `realize` checks a
+target's domain once: the reflection keeps the subgroup and the value.
 """
 
 from __future__ import annotations
@@ -142,14 +143,7 @@ def _bracketing_pair(theta: ThetaParam, m: int, n: int) -> Tuple[Convergent, Con
 
 
 def flat_decompose(t: TraceValue, theta: ThetaParam) -> Tuple[int, int, Convergent, Convergent]:
-    """Split t = 4k(n*theta - m) as 4a(q*theta - p) + 4b(p' - q'*theta).
-
-    Requires t in (0,1) with theta-coefficient >= 4 and both coordinates
-    multiples of 4.  The bracketing consecutive convergents satisfy
-    m/n < p/q < theta < p'/q' with p'q - pq' = 1, and then
-    a = k(np' - mq') and b = k(np - mq) are positive integers; the
-    identity holds exactly in (Z, Z*theta) coordinates.
-    """
+    """``FlatCert._realize``'s split (a, b, low, high) of t in (0, 1) within 4Z + 4Z*theta, theta-coefficient >= 4."""
     t = _read_target(t)
     if not t.in_subgroup(4):
         raise WrongSubgroup(f"wrong-subgroup: {t} is not in 4Z + 4Z*theta")
@@ -157,16 +151,8 @@ def flat_decompose(t: TraceValue, theta: ThetaParam) -> Tuple[int, int, Converge
         raise OutOfRange(f"out-of-range: theta-coefficient must be positive (got {t.b}); reflect first")
     if not t.in_open_interval(theta, 0, 1):
         raise OutOfRange(f"out-of-range: trace {t} is not in (0, 1)")
-    k, n, m = _canonical_knm(t)
-    low, high = _bracketing_pair(theta, m, n)
-    a = k * (n * high.p - m * high.q)
-    b = k * (n * low.p - m * low.q)
-    if a < 1 or b < 1:
-        raise InternalAssertion(f"split coefficients must be positive, got a={a}, b={b}")
-    # exact identity check in (1, theta) coordinates
-    if 4 * (a * low.q - b * high.q) != t.b or 4 * (b * high.p - a * low.p) != t.a:
-        raise InternalAssertion("convergent split identity failed")
-    return a, b, low, high
+    cert = FlatCert._realize(t, theta)
+    return cert.a, cert.b, cert.low, cert.high
 
 
 def _canonical_knm(t: TraceValue) -> Tuple[int, int, int]:
@@ -455,9 +441,20 @@ class FlatCert(_Certificate):
 
     @classmethod
     def _realize(cls, t: TraceValue, theta: ThetaParam) -> "FlatCert":
-        a, b, low, high = flat_decompose(t, theta)
+        """Split t = 4k(n*theta - m) as 4a(q*theta - p) + 4b(p' - q'*theta): the bracketing consecutive
+        convergents satisfy m/n < p/q < theta < p'/q' with p'q - pq' = 1, and then a = k(np' - mq') and
+        b = k(np - mq) are positive integers; the identity holds exactly in (Z, Z*theta) coordinates."""
+        k, n, m = _canonical_knm(t)
+        low, high = _bracketing_pair(theta, m, n)
+        a = k * (n * high.p - m * high.q)
+        b = k * (n * low.p - m * low.q)
+        if a < 1 or b < 1:
+            raise InternalAssertion(f"split coefficients must be positive, got a={a}, b={b}")
+        # exact identity check in (1, theta) coordinates
+        if 4 * (a * low.q - b * high.q) != t.b or 4 * (b * high.p - a * low.p) != t.a:
+            raise InternalAssertion("convergent split identity failed")
         legs = OrbitFlat(ApproximantCyclic(a, *low)), OrbitFlat(ApproximantCyclic(b, *high))
-        return cls(t, *_canonical_knm(t), low, high, a, b, legs)
+        return cls(t, k, n, m, low, high, a, b, legs)
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str) -> None:
         t, k, n, m, low, high, a, b, (leg1, leg2) = self._astuple(self)
@@ -683,8 +680,8 @@ def realize(kind: str, t: TraceValue, theta: ThetaParam) -> Certificate:
         raise WrongSubgroup(f"wrong-subgroup: {t} is not in {mult}Z + {mult}Z*theta")
     if not t.in_open_interval(theta, lo, hi):
         raise OutOfRange(f"out-of-range: {t} is not in ({lo}, {hi})")
-    if t.b < 0:
-        return ReflectedCert(t, realize(kind, t.reflected(), theta.reflect()))
+    if t.b < 0:  # the reflection keeps the subgroup and the value: the checks above hold for it
+        return ReflectedCert(t, _BY_KIND[kind]._realize(t.reflected(), theta.reflect()))
     if t.b == 0:  # a alone cannot land strictly inside (0, 1)
         raise OutOfRange(f"out-of-range: {t} has no theta part")
     return _BY_KIND[kind]._realize(t, theta)

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nctorus
 from nctorus.cli import CERT_FORMAT, main
+from nctorus.lattice import (
+    K0Coordinates, KScalar, chern_to_text, parse_chern, parse_kscalar, recompose, semiflat_coordinates)
 from nctorus.realization import MAX_NESTING
 
 from conftest import mp_turns, reflected_chain_json
@@ -111,6 +117,76 @@ def test_cone_rejection_reason(capsys):
     code, rec, _ = run_json(capsys, "cone", "--vector", "(1;1,0;1,0,0)")
     assert code == 0
     assert rec["member"] is False and rec["reason"] == "psi10-nonzero"
+
+
+# -------------------------------------------------- decompose / cone property
+
+_NUMBERS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.tuples(st.integers(0, 99), st.integers(0, 12)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.integers(10**30, 10**40).map(str),
+)
+_ATOMS = st.tuples(_NUMBERS, st.sampled_from(["", "t", "i", "ti"])).map("".join) | st.sampled_from(["t", "i", "ti"])
+
+
+@st.composite
+def _vector_texts(draw):
+    """Chern text from the grammar's pieces: signed, fractional (a zero denominator included) and long
+    numbers, the units t, i and ti, five to seven slots and extra parentheses.  At most one piece is
+    then spoiled: a sign or separator doubled, spaced, taken out or crossed, or a number made one digit
+    longer than Python converts to an int."""
+    pieces = []
+    for n in range(draw(st.sampled_from([6, 6, 6, 5, 7]))):
+        if n:
+            pieces.append(draw(st.sampled_from([";", ","])))
+        atoms = draw(st.lists(_ATOMS, min_size=1, max_size=3))
+        signs = draw(st.lists(st.sampled_from(["+", "-"]), min_size=len(atoms), max_size=len(atoms)))
+        signs[0] = signs[0] if draw(st.booleans()) else ""
+        pieces += [x for pair in zip(signs, atoms) for x in pair]
+    if draw(st.booleans()):
+        x = pieces[i := draw(st.integers(0, len(pieces) - 1))]
+        pieces[i] = draw(st.sampled_from(["", x * 2, f" {x} ", "+-"] if x in "+-;," else ["9" * 4301]))
+    parens = draw(st.integers(0, 2))
+    return "(" * parens + "".join(pieces) + ")" * parens
+
+
+_LATTICE = st.tuples(*[st.integers(-4, 4)] * 9).map(lambda n: chern_to_text(recompose(K0Coordinates(*n))))
+
+
+@st.composite
+def _semiflat_texts(draw):
+    """A semiflat vector whose trace 2(n1 + 2n2 + n3 + n4) + 2(n2 + n9)*theta has both parts >= 0, a cone
+    member on every theta unless it is 0, or its negation, a nonpositive trace."""
+    n2, n3, n4 = draw(st.tuples(*[st.integers(-4, 4)] * 3))
+    n1, n9 = draw(st.integers(0, 4)) - 2 * n2 - n3 - n4, draw(st.integers(0, 4)) - n2
+    sign = draw(st.sampled_from([1, -1]))
+    return chern_to_text(recompose(semiflat_coordinates(*(sign * n for n in (n1, n2, n3, n4, n9)))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["decompose", "cone"]), st.one_of(_vector_texts(), _LATTICE, _semiflat_texts()),
+       st.sampled_from(["golden", "sqrt2", "cf:1,2,3", "0.618"]), st.booleans())
+def test_decompose_and_cone_end_in_an_answer_or_a_rejection(command, vector, theta, as_json):
+    argv = [command, f"--vector={vector}"] + ["--theta", theta] * (command == "cone") + ["--json"] * as_json
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    if code == 2 or not as_json:
+        return
+    rec = json.loads(out.getvalue())
+    v = parse_chern(vector)
+    assert parse_chern(rec["vector"]) == v
+    if command == "decompose" and rec["status"] == "ok" or command == "cone" and rec["coordinates"]:
+        assert recompose(K0Coordinates(*rec["coordinates"])) == v
+    if command == "cone" and rec["member"]:
+        gens = rec["recipe"]["generators"]
+        genus = [sum(g["count"] * g["genus"][j] for g in gens) for j in range(3)]
+        traces = [(g["count"], parse_kscalar(g["trace"])) for g in gens]
+        traces.append((1, parse_kscalar(rec["recipe"]["flat_trace"])))
+        total = KScalar(*(sum(count * getattr(x, part) for count, x in traces) for part in "abcd"))
+        assert genus == list(map(Fraction, rec["genus"])) == [v.psi20.a, v.psi21.a, v.psi22.a]
+        assert total == parse_kscalar(rec["trace"]) == v.tau
 
 
 # ------------------------------------------------------------ realize / verify

@@ -150,6 +150,19 @@ def test_import_nctorus_loads_no_submodule():
     assert proc.stdout.strip() == "['nctorus']"
 
 
+def test_importtime_reports_the_layer_the_package_looks_up(tmp_path):
+    # cli's ``from . import realization`` goes through the package's lazy lookup; that import must show
+    # in ``python -X importtime``, which sees __import__ and not importlib.import_module
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "nctorus.cli", "realize", "--kind", "flat", "--trace", "8t-4"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {"nctorus.theta", "nctorus.realization"} <= traced
+
+
 def test_every_exported_name_resolves():
     assert len(nctorus.__all__) == len(set(nctorus.__all__))
     for name in nctorus.__all__:

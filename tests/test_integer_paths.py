@@ -11,9 +11,11 @@ Fraction version on int and Fraction inputs, and every sign decision gives
 an int argument the outcome of its Fraction, bool or numpy twin.  Last, the
 count of Fractions each step of the certify path builds is pinned, and so
 is the count of arguments realize and verify send through the rational
-normaliser.
+normaliser, and how often a cone query solves its lattice system and realize
+splits a flat node.
 """
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -34,10 +36,12 @@ from nctorus.lattice import (
     semiflat_membership,
     synthesis_recipe,
 )
-from nctorus import theta as theta_module
+from nctorus import lattice, realization, theta as theta_module
+from nctorus.cli import main
 from nctorus.realization import (
     KINDS,
     Convergent,
+    FlatCert,
     TraceValue,
     _bracketing_pair,
     flat_decompose,
@@ -322,24 +326,23 @@ def test_int_fast_path_takes_exact_ints_only():
         assert all(type(v) is int for v in theta_module._integer_form(x, 2))
 
 
-# ------------------------------------------------------- rational normaliser count
+# ------------------------------------------------------------------ call counts
 
 
 @pytest.fixture
-def rationals_read(monkeypatch):
-    """count(f, *args): f's value and the number of arguments the theta queries sent through ``_rational``."""
-    original = theta_module._rational
+def calls(monkeypatch):
+    """count(module, name, f, *args): f's value and the number of calls it made to ``module.name``."""
 
-    def count(f, *args):
-        read = []
+    def count(module, name, f, *args):
+        original, made = getattr(module, name), []
 
-        def counting(x):
-            read.append(x)
-            return original(x)
+        def counting(*a):
+            made.append(a)
+            return original(*a)
 
-        monkeypatch.setattr(theta_module, "_rational", counting)
+        monkeypatch.setattr(module, name, counting)
         try:
-            return f(*args), len(read)
+            return f(*args), len(made)
         finally:
             monkeypatch.undo()
 
@@ -348,17 +351,17 @@ def rationals_read(monkeypatch):
 
 # (kind, integer target on golden, arguments realize reads, arguments verify reads) through the rational
 # normaliser.  The (0, 1) domains and every sign and floor on integer forms read none; an interval test
-# against 1/4 or 1/2 reads four (a, b and both bounds), and a cyclic or semicyclic node makes one
-# on realize (two under a reflection, which checks the target and the reflected one) and one on
-# replay, and a subprojection one more for its bound
+# against 1/4 or 1/2 reads four (a, b and both bounds).  realize makes one for a cyclic or semicyclic
+# target, once (the reflected target of a negative theta-coefficient is not checked again), and one more
+# for a subprojection's bound; the replay makes one per cyclic or semicyclic node
 RATIONALS_READ = [
     ("flat", TraceValue(-24, 40), 0, 0),
     ("flat", TraceValue(28, -44), 0, 0),  # reflected
     ("cyclic", TraceValue(-1, 2), 4, 4),
-    ("cyclic", TraceValue(2, -3), 8, 4),
+    ("cyclic", TraceValue(2, -3), 4, 4),
     ("semicyclic", TraceValue(-2, 4), 4, 8),  # orbit-double over a cyclic
     ("semicyclic", TraceValue(-3, 5), 8, 12),  # subprojection under an orbit-double bound
-    ("semicyclic", TraceValue(2, -3), 12, 12),
+    ("semicyclic", TraceValue(2, -3), 8, 12),
     ("semiflat", TraceValue(-2, 4), 4, 12),
     ("semiflat", TraceValue(4, -6), 4, 12),
     ("fourier_invariant", TraceValue(-3, 5), 0, 0),
@@ -371,14 +374,55 @@ def test_the_count_rows_cover_every_kind():
 
 
 @pytest.mark.parametrize("kind, t, realize_read, verify_read", RATIONALS_READ, ids=str)
-def test_realize_and_verify_send_integer_forms_straight_to_the_bracket(kind, t, realize_read, verify_read,
-                                                                       rationals_read):
+def test_realize_and_verify_send_integer_forms_straight_to_the_bracket(kind, t, realize_read, verify_read, calls):
     golden = ThetaParam.preset("golden")
     realize(kind, t, golden)  # the reflection's convergents and bracket are built outside the count
-    cert, read = rationals_read(realize, kind, t, golden)
+    cert, read = calls(theta_module, "_rational", realize, kind, t, golden)
     assert read == realize_read
-    report, read = rationals_read(verify_certificate, cert, golden)
+    report, read = calls(theta_module, "_rational", verify_certificate, cert, golden)
     assert report.ok and read == verify_read
+
+
+@pytest.mark.parametrize("kind, t", [row[:2] for row in RATIONALS_READ], ids=str)
+def test_realize_splits_each_flat_node_once(kind, t, calls):
+    golden = ThetaParam.preset("golden")
+    cert, splits = calls(realization, "_canonical_knm", realize, kind, t, golden)
+    node, flat_nodes = cert, 0
+    while node is not None:
+        flat_nodes += isinstance(node, FlatCert)
+        node = getattr(node, node._child) if node._child else None
+    assert flat_nodes == (kind != "fourier_invariant") and splits == flat_nodes
+
+
+def test_flat_decompose_splits_once(calls):
+    golden = ThetaParam.preset("golden")
+    split, splits = calls(realization, "_canonical_knm", flat_decompose, TraceValue(-24, 40), golden)
+    assert split == (2, 2, Convergent(8, 13), Convergent(5, 8)) and splits == 1
+
+
+# one vector per reason on golden
+CONE_VECTORS = {
+    "(2t;0,0;1,1,2)": None,
+    "(-2+4t; 0, 0; -2, 10, 6)": None,
+    "(1/2;0,0;0,0,0)": "not-in-lattice",
+    "(1;1,0;1,0,0)": "psi10-nonzero",
+    "(1;0,1;0,1,0)": "psi11-nonzero",
+    "(-2t;0,0;-1,-1,-2)": "nonpositive-trace",
+}
+
+
+@pytest.mark.parametrize("vector, reason", CONE_VECTORS.items())
+def test_a_cone_run_solves_its_lattice_system_once(vector, reason, calls, capsys):
+    code, solves = calls(lattice, "_solve_exact", main, ["cone", "--theta", "golden", "--vector", vector, "--json"])
+    record = json.loads(capsys.readouterr().out)
+    assert code == 0 and record["reason"] == reason and (record["recipe"] is None) is (reason is not None)
+    assert solves == 1
+
+
+def test_a_synthesis_recipe_solves_once(calls):
+    recipe, solves = calls(lattice, "_solve_exact", synthesis_recipe, parse_chern("(-2+4t; 0, 0; -2, 10, 6)"),
+                           ThetaParam.preset("golden"))
+    assert recipe.flat_trace == KScalar(-28, -16) and solves == 1
 
 
 # -------------------------------------------------------------- Fraction counts

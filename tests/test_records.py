@@ -30,7 +30,7 @@ SQRT2 = ThetaParam.preset("sqrt2")
 # The dataclass fields of each type, in order, as they were declared.
 FIELDS = {
     ThetaParam: "cf_terms name interval",
-    lattice.MembershipDecision: "member reason coordinates genus trace",
+    lattice.MembershipDecision: "member reason coordinates genus trace vector",
     lattice.QuantizationReport: "ok slots",
     lattice.GeneratorSpec: "count genus trace vector",
     lattice.SynthesisRecipe: "generators flat_trace",
@@ -333,7 +333,7 @@ def test_constructor_argument_errors():
     with pytest.raises(TypeError, match="missing required argument: 'ok'"):
         realization.VerificationReport(failures=())
     with pytest.raises(TypeError, match="too many or repeated"):
-        MD(True, None, None, None, None, None)
+        MD(True, None, None, None, None, None, None)
     with pytest.raises(TypeError, match="too many or repeated"):
         MD(True, "x", reason="y")
     with pytest.raises(TypeError, match="unexpected argument 'bogus'"):
