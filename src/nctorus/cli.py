@@ -173,18 +173,27 @@ def cmd_verify(args) -> int:
         raise DomainRejection(f"the certificate file needs a theta spec string, got {spec!r}")
     if not isinstance(payload.get("certificate"), dict):
         raise DomainRejection("the certificate file needs a 'certificate' object")
+    claimed = payload.get("target")  # optional; when present, the trace the certificate must prove
+    if "target" in payload and not (type(claimed) is dict and claimed.keys() == {"a", "b"}
+                                    and type(claimed["a"]) is int and type(claimed["b"]) is int):
+        raise DomainRejection(f"the file's target must be an object of the integers a and b, got {claimed!r}")
     theta = parse_theta(spec)
     # off the node layouts or past realization.MAX_NESTING levels: CertificateFormatError, a ValueError (exit 2)
     cert = realization.certificate_from_json(payload["certificate"])
-    if payload.get("kind", cert.kind) != cert.kind:  # the envelope's target is not checked (README)
+    if payload.get("kind", cert.kind) != cert.kind:
         raise DomainRejection(f"the file's kind {payload['kind']!r} is not the certificate's kind {cert.kind!r}")
+    target = {"a": cert.target.a, "b": cert.target.b}  # the trace the certificate proves: its root node's
+    if "target" in payload and claimed != target:
+        raise DomainRejection(f"the file's target {realization.TraceValue(**claimed)} is not the certificate's "
+                              f"target {cert.target}")
     report = realization.verify_certificate(cert, theta)
     record = report.to_json()
     record["kind"] = cert.kind
+    record["target"] = target
 
     def render(rec):
         if rec["ok"]:
-            print("certificate verifies")
+            print(f"certificate verifies: a {rec['kind']} projection of trace {cert.target}")
         else:
             count = len(rec["failures"])
             path, msg = rec["failures"][0]

@@ -15,8 +15,11 @@ Every lattice value is stored as ``Element`` is: integer numerators
 and hashing are tuple comparisons.  The solve, the integral combinations,
 the membership decision, the synthesis recipe and its self-check, the
 quantization check and the text I/O (theta's scalar grammar) all read and
-build these rows.  A cone query solves once: the membership decision
-carries the vector it decided, and its recipe is read off the decision.
+build these rows.  A vector's system is solved at most once: the solve is
+kept on the ``ChernVector`` (outside its fields), so ``decompose``,
+``semiflat_membership`` and ``synthesis_recipe`` on one vector share it.
+The membership decision carries the vector it decided, and its recipe is
+read off the decision.
 The public fields (``KScalar.a..d``, the six ``ChernVector`` slots,
 ``Genus`` entries) are built when read, so a ``Fraction`` appears only
 where a caller asks for one.
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from operator import index
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -42,6 +45,8 @@ Rat = Union[int, Fraction]
 def _reduced(nums: Sequence[int], den: int) -> Tuple[Tuple[int, ...], int]:
     """The row nums/den (den > 0) with gcd(den, nums) divided out: numerators in lowest terms."""
     g = math.gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
     return tuple(x // g for x in nums), den // g
 
 
@@ -101,9 +106,14 @@ def _slot(i: int) -> property:
 
 
 class ChernVector(_Numerators):
-    """Six exact slots (tau; psi10, psi11; psi20, psi21, psi22)."""
+    """Six exact slots (tau; psi10, psi11; psi20, psi21, psi22).
 
-    __slots__ = ("_n", "_d")
+    Its lattice solve is made on the first query that needs it and kept with
+    the vector (``_solution``); equality, hashing, repr and pickle read only
+    ``_n`` and ``_d``.
+    """
+
+    __slots__ = ("_n", "_d", "__dict__")
     _public = ("tau", "psi10", "psi11", "psi20", "psi21", "psi22")
     tau, psi10, psi11, psi20, psi21, psi22 = map(_slot, range(6))
 
@@ -119,6 +129,11 @@ class ChernVector(_Numerators):
 
     def __str__(self) -> str:
         return chern_to_text(self)
+
+    @cached_property
+    def _solution(self) -> Optional[Tuple[Tuple[int, ...], int]]:
+        """``_solve_exact`` of this vector, made once however many queries read it."""
+        return _solve_exact(self._n, self._d)
 
 
 class K0Coordinates(NamedTuple):
@@ -289,7 +304,7 @@ class DecomposeResult(Record):
 
 def decompose(v: ChernVector) -> DecomposeResult:
     """Express v over the nine basis vectors with integer coefficients, if possible."""
-    sol = _solve_exact(v._n, v._d)
+    sol = v._solution
     if sol is None:
         return DecomposeResult("not-in-span", None, None, None)
     nums, den = sol
@@ -344,7 +359,7 @@ def semiflat_membership(v: ChernVector, theta: ThetaParam) -> MembershipDecision
     genus, v's slots (psi20, psi21, psi22), is returned.
     """
     nums, den = v._n, v._d
-    sol = _solve_exact(nums, den)
+    sol = v._solution
     if sol is None or sol[1] != 1:
         return MembershipDecision(False, "not-in-lattice", None, None, None, v)
     n = K0Coordinates(*sol[0])

@@ -15,7 +15,8 @@ import nctorus
 from nctorus.cli import CERT_FORMAT, main
 from nctorus.lattice import (
     K0Coordinates, KScalar, chern_to_text, parse_chern, parse_kscalar, recompose, semiflat_coordinates)
-from nctorus.realization import MAX_NESTING
+from nctorus.realization import KINDS, MAX_NESTING, TraceValue
+from nctorus.theta import PrecisionExhausted, parse_theta
 
 from conftest import mp_turns, reflected_chain_json
 
@@ -189,6 +190,144 @@ def test_decompose_and_cone_end_in_an_answer_or_a_rejection(command, vector, the
         assert total == parse_kscalar(rec["trace"]) == v.tau
 
 
+# ----------------------------------------------- eval / realize / verify property
+
+# angles weighted towards short continued-fraction prefixes, whose brackets settle little
+_THETAS = st.sampled_from(["golden", "sqrt2", "cf:1", "cf:2", "cf:1,2", "cf:3,1,4", "cf:1,1,1,1,1,1",
+                           "cf:" + ",".join(["2"] * 40), "0.618", "0.41421356", "3e-1"])
+_EXPONENTS = st.one_of(st.none(), st.integers(-9, 9).map(str), st.integers(10**15, 10**80).map(str),
+                       st.integers(-10**80, -10**15).map(str), st.sampled_from(["1/2", "-3/2", "1.5", "+2", "", "x"]))
+
+
+@st.composite
+def _element_texts(draw):
+    """Element text from the grammar's pieces: one to three signed terms of a coefficient and up to three
+    L, U and V factors, whose exponents are small, huge, fractional, signed or missing."""
+    text = ""
+    for n in range(draw(st.integers(1, 3))):
+        factors = [draw(st.sampled_from(["", "2", "1/2", "(1+i)", "i", "3/0", "7" * 30]))]
+        for _ in range(draw(st.integers(0 if factors[0] else 1, 3))):
+            base, exponent = draw(st.sampled_from("LUV")), draw(_EXPONENTS)
+            factors.append(base if exponent is None else f"{base}^{exponent}")
+        text += draw(st.sampled_from(["+", "-", " - "] if n else ["", "-"])) + " ".join(filter(None, factors))
+    return text
+
+
+def _main(argv):
+    """(exit code, stdout, stderr) of an in-process run, which must end in an answer or a rejection."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2) and "Traceback" not in err, err
+    assert err == "" if code == 0 else err.startswith("error: ") or err == "" and out  # a failed replay: a record
+    return code, out, err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_element_texts(), _THETAS)
+def test_eval_ends_in_an_answer_or_a_rejection(expr, theta):
+    code, out, _ = _main(["eval", f"--expr={expr}", "--theta", theta, "--json"])
+    if code == 0:
+        rec = json.loads(out)
+        assert len(rec["t2_numeric"]) == 5 and len(rec["t4_numeric"]) == 6
+
+
+# (upper end of the interval, subgroup multiple) of each kind's domain
+_DOMAIN = {"cyclic": (Fraction(1, 4), 1), "semicyclic": (Fraction(1, 2), 1), "flat": (1, 4), "semiflat": (1, 2),
+           "fourier_invariant": (1, 1), "bogus": (1, 1)}
+
+
+@st.composite
+def _realize_args(draw):
+    """(kind, trace text, theta) for ``realize``.  Most targets are the first m*(b*theta - floor(b*theta)) from
+    a drawn b on that lies in the kind's domain (m its subgroup multiple); the rest are a step off it or
+    anywhere, and a prefix too short to settle the floor gives a target anywhere.  A fourier_invariant
+    theta-coefficient stays below 10^12, where four_squares is fast.  The text is then written in one of
+    the grammar's forms, or spoiled."""
+    kind = "bogus" if draw(st.integers(0, 9)) == 9 else draw(st.sampled_from(KINDS))
+    theta, (hi, m) = draw(_THETAS), _DOMAIN[kind]
+    th, huge = parse_theta(theta), 10**11 if kind == "fourier_invariant" else 10**40
+    b = draw(st.one_of(st.integers(1, 60), st.integers(-60, -1), st.integers(-huge, huge)))
+    plan = draw(st.integers(0, 9))  # 0-6: in the domain, 7 and 8: a step off it, 9: anywhere
+    try:
+        if plan < 7:
+            step = 1 if b >= 0 else -1
+            b = next((c for c in range(b, b + 50 * step, step)
+                      if th.in_open_interval(-m * th.floor_linear(c), m * c, 0, hi)), b)
+        a = m * ({7: 1, 8: -1}.get(plan, 0) - th.floor_linear(b))
+    except PrecisionExhausted:
+        plan = 9
+    a, b = draw(st.integers(-99, 99)) if plan == 9 else a, m * b
+    forms = [str(TraceValue(a, b)), f"{b}t{a:+d}", f" {a} {'-' if b < 0 else '+'} {abs(b)} t ", f"{2 * a}/2{b:+d}t"]
+    if draw(st.integers(0, 4)) == 4:
+        forms = [f"{a}{b:+d}t+i", f"{a}/2{b:+d}t", f"{a}{b:+d}tt", f"{a}{b:+d}/0t"]
+    return kind, draw(st.sampled_from(forms)), theta
+
+
+def _paths(node, path=()):
+    """The path of node and of every value inside it, as tuples of keys and indices."""
+    yield path
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ():
+        yield from _paths(value, path + (key,))
+
+
+_JSON_VALUES = st.sampled_from([None, True, 0, -1, 1.5, "golden", "", [], {}, [1, 2], {"a": 1, "b": 2}])
+
+
+@st.composite
+def _mutations(draw):
+    """A function that edits a ``realize -o`` payload in place: one integer of its envelope or certificate
+    moved by one, or one value of either replaced or removed."""
+    how, pick = draw(st.sampled_from(["step", "replace", "remove"])), draw(st.integers(0, 10**6))
+    value, step = draw(_JSON_VALUES), draw(st.sampled_from([1, -1]))
+
+    def mutate(payload):
+        def at(path):
+            node = payload
+            for key in path:
+                node = node[key]
+            return node
+
+        paths = [p for p in _paths(payload) if p and (how != "step" or type(at(p)) is int)]
+        *where, key = paths[pick % len(paths)]
+        node = at(where)
+        if how == "step":
+            node[key] += step
+        elif how == "replace" or isinstance(node, list):
+            node[key] = value
+        else:
+            del node[key]
+
+    return mutate
+
+
+@pytest.fixture(scope="module")
+def oracle_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_realize_args(), _mutations())
+def test_realize_and_verify_end_in_an_answer_or_a_rejection(oracle_dir, args, mutate):
+    kind, trace, theta = args
+    path, mutant = oracle_dir / "cert.json", oracle_dir / "mutant.json"
+    path.unlink(missing_ok=True)
+    code, out, _ = _main(["realize", "--kind", kind, f"--trace={trace}", "--theta", theta, "-o", str(path), "--json"])
+    assert (code == 0) is path.exists() and out == ""
+    if code == 2:
+        return
+    payload = json.loads(path.read_text())
+    code, out, _ = _main(["verify", str(path), "--json"])  # every written certificate verifies, for its own target
+    assert code == 0 and json.loads(out) == {"ok": True, "failures": [], "kind": kind, "target": payload["target"]}
+    mutate(payload)
+    mutant.write_text(json.dumps(payload))
+    code, out, _ = _main(["verify", str(mutant), "--json"])
+    if out:
+        rec = json.loads(out)
+        assert rec["ok"] is (code == 0) and rec["target"] == payload.get("target", rec["target"])
+
+
 # ------------------------------------------------------------ realize / verify
 
 
@@ -299,6 +438,42 @@ def test_verify_reports_the_certificates_own_kind(tmp_path, capsys, trace):
     assert (code, rec["ok"], rec["kind"]) == (0, True, "flat")
 
 
+@pytest.mark.parametrize("trace, target, text", [("8t-4", {"a": -4, "b": 8}, "-4+8t"),
+                                                 ("8-12t", {"a": 8, "b": -12}, "8-12t")], ids=["flat", "reflected"])
+def test_verify_names_the_target_it_proved(tmp_path, capsys, trace, target, text):
+    path = tmp_path / "cert.json"
+    run(capsys, "realize", "--kind", "flat", "--trace", trace, "-o", str(path))
+    code, rec, _ = run_json(capsys, "verify", str(path))
+    assert (code, rec["ok"], rec["target"]) == (0, True, target)
+    assert run(capsys, "verify", str(path)) == (0, f"certificate verifies: a flat projection of trace {text}\n", "")
+    payload = json.loads(path.read_text())
+    del payload["target"]  # a file without an envelope target reports the certificate's own
+    path.write_text(json.dumps(payload))
+    code, rec, _ = run_json(capsys, "verify", str(path))
+    assert (code, rec["ok"], rec["target"]) == (0, True, target)
+
+
+@pytest.mark.parametrize("target, line", [
+    ({"a": 0, "b": 0}, "the file's target 0 is not the certificate's target -4+8t"),
+    ({"a": -4, "b": 9}, "the file's target -4+9t is not the certificate's target -4+8t"),
+    ({"b": 8, "a": -8}, "the file's target -8+8t is not the certificate's target -4+8t"),
+    ({"a": -4.0, "b": 8}, "the file's target must be an object of the integers a and b, got {'a': -4.0, 'b': 8}"),
+    ({"a": -4, "b": True}, "the file's target must be an object of the integers a and b, got {'a': -4, 'b': True}"),
+    ({"a": -4}, "the file's target must be an object of the integers a and b, got {'a': -4}"),
+    ({"a": -4, "b": 8, "c": 0},
+     "the file's target must be an object of the integers a and b, got {'a': -4, 'b': 8, 'c': 0}"),
+    ([-4, 8], "the file's target must be an object of the integers a and b, got [-4, 8]"),
+    ("8t-4", "the file's target must be an object of the integers a and b, got '8t-4'"),
+    (None, "the file's target must be an object of the integers a and b, got None"),
+], ids=["zero", "other", "other-order", "float", "bool", "missing", "extra", "list", "text", "null"])
+def test_verify_rejects_an_envelope_target_that_is_not_the_certificates(tmp_path, capsys, target, line):
+    payload = _flat_certificate(tmp_path, capsys)
+    payload["target"] = target
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    assert run(capsys, "verify", "--json", str(path)) == (2, "", f"error: {line}\n")
+
+
 def test_verify_rejects_non_integer_field(tmp_path, capsys):
     path = tmp_path / "cert.json"
     run(capsys, "realize", "--kind", "flat", "--trace", "8t-4", "-o", str(path))
@@ -371,7 +546,7 @@ def test_verify_text_mode_reports_the_failure_count(tmp_path, capsys):
     payload = _flat_certificate(tmp_path, capsys)
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(payload))
-    assert run(capsys, "verify", str(path)) == (0, "certificate verifies\n", "")
+    assert run(capsys, "verify", str(path)) == (0, "certificate verifies: a flat projection of trace -4+8t\n", "")
     payload["certificate"]["a"] += 1
     path.write_text(json.dumps(payload))
     code, rec, _ = run_json(capsys, "verify", str(path))
@@ -411,7 +586,7 @@ def test_verify_accepts_the_deepest_chain_realize_writes(tmp_path, capsys):
     # reflected -> semiflat -> subprojection -> orbit-double -> cyclic -> flat: MAX_NESTING below the root
     path = tmp_path / "semiflat.json"
     assert run(capsys, "realize", "--kind", "semiflat", "--trace", "2-2t", "-o", str(path))[0] == 0
-    assert run(capsys, "verify", str(path)) == (0, "certificate verifies\n", "")
+    assert run(capsys, "verify", str(path)) == (0, "certificate verifies: a semiflat projection of trace 2-2t\n", "")
 
 
 def test_verify_nested_max_nesting_levels_gives_failing_report(tmp_path, capsys):

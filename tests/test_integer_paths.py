@@ -11,8 +11,9 @@ Fraction version on int and Fraction inputs, and every sign decision gives
 an int argument the outcome of its Fraction, bool or numpy twin.  Last, the
 count of Fractions each step of the certify path builds is pinned, and so
 is the count of arguments realize and verify send through the rational
-normaliser, and how often a cone query solves its lattice system and realize
-splits a flat node.
+normaliser, how often a vector's lattice system is solved and realize splits a
+flat node, and that a valid certificate's JSON is parsed in one pass, with no
+field-by-field diagnosis.
 """
 
 import json
@@ -42,8 +43,11 @@ from nctorus.realization import (
     KINDS,
     Convergent,
     FlatCert,
+    CertificateFormatError,
     TraceValue,
     _bracketing_pair,
+    certificate_from_json,
+    certificate_to_json,
     flat_decompose,
     parse_trace,
     realize,
@@ -423,6 +427,53 @@ def test_a_synthesis_recipe_solves_once(calls):
     recipe, solves = calls(lattice, "_solve_exact", synthesis_recipe, parse_chern("(-2+4t; 0, 0; -2, 10, 6)"),
                            ThetaParam.preset("golden"))
     assert recipe.flat_trace == KScalar(-28, -16) and solves == 1
+
+
+@pytest.mark.parametrize("vector, reason", CONE_VECTORS.items())
+def test_one_vector_is_solved_once_whichever_queries_ask(vector, reason, calls):
+    golden, v = ThetaParam.preset("golden"), parse_chern(vector)
+
+    def every_query():
+        decision = semiflat_membership(v, golden)
+        return decompose(v), decision, synthesis_recipe(v, golden) if decision else None
+
+    (res, decision, recipe), solves = calls(lattice, "_solve_exact", every_query)
+    assert decision.reason == reason and (res.status == "ok") is (reason != "not-in-lattice")
+    assert (recipe is None) is (reason is not None) and solves == 1
+
+
+def test_equal_vectors_keep_their_own_solves(calls):
+    # the solve lives with its vector: no table keyed by numerators carries it to an equal one
+    vectors = [parse_chern("(2t;0,0;1,1,2)") for _ in range(3)]
+    results, solves = calls(lattice, "_solve_exact", lambda: [decompose(v) for v in vectors + vectors])
+    assert len(set(map(repr, results))) == 1 and solves == 3
+
+
+def _certificate_nodes(cert) -> int:
+    count = 0
+    while cert is not None:
+        count, cert = count + 1, getattr(cert, cert._child) if cert._child else None
+    return count
+
+
+@pytest.mark.parametrize("kind, t", [row[:2] for row in RATIONALS_READ], ids=str)
+def test_a_valid_certificate_is_parsed_in_one_pass(kind, t, calls):
+    # the constructor's type test is each node's one check; the field-by-field diagnosis never runs
+    cert = realize(kind, t, ThetaParam.preset("golden"))
+    data = json.loads(json.dumps(certificate_to_json(cert)))
+    parsed, diagnosed = calls(realization, "_diagnose_fields", certificate_from_json, data)
+    assert parsed == cert and diagnosed == 0
+    parsed, passes = calls(realization, "_certificate_from_json", certificate_from_json, data)
+    assert parsed == cert and passes == _certificate_nodes(cert)
+
+
+def test_a_refused_certificate_is_diagnosed_under_its_json_path():
+    data = certificate_to_json(realize("semiflat", TraceValue(4, -6), ThetaParam.preset("golden")))
+    leaf = data["inner"]["inner"]["inner"]["inner"]["flat"]["legs"][1]["leaf"]
+    leaf["k"] = 1.5
+    with pytest.raises(CertificateFormatError) as exc:
+        certificate_from_json(data)
+    assert str(exc.value) == "certificate.inner.inner.inner.inner.flat.legs[1].leaf.k: expected an integer, got 1.5"
 
 
 # -------------------------------------------------------------- Fraction counts

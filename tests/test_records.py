@@ -355,3 +355,16 @@ def test_cached_properties_survive_immutability_and_pickle():
     assert th._bracket == th._bracket  # cached on the instance
     twin = pickle.loads(pickle.dumps(th))
     assert twin == th and twin._bracket == th._bracket and twin.reflect() == th.reflect()
+
+
+def test_a_solved_chern_vector_is_the_value_of_a_fresh_one():
+    # the lattice solve is kept on the vector that was solved, outside its fields
+    text = "(-2+4t; 0, 0; -2, 10, 6)"
+    solved, fresh = lattice.parse_chern(text), lattice.parse_chern(text)
+    assert lattice.synthesis_recipe(solved, GOLDEN) and lattice.decompose(solved)
+    assert "_solution" in vars(solved) and not vars(fresh)
+    assert solved == fresh and hash(solved) == hash(fresh) and repr(solved) == repr(fresh)
+    assert str(solved) == str(fresh) and pickle.dumps(solved) == pickle.dumps(fresh)
+    for twin in (pickle.loads(pickle.dumps(solved)), copy.copy(solved), copy.deepcopy(solved)):
+        assert type(twin) is lattice.ChernVector and twin == fresh and hash(twin) == hash(fresh)
+        assert repr(twin) == repr(fresh) and not vars(twin)  # no solve is pickled or copied
