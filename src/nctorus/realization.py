@@ -7,10 +7,7 @@ such a tree for a requested trace value and `verify_certificate` replays
 every claim exactly (subgroup membership, interval location, unimodularity,
 square sums, branch selection, generator relations), reporting every
 failing node.  Certificates serialize to a stable JSON schema; every node
-carries a `lemma` slug naming the step it encodes.  `certificate_from_json`
-reads each node in one pass (its shape, then its constructor's type check,
-then its lemma) and builds no JSON path; only a refused certificate is read
-again, field by field under its paths, to say where and why.
+carries a `lemma` slug naming the step it encodes.
 
 Supported kinds and their domains (t = a + b*theta):
 
@@ -290,10 +287,10 @@ def _codec(kind) -> tuple:
     if isinstance(kind, tuple):  # a pair of leaf nodes
         leaf = kind[0]
 
-        def load(raw, where: Optional[str]):
-            if type(raw) is not list or len(raw) != 2:
+        def load(raw: list, where: str):
+            if len(raw) != 2:
                 raise CertificateFormatError(f"{where}: expected a list of two {leaf.tag!r} nodes")
-            return leaf._from_json(raw[0], where and where + "[0]"), leaf._from_json(raw[1], where and where + "[1]")
+            return leaf._from_json(raw[0], where + "[0]"), leaf._from_json(raw[1], where + "[1]")
 
         return (tuple, lambda pair: tuple(map(type, pair)) == kind, list,
                 lambda pair: [node._to_json() for node in pair], load, f"two {leaf.tag!r}")
@@ -302,12 +299,11 @@ def _codec(kind) -> tuple:
     names, ints = kind._fields, (int,) * len(kind._fields)  # FourSquares as a list, the others as an object
     get = attrgetter(*names)
 
-    def load(raw, where: Optional[str]):
-        if type(raw) is json_type and len(raw) == len(names):
-            values = raw if json_type is list else tuple(map(raw.get, names))
-            if where is None or tuple(map(type, values)) == ints:  # without a path, the constructor checks them
-                return kind(*values)
-        raise CertificateFormatError(f"{where}: expected the integers {', '.join(names)}, got {raw!r}")
+    def load(raw, where: str):
+        values = raw if kind is FourSquares else tuple(map(raw.get, names))
+        if len(raw) != len(names) or tuple(map(type, values)) != ints:
+            raise CertificateFormatError(f"{where}: expected the integers {', '.join(names)}, got {raw!r}")
+        return kind(*values)
 
     json_type, dump = (list, list) if kind is FourSquares else (dict, lambda value: dict(zip(names, get(value))))
     return kind, lambda value: tuple(map(type, get(value))) == ints, json_type, dump, load, f"a {kind.__name__}"
@@ -340,7 +336,6 @@ class _Node(Record):
         cls._codecs = tuple((key, *_codec(layout[key])) for key in own)  # (key, type, parts, ...) per own field
         cls._shape = tuple(row[1] for row in cls._codecs)  # the constructor's fast path: the exact types first
         cls._parts = tuple((i, row[2]) for i, row in enumerate(cls._codecs) if row[2])
-        cls._loads = tuple((row[0], row[5]) for row in cls._codecs)  # (JSON key, load or None) per own field
 
     def __init__(self, *args, **kwargs) -> None:
         if kwargs or len(args) != len(self._fields):
@@ -363,36 +358,20 @@ class _Node(Record):
         return out
 
     @classmethod
-    def _from_json(cls, raw, where: Optional[str], child=None) -> "_Node":
-        """The node in raw, built by the constructor; a certificate is given its parsed child.
-
-        Its shape (an object, its ``node`` tag, exactly its keys) is checked here, its field values
-        once, by the constructor, and its ``lemma`` last.  ``where``, raw's JSON path, is None on a
-        first parse; a refusal there is parsed again with paths, and only then are the fields
-        diagnosed one by one (``_diagnose_fields``), so that the error names the field and its path.
-        """
+    def _from_json(cls, raw, where: str, child=None) -> "_Node":
+        """The node in raw, strictly checked, built by the constructor; a certificate is given its parsed child."""
         if not isinstance(raw, dict) or raw.get("node") != cls.tag or raw.keys() != cls._keys:
             raise _shape_error(raw, cls._keys, where, cls.tag)
-        if where is None:
-            values = [raw[key] if load is None else load(raw[key], None) for key, load in cls._loads]
-        else:
-            values = _diagnose_fields(cls, raw, where)
+        values = []
+        for key, _, _, json_type, _, load, _ in cls._codecs:
+            if type(value := raw[key]) is not json_type:
+                want = {int: "an integer", str: "a string", dict: "an object", list: "a list"}[json_type]
+                raise CertificateFormatError(f"{where}.{key}: expected {want}, got {value!r}")
+            values.append(value if load is None else load(value, f"{where}.{key}"))
         node = cls(*values, child) if cls._child else cls(*values)
         if raw["lemma"] != node.lemma:
             raise CertificateFormatError(f"{where}: a {cls.tag} node has lemma {node.lemma!r}, not {raw['lemma']!r}")
         return node
-
-
-def _diagnose_fields(cls, raw: dict, where: str) -> list:
-    """raw's field values for the node class cls, read one by one under their JSON paths: the first
-    whose JSON type or load the layout refuses raises CertificateFormatError with its path."""
-    values = []
-    for key, _, _, json_type, _, load, _ in cls._codecs:
-        if type(value := raw[key]) is not json_type:
-            want = {int: "an integer", str: "a string", dict: "an object", list: "a list"}[json_type]
-            raise CertificateFormatError(f"{where}.{key}: expected {want}, got {value!r}")
-        values.append(value if load is None else load(value, f"{where}.{key}"))
-    return values
 
 
 class _Certificate(_Node):
@@ -771,18 +750,13 @@ def certificate_from_json(data) -> Certificate:
     """Parse certificate JSON strictly: each node has exactly its declared keys, its own `node`
     tag and `lemma`, JSON integers and strings where declared, and at most MAX_NESTING
     certificates below it, or CertificateFormatError is raised.  A certificate child of the
-    wrong type parses; the replay reports it.  A refused certificate is parsed a second time,
-    with JSON paths, so that the error says where it was refused and why."""
-    try:
-        return _certificate_from_json(data, None, 0)
-    except CertificateFormatError:
-        return _certificate_from_json(data, "certificate", 0)
+    wrong type parses; the replay reports it."""
+    return _certificate_from_json(data, "certificate", 0)
 
 
-def _certificate_from_json(raw, where: Optional[str], depth: int) -> Certificate:
-    """The certificate in raw, found ``depth`` certificates below the root, whose JSON path is
-    ``where`` (None on a first parse); its chain is checked down to the innermost node before
-    any node is parsed, from the innermost out."""
+def _certificate_from_json(raw, where: str, depth: int) -> Certificate:
+    """The certificate in raw, found ``depth`` certificates below the root; its chain is checked
+    down to the innermost node before any node is parsed, from the innermost out."""
     tag = raw.get("node") if isinstance(raw, dict) else None
     cls = _CERTIFICATES.get(tag) if type(tag) is str else None
     if cls is None:
@@ -795,4 +769,4 @@ def _certificate_from_json(raw, where: Optional[str], depth: int) -> Certificate
         raise CertificateFormatError("the certificate is nested too deeply to read")
     if key not in raw:
         raise _shape_error(raw, cls._keys, where)
-    return cls._from_json(raw, where, _certificate_from_json(raw[key], where and f"{where}.{key}", depth + 1))
+    return cls._from_json(raw, where, _certificate_from_json(raw[key], f"{where}.{key}", depth + 1))

@@ -11,9 +11,8 @@ Fraction version on int and Fraction inputs, and every sign decision gives
 an int argument the outcome of its Fraction, bool or numpy twin.  Last, the
 count of Fractions each step of the certify path builds is pinned, and so
 is the count of arguments realize and verify send through the rational
-normaliser, how often a vector's lattice system is solved and realize splits a
-flat node, and that a valid certificate's JSON is parsed in one pass, with no
-field-by-field diagnosis.
+normaliser, and how often a vector's lattice system is solved and realize
+splits a flat node.
 """
 
 import json
@@ -447,24 +446,6 @@ def test_equal_vectors_keep_their_own_solves(calls):
     vectors = [parse_chern("(2t;0,0;1,1,2)") for _ in range(3)]
     results, solves = calls(lattice, "_solve_exact", lambda: [decompose(v) for v in vectors + vectors])
     assert len(set(map(repr, results))) == 1 and solves == 3
-
-
-def _certificate_nodes(cert) -> int:
-    count = 0
-    while cert is not None:
-        count, cert = count + 1, getattr(cert, cert._child) if cert._child else None
-    return count
-
-
-@pytest.mark.parametrize("kind, t", [row[:2] for row in RATIONALS_READ], ids=str)
-def test_a_valid_certificate_is_parsed_in_one_pass(kind, t, calls):
-    # the constructor's type test is each node's one check; the field-by-field diagnosis never runs
-    cert = realize(kind, t, ThetaParam.preset("golden"))
-    data = json.loads(json.dumps(certificate_to_json(cert)))
-    parsed, diagnosed = calls(realization, "_diagnose_fields", certificate_from_json, data)
-    assert parsed == cert and diagnosed == 0
-    parsed, passes = calls(realization, "_certificate_from_json", certificate_from_json, data)
-    assert parsed == cert and passes == _certificate_nodes(cert)
 
 
 def test_a_refused_certificate_is_diagnosed_under_its_json_path():

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import time
+from collections import OrderedDict
 from fractions import Fraction
 
 import mpmath
@@ -955,6 +956,11 @@ def _set(data, path, value):
      "certificate.inner: unknown certificate node tag 'orbit-flat'"),
     (_set(_semicyclic_json(), ("inner",), [1]), "certificate.inner: expected an object, got list"),
     ([_flat_json()], "certificate: expected an object, got list"),
+    # a leaf node and an integer record alike must be exactly a dict, as json.loads makes them
+    (_set(_flat_json(), ("legs", 0, "leaf"), leaf := OrderedDict(_flat_json()["legs"][0]["leaf"])),
+     f"certificate.legs[0].leaf: expected an object, got {leaf!r}"),
+    (_set(_flat_json(), ("target",), target := OrderedDict(a=-4, b=8)),
+     f"certificate.target: expected an object, got {target!r}"),
 ])
 def test_strict_parse_messages(data, message):
     with pytest.raises(CertificateFormatError) as info:
