@@ -42,7 +42,7 @@ _EXPORTS = {
     "loops": ("LoopElement", "flip_apply", "loop_invariants", "pr_build", "projection_gates"),
     "realization": (
         "Certificate", "Convergent", "FourSquares", "TraceValue", "certificate_from_json",
-        "certificate_to_json", "convergents", "flat_decompose", "four_squares", "parse_trace",
+        "certificate_to_json", "convergents", "four_squares", "parse_trace",
         "realize", "subalgebra_generators", "verify_certificate",
     ),
     "theta": ("PrecisionExhausted", "ThetaParam", "parse_theta"),

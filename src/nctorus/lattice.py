@@ -548,9 +548,9 @@ def kscalar_to_text(s: KScalar) -> str:
     return _kscalar_str(s._n, s._d)
 
 
-def parse_kscalar(text: str, pos: int = 0, end: Optional[int] = None) -> KScalar:
-    """Parse the ``a+bt+ci+dti`` grammar in ``text[pos:end]`` (see ``theta._parse_numerators``)."""
-    return KScalar._of(*_parse_numerators(text, pos, end))
+def parse_kscalar(text: str) -> KScalar:
+    """Parse the ``a+bt+ci+dti`` grammar (see ``theta._parse_numerators``)."""
+    return KScalar._of(*_parse_numerators(text))
 
 
 def chern_to_text(v: ChernVector) -> str:
@@ -578,7 +578,7 @@ def parse_chern(text: str) -> ChernVector:
             raise ChernParseError(f"empty slot at {a}")
     if len(slots) != 6:
         raise ChernParseError(f"expected 6 slots, got {len(slots)}")
-    return ChernVector(*(parse_kscalar(text, a, b) for a, b in slots))
+    return ChernVector(*(KScalar._of(*_parse_numerators(text, a, b)) for a, b in slots))
 
 
 def chern_from_t4(t4: T4Vector) -> ChernVector:

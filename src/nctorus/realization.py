@@ -17,9 +17,13 @@ Supported kinds and their domains (t = a + b*theta):
   semiflat           (0, 1)    within  2Z + 2Z*theta
   fourier_invariant  (0, 1)    within  Z + Z*theta
 
-A negative theta-coefficient is normalized through the angle reflection
-theta -> 1 - theta, which maps (a, b) to (a + b, -b).  `realize` checks a
-target's domain once: the reflection keeps the subgroup and the value.
+Each kind's domain is stated once, as its certificate class's `domain` row
+(lo, hi, multiple): `realize` admits a target against that row, and the
+replay checks every certificate node's target against its own row before
+the node's other claims.  A negative theta-coefficient is normalized
+through the angle reflection theta -> 1 - theta, which maps (a, b) to
+(a + b, -b); the reflection keeps the subgroup and the value, so `realize`
+checks a target's domain once.
 """
 
 from __future__ import annotations
@@ -34,9 +38,6 @@ from .theta import PrecisionExhausted, Record, ThetaParam, _kscalar_str, _numera
 if TYPE_CHECKING:
     from .algebra import Element
 
-KINDS = ("cyclic", "semicyclic", "flat", "semiflat", "fourier_invariant")
-
-
 class RealizationError(ValueError):
     """Base for realize() domain rejections.
 
@@ -46,11 +47,15 @@ class RealizationError(ValueError):
 
 
 class OutOfRange(RealizationError):
-    """``out-of-range``: the trace lies outside the range the kind covers."""
+    """The trace lies outside the range the kind covers."""
+
+    code = "out-of-range"
 
 
 class WrongSubgroup(RealizationError):
-    """``wrong-subgroup``: the trace is not in the subgroup the kind reaches."""
+    """The trace is not in the subgroup the kind reaches."""
+
+    code = "wrong-subgroup"
 
 
 class InternalAssertion(AssertionError):
@@ -98,12 +103,6 @@ class TraceValue(Record):
         return _kscalar_str(*_numerators((self.a, self.b)))
 
 
-def _read_target(t: TraceValue) -> TraceValue:
-    """t with its coordinates read by operator.index (a bool or numpy integer is the int it stands for,
-    1.5 a TypeError)."""
-    return TraceValue(index(t.a), index(t.b))
-
-
 def parse_trace(text: str) -> TraceValue:
     """Parse ``a+bt`` into a TraceValue (integer coefficients required)."""
     (a, b, c, d), den = _parse_numerators(text)
@@ -142,26 +141,11 @@ def _bracketing_pair(theta: ThetaParam, m: int, n: int) -> Tuple[Convergent, Con
     raise PrecisionExhausted(f"insufficient-cf-data: no pair of stored convergents brackets theta past {bound}")
 
 
-def flat_decompose(t: TraceValue, theta: ThetaParam) -> Tuple[int, int, Convergent, Convergent]:
-    """``FlatCert._realize``'s split (a, b, low, high) of t in (0, 1) within 4Z + 4Z*theta, theta-coefficient >= 4."""
-    t = _read_target(t)
-    if not t.in_subgroup(4):
-        raise WrongSubgroup(f"wrong-subgroup: {t} is not in 4Z + 4Z*theta")
-    if t.b < 4:
-        raise OutOfRange(f"out-of-range: theta-coefficient must be positive (got {t.b}); reflect first")
-    if not t.in_open_interval(theta, 0, 1):
-        raise OutOfRange(f"out-of-range: trace {t} is not in (0, 1)")
-    cert = FlatCert._realize(t, theta)
-    return cert.a, cert.b, cert.low, cert.high
-
-
 def _canonical_knm(t: TraceValue) -> Tuple[int, int, int]:
     """Canonical k, n, m with t = 4k(n*theta - m), k,n >= 1, m >= 0, gcd(n, m) = 1."""
     bn = t.b // 4
-    am = -t.a // 4
-    if am < 0:
-        raise OutOfRange("out-of-range: constant coordinate must be nonpositive for a value in (0,1)")
-    k = math.gcd(bn, am) if am else bn
+    am = -t.a // 4  # an admitted flat target with b >= 4 has a <= 0
+    k = math.gcd(bn, am)
     return k, bn // k, am // k
 
 
@@ -434,7 +418,7 @@ class FlatCert(_Certificate):
     """Flat realization via a bracketing-convergent split and an orthogonal sum."""
 
     tag, lemma, kind = "flat", "bracketing-convergent-split", "flat"
-    domain = (0, 1, 4)  # (lo, hi, subgroup multiple) of realize's targets
+    domain = (0, 1, 4)  # (lo, hi, subgroup multiple): the targets realize admits and the replay accepts
     layout = {"target": TraceValue, "k": int, "n": int, "m": int, "low": Convergent,
               "high": Convergent, "a": int, "b": int, "legs": (OrbitFlat, OrbitFlat)}
     __slots__ = tuple(layout)
@@ -458,8 +442,6 @@ class FlatCert(_Certificate):
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str) -> None:
         t, k, n, m, low, high, a, b, (leg1, leg2) = self._astuple(self)
-        v.check(t.in_subgroup(4), path, "target not in 4Z + 4Z*theta")
-        v.check(t.in_open_interval(theta, 0, 1), path, "target not in (0, 1)")
         v.check(k >= 1 and n >= 1 and m >= 0, path, "need k, n >= 1 and m >= 0")
         v.check(4 * k * n == t.b and 4 * k * m == -t.a, path, "target does not equal 4k(n*theta - m)")
         v.check(math.gcd(n, m) == 1 if m else n == 1, path, "n, m not canonical")
@@ -493,7 +475,6 @@ class CyclicCert(_Certificate):
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
         t, flat = self.target, self.flat
-        v.check(t.in_open_interval(theta, *self.domain[:2]), path, "target not in (0, 1/4)")
         if not v.check(isinstance(flat, FlatCert), path, "cyclic needs a flat inner"):
             return None
         v.check(flat.target == t.scale(4), path, "flat certificate is not for 4x the target")
@@ -535,7 +516,6 @@ class SemicyclicCert(_Certificate):
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
         t, inner = self.target, self.inner
-        v.check(t.in_open_interval(theta, *self.domain[:2]), path, "target not in (0, 1/2)")
         if self.mode == "orbit-double":
             if not v.check(isinstance(inner, CyclicCert), path, "orbit-double needs a cyclic inner"):
                 return None
@@ -566,8 +546,6 @@ class SemiflatCert(_Certificate):
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
         t, inner = self.target, self.inner
-        v.check(t.in_subgroup(2), path, "target not in 2Z + 2Z*theta")
-        v.check(t.in_open_interval(theta, 0, 1), path, "target not in (0, 1)")
         if not v.check(isinstance(inner, SemicyclicCert), path, "semiflat needs a semicyclic inner"):
             return None
         v.check(t == inner.target.scale(2), path, "target is not twice the inner semicyclic trace")
@@ -626,7 +604,6 @@ class FourierInvariantCert(_Certificate):
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str) -> None:
         t, sq, (leg1, leg2), k, branch = self._astuple(self)
-        v.check(t.in_open_interval(theta, 0, 1), path, "target not in (0, 1)")
         v.check(t.b >= 1, path, "theta-coefficient must be positive here")
         v.check(sq.total() == t.b, path, "four squares do not sum to the theta-coefficient")
         v.check(sq.m1 >= sq.m2 >= sq.m3 >= sq.m4 >= 0, path, "squares must be sorted descending")
@@ -642,7 +619,7 @@ class FourierInvariantCert(_Certificate):
 class ReflectedCert(_Certificate):
     """Wrapper realizing a trace with negative theta-coefficient over 1 - theta."""
 
-    tag, lemma = "reflected", "angle-reflection"
+    tag, lemma, domain = "reflected", "angle-reflection", None
     layout = {"target": TraceValue, "inner": _Certificate}
     __slots__ = tuple(layout)
 
@@ -658,9 +635,20 @@ class ReflectedCert(_Certificate):
         return inner, theta.reflect()
 
 
-Certificate = Union[FlatCert, CyclicCert, SemicyclicCert, SemiflatCert, FourierInvariantCert, ReflectedCert]
+Certificate = Union[CyclicCert, SemicyclicCert, FlatCert, SemiflatCert, FourierInvariantCert, ReflectedCert]
 _CERTIFICATES = {cls.tag: cls for cls in Certificate.__args__}  # node tag -> class
 _BY_KIND = {cls.kind: cls for cls in Certificate.__args__ if cls is not ReflectedCert}
+KINDS = tuple(_BY_KIND)
+
+
+def _misses(domain: tuple, t: TraceValue, theta: ThetaParam):
+    """(rejection, set) for each set of a domain row (lo, hi, multiple) that t lies outside: the
+    subgroup, then the interval, each tested only when the one before has been handed out."""
+    lo, hi, multiple = domain
+    if not t.in_subgroup(multiple):
+        yield WrongSubgroup, f"{multiple}Z + {multiple}Z*theta"
+    if not t.in_open_interval(theta, lo, hi):
+        yield OutOfRange, f"({lo}, {hi})"
 
 
 # -------------------------------------------------------------------- realize
@@ -669,22 +657,27 @@ _BY_KIND = {cls.kind: cls for cls in Certificate.__args__ if cls is not Reflecte
 def realize(kind: str, t: TraceValue, theta: ThetaParam) -> Certificate:
     """Build a realization certificate for the trace t of the given kind.
 
+    t is admitted by the kind's domain row, the one the replay checks: a target
+    outside its subgroup raises WrongSubgroup, one outside its interval OutOfRange.
     The convergent searches walk every stored convergent of theta; a target the
     stored prefix cannot settle raises PrecisionExhausted (insufficient-cf-data).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r} (expected one of {KINDS})")
-    t = _read_target(t)
-    lo, hi, mult = _BY_KIND[kind].domain
-    if not t.in_subgroup(mult):
-        raise WrongSubgroup(f"wrong-subgroup: {t} is not in {mult}Z + {mult}Z*theta")
-    if not t.in_open_interval(theta, lo, hi):
-        raise OutOfRange(f"out-of-range: {t} is not in ({lo}, {hi})")
-    if t.b < 0:  # the reflection keeps the subgroup and the value: the checks above hold for it
-        return ReflectedCert(t, _BY_KIND[kind]._realize(t.reflected(), theta.reflect()))
-    if t.b == 0:  # a alone cannot land strictly inside (0, 1)
-        raise OutOfRange(f"out-of-range: {t} has no theta part")
-    return _BY_KIND[kind]._realize(t, theta)
+    cls = _BY_KIND[kind]
+    t = _admit(cls.domain, t, theta)
+    if t.b < 0:  # the reflection keeps the subgroup and the value: the admission holds for it
+        return ReflectedCert(t, cls._realize(t.reflected(), theta.reflect()))
+    return cls._realize(t, theta)
+
+
+def _admit(domain: tuple, t: TraceValue, theta: ThetaParam) -> TraceValue:
+    """t, its coordinates read by operator.index (a bool or numpy integer is the int it stands for,
+    1.5 a TypeError), once it lies in the domain row; the first set it misses is the rejection."""
+    t = TraceValue(index(t.a), index(t.b))
+    for rejection, where in _misses(domain, t, theta):
+        raise rejection(f"{rejection.code}: {t} is not in {where}")
+    return t
 
 
 # ---------------------------------------------------------------- verification
@@ -719,13 +712,19 @@ class _Replay(list):
 def verify_certificate(cert: Certificate, theta: ThetaParam) -> VerificationReport:
     """Replay every arithmetic claim in a certificate against theta; all checks are exact.
 
-    Each node replays its own claims and hands back its certificate child (when of
-    the type the node needs) with the angle to replay it under.
+    Each certificate node's target is checked against its kind's domain row, the row
+    realize admits by; the node then replays its own claims and hands back its
+    certificate child (when of the type the node needs) with the angle to replay it under.
     """
     v = _Replay()
     node, path = cert, cert.kind
     try:
-        while (step := node._replay(v, theta, path)) is not None:
+        while True:
+            if node.domain is not None:
+                for _, where in _misses(node.domain, node.target, theta):
+                    v.append((path, f"target not in {where}"))
+            if (step := node._replay(v, theta, path)) is None:
+                break
             path = f"{path}.{node._child}"
             node, theta = step
     except PrecisionExhausted as exc:

@@ -373,6 +373,8 @@ def test_realize_rejection_names_its_code_once(capsys, trace, code_slug):
      "error: need 0 < eps < min(alpha, 1-alpha)/2 = 0.19098300562505255, got 0.9"),
     (("pr-build", "--theta", "sqrt2", "-r", "1", "-s", "0", "--flip"),
      "error: alpha-out-of-range: r*theta + s = 1*theta+0 is not in (1/2, 1)"),
+    (("pr-build", "-r", "6", "-s", "-3", "--flip", "--offset", "0.25"),
+     "error: flip-symmetric builds admit only offsets 0 and 1/2"),
 ])
 def test_rejection_is_one_error_line(capsys, argv, line):
     code, out, err = run(capsys, *argv)
@@ -397,6 +399,12 @@ def test_realize_rejects_a_target_the_prefix_cannot_settle(tmp_path, capsys):
                        "-o", str(path))
     assert code == 2 and err.startswith("error: insufficient-cf-data: ")
     assert not path.exists()
+
+
+def test_realize_rejects_a_semicyclic_target_with_no_step_that_fits(capsys):
+    code, out, err = run(capsys, "realize", "--kind", "semicyclic", "--trace", "t", "--theta", "0.3")
+    assert (code, out) == (2, "")
+    assert err == "error: insufficient-cf-data: no stored convergent fits a step between t and 1/2\n"
 
 
 def test_realize_unknown_kind_exits_2(capsys):
@@ -533,6 +541,14 @@ def test_verify_malformed_envelope_exits_2(tmp_path, capsys, envelope):
     assert err.startswith("error: ") and len(err.strip()) > len("error: ")
 
 
+def test_verify_under_a_prefix_that_cannot_settle_a_sign_exits_2(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_flat_certificate(tmp_path, capsys)))
+    assert run(capsys, "verify", "--theta", "cf:1,1", str(path)) == (
+        2, "verification FAILED (1 failure); first at theta: insufficient-cf-data: cannot settle sign of "
+        "-4 + 8*theta\n", "")
+
+
 def test_verify_theta_override_needs_no_stored_theta(tmp_path, capsys):
     payload = _flat_certificate(tmp_path, capsys)
     del payload["theta"]
@@ -640,6 +656,7 @@ GOLDEN_38 = "0.61803398874989484820458683436563811772"  # golden to 38 decimal p
     (("-r", "1", "-s", "0", "--offset", "1e308"), 0),
     (("-r", "6", "-s", "-3", "--flip", "--offset", "-0.0"), 0),
     (("-r", "6", "-s", "-3", "--flip", "--offset", "0.5"), 0),
+    (("-r", "6", "-s", "-3", "--flip", "--offset", "0.25"), 2),  # flip builds admit only offsets 0 and 1/2
     (("-r", "1", "-s", "0", "--grid", "0"), 2),
     (("-r", "1", "-s", "0", "--grid", "-4096"), 2),
     (("-r", "100000000000000000000", "-s", "0"), 0),

@@ -47,12 +47,11 @@ from nctorus.realization import (
     _bracketing_pair,
     certificate_from_json,
     certificate_to_json,
-    flat_decompose,
     parse_trace,
     realize,
     verify_certificate,
 )
-from nctorus.theta import _KS_SLOTS, _KS_TOKEN, PrecisionExhausted, ThetaParam, _read_ratio, parse_theta
+from nctorus.theta import _KS_SLOTS, _KS_TOKEN, PrecisionExhausted, ThetaParam, _parse_numerators, _read_ratio, parse_theta
 
 from test_theta import THETAS, reference_floor_ratio, reference_sign_linear
 
@@ -153,9 +152,11 @@ def test_parse_kscalar_matches_the_fraction_parser(text):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_texts, _soup), st.integers(0, 4), st.integers(0, 4))
 def test_parse_kscalar_in_a_window_matches_the_fraction_parser(text, cut_start, cut_end):
+    # a window of text is how parse_chern reads each slot
     text = "(" + text + ";"
     pos, end = min(cut_start, len(text)), max(len(text) - cut_end, 0)
-    assert outcome(parse_kscalar, text, pos, end) == outcome(reference_parse_kscalar, text, pos, end)
+    assert outcome(lambda *window: KScalar._of(*_parse_numerators(*window)), text, pos, end) == outcome(
+        reference_parse_kscalar, text, pos, end)
 
 
 @settings(max_examples=400, deadline=None)
@@ -397,12 +398,6 @@ def test_realize_splits_each_flat_node_once(kind, t, calls):
     assert flat_nodes == (kind != "fourier_invariant") and splits == flat_nodes
 
 
-def test_flat_decompose_splits_once(calls):
-    golden = ThetaParam.preset("golden")
-    split, splits = calls(realization, "_canonical_knm", flat_decompose, TraceValue(-24, 40), golden)
-    assert split == (2, 2, Convergent(8, 13), Convergent(5, 8)) and splits == 1
-
-
 # one vector per reason on golden
 CONE_VECTORS = {
     "(2t;0,0;1,1,2)": None,
@@ -498,8 +493,8 @@ def test_certify_steps_build_only_their_outputs_fractions(fractions_built):
     assert fractions_built(golden.floor_linear, 10**12) == (618033988749, 0)
     assert fractions_built(golden.floor_ratio, 7, -2, 3, 1) == (1, 0)
     # 40t - 24 = 8(5t - 3) splits over the convergents 8/13 < theta < 5/8 with the bracket by integers
-    split = (2, 2, Convergent(8, 13), Convergent(5, 8))
-    assert fractions_built(flat_decompose, TraceValue(-24, 40), golden) == (split, 0)
+    cert, built = fractions_built(realize, "flat", TraceValue(-24, 40), golden)
+    assert (cert.a, cert.b, cert.low, cert.high) == (2, 2, Convergent(8, 13), Convergent(5, 8)) and built == 0
     # decompose keeps its rational coordinates as numerators; reading ``rational`` builds the nine Fractions
     res, built = fractions_built(decompose, member)
     assert tuple(res.coordinates) == (-3, -1, 1, 3, -1, 1, 2, -1, 3) and built == 0

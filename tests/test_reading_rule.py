@@ -31,7 +31,6 @@ from nctorus.loops import loop_invariants, pr_build
 from nctorus.realization import (
     TraceValue,
     certificate_to_json,
-    flat_decompose,
     four_squares,
     realize,
     subalgebra_generators,
@@ -113,8 +112,8 @@ def test_a_fractional_power_of_the_base_is_refused():
 def test_realize_reads_a_numpy_target_once_at_its_entry():
     cert = realize("flat", TraceValue(np.int64(-4), np.int64(8)), GOLDEN)
     assert certificate_to_json(cert) == certificate_to_json(realize("flat", TraceValue(-4, 8), GOLDEN))
-    assert flat_decompose(TraceValue(np.int64(-24), np.int64(40)), GOLDEN) == flat_decompose(
-        TraceValue(-24, 40), GOLDEN)
+    assert realize("flat", TraceValue(np.int64(-24), np.int64(40)), GOLDEN) == realize(
+        "flat", TraceValue(-24, 40), GOLDEN)
 
 
 # --------------------------------------------------------------- the properties
@@ -163,7 +162,6 @@ INTEGER_FIELDS = {
     "ThetaParam": lambda x: ThetaParam((x, 1)).convergents,
     "from_cf": lambda x: ThetaParam.from_cf([2, x]).convergents,
     "realize": lambda x: certificate_to_json(realize("fourier_invariant", _fourier_target(x), GOLDEN)),
-    "flat_decompose": lambda x: flat_decompose(TraceValue(x, 8), GOLDEN),
     "four_squares": four_squares,
     "subalgebra_generators": lambda x: subalgebra_generators(x, 1),
 }

@@ -29,7 +29,6 @@ from nctorus.realization import (
     certificate_from_json,
     certificate_to_json,
     convergents,
-    flat_decompose,
     four_squares,
     parse_trace,
     realize,
@@ -37,7 +36,7 @@ from nctorus.realization import (
     verify_certificate,
 )
 from nctorus.realization import _Certificate
-from nctorus.theta import Record, ThetaParam
+from nctorus.theta import PrecisionExhausted, Record, ThetaParam, parse_theta
 
 from conftest import reflected_chain_json
 
@@ -79,18 +78,18 @@ def test_convergents_are_every_stored_one():
         assert [(c.p, c.q) for c in cs] == list(th.convergents)
 
 
-# -------------------------------------------------------------- flat_decompose
+# ------------------------------------------------------------ the flat split
 
 
-def test_flat_decompose_golden_example():
+def test_flat_split_golden_example():
     # t = 4(2 theta - 1)
-    a, b, low, high = flat_decompose(TraceValue(-4, 8), GOLDEN)
-    assert (a, b) == (1, 1)
-    assert (low.p, low.q) == (3, 5)
-    assert (high.p, high.q) == (2, 3)
+    cert = realize("flat", TraceValue(-4, 8), GOLDEN)
+    assert (cert.a, cert.b) == (1, 1)
+    assert (cert.low.p, cert.low.q) == (3, 5)
+    assert (cert.high.p, cert.high.q) == (2, 3)
 
 
-def test_flat_decompose_identity_random():
+def test_flat_split_identity_random():
     rng = random.Random(13)
     for th in PRESETS:
         done = 0
@@ -105,7 +104,8 @@ def test_flat_decompose_identity_random():
                 continue
             if not th.sign_linear(Fraction(-m, n), 1) > 0:
                 continue
-            a, b, low, high = flat_decompose(t, th)
+            cert = realize("flat", t, th)
+            a, b, low, high = cert.a, cert.b, cert.low, cert.high
             assert a >= 1 and b >= 1
             # identity in (1, theta) coordinates
             assert 4 * (a * low.q - b * high.q) == t.b
@@ -113,13 +113,13 @@ def test_flat_decompose_identity_random():
             done += 1
 
 
-def test_flat_decompose_rejections():
-    with pytest.raises(WrongSubgroup):
-        flat_decompose(TraceValue(-1, 2), GOLDEN)
-    with pytest.raises(OutOfRange):
-        flat_decompose(TraceValue(-4, 16), GOLDEN)  # 16 theta - 4 > 1
-    with pytest.raises(OutOfRange):
-        flat_decompose(TraceValue(4, -8), GOLDEN)  # negative theta part: reflect first
+def test_flat_split_rejections():
+    with pytest.raises(WrongSubgroup, match=r"^wrong-subgroup: -1\+2t is not in 4Z \+ 4Z\*theta$"):
+        realize("flat", TraceValue(-1, 2), GOLDEN)
+    with pytest.raises(OutOfRange, match=r"^out-of-range: -4\+16t is not in \(0, 1\)$"):
+        realize("flat", TraceValue(-4, 16), GOLDEN)  # 16 theta - 4 > 1
+    with pytest.raises(OutOfRange, match=r"^out-of-range: 4-8t is not in \(0, 1\)$"):
+        realize("flat", TraceValue(4, -8), GOLDEN)  # 4 - 8 theta < 0
 
 
 # ---------------------------------------------------------------- four squares
@@ -377,6 +377,50 @@ def test_realize_accepts_exactly_its_domain_on_a_bounded_grid():
     assert (seen, accepted) == (16040, 1650)
 
 
+# a target on golden with a positive theta-coefficient inside each kind's domain
+INSIDE = {"cyclic": TraceValue(-1, 2), "semicyclic": TraceValue(-1, 2), "flat": TraceValue(-4, 8),
+          "semiflat": TraceValue(-2, 4), "fourier_invariant": TraceValue(-1, 3)}
+
+
+def _targets_outside(kind):
+    """Targets on golden one step outside the kind's domain: off the subgroup inside the interval (for a
+    proper subgroup), then in the subgroup just below 0 and just above the interval's upper end."""
+    hi, m = DOMAINS[kind]
+    b = 5 * m
+    out = [TraceValue(-GOLDEN.floor_linear(b + 1), b + 1)] if m > 1 else []  # b + 1 is not a multiple of m
+    below = m * GOLDEN.floor_ratio(0, -b, m, 0)  # the largest multiple of m under -b*theta
+    above = m * (GOLDEN.floor_ratio(hi, -b, m, 0) + 1)  # the least multiple of m over hi - b*theta
+    return out + [TraceValue(below, b), TraceValue(above, b)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_realize_and_the_replay_name_the_same_set(kind):
+    cert = realize(kind, INSIDE[kind], GOLDEN)
+    for t in _targets_outside(kind):
+        with pytest.raises((WrongSubgroup, OutOfRange)) as exc:
+            realize(kind, t, GOLDEN)
+        where = str(exc.value).split(" is not in ", 1)[1]
+        payload = certificate_to_json(cert)
+        payload["target"] = {"a": t.a, "b": t.b}  # the valid certificate moved to t
+        report = verify_certificate(certificate_from_json(payload), GOLDEN)
+        assert [f for f in report.failures if f[1].startswith("target not in")] == [(kind, f"target not in {where}")]
+
+
+def test_a_replay_the_prefix_cannot_settle_is_one_theta_failure():
+    # cf:1,1 places theta only between 1/2 and 1, and 8 theta - 4 is 0 at 1/2: the flat node's
+    # domain check cannot settle its sign, and the replay stops there
+    report = verify_certificate(realize("flat", TraceValue(-4, 8), GOLDEN), parse_theta("cf:1,1"))
+    assert not report.ok
+    assert report.failures == (("theta", "insufficient-cf-data: cannot settle sign of -4 + 8*theta"),)
+
+
+def test_the_semicyclic_search_rejects_a_prefix_with_no_step_that_fits():
+    # the decimal 0.3 stores only the convergent 0/1, whose step 2*theta does not fit between theta and 1/2
+    with pytest.raises(PrecisionExhausted,
+                       match=r"^insufficient-cf-data: no stored convergent fits a step between t and 1/2$"):
+        realize("semicyclic", TraceValue(0, 1), parse_theta("0.3"))
+
+
 def test_fourier_k_always_binary(rng):
     for th in PRESETS:
         for _ in range(100):
@@ -533,10 +577,10 @@ def test_shallow_prefix_reports_insufficient_data():
     from nctorus.theta import PrecisionExhausted, ThetaParam
 
     th = ThetaParam.from_cf([1, 1, 1, 1, 1])
-    # deep approximation target 4(13 theta - 8): bracketing above 8/13 needs
-    # convergents the 5-term prefix cannot provide
-    with pytest.raises(PrecisionExhausted):
-        flat_decompose(TraceValue(-32, 52), th)
+    # deep approximation target 4(13 theta - 8): the 5-term prefix places theta only
+    # between 3/5 and 5/8, where 52 theta - 32 changes sign, so not even its domain settles
+    with pytest.raises(PrecisionExhausted, match="cannot settle sign of -32 \\+ 52\\*theta"):
+        realize("flat", TraceValue(-32, 52), th)
 
 
 # ------------------------------------------ the stored prefix bounds the search
