@@ -31,7 +31,7 @@ _EXPORTS = {
     "algebra": (
         "ONE", "U", "V", "Element", "GaussRational", "Monomial", "PhaseScalar",
         "apply_automorphism", "canonical_trace", "element_to_text", "numeric_eval",
-        "parse_element", "parse_phase", "phase_to_text", "sigma_average", "star",
+        "parse_element", "parse_phase", "phase_to_text", "sigma_average",
     ),
     "lattice": (
         "ChernVector", "Genus", "K0Coordinates", "KScalar", "basis_rank", "basis_vectors",
@@ -42,7 +42,7 @@ _EXPORTS = {
     "loops": ("LoopElement", "flip_apply", "loop_invariants", "pr_build", "projection_gates"),
     "realization": (
         "Certificate", "Convergent", "FourSquares", "TraceValue", "certificate_from_json",
-        "certificate_to_json", "convergents", "four_squares", "parse_trace",
+        "certificate_to_json", "four_squares", "parse_trace",
         "realize", "subalgebra_generators", "verify_certificate",
     ),
     "theta": ("PrecisionExhausted", "ThetaParam", "parse_theta"),

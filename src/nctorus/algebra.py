@@ -141,10 +141,6 @@ class PhaseScalar(Record):
     # ------------------------------------------------------------- factories
 
     @classmethod
-    def one(cls) -> "PhaseScalar":
-        return _phase({0: (1, 0)}, 1)
-
-    @classmethod
     def lam(cls, k: int = 1) -> "PhaseScalar":
         """The phase L^k."""
         return _phase({index(k): (1, 0)}, 1)
@@ -232,10 +228,6 @@ class Element(Record):
     # ------------------------------------------------------------- factories
 
     @classmethod
-    def one(cls) -> "Element":
-        return _element({(0, 0, 0): (1, 0)}, 1)
-
-    @classmethod
     def monomial(cls, m: int, n: int, coef: Union[int, Fraction, GaussRational, PhaseScalar] = 1) -> "Element":
         s, m, n = PhaseScalar.of(coef), index(m), index(n)
         return _element({(m, n, k): v for k, v in s._c.items()}, s._d)
@@ -294,7 +286,7 @@ class Element(Record):
     def __pow__(self, n: int) -> "Element":
         if n < 0:
             raise ValueError("only nonnegative powers are defined on generic elements")
-        out = Element.one()
+        out = ONE
         for _ in range(n):
             out = out * self
         return out
@@ -323,14 +315,10 @@ _ELEMENT_T, _ELEMENT_D = Element._setters
 
 U = Element.monomial(1, 0)
 V = Element.monomial(0, 1)
-ONE = Element.one()
+ONE = _element({(0, 0, 0): (1, 0)}, 1)
 
 
 # ----------------------------------------------------------------- operations
-
-
-def star(x: Element) -> Element:
-    return x.star()
 
 
 AUTOMORPHISMS = ("sigma", "flip", "gamma")

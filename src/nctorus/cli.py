@@ -210,9 +210,7 @@ def cmd_pr_build(args) -> int:
     grid = loops.DEFAULT_GRID if args.grid is None else args.grid
     with _output(args.save_element) as fh:
         try:
-            e, gates = loops._build_projection(
-                args.r, args.s, theta, args.flip, grid, args.eps, args.offset, loops.MAX_GRID
-            )
+            e, gates = loops._build_projection(args.r, args.s, theta, args.flip, grid, args.eps, args.offset)
         except loops.ResidualExceeded as exc:  # an ArithmeticError, which main does not map
             raise DomainRejection(str(exc)) from exc
         report = loops.loop_invariants(e, theta, args.r)

@@ -658,12 +658,11 @@ def _build_projection(
     n: int,
     eps: Optional[float],
     offset: float,
-    max_n: int,
 ) -> Tuple[LoopElement, BuildGates]:
     """pr_build, returning the accepted element together with its gates."""
-    r, s, max_n = index(r), index(s), index(max_n)  # 1.5 is refused, not truncated
-    if n > max_n:  # before anything is sampled on the grid
-        raise ValueError(f"grid size {n} is above the refinement ceiling {max_n}")
+    r, s = index(r), index(s)  # 1.5 is refused, not truncated
+    if n > MAX_GRID:  # before anything is sampled on the grid
+        raise ValueError(f"grid size {n} is above the refinement ceiling {MAX_GRID}")
     if r < 1:
         raise ValueError("r must be a positive integer")
     if not math.isfinite(offset):
@@ -683,7 +682,7 @@ def _build_projection(
     grid = _check_grid(n)
     while True:
         e = assemble_projection(beta, n=grid, eps=eps, centered=flip_symmetric, offset=offset)
-        last = grid * 4 > max_n
+        last = grid * 4 > MAX_GRID
         values, ok = [], True
         for value, met in _gate_attempt(e, beta, flip_symmetric):
             values.append(value)
@@ -698,7 +697,7 @@ def _build_projection(
             del e  # the raised traceback keeps this frame, and must not keep the element's arrays
             raise ResidualExceeded(
                 f"residual-exceeded: gates {gates} not met at grid {grid} "
-                f"(limit {max_n}); the grid is too coarse for this bump"
+                f"(limit {MAX_GRID}); the grid is too coarse for this bump"
             )
         grid *= 4
 
@@ -712,7 +711,6 @@ def pr_build(
     n: int = DEFAULT_GRID,
     eps: Optional[float] = None,
     offset: float = 0.0,
-    max_n: int = MAX_GRID,
 ) -> LoopElement:
     """Build a Powers-Rieffel projection over the base W = U^r.
 
@@ -721,11 +719,11 @@ def pr_build(
     recentre the bump pair so the flip fixes the element; ``offset`` must
     then be 0 or 1/2.  Plain builds use alpha = (r*theta + s) mod 1 and
     any finite offset.  Residual gates |e^2 - e|, |e* - e| (and |flip(e) - e|
-    when applicable) drive automatic grid refinement x4 up to ``max_n``;
+    when applicable) drive automatic grid refinement x4 up to MAX_GRID;
     if the gates still fail, ResidualExceeded is raised.  A first grid ``n``
-    above ``max_n``, or an offset that is not finite, is a ValueError.
+    above MAX_GRID, or an offset that is not finite, is a ValueError.
     """
-    return _build_projection(r, s, theta, flip_symmetric, n, eps, offset, max_n)[0]
+    return _build_projection(r, s, theta, flip_symmetric, n, eps, offset)[0]
 
 
 # ----------------------------------------------------------------- invariants

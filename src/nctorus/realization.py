@@ -116,11 +116,6 @@ def parse_trace(text: str) -> TraceValue:
 # ----------------------------------------------------------------- convergents
 
 
-def convergents(theta: ThetaParam) -> list[Convergent]:
-    """Every stored convergent of theta: c_0 = 0/1, c_1, ..."""
-    return [Convergent(p, q) for p, q in theta.convergents]
-
-
 def _bracketing_pair(theta: ThetaParam, m: int, n: int) -> Tuple[Convergent, Convergent]:
     """First consecutive-convergent pair (low, high) with m/n < low < theta < high (n > 0).
 
@@ -230,11 +225,11 @@ def subalgebra_generators(m: int, n: int) -> Tuple[Element, Element, TraceValue]
 
 def _check_embedding(m: int, n: int) -> Optional[str]:
     """Exact generator relations; None when they hold."""
-    from .algebra import Element, PhaseScalar, apply_automorphism
+    from .algebra import ONE, PhaseScalar, apply_automorphism
 
     ut, vt, _ = subalgebra_generators(m, n)
     s = m * m + n * n
-    if apply_automorphism("sigma", ut) * vt != Element.one():
+    if apply_automorphism("sigma", ut) * vt != ONE:
         return "sigma(Ut) * Vt != 1"
     if vt * ut != (ut * vt).scale(PhaseScalar.lam(4 * s)):
         return "Vt Ut != L^{4(m^2+n^2)} Ut Vt"
@@ -562,9 +557,6 @@ class EmbeddingLeg(_Node):
     @property
     def scale(self) -> int:
         return self.m1**2 + self.m2**2
-
-    def trace(self) -> TraceValue:
-        return TraceValue(-self.n_shift, self.scale)
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str) -> None:
         s = self.scale

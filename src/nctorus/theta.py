@@ -323,16 +323,16 @@ class ThetaParam(Record):
 
     def __init__(
         self,
-        cf_terms: tuple[int, ...],
+        cf_terms: Iterable[int],
         name: Optional[str] = None,
         interval: Optional[tuple[Fraction, Fraction]] = None,
     ) -> None:
-        if not cf_terms and interval is None:
-            raise ValueError("continued-fraction prefix must be nonempty")
         try:
             cf_terms = tuple(map(index, cf_terms))
         except TypeError:
             raise ValueError(_CF_TERMS) from None
+        if not cf_terms and interval is None:
+            raise ValueError("continued-fraction prefix must be nonempty")
         if cf_terms and min(cf_terms) < 1:
             raise ValueError(_CF_TERMS)
         if interval is not None:
@@ -353,33 +353,25 @@ class ThetaParam(Record):
         raise ValueError(f"unknown theta preset {name!r} (expected one of {cls.PRESETS})")
 
     @classmethod
-    def from_cf(cls, terms: Sequence[int], name: Optional[str] = None) -> "ThetaParam":
-        return cls(cf_terms=tuple(terms), name=name)
-
-    @classmethod
-    def from_decimal(cls, text: Union[str, float]) -> "ThetaParam":
-        """Build from a decimal approximation; precision is taken at half an ulp.
+    def from_decimal(cls, text: str) -> "ThetaParam":
+        """Build from decimal text; its precision is half a unit in its last digit.
 
         The stored continued-fraction prefix is the part shared by both ends
         of the uncertainty interval, so every exact answer derived from it is
         valid for any theta consistent with the input.
         """
-        if isinstance(text, float):
-            r = Fraction(text)
-            u = Fraction(math.ulp(text)) / 2
-        else:
-            text = text.strip()
-            if not _DECIMAL.fullmatch(text):
-                raise ValueError(f"theta {text!r} is not a decimal number")
-            # the last digit's place comes from the exponent, so "0.5",
-            # "0.5e0" and "5e-1" all mean 0.5 +- 0.05
-            d = Decimal(text)
-            place = d.as_tuple().exponent
-            if abs(place) > _MAX_DECIMAL_PLACE:
-                # 10**place alone would take unbounded time and memory
-                raise ValueError(f"theta {text!r} has its last digit at 10^{place}, out of range")
-            r = Fraction(d)
-            u = Fraction(10) ** place / 2
+        text = text.strip()
+        if not _DECIMAL.fullmatch(text):
+            raise ValueError(f"theta {text!r} is not a decimal number")
+        # the last digit's place comes from the exponent, so "0.5",
+        # "0.5e0" and "5e-1" all mean 0.5 +- 0.05
+        d = Decimal(text)
+        place = d.as_tuple().exponent
+        if abs(place) > _MAX_DECIMAL_PLACE:
+            # 10**place alone would take unbounded time and memory
+            raise ValueError(f"theta {text!r} has its last digit at 10^{place}, out of range")
+        r = Fraction(d)
+        u = Fraction(10) ** place / 2
         lo, hi = r - u, r + u
         if not (0 < lo and hi < 1):
             raise ValueError("theta must lie strictly inside (0, 1)")
@@ -547,5 +539,5 @@ def parse_theta(spec: str) -> ThetaParam:
                 raise ValueError(f"{what} continued-fraction term at {at} in {spec!r}")
             terms.append(_read_int(digits, lambda why: ValueError(f"{why} in the continued-fraction term at {at}")))
             pos += len(tok) + 1
-        return ThetaParam.from_cf(terms)
+        return ThetaParam(terms)
     return ThetaParam.from_decimal(spec)

@@ -17,7 +17,6 @@ from nctorus.algebra import (
     PhaseScalar,
     apply_automorphism,
     canonical_trace,
-    star,
 )
 from nctorus.lattice import (
     Genus,
@@ -37,7 +36,6 @@ from nctorus.realization import (
     TraceValue,
     certificate_from_json,
     certificate_to_json,
-    convergents,
     realize,
     subalgebra_generators,
     verify_certificate,
@@ -79,7 +77,7 @@ def test_criterion_01_exact_algebra_suite():
         x, y, z = (_random_element(rng, max_terms=6, span=5) for _ in range(3))
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
-        assert star(x * y) == star(y) * star(x) and star(star(x)) == x
+        assert (x * y).star() == y.star() * x.star() and x.star().star() == x
         s = apply_automorphism("sigma", x)
         s2 = apply_automorphism("sigma", s)
         s4 = apply_automorphism("sigma", apply_automorphism("sigma", s2))
@@ -292,7 +290,7 @@ def test_criterion_09_subalgebra_embedding_exact():
                 continue
             ut, vt, _ = subalgebra_generators(m, n)
             s = m * m + n * n
-            assert apply_automorphism("sigma", ut) * vt == Element.one()
+            assert apply_automorphism("sigma", ut) * vt == ONE
             assert vt * ut == (ut * vt).scale(PhaseScalar.lam(4 * s))
     _report(9, "embedding relations exact for all |m|, |n| <= 8", True)
 
@@ -336,16 +334,16 @@ def test_criterion_10_powers_rieffel_numerics():
 def test_criterion_11_density_of_realizable_traces():
     rng = random.Random(111)
     t = GOLDEN.turns(0, 1)
-    step = next(c for c in convergents(GOLDEN) if 0 < c.q * t - c.p < 2.5e-4)
-    d = step.q * t - step.p
+    p, q = next((p, q) for p, q in GOLDEN.convergents if 0 < q * t - p < 2.5e-4)
+    d = q * t - p
     for _ in range(100):
         x = rng.uniform(1e-3, 1 - 1e-3)
         for mult, kind in ((4, "flat"), (2, "semiflat")):
             k = max(1, round(x / (mult * d)))
-            tv = TraceValue(-mult * k * step.p, mult * k * step.q)
+            tv = TraceValue(-mult * k * p, mult * k * q)
             if not tv.in_open_interval(GOLDEN, 0, 1):
                 k -= 1
-                tv = TraceValue(-mult * k * step.p, mult * k * step.q)
+                tv = TraceValue(-mult * k * p, mult * k * q)
             assert abs(GOLDEN.turns(tv.a, tv.b) - x) < 1e-3
             assert verify_certificate(realize(kind, tv, GOLDEN), GOLDEN).ok
     _report(11, "flat and semiflat targets within 1e-3 of 100 uniform points", True)

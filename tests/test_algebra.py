@@ -20,7 +20,6 @@ from nctorus.algebra import (
     parse_phase,
     phase_to_text,
     sigma_average,
-    star,
 )
 from nctorus.theta import ThetaParam
 
@@ -59,6 +58,28 @@ def test_identity_neutral(rng):
         assert x * ONE == x and ONE * x == x
 
 
+@pytest.mark.parametrize("x", [U, U * V + V.star(), Element.monomial(2, -1, GaussRational(Fraction(1, 3), -2))],
+                         ids=["U", "UV + V*", "(1/3 - 2i) U^2 V^-1"])
+def test_powers_are_repeated_products(x):
+    assert x ** 0 == ONE and x ** 1 == x and x ** 3 == x * x * x
+    with pytest.raises(ValueError, match=r"^only nonnegative powers are defined on generic elements$"):
+        x ** -1
+
+
+@pytest.mark.parametrize("a, b", [
+    (GaussRational(Fraction(1, 2), -3), GaussRational(Fraction(-5, 6), Fraction(1, 4))),
+    (PhaseScalar({1: GaussRational(2, Fraction(1, 3))}), PhaseScalar({1: GaussRational(1), -2: GaussRational(0, 4)})),
+], ids=["GaussRational", "PhaseScalar"])
+def test_subtraction_adds_the_negation(a, b):
+    assert a - b == a + (-b) != b - a
+
+
+def test_an_unknown_automorphism_is_refused_by_name():
+    with pytest.raises(ValueError) as err:
+        apply_automorphism("rho", U)
+    assert str(err.value) == "unknown automorphism 'rho' (expected one of ('sigma', 'flip', 'gamma'))"
+
+
 def test_associativity_random(rng):
     for _ in range(100):
         x, y, z = (random_element(rng, max_terms=5) for _ in range(3))
@@ -76,7 +97,7 @@ def test_distributivity_random(rng):
 
 
 def test_star_generator():
-    assert star(U) == Element.monomial(-1, 0)
+    assert U.star() == Element.monomial(-1, 0)
 
 
 def test_star_of_phase_monomial():
@@ -84,19 +105,19 @@ def test_star_of_phase_monomial():
     x = Element.monomial(1, 1, PhaseScalar.lam(1))
     k, m, n = reorder_word_oracle([("V", -1), ("U", -1)])
     expected = Element.monomial(m, n, PhaseScalar.lam(k - 1))
-    assert star(x) == expected == Element.monomial(-1, -1, PhaseScalar.lam(3))
+    assert x.star() == expected == Element.monomial(-1, -1, PhaseScalar.lam(3))
 
 
 def test_star_involution_and_antihomomorphism(rng):
     for _ in range(100):
         x, y = random_element(rng), random_element(rng)
-        assert star(star(x)) == x
-        assert star(x * y) == star(y) * star(x)
+        assert x.star().star() == x
+        assert (x * y).star() == y.star() * x.star()
 
 
 def test_unitary_generators():
-    assert U * star(U) == ONE and star(U) * U == ONE
-    assert V * star(V) == ONE and star(V) * V == ONE
+    assert U * U.star() == ONE and U.star() * U == ONE
+    assert V * V.star() == ONE and V.star() * V == ONE
 
 
 # --------------------------------------------------------------- automorphisms
@@ -183,7 +204,7 @@ def test_trace_positivity_numeric(rng):
     th = ThetaParam.preset("golden")
     for _ in range(25):
         x = random_element(rng)
-        val = numeric_eval(canonical_trace(star(x) * x), th)
+        val = numeric_eval(canonical_trace(x.star() * x), th)
         assert abs(val.imag) < 1e-12
         assert val.real > -1e-12
 
@@ -192,8 +213,7 @@ def test_trace_positivity_numeric(rng):
 
 
 def test_numeric_eval_quarter():
-    th = ThetaParam.from_cf([4] * 40)  # theta = [0;4,4,...] ~ 0.2360679..., used only via L^4
-    # L^4 = e(theta); use an exact quarter via a direct construction instead:
+    # L^4 = e(theta), which is i at theta = 1/4
     th_quarter = ThetaParam.from_decimal("0.25000000000000000000")
     val = numeric_eval(PhaseScalar.lam(4), th_quarter)
     assert val == pytest.approx(1j, abs=1e-12)
@@ -258,7 +278,7 @@ def elements(draw):
 @settings(max_examples=60, deadline=None)
 @given(elements(), elements())
 def test_hypothesis_star_antihomomorphism(x, y):
-    assert star(x * y) == star(y) * star(x)
+    assert (x * y).star() == y.star() * x.star()
 
 
 @settings(max_examples=60, deadline=None)
@@ -393,16 +413,10 @@ def test_t2_slots_real_on_flip_invariant_hermitian(rng):
     th = ThetaParam.preset("golden")
     for _ in range(15):
         x = random_element(rng)
-        h = x + star(x)
+        h = x + x.star()
         h = h + aut("flip", h)  # flip-invariant and Hermitian
         for slot in chern_T2(h).slots():
             assert abs(numeric_eval(slot, th).imag) <= 1e-12
-
-
-def test_from_decimal_float_input():
-    th = ThetaParam.from_decimal(0.6180339887498949)
-    assert th.sign_linear(-1, 2) > 0
-    assert abs(th.turns(0, 1) - 0.6180339887498949) < 1e-15
 
 
 # --------------------------------------------------------- pickle and copy

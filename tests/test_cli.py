@@ -15,7 +15,8 @@ import nctorus
 from nctorus.cli import CERT_FORMAT, main
 from nctorus.lattice import (
     K0Coordinates, KScalar, chern_to_text, parse_chern, parse_kscalar, recompose, semiflat_coordinates)
-from nctorus.realization import KINDS, MAX_NESTING, TraceValue
+from nctorus import realization
+from nctorus.realization import KINDS, MAX_NESTING, InternalAssertion, TraceValue
 from nctorus.theta import PrecisionExhausted, parse_theta
 
 from conftest import mp_turns, reflected_chain_json
@@ -410,6 +411,18 @@ def test_realize_rejects_a_semicyclic_target_with_no_step_that_fits(capsys):
 def test_realize_unknown_kind_exits_2(capsys):
     code, _, err = run(capsys, "realize", "--kind", "bogus", "--trace", "2t-1")
     assert code == 2 and "unknown kind 'bogus'" in err and "semiflat" in err
+
+
+@pytest.mark.parametrize("exc", [InternalAssertion("boom"), RuntimeError("boom")],
+                         ids=["InternalAssertion", "RuntimeError"])
+def test_a_crash_inside_a_command_exits_1(monkeypatch, capsys, exc):
+    def crash(*args):
+        raise exc
+
+    monkeypatch.setattr(realization, "realize", crash)
+    code, out, err = run(capsys, "realize", "--kind", "flat", "--trace", "8t-4")
+    assert (code, out) == (1, "")
+    assert err == f"internal error: {type(exc).__name__}: boom\n"
 
 
 def test_verify_detects_tampering(tmp_path, capsys):

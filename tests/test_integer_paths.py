@@ -223,7 +223,7 @@ def reference_bracketing_pair(theta, bound):
     raise PrecisionExhausted(f"insufficient-cf-data: no pair of stored convergents brackets theta past {bound}")
 
 
-_pair_thetas = THETAS + (ThetaParam.from_cf([1]), ThetaParam.from_cf([3, 1]), ThetaParam.from_cf([100] * 12))
+_pair_thetas = THETAS + (ThetaParam([1]), ThetaParam([3, 1]), ThetaParam([100] * 12))
 
 
 @settings(max_examples=400, deadline=None)

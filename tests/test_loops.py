@@ -420,7 +420,7 @@ def test_flip_interval_check_keeps_its_texts():
     assert str(out.value) == "alpha-out-of-range: r*theta + s = 1*theta+0 is not in (1/2, 1)"
     for terms, text in (([2], "-1/2 + 1*theta"), ([1, 2], "-1 + 1*theta")):
         with pytest.raises(PrecisionExhausted) as unsettled:
-            pr_build(1, 0, ThetaParam.from_cf(terms), flip_symmetric=True)
+            pr_build(1, 0, ThetaParam(terms), flip_symmetric=True)
         assert str(unsettled.value) == f"insufficient-cf-data: cannot settle sign of {text}"
 
 
@@ -434,9 +434,8 @@ def test_build_rejects_a_first_grid_above_the_ceiling_before_sampling(monkeypatc
         raise AssertionError("the grid was sampled")
 
     monkeypatch.setattr(loops, "assemble_projection", sampled)
-    for max_n in (1024, MAX_GRID):
-        with pytest.raises(ValueError, match=f"grid size {2 * max_n} is above the refinement ceiling {max_n}"):
-            pr_build(1, 0, GOLDEN, n=2 * max_n, max_n=max_n)
+    with pytest.raises(ValueError, match=f"grid size {2 * MAX_GRID} is above the refinement ceiling {MAX_GRID}"):
+        pr_build(1, 0, GOLDEN, n=2 * MAX_GRID)
 
 
 @pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
@@ -550,7 +549,7 @@ def test_plain_build_with_large_shift_meets_the_adjoint_gate():
     # golden, r = 39, s = 40: adding s before the mod 1 put alpha 7.1e-15 off
     # beta, and the adjoint residual stalled at 1.07e-12 on every grid
     offset = 0.24246845778402293
-    e, gates = _build_projection(39, 40, GOLDEN, False, 4096, None, offset, MAX_GRID)
+    e, gates = _build_projection(39, 40, GOLDEN, False, 4096, None, offset)
     assert e.beta == mp_turns("golden", 0, 39)
     assert e.n == 16384
     assert gates.adjoint_residual <= ADJOINT_RESIDUAL_GATE
@@ -563,7 +562,7 @@ def test_plain_build_with_large_shift_meets_the_adjoint_gate():
 ])
 def test_flip_symmetric_alpha_equals_the_base_step(theta, r, s):
     # the base step (r*theta) mod 1 is the flip alpha r*theta + s in (1/2, 1), correctly rounded
-    e, gates = _build_projection(r, s, theta, True, 4096, None, 0.0, MAX_GRID)
+    e, gates = _build_projection(r, s, theta, True, 4096, None, 0.0)
     assert e.beta == mp_turns(theta.name, s, r)
     assert 0.5 < e.beta < 1
     assert gates.trace_error <= TRACE_GATE
@@ -579,7 +578,7 @@ def test_build_refines_grid_when_too_coarse():
 def test_a_failed_build_leaves_no_element_in_its_traceback():
     # a kept exception must not keep the last grid's arrays alive through the raising frame
     with pytest.raises(ResidualExceeded) as info:
-        pr_build(11, -6, GOLDEN, n=4096, eps=0.0009, max_n=16384)
+        pr_build(11, -6, GOLDEN, n=4096, eps=0.0009)
     tb = info.value.__traceback__
     while tb is not None:
         held = [name for name, v in tb.tb_frame.f_locals.items() if isinstance(v, LoopElement)]
@@ -639,7 +638,7 @@ def cyclic_leaves(cert, theta):
 def leaf_witness(theta, p, q):
     """The plain build pr_build(q, -p) of a leaf's unit trace, checked; a flip build's rounded phi
     vector and its (q, s) parities when alpha is in (1/2, 1), else None."""
-    e, gates = _build_projection(q, -p, theta, False, loops.DEFAULT_GRID, None, 0.0, MAX_GRID)
+    e, gates = _build_projection(q, -p, theta, False, loops.DEFAULT_GRID, None, 0.0)
     assert e.n <= MAX_GRID and gates.square_residual <= SQUARE_RESIDUAL_GATE
     assert gates.adjoint_residual <= ADJOINT_RESIDUAL_GATE and gates.trace_error <= TRACE_GATE
     tau = loop_invariants(e, theta, q).tau

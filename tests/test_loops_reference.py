@@ -228,7 +228,7 @@ def test_bump_builds_match_reference(theta, n):
         assert_same_invariants(e, theta, r)
 
 
-def ref_pr_build(r, s, theta, flip, n, eps=None, offset=0.0, max_n=loops.MAX_GRID):
+def ref_pr_build(r, s, theta, flip, n, eps=None, offset=0.0):
     # a plain alpha (r*theta + s) mod 1 and a flip alpha r*theta + s in (1/2, 1) are both the base step
     alpha = mp_turns(theta.name, 0, r)
     while True:
@@ -239,7 +239,7 @@ def ref_pr_build(r, s, theta, flip, n, eps=None, offset=0.0, max_n=loops.MAX_GRI
                 and gates.trace_error <= loops.TRACE_GATE
                 and (gates.flip_residual is None or gates.flip_residual <= loops.FLIP_RESIDUAL_GATE)):
             return e, gates
-        if n * 4 > max_n:
+        if n * 4 > loops.MAX_GRID:
             return None, gates
         n *= 4
 
@@ -252,16 +252,16 @@ def ref_pr_build(r, s, theta, flip, n, eps=None, offset=0.0, max_n=loops.MAX_GRI
     (11, -6, GOLDEN, False, 4096, 0.0009),
 ])
 def test_pr_build_matches_reference_through_refinement(r, s, theta, flip, n, eps):
-    want, want_gates = ref_pr_build(r, s, theta, flip, n, eps, max_n=16384)
+    want, want_gates = ref_pr_build(r, s, theta, flip, n, eps)
     if want is None:
         with pytest.raises(ResidualExceeded) as info:
-            pr_build(r, s, theta, flip, n=n, eps=eps, max_n=16384)
+            pr_build(r, s, theta, flip, n=n, eps=eps)
         assert repr(want_gates) in str(info.value)
         return
-    e, gates = loops._build_projection(r, s, theta, flip, n, eps, 0.0, 16384)
+    e, gates = loops._build_projection(r, s, theta, flip, n, eps, 0.0)
     assert_identical(e, want)
     assert gates == want_gates
-    assert_identical(pr_build(r, s, theta, flip, n=n, eps=eps, max_n=16384), want)
+    assert_identical(pr_build(r, s, theta, flip, n=n, eps=eps), want)
 
 
 # ------------------------------------------------------------------- counting
@@ -384,21 +384,24 @@ def test_invariant_transform_counts(numpy_calls):
 def test_a_refining_attempt_stops_at_its_first_failed_gate(numpy_calls, monkeypatch):
     # below the ceiling the trace and adjoint gates come first, and a failed adjoint decides; the attempt
     # at the ceiling takes all four gates, which its ResidualExceeded reports
-    marks = []
+    marks, grids = [], []
     assemble = loops.assemble_projection
 
     def marked(*args, **kwargs):
         marks.append(dict(numpy_calls))
+        grids.append(kwargs["n"])
         return assemble(*args, **kwargs)
 
     monkeypatch.setattr(loops, "assemble_projection", marked)
     with pytest.raises(ResidualExceeded) as info:
-        pr_build(11, -6, GOLDEN, n=4096, eps=0.0009, max_n=16384)
+        pr_build(11, -6, GOLDEN, n=4096, eps=0.0009)
     marks.append(dict(numpy_calls))
-    first, ceiling = ({k: b[k] - a[k] for k in a} for a, b in zip(marks, marks[1:]))
-    assert first["fft_calls"] <= 2 and first["fft_rows"] <= 4 and first["complex_exp"] <= 1
-    assert first["complex_exp_points"] <= 4096 // 2 + 1
+    *refining, ceiling = ({k: b[k] - a[k] for k in a} for a, b in zip(marks, marks[1:]))
+    assert grids == [4096, 16384, 65536]
+    for n, attempt in zip(grids, refining):
+        assert attempt["fft_calls"] <= 2 and attempt["fft_rows"] <= 4 and attempt["complex_exp"] <= 1
+        assert attempt["complex_exp_points"] <= n // 2 + 1
     assert ceiling == {"fft_calls": 5, "fft_rows": 9, "forward_rows": 3, "inverse_rows": 6, "complex_exp": 1,
-                       "complex_exp_points": 16384 // 2 + 1}
+                       "complex_exp_points": 65536 // 2 + 1}
     for gate in BuildGates.__slots__:
         assert f"{gate}=" in str(info.value)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nctorus.algebra import Element, PhaseScalar, apply_automorphism
+from nctorus.algebra import ONE, Element, PhaseScalar, apply_automorphism
 from nctorus.lattice import ChernParseError, KScalar
 from nctorus.realization import (
     KINDS,
@@ -28,7 +28,6 @@ from nctorus.realization import (
     WrongSubgroup,
     certificate_from_json,
     certificate_to_json,
-    convergents,
     four_squares,
     parse_trace,
     realize,
@@ -49,13 +48,12 @@ PRESETS = (GOLDEN, SQRT2)
 
 
 def test_golden_convergents():
-    cs = convergents(GOLDEN)[:6]
-    assert [(c.p, c.q) for c in cs] == [(0, 1), (1, 1), (1, 2), (2, 3), (3, 5), (5, 8)]
+    assert GOLDEN.convergents[:6] == ((0, 1), (1, 1), (1, 2), (2, 3), (3, 5), (5, 8))
 
 
 def test_consecutive_pairs_unimodular_when_bracket_ordered():
     for th in PRESETS:
-        cs = convergents(th)[:21]
+        cs = [Convergent(*c) for c in th.convergents[:21]]
         t = th.turns(0, 1)
         for low, high in zip(cs, cs[1:]):
             if low.p / low.q > high.p / high.q:
@@ -65,17 +63,9 @@ def test_consecutive_pairs_unimodular_when_bracket_ordered():
 
 
 def test_approximation_quality_decreasing():
-    cs = convergents(GOLDEN)[:21]
     t = GOLDEN.turns(0, 1)
-    errs = [abs(c.q * t - c.p) for c in cs]
+    errs = [abs(q * t - p) for p, q in GOLDEN.convergents[:21]]
     assert all(a > b for a, b in zip(errs, errs[1:]))
-
-
-def test_convergents_are_every_stored_one():
-    for th in (*PRESETS, ThetaParam.from_cf([3, 1, 4])):
-        cs = convergents(th)
-        assert len(cs) == len(th.cf_terms) + 1 and cs[0] == (0, 1)
-        assert [(c.p, c.q) for c in cs] == list(th.convergents)
 
 
 # ------------------------------------------------------------ the flat split
@@ -235,7 +225,7 @@ def test_embedding_relations_exhaustive():
             ut, vt, tp = subalgebra_generators(m, n)
             s = m * m + n * n
             assert tp.b == s
-            assert apply_automorphism("sigma", ut) * vt == Element.one()
+            assert apply_automorphism("sigma", ut) * vt == ONE
             assert vt * ut == (ut * vt).scale(PhaseScalar.lam(4 * s))
             assert apply_automorphism("sigma", vt) == ut
 
@@ -287,8 +277,8 @@ def test_realize_fourier_three_theta_minus_one():
     cert = realize("fourier_invariant", TraceValue(-1, 3), GOLDEN)
     assert cert.squares == (1, 1, 1, 0)
     assert (cert.leg1.n_shift, cert.leg2.n_shift) == (1, 0)
-    assert cert.leg1.trace() == TraceValue(-1, 2)
-    assert cert.leg2.trace() == TraceValue(0, 1)
+    assert TraceValue(-cert.leg1.n_shift, cert.leg1.scale) == TraceValue(-1, 2)
+    assert TraceValue(-cert.leg2.n_shift, cert.leg2.scale) == TraceValue(0, 1)
     assert cert.k == 0 and cert.branch == "orthogonal-sum"
     assert verify_certificate(cert, GOLDEN).ok
 
@@ -502,6 +492,15 @@ def test_certificate_json_roundtrip_all_kinds(rng):
             assert back == cert
 
 
+@pytest.mark.parametrize("node, name", [
+    (realize("flat", TraceValue(-4, 8), GOLDEN).legs[0], "OrbitFlat"),
+    (42, "int"),
+], ids=["a leaf node", "an int"])
+def test_only_a_certificate_is_serialized(node, name):
+    with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+        certificate_to_json(node)
+
+
 def test_certificate_nodes_carry_lemma_tags():
     cert = realize("semiflat", TraceValue(-2, 4), GOLDEN)
     payload = certificate_to_json(cert)
@@ -527,17 +526,16 @@ def test_density_of_flat_and_semiflat_traces_golden():
     rng = random.Random(15)
     t = GOLDEN.turns(0, 1)
     # pick a convergent step small enough for 1e-3 lattice spacing
-    cs = convergents(GOLDEN)
-    step = next(c for c in cs if abs(c.q * t - c.p) < 2.5e-4 and c.q * t - c.p > 0)
-    d = step.q * t - step.p
+    p, q = next((p, q) for p, q in GOLDEN.convergents if abs(q * t - p) < 2.5e-4 and q * t - p > 0)
+    d = q * t - p
     for _ in range(100):
         x = rng.uniform(1e-3, 1 - 1e-3)
         for mult, kind in ((4, "flat"), (2, "semiflat")):
             k = max(1, round(x / (mult * d)))
-            tv = TraceValue(-mult * k * step.p, mult * k * step.q)
+            tv = TraceValue(-mult * k * p, mult * k * q)
             if not tv.in_open_interval(GOLDEN, 0, 1):
                 k -= 1
-                tv = TraceValue(-mult * k * step.p, mult * k * step.q)
+                tv = TraceValue(-mult * k * p, mult * k * q)
             assert abs(GOLDEN.turns(tv.a, tv.b) - x) < 1e-3
             cert = realize(kind, tv, GOLDEN)
             assert verify_certificate(cert, GOLDEN).ok
@@ -576,7 +574,7 @@ def test_parse_trace_rejects_zero_denominators_and_non_ascii_digits():
 def test_shallow_prefix_reports_insufficient_data():
     from nctorus.theta import PrecisionExhausted, ThetaParam
 
-    th = ThetaParam.from_cf([1, 1, 1, 1, 1])
+    th = ThetaParam([1, 1, 1, 1, 1])
     # deep approximation target 4(13 theta - 8): the 5-term prefix places theta only
     # between 3/5 and 5/8, where 52 theta - 32 changes sign, so not even its domain settles
     with pytest.raises(PrecisionExhausted, match="cannot settle sign of -32 \\+ 52\\*theta"):
@@ -600,7 +598,7 @@ def test_deep_convergent_targets_realize_and_verify(theta, depth, kind, scale):
     assert verify_certificate(parsed, theta).ok
 
 
-SEARCH_THETAS = (ThetaParam.from_cf([1] * 20), ThetaParam.from_cf([2] * 30), GOLDEN, SQRT2)
+SEARCH_THETAS = (ThetaParam([1] * 20), ThetaParam([2] * 30), GOLDEN, SQRT2)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -105,7 +105,7 @@ def _samples():
     roots += [traces.relation_check(x), traces.RelationReport(False, "psi20 = phi00", Monomial(1, 2))]
     roots += [traces.twist_discovery("tau", max_exp=1), traces.twist_discovery("psi10", max_exp=1)]
     for r, s, flip in ((6, -3, True), (2, 0, False)):
-        e, gates = loops._build_projection(r, s, GOLDEN, flip, 256, None, 0.0, loops.MAX_GRID)
+        e, gates = loops._build_projection(r, s, GOLDEN, flip, 256, None, 0.0)
         roots += [gates, loops.loop_invariants(e, GOLDEN, r)]
     found = {}
     for root in roots:

@@ -29,9 +29,25 @@ def test_unknown_preset_rejected():
 
 def test_cf_terms_validated():
     with pytest.raises(ValueError):
-        ThetaParam.from_cf([])
+        ThetaParam([])
     with pytest.raises(ValueError):
-        ThetaParam.from_cf([1, 0, 2])
+        ThetaParam([1, 0, 2])
+
+
+def test_any_iterable_of_terms_is_read_once():
+    assert ThetaParam(iter([3, 1, 4])) == ThetaParam([3, 1, 4]) == ThetaParam((3, 1, 4))
+    with pytest.raises(ValueError, match="prefix must be nonempty"):
+        ThetaParam(iter(()))
+
+
+@pytest.mark.parametrize("interval", [
+    (Fraction(1, 2), Fraction(1, 3)),
+    (0, Fraction(1, 2)),
+    (Fraction(1, 2), 1),
+], ids=["reversed", "lo at 0", "hi at 1"])
+def test_an_interval_outside_the_unit_interval_is_refused(interval):
+    with pytest.raises(ValueError, match=r"^interval must satisfy 0 < lo < hi < 1$"):
+        ThetaParam((1,), interval=interval)
 
 
 def test_sign_linear_exact():
@@ -99,7 +115,7 @@ def test_parse_theta_forms():
 
 
 def test_convergents_are_every_stored_one():
-    assert ThetaParam.from_cf([1, 1, 1]).convergents == ((0, 1), (1, 1), (1, 2), (2, 3))
+    assert ThetaParam([1, 1, 1]).convergents == ((0, 1), (1, 1), (1, 2), (2, 3))
     assert len(ThetaParam.preset("sqrt2").convergents) == 161
     assert parse_theta("0.5").convergents == ((0, 1),)  # an exactly-rational input pins no terms
 
@@ -108,7 +124,7 @@ def test_reflect_of_empty_prefix_is_precision_exhausted():
     with pytest.raises(PrecisionExhausted):
         parse_theta("0.5").reflect()
     with pytest.raises(PrecisionExhausted):
-        ThetaParam.from_cf([1]).reflect()
+        ThetaParam([1]).reflect()
 
 
 def test_reflect_is_cached():
@@ -198,7 +214,7 @@ THETAS = (
     parse_theta("0.6180339887"),
     ThetaParam.preset("golden").reflect(),
     parse_theta("0.4142"),
-    ThetaParam.from_cf([1, 2, 3, 4, 5, 6]),
+    ThetaParam([1, 2, 3, 4, 5, 6]),
     # an interval wider than the prefix: its clipped brackets are the tighter ones
     ThetaParam(cf_terms=(1,) * 30, interval=(Fraction(3, 5), Fraction(7, 10))),
 )

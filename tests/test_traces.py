@@ -12,7 +12,6 @@ from nctorus.algebra import (
     apply_automorphism,
     numeric_eval,
     sigma_average,
-    star,
 )
 from nctorus.theta import ThetaParam
 from nctorus.traces import (
@@ -42,14 +41,14 @@ def test_phi_values_on_u2v2():
 
 
 def test_phi_on_identity():
-    assert phi_eval("00", ONE) == PhaseScalar.one()
+    assert phi_eval("00", ONE) == PhaseScalar.lam(0)
     assert chern_T2(ONE).to_json() == ["(1)", "(1)", "0", "0", "0"]
 
 
 def test_psi_monomial_values():
     assert psi_eval("10", U * V) == PhaseScalar.lam(-4)
     assert psi_eval("11", U) == PhaseScalar.lam(-1)
-    assert psi_eval("22", U) == PhaseScalar.one()
+    assert psi_eval("22", U) == PhaseScalar.lam(0)
     assert psi_eval("10", U) == PhaseScalar()
     assert psi_eval("20", U * V) == PhaseScalar()
 
@@ -122,11 +121,11 @@ def test_phi_hermitian_property(rng):
     thetas = [
         ThetaParam.preset("golden"),
         ThetaParam.preset("sqrt2"),
-        ThetaParam.from_cf([3] * 60),
+        ThetaParam([3] * 60),
     ]
     for _ in range(20):
         x = random_element(rng)
-        h = x + star(x)
+        h = x + x.star()
         for ij in PHI_INDICES:
             val = phi_eval(ij, h)
             for th in thetas:
