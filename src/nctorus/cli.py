@@ -3,7 +3,11 @@
 Every subcommand computes one machine-readable record; ``--json`` prints
 it as JSON, the default renders the same record as text.  Exit codes:
 0 success, 2 domain rejection (bad input value, failed verification),
-1 internal error.
+1 internal error.  One rule decides them: the package refuses an input
+with a ValueError (insufficient-cf-data and residual-exceeded included)
+and an unreadable or unwritable file is an OSError, both exit 2; any
+other exception, such as the AssertionError of a failed invariant check,
+is a defect and exits 1.
 
 Each subcommand imports the layers it uses when it runs, so a process
 pays only for those: ``cone`` never loads the algebra, ``realize`` and
@@ -20,13 +24,9 @@ import os
 import sys
 from typing import Optional
 
-from .theta import PrecisionExhausted, parse_theta
+from .theta import parse_theta
 
 CERT_FORMAT = "nctorus-certificate/1"
-
-
-class DomainRejection(Exception):
-    """User input was well-formed but outside the operation's domain."""
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -163,29 +163,29 @@ def cmd_verify(args) -> int:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except RecursionError as exc:  # the stdlib decoder recurses once per nesting level
-        raise DomainRejection("the certificate is nested too deeply to read") from exc
+        raise ValueError("the certificate is nested too deeply to read") from exc
     if not isinstance(payload, dict):
-        raise DomainRejection(f"a certificate file holds a JSON object, not {type(payload).__name__}")
+        raise ValueError(f"a certificate file holds a JSON object, not {type(payload).__name__}")
     if payload.get("format") != CERT_FORMAT:
-        raise DomainRejection(f"unsupported certificate format {payload.get('format')!r}")
+        raise ValueError(f"unsupported certificate format {payload.get('format')!r}")
     spec = args.theta if args.theta else payload.get("theta")
     if not isinstance(spec, str):
-        raise DomainRejection(f"the certificate file needs a theta spec string, got {spec!r}")
+        raise ValueError(f"the certificate file needs a theta spec string, got {spec!r}")
     if not isinstance(payload.get("certificate"), dict):
-        raise DomainRejection("the certificate file needs a 'certificate' object")
+        raise ValueError("the certificate file needs a 'certificate' object")
     claimed = payload.get("target")  # optional; when present, the trace the certificate must prove
     if "target" in payload and not (type(claimed) is dict and claimed.keys() == {"a", "b"}
                                     and type(claimed["a"]) is int and type(claimed["b"]) is int):
-        raise DomainRejection(f"the file's target must be an object of the integers a and b, got {claimed!r}")
+        raise ValueError(f"the file's target must be an object of the integers a and b, got {claimed!r}")
     theta = parse_theta(spec)
     # off the node layouts or past realization.MAX_NESTING levels: CertificateFormatError, a ValueError (exit 2)
     cert = realization.certificate_from_json(payload["certificate"])
     if payload.get("kind", cert.kind) != cert.kind:
-        raise DomainRejection(f"the file's kind {payload['kind']!r} is not the certificate's kind {cert.kind!r}")
+        raise ValueError(f"the file's kind {payload['kind']!r} is not the certificate's kind {cert.kind!r}")
     target = {"a": cert.target.a, "b": cert.target.b}  # the trace the certificate proves: its root node's
     if "target" in payload and claimed != target:
-        raise DomainRejection(f"the file's target {realization.TraceValue(**claimed)} is not the certificate's "
-                              f"target {cert.target}")
+        raise ValueError(f"the file's target {realization.TraceValue(**claimed)} is not the certificate's "
+                         f"target {cert.target}")
     report = realization.verify_certificate(cert, theta)
     record = report.to_json()
     record["kind"] = cert.kind
@@ -209,10 +209,7 @@ def cmd_pr_build(args) -> int:
     theta = parse_theta(args.theta)
     grid = loops.DEFAULT_GRID if args.grid is None else args.grid
     with _output(args.save_element) as fh:
-        try:
-            e, gates = loops._build_projection(args.r, args.s, theta, args.flip, grid, args.eps, args.offset)
-        except loops.ResidualExceeded as exc:  # an ArithmeticError, which main does not map
-            raise DomainRejection(str(exc)) from exc
+        e, gates = loops._build_projection(args.r, args.s, theta, args.flip, grid, args.eps, args.offset)
         report = loops.loop_invariants(e, theta, args.r)
         if fh:
             fh.truncate(0)
@@ -315,7 +312,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainRejection, PrecisionExhausted, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the contract maps crashes to exit 1

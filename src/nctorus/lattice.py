@@ -493,10 +493,6 @@ class SynthesisRecipe(Record):
         }
 
 
-class SynthesisError(ArithmeticError):
-    """Internal consistency failure while assembling a recipe."""
-
-
 def _recipe(decision: MembershipDecision) -> SynthesisRecipe:
     """Write the decided cone member as basic-genus generators plus a flat class.
 
@@ -511,7 +507,7 @@ def _recipe(decision: MembershipDecision) -> SynthesisRecipe:
         raise ValueError(f"not a semiflat cone member: {decision.reason}")
     coeffs = genus_basis_decompose(decision.genus)
     if coeffs is None:
-        raise SynthesisError("cone member genus failed the basic-genus parity conditions")
+        raise AssertionError("cone member genus failed the basic-genus parity conditions")
     gens: list[GeneratorSpec] = []
     nums, den = decision.vector._n, decision.vector._d
     total = [0] * 24  # the generators' sum, then the recipe's, as integers
@@ -526,12 +522,12 @@ def _recipe(decision: MembershipDecision) -> SynthesisRecipe:
     flat = [x - den * used for x, used in zip(nums[:4], total)]
     flat_trace = KScalar._of(flat, den)
     if flat[0] % (4 * den) or flat[1] % (4 * den) or flat[2] or flat[3]:
-        raise SynthesisError(f"flat remainder {flat_trace} is not in 4Z + 4Z*theta")
+        raise AssertionError(f"flat remainder {flat_trace} is not in 4Z + 4Z*theta")
     total[0] += flat[0] // den
     total[1] += flat[1] // den
     recipe = SynthesisRecipe(tuple(gens), flat_trace)
     if tuple(den * x for x in total) != nums:
-        raise SynthesisError("recipe does not recompose to its input")
+        raise AssertionError("recipe does not recompose to its input")
     return recipe
 
 

@@ -73,10 +73,11 @@ operands'; that is what lets the transforms and the elementwise steps work
 in place (numpy.fft takes ``out=`` from numpy 2.0 on, hence the package's
 numpy pin).  ``x.star()`` and flip_apply write their coefficients into one
 fresh block each and freeze it; ``x * y`` computes in a block of
-K * len(x.coeffs) rows and keeps a copy of its coefficient rows only.  A
-gate attempt allocates one workspace: the rows of e*e (K^2 for a K-term
-element; with the adjoint's shared, also the rows e* keeps, less the
-pairs they stand for, so 9 for a three-term projection either way), a
+K * (m + 1) rows (K coefficients in y, m nonzero V-powers in x) and keeps
+a copy of its coefficient rows only.  A gate attempt allocates one
+workspace: the rows of e*e (K * (m + 1) for a K-term element with m
+nonzero V-powers; with the adjoint's shared, also the rows e* keeps, less
+the pairs they stand for, so 9 for a three-term projection either way), a
 row per phase vector, and half a row for the |.| of the residuals.  e*,
 the flip and e*e write into it in turn, each residual is taken in place
 (out of place, into a free row, from the rows e* keeps), and no element
@@ -158,8 +159,8 @@ class InvalidBumpWidth(ValueError):
     pass
 
 
-class ResidualExceeded(ArithmeticError):
-    """Projection gates failed even on the largest allowed grid."""
+class ResidualExceeded(ArithmeticError, ValueError):
+    """Projection gates failed even on the largest allowed grid (residual-exceeded): a rejection, so a ValueError."""
 
 
 def _check_grid(n: int) -> int:
@@ -274,7 +275,7 @@ class LoopElement(Record):
         self._compatible(other)
         shifts = [a for a in self.coeffs if a]
         phases = _phase_table(self.beta, shifts, np.empty((len(shifts), self.n), dtype=complex))
-        rows = np.empty((len(self.coeffs) * len(other.coeffs), self.n), dtype=complex)
+        rows = np.empty(((len(shifts) + 1) * len(other.coeffs), self.n), dtype=complex)
         out = _mul(self, other, phases, rows)
         # the product keeps a block of its own coefficient rows, not the larger block they were computed in
         out = dict(zip(out, _rows(out.values(), self.n)))
@@ -363,11 +364,10 @@ def _mul(
     overwritten (a gate attempt hands over e*'s).  ``rows`` takes the other
     spectra, then the rows of the other pairs with a nonzero, then those of
     a = 0, which reuse the spectra once every shift is made.  With nothing
-    handed over that is K * len(x.coeffs) rows of n (K the number of
-    coefficients of y), as the last nonzero V-power of x is shifted in
-    place in the spectra.  Each V-power sums its rows in the order of x's
-    V-powers.  Every result row is a row of ``rows`` or a handed one, so a
-    kept x * y holds all of them.
+    handed over that is K * (m + 1) rows of n, K the number of coefficients
+    of y and m the number of nonzero V-powers of x.  Each V-power sums its
+    rows in the order of x's V-powers.  Every result row is a row of
+    ``rows`` or a handed one, so a kept x * y holds all of them.
     """
     moved = [a for a in x.coeffs if a]
     spectra = dict(spectra)
@@ -379,20 +379,18 @@ def _mul(
         spectra[b] = row
     if missing:
         np.fft.fft(rows[:used], out=rows[:used])
-    in_place = False
     for a in moved:
         wanted = [b for b in y.coeffs if (a, b) not in terms]
-        in_place = a == moved[-1] and wanted == missing  # each spectrum is read for the last time
-        block = rows[: len(wanted)] if in_place else rows[used : used + len(wanted)]
+        block = rows[used : used + len(wanted)]
         for row, b in zip(block, wanted):
             np.multiply(spectra[b], phases[a], out=row)
         np.fft.ifft(block, out=block)
         terms.update(zip([(a, b) for b in wanted], block))
-        used += 0 if in_place else len(wanted)
+        used += len(wanted)
     for (a, b), row in terms.items():
         np.multiply(x.coeffs[a], row, out=row)
     if 0 in x.coeffs:
-        spare = chain([] if in_place else spectra.values(), rows[used:])
+        spare = chain(spectra.values(), rows[used:])
         for b, hb in y.coeffs.items():
             terms[0, b] = np.multiply(x.coeffs[0], hb, out=next(spare))
     acc: Dict[int, np.ndarray] = {}
@@ -619,9 +617,10 @@ def _gate_attempt(e: LoopElement, alpha: float, flip_symmetric: bool) -> Iterato
     kept, K = len(moved) if real else 0, len(e.coeffs)
     shared = [a for a in moved if -a in e.coeffs] if real else []
     # e*e's rows: the kept spectra, then e*'s rows (its moved ones kept too), then e*e's other spectra
-    # and pairs, the flip's first once the adjoint's residual has consumed e*'s V-power 0 (K^2 rows when
-    # nothing is kept); then a row per phase; then half a row, viewed as the n floats each |.| goes into
-    products = (kept + 1) * K + kept - len(shared) if real else K * K
+    # and pairs, the flip's first once the adjoint's residual has consumed e*'s V-power 0
+    # ((len(moved) + 1) * K rows when nothing is kept); then a row per phase; then half a row, viewed
+    # as the n floats each |.| goes into
+    products = (kept + 1) * K + kept - len(shared) if real else (len(moved) + 1) * K
     size = (products + len(shifts)) * e.n
     workspace = np.empty(size + e.n // 2, dtype=complex)
     block = workspace[:size].reshape(-1, e.n)

@@ -58,10 +58,6 @@ class WrongSubgroup(RealizationError):
     code = "wrong-subgroup"
 
 
-class InternalAssertion(AssertionError):
-    """A claim the construction proves can never fail did fail."""
-
-
 class Convergent(NamedTuple):
     """A reduced rational p/q; consecutive pairs below/above theta satisfy p'q - pq' = 1."""
 
@@ -85,9 +81,6 @@ class TraceValue(Record):
         return (self.a, self.b) == (other.a, other.b)
 
     __hash__ = Record.__hash__
-
-    def in_open_interval(self, theta: ThetaParam, lo, hi) -> bool:
-        return theta.in_open_interval(self.a, self.b, lo, hi)
 
     def in_subgroup(self, multiple: int) -> bool:
         return self.a % multiple == 0 and self.b % multiple == 0
@@ -197,7 +190,7 @@ def four_squares(m: int) -> FourSquares:
             tail = two_square_tail(r1 - m2 * m2, m2)
             if tail is not None:
                 return FourSquares(*(scale * x for x in (m1, m2, *tail)))
-    raise InternalAssertion(f"no four-square decomposition found for {m}")
+    raise AssertionError(f"no four-square decomposition found for {m}")
 
 
 # -------------------------------------------------------- subalgebra embedding
@@ -428,10 +421,10 @@ class FlatCert(_Certificate):
         a = k * (n * high.p - m * high.q)
         b = k * (n * low.p - m * low.q)
         if a < 1 or b < 1:
-            raise InternalAssertion(f"split coefficients must be positive, got a={a}, b={b}")
+            raise AssertionError(f"split coefficients must be positive, got a={a}, b={b}")
         # exact identity check in (1, theta) coordinates
         if 4 * (a * low.q - b * high.q) != t.b or 4 * (b * high.p - a * low.p) != t.a:
-            raise InternalAssertion("convergent split identity failed")
+            raise AssertionError("convergent split identity failed")
         legs = OrbitFlat(ApproximantCyclic(a, *low)), OrbitFlat(ApproximantCyclic(b, *high))
         return cls(t, k, n, m, low, high, a, b, legs)
 
@@ -505,8 +498,9 @@ class SemicyclicCert(_Certificate):
         else:
             raise PrecisionExhausted(f"insufficient-cf-data: no stored convergent fits a step between {t} and 1/2")
         bound = gap.scale(theta.floor_ratio(t.a, t.b, gap.a, gap.b) + 1)
-        if not bound.in_open_interval(theta, *cls.domain[:2]) or theta.sign_linear(bound.a - t.a, bound.b - t.b) <= 0:
-            raise InternalAssertion("even bound selection failed")
+        if (not theta.in_open_interval(bound.a, bound.b, *cls.domain[:2])
+                or theta.sign_linear(bound.a - t.a, bound.b - t.b) <= 0):
+            raise AssertionError("even bound selection failed")
         return cls("subprojection", t, cls._realize(bound, theta))
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
@@ -591,7 +585,7 @@ class FourierInvariantCert(_Certificate):
         leg2 = EmbeddingLeg(sq.m3, sq.m4, theta.floor_linear(s2) if s2 else 0)
         k = -t.a - leg1.n_shift - leg2.n_shift
         if k not in (0, 1):
-            raise InternalAssertion(f"combination defect k = {k} escaped {{0, 1}}")
+            raise AssertionError(f"combination defect k = {k} escaped {{0, 1}}")
         return cls(t, sq, (leg1, leg2), k, "orthogonal-sum" if k == 0 else "complement-subtraction")
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str) -> None:
@@ -639,7 +633,7 @@ def _misses(domain: tuple, t: TraceValue, theta: ThetaParam):
     lo, hi, multiple = domain
     if not t.in_subgroup(multiple):
         yield WrongSubgroup, f"{multiple}Z + {multiple}Z*theta"
-    if not t.in_open_interval(theta, lo, hi):
+    if not theta.in_open_interval(t.a, t.b, lo, hi):
         yield OutOfRange, f"({lo}, {hi})"
 
 

@@ -18,7 +18,8 @@ field (an exponent, an L-power, a continued-fraction term, a K0 coordinate,
 a numpy integer becomes the Python int it stands for, and 1.5 is a
 TypeError, never truncated.  A rational field is read by :func:`_rational`,
 which refuses text with a TypeError, and several rationals kept over one
-denominator by :func:`_numerators`.
+denominator by :func:`_numerators`.  A text field, such as a theta spec,
+refuses a number with a TypeError.
 
 It also holds the ``a+bt+ci+dti`` text grammar (t stands for theta) that
 lattice slots and realization's ``a+bt`` traces are read and printed in.
@@ -65,8 +66,11 @@ _SLOTS = {
 }
 
 
-class PrecisionExhausted(ArithmeticError):
-    """The stored continued-fraction prefix cannot settle the question (insufficient-cf-data)."""
+class PrecisionExhausted(ArithmeticError, ValueError):
+    """The stored continued-fraction prefix cannot settle the question (insufficient-cf-data).
+
+    A rejection of the input, so a ValueError, as every rejection in the package is.
+    """
 
 
 def _cf_terms_of_fraction(x: Fraction) -> list[int]:
@@ -360,6 +364,8 @@ class ThetaParam(Record):
         of the uncertainty interval, so every exact answer derived from it is
         valid for any theta consistent with the input.
         """
+        if not isinstance(text, str):
+            raise TypeError(f"a decimal theta is text, not {type(text).__name__}")
         text = text.strip()
         if not _DECIMAL.fullmatch(text):
             raise ValueError(f"theta {text!r} is not a decimal number")
@@ -525,6 +531,8 @@ class ThetaParam(Record):
 
 def parse_theta(spec: str) -> ThetaParam:
     """Parse a command-line theta spec: preset name, ``cf:a1,a2,...`` or a decimal."""
+    if not isinstance(spec, str):
+        raise TypeError(f"a theta spec is text, not {type(spec).__name__}")
     spec = spec.strip()
     if spec in ThetaParam.PRESETS:
         return ThetaParam.preset(spec)

@@ -224,7 +224,7 @@ def _random_target(rng, theta, kind):
             if mult > 1 and a % mult:
                 continue
             t = TraceValue(a, b)
-            if t.in_subgroup(mult) and t.in_open_interval(theta, lo, hi):
+            if t.in_subgroup(mult) and theta.in_open_interval(t.a, t.b, lo, hi):
                 return t
 
 
@@ -341,7 +341,7 @@ def test_criterion_11_density_of_realizable_traces():
         for mult, kind in ((4, "flat"), (2, "semiflat")):
             k = max(1, round(x / (mult * d)))
             tv = TraceValue(-mult * k * p, mult * k * q)
-            if not tv.in_open_interval(GOLDEN, 0, 1):
+            if not GOLDEN.in_open_interval(tv.a, tv.b, 0, 1):
                 k -= 1
                 tv = TraceValue(-mult * k * p, mult * k * q)
             assert abs(GOLDEN.turns(tv.a, tv.b) - x) < 1e-3

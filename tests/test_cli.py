@@ -16,7 +16,7 @@ from nctorus.cli import CERT_FORMAT, main
 from nctorus.lattice import (
     K0Coordinates, KScalar, chern_to_text, parse_chern, parse_kscalar, recompose, semiflat_coordinates)
 from nctorus import realization
-from nctorus.realization import KINDS, MAX_NESTING, InternalAssertion, TraceValue
+from nctorus.realization import KINDS, MAX_NESTING, TraceValue
 from nctorus.theta import PrecisionExhausted, parse_theta
 
 from conftest import mp_turns, reflected_chain_json
@@ -413,8 +413,9 @@ def test_realize_unknown_kind_exits_2(capsys):
     assert code == 2 and "unknown kind 'bogus'" in err and "semiflat" in err
 
 
-@pytest.mark.parametrize("exc", [InternalAssertion("boom"), RuntimeError("boom")],
-                         ids=["InternalAssertion", "RuntimeError"])
+# an ArithmeticError that is not a ValueError is a defect too: main must not map ArithmeticError to 2
+@pytest.mark.parametrize("exc", [AssertionError("boom"), RuntimeError("boom"), ZeroDivisionError("boom")],
+                         ids=lambda exc: type(exc).__name__)
 def test_a_crash_inside_a_command_exits_1(monkeypatch, capsys, exc):
     def crash(*args):
         raise exc

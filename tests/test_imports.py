@@ -6,8 +6,9 @@ No timing is asserted.  The last checks are on the source itself: the
 layers each module imports, at module level and inside its functions,
 are pinned as one graph, theta is the one module that turns theta into a
 float, theta.Record is the one class that guards fields against
-assignment, every public function or class has a caller in the package
-or is exported, and every public method is read by the package or the
+assignment, every exception class the package defines is a ValueError,
+every public function or class has a caller in the package or is
+exported, and every public method is read by the package or the
 benchmark.
 """
 
@@ -183,6 +184,26 @@ def test_star_import_gives_exactly_all():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         nctorus.no_such_name
+
+
+def test_every_exception_the_package_defines_is_a_value_error():
+    # the exit-code rule (cli): a refused input raises a ValueError, exit 2; a failed invariant check
+    # raises a plain AssertionError, which the package does not subclass, exit 1
+    defined = {}
+    for p in Path(SRC, "nctorus").glob("*.py"):
+        layer = importlib.import_module(f"nctorus.{p.stem}") if p.stem != "__init__" else nctorus
+        defined.update((name, obj) for name, obj in vars(layer).items() if isinstance(obj, type)
+                       and issubclass(obj, BaseException) and obj.__module__ == layer.__name__)
+    assert sorted(defined) == sorted([
+        "ChernParseError", "PrecisionExhausted",  # theta
+        "ElementParseError",  # algebra
+        "RealizationError", "OutOfRange", "WrongSubgroup", "CertificateFormatError",  # realization
+        "GridMismatch", "AlphaOutOfRange", "InvalidBumpWidth", "ResidualExceeded",  # loops
+    ])
+    assert [name for name, cls in defined.items() if not issubclass(cls, ValueError)] == []
+    # and callers that catch ArithmeticError still catch the two numeric rejections
+    assert issubclass(defined["PrecisionExhausted"], ArithmeticError)
+    assert issubclass(defined["ResidualExceeded"], ArithmeticError)
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in Path(SRC, "nctorus").glob("*.py") if p.name != "theta.py"))

@@ -183,13 +183,14 @@ def test_membership_json_schema():
 
 def test_all_basis_vectors_quantized():
     for v in basis_vectors():
-        assert quantization_check(v).ok
+        rep = quantization_check(v)
+        assert bool(rep) is rep.ok is True
 
 
 def test_quantization_rejects_half_psi22():
     v = parse_chern("(1;0,0;0,0,1/2)")
     rep = quantization_check(v)
-    assert not rep.ok and rep.slots["psi22"] is False
+    assert bool(rep) is rep.ok is False and rep.slots["psi22"] is False
 
 
 def test_quantization_half_lattice_membership():
@@ -289,7 +290,7 @@ def test_synthesis_recomposes_on_random_members():
 
 
 def test_synthesis_rejects_non_members():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not a semiflat cone member: psi10-nonzero$"):
         synthesis_recipe(chern_from_t4(chern_T4(ONE)), GOLDEN)
 
 

@@ -275,6 +275,7 @@ def test_the_zero_element_is_zero_in_every_operation(r):
     for z in (zero * x, x * zero, zero * zero, zero.star()):
         assert (z.coeffs, z.n, z.beta) == ({}, 256, 0.3)
     assert projection_gates(zero, 0.5, True) == BuildGates(0, 0, 0, 0.5)
+    assert LoopElement(0.3, {}).n == loops.DEFAULT_GRID  # no coefficient to take the grid from
     rep = loop_invariants(zero, GOLDEN, r)
     assert (rep.tau, rep.raw, rep.rounded) == (0.0, (0j,) * 4, (Fraction(0),) * 4)
 
@@ -425,7 +426,7 @@ def test_flip_interval_check_keeps_its_texts():
 
 
 def test_build_r_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^r must be a positive integer$"):
         pr_build(0, 1, GOLDEN)
 
 
@@ -663,7 +664,7 @@ def test_certificate_leaves_have_numeric_witnesses(theta, kind_domain, b):
     the Powers-Rieffel build with r = q, s = -p is one, and a flip build reproduces the parity table."""
     kind, mult, hi = kind_domain
     t = TraceValue(-mult * theta.floor_linear(b), mult * b)  # mult * frac(b*theta)
-    assume(t.in_open_interval(theta, 0, hi))
+    assume(theta.in_open_interval(t.a, t.b, 0, hi))
     witnessed = 0
     for leaf, th in cyclic_leaves(realize(kind, t, theta), theta):
         unit = ApproximantCyclic(1, leaf.p, leaf.q).trace(th)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nctorus.algebra import Element, GaussRational, Monomial, PhaseScalar
+from nctorus.algebra import Element, GaussRational, Monomial, PhaseScalar, parse_element, parse_phase
 from nctorus.lattice import (
     ChernVector,
     Genus,
@@ -24,6 +24,8 @@ from nctorus.lattice import (
     KScalar,
     decompose,
     genus_basis_decompose,
+    parse_chern,
+    parse_kscalar,
     recompose,
     semiflat_coordinates,
 )
@@ -32,10 +34,11 @@ from nctorus.realization import (
     TraceValue,
     certificate_to_json,
     four_squares,
+    parse_trace,
     realize,
     subalgebra_generators,
 )
-from nctorus.theta import ThetaParam
+from nctorus.theta import ThetaParam, parse_theta
 
 GOLDEN = ThetaParam.preset("golden")
 BIG = np.int64(2**62)
@@ -246,3 +249,15 @@ def test_text_in_a_rational_field_is_refused(name, x):
     # Fraction would parse "1/2" and raise ValueError on "x"; a rational field takes numbers only
     with pytest.raises(TypeError, match="not text"):
         {**RATIONAL_FIELDS, **TEXT_QUERIES}[name](x)
+
+
+TEXT_PARSERS = [parse_element, parse_phase, parse_chern, parse_kscalar, parse_trace, parse_theta,
+                ThetaParam.from_decimal]
+
+
+@pytest.mark.parametrize("x", [0.5, None, 3], ids=repr)
+@pytest.mark.parametrize("parse", TEXT_PARSERS, ids=lambda parse: parse.__name__)
+def test_a_number_in_a_text_field_is_refused(parse, x):
+    # the converse of the rule above: a parser takes text, and names the type it was given instead
+    with pytest.raises(TypeError, match=type(x).__name__):
+        parse(x)

@@ -90,7 +90,7 @@ def test_flat_split_identity_random():
             if m and math.gcd(n, m) != 1:
                 continue
             t = TraceValue(-4 * k * m, 4 * k * n)
-            if not t.in_open_interval(th, 0, 1):
+            if not th.in_open_interval(t.a, t.b, 0, 1):
                 continue
             if not th.sign_linear(Fraction(-m, n), 1) > 0:
                 continue
@@ -253,7 +253,7 @@ def random_target(rng, theta, kind):
                 if a % mult:
                     continue
             t = TraceValue(a, b)
-            if t.in_subgroup(mult) and t.in_open_interval(theta, lo, hi):
+            if t.in_subgroup(mult) and theta.in_open_interval(t.a, t.b, lo, hi):
                 return t
 
 
@@ -313,7 +313,7 @@ def test_realize_domain_rejections():
         realize("cyclic", TraceValue(-1, 2), SQRT2)  # 2 sqrt2-1 = -0.17... not in (0, 1/4)
     with pytest.raises(OutOfRange):
         realize("fourier_invariant", TraceValue(2, 0), GOLDEN)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown kind 'octic' "):
         realize("octic", TraceValue(0, 1), GOLDEN)
 
 
@@ -472,10 +472,12 @@ def test_single_integer_mutations_always_caught(kind):
 
 def test_tampered_flat_coefficient_fails_at_identity_node():
     cert = realize("flat", TraceValue(-4, 8), GOLDEN)
+    report = verify_certificate(cert, GOLDEN)
+    assert bool(report) is report.ok is True and report.first_failure is None
     payload = certificate_to_json(cert)
     payload["a"] -= 1
     report = verify_certificate(certificate_from_json(payload), GOLDEN)
-    assert not report.ok
+    assert bool(report) is report.ok is False and report.first_failure == report.failures[0]
     assert any("split" in msg for _, msg in report.failures)
 
 
@@ -533,7 +535,7 @@ def test_density_of_flat_and_semiflat_traces_golden():
         for mult, kind in ((4, "flat"), (2, "semiflat")):
             k = max(1, round(x / (mult * d)))
             tv = TraceValue(-mult * k * p, mult * k * q)
-            if not tv.in_open_interval(GOLDEN, 0, 1):
+            if not GOLDEN.in_open_interval(tv.a, tv.b, 0, 1):
                 k -= 1
                 tv = TraceValue(-mult * k * p, mult * k * q)
             assert abs(GOLDEN.turns(tv.a, tv.b) - x) < 1e-3

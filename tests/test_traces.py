@@ -153,7 +153,7 @@ def test_relations_random_elements(rng):
 
 def test_relation_failure_reports_witness(monkeypatch):
     report = relation_check(U + V)
-    assert report.ok and report.failed is None and report.witness is None
+    assert bool(report) is report.ok is True and report.failed is None and report.witness is None
     x = ONE + Element.monomial(1, 0, PhaseScalar({0: GaussRational(1), 3: GaussRational(0, 2)})) + U * U + V
     slots = traces._SLOTS  # slot -> (exponent form, parity classes)
     psi20, psi10 = slots["psi20"], slots["psi10"]
@@ -161,7 +161,8 @@ def test_relation_failure_reports_witness(monkeypatch):
     # psi20 with the psi1k exponent form: its row no longer matches the
     # phi00 row, a separate declaration, and the bridge catches it on U^2
     monkeypatch.setitem(slots, "psi20", (psi10[0], psi20[1]))
-    assert relation_check(x) == RelationReport(False, "psi20 = phi00", Monomial(2, 0))
+    report = relation_check(x)
+    assert report == RelationReport(False, "psi20 = phi00", Monomial(2, 0)) and bool(report) is False
     assert relation_check(U + V).ok  # no U^2 term, nothing to catch
 
     # psi10 also on the class (1, 0), which gamma negates: the first gamma sign law fails, on U
