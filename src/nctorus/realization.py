@@ -594,8 +594,8 @@ class FourierInvariantCert(_Certificate):
         v.check(sq.total() == t.b, path, "four squares do not sum to the theta-coefficient")
         v.check(sq.m1 >= sq.m2 >= sq.m3 >= sq.m4 >= 0, path, "squares must be sorted descending")
         v.check((leg1.m1, leg1.m2, leg2.m1, leg2.m2) == sq, path, "legs do not carry the square pairs")
-        leg1._replay(v, theta, f"{path}.leg1")
-        leg2._replay(v, theta, f"{path}.leg2")
+        leg1._replay(v, theta, f"{path}.legs[0]")
+        leg2._replay(v, theta, f"{path}.legs[1]")
         v.check(k == -t.a - leg1.n_shift - leg2.n_shift, path, "k != n - n1 - n2")
         v.check(k in (0, 1), path, f"k = {k} escapes {{0, 1}}")
         v.check(branch == ("orthogonal-sum" if k == 0 else "complement-subtraction"), path, "branch does not match k")

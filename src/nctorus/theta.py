@@ -1,15 +1,16 @@
 """Irrational angle parameters backed by continued fractions.
 
 A :class:`ThetaParam` stores a finite prefix of the continued-fraction
-expansion of an irrational number in (0, 1).  Consecutive convergents
-bracket the number by rationals, so questions like "is a + b*theta
-positive?" are answered exactly at some finite depth (a + b*theta is
-never zero for integer (a, b) != (0, 0) when theta is irrational).  The
-brackets are nested, so every such question is put, in integer
-arithmetic, to the tightest stored bracket alone.  Integer arguments go
-to the bracket as they are; only other inputs (Fractions, floats, bools,
-numpy integers) are first normalised to integers over a common
-denominator.
+expansion of an irrational number in (0, 1), and for inexact (decimal)
+input an interval of rational bounds.  Questions like "is a + b*theta
+positive?" are answered exactly (a + b*theta is never zero for integer
+(a, b) != (0, 0) when theta is irrational) by one rule: the bracket is
+the prefix's deepest pair of consecutive convergents, clipped once to the
+interval; an empty prefix has the interval alone.  A prefix and an
+interval that do not meet are refused.  Every such question is put, in
+integer arithmetic, to that bracket alone.  Integer arguments go to the
+bracket as they are; only other inputs (Fractions, floats, bools, numpy
+integers) are first normalised to integers over a common denominator.
 
 This module also holds the one rule by which the exact layers (theta,
 lattice, algebra, realization, loops) read a caller's numbers.  An integer
@@ -39,6 +40,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 Rat = Union[int, Fraction]
 
 _PRESET_TERMS = 160  # continued-fraction terms stored for a preset
+_PRESET_REPEATED_TERM = {"golden": 1, "sqrt2": 2}  # golden = [0; 1, 1, ...], sqrt2 = [0; 2, 2, ...]
 _DECIMAL_TERMS = 128  # the most terms read off a decimal's bounds
 _CF_TERMS = "continued-fraction terms must be positive integers"
 # far more digits than a 128-term continued-fraction prefix can use
@@ -71,20 +73,6 @@ class PrecisionExhausted(ArithmeticError, ValueError):
 
     A rejection of the input, so a ValueError, as every rejection in the package is.
     """
-
-
-def _cf_terms_of_fraction(x: Fraction) -> list[int]:
-    """The first _DECIMAL_TERMS terms a1, a2, ... of x = [0; a1, a2, ...] for rational x in (0, 1)."""
-    out: list[int] = []
-    frac = x
-    for _ in range(_DECIMAL_TERMS):
-        if frac == 0:
-            break
-        inv = 1 / frac
-        a = inv.numerator // inv.denominator
-        out.append(a)
-        frac = inv - a
-    return out
 
 
 def _rational(x) -> Rat:
@@ -314,7 +302,8 @@ class ThetaParam(Record):
 
     ``interval`` optionally records outer rational bounds for inexact
     (decimal) inputs; exact presets leave it None and rely on the
-    convergents alone.
+    convergents alone.  A prefix and an interval that do not meet are a
+    ValueError.
     """
 
     __slots__ = ("cf_terms", "name", "interval", "__dict__")
@@ -323,7 +312,7 @@ class ThetaParam(Record):
     name: Optional[str]
     interval: Optional[tuple[Fraction, Fraction]]
 
-    PRESETS = ("golden", "sqrt2")
+    PRESETS = tuple(_PRESET_REPEATED_TERM)
 
     def __init__(
         self,
@@ -344,25 +333,26 @@ class ThetaParam(Record):
             if not (0 < lo < hi < 1):
                 raise ValueError("interval must satisfy 0 < lo < hi < 1")
         super().__init__(cf_terms, name, interval)
+        if cf_terms and interval is not None:
+            self._bracket  # refuses an interval that misses the prefix; a preset's bracket stays lazy
 
     # ------------------------------------------------------------------ ctors
 
     @classmethod
     def preset(cls, name: str) -> "ThetaParam":
         """Named angles: golden = (sqrt(5)-1)/2, sqrt2 = sqrt(2)-1, each with _PRESET_TERMS terms."""
-        if name == "golden":
-            return cls(cf_terms=(1,) * _PRESET_TERMS, name="golden")
-        if name == "sqrt2":
-            return cls(cf_terms=(2,) * _PRESET_TERMS, name="sqrt2")
-        raise ValueError(f"unknown theta preset {name!r} (expected one of {cls.PRESETS})")
+        if name not in cls.PRESETS:
+            raise ValueError(f"unknown theta preset {name!r} (expected one of {cls.PRESETS})")
+        return cls((_PRESET_REPEATED_TERM[name],) * _PRESET_TERMS, name)
 
     @classmethod
     def from_decimal(cls, text: str) -> "ThetaParam":
         """Build from decimal text; its precision is half a unit in its last digit.
 
         The stored continued-fraction prefix is the part shared by both ends
-        of the uncertainty interval, so every exact answer derived from it is
-        valid for any theta consistent with the input.
+        of the uncertainty interval (at most _DECIMAL_TERMS terms), so every
+        exact answer derived from it is valid for any theta consistent with
+        the input.
         """
         if not isinstance(text, str):
             raise TypeError(f"a decimal theta is text, not {type(text).__name__}")
@@ -381,53 +371,45 @@ class ThetaParam(Record):
         lo, hi = r - u, r + u
         if not (0 < lo and hi < 1):
             raise ValueError("theta must lie strictly inside (0, 1)")
-        ta = _cf_terms_of_fraction(lo)
-        tb = _cf_terms_of_fraction(hi)
-        common = []
-        for x, y in zip(ta, tb):
-            if x != y:
-                break
-            common.append(x)
+        # one Euclid pass over both ends n/d at once: a = d // n, the rest (d % n)/n
+        (n1, d1), (n2, d2) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        common: list[int] = []
+        while n1 and n2 and len(common) < _DECIMAL_TERMS and d1 // n1 == d2 // n2:
+            common.append(d1 // n1)
+            (n1, d1), (n2, d2) = (d1 % n1, n1), (d2 % n2, n2)
         # an exactly-rational input can pin no terms at all; the raw interval
         # then carries all the precision there is
-        return cls(cf_terms=tuple(common), interval=(lo, hi))
+        return cls(common, interval=(lo, hi))
 
     # ------------------------------------------------------------ convergents
 
     @cached_property
     def convergents(self) -> tuple[tuple[int, int], ...]:
         """Every stored convergent p/q as (p, q): (p0, q0) = (0, 1), (p1, q1) = (1, a1), ..."""
-        if not self.cf_terms:
-            return ((0, 1),)
-        ps = [0, 1]
-        qs = [1, self.cf_terms[0]]
-        for a in self.cf_terms[1:]:
-            ps.append(a * ps[-1] + ps[-2])
-            qs.append(a * qs[-1] + qs[-2])
-        return tuple(zip(ps, qs))
+        p0, q0, p, q = 1, 0, 0, 1
+        out = [(p, q)]
+        for a in self.cf_terms:
+            p0, q0, p, q = p, q, a * p + p0, a * q + q0
+            out.append((p, q))
+        return tuple(out)
 
     @cached_property
     def _bracket(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The narrowest rational bracket lo < theta < hi as integer pairs (p, q), q > 0.
+        """The rational bracket lo < theta < hi as integer pairs (p, q), q > 0.
 
-        The brackets are pairs of consecutive convergents, each clipped to
-        the interval when there is one, and the interval itself.  The
-        convergent brackets are nested and shrink strictly, and clipping
-        them to the interval keeps them nested, so the narrowest is the
-        deepest nonempty one (or the interval itself when none is): a linear
-        sign that any bracket settles, this one settles too.  Walking up from
-        the deepest bracket finds it in one step for an exact prefix.
+        It is the deepest pair of consecutive convergents, clipped once to
+        the interval when there is one; an empty prefix has the interval
+        alone.  The convergent pairs are nested, so a linear sign that any
+        of them settles, this one settles too.  A prefix and an interval
+        that do not meet are a ValueError, which ``__init__`` raises by
+        computing the bracket, so no ThetaParam has an empty one.
         """
-        pq = self.convergents
-        for j in range(len(pq) - 2, -1, -1):
-            x, y = Fraction(*pq[j]), Fraction(*pq[j + 1])
-            lo, hi = (x, y) if x < y else (y, x)
-            if self.interval is not None:
-                lo, hi = max(lo, self.interval[0]), min(hi, self.interval[1])
-            if lo < hi:
-                break
-        else:
-            lo, hi = self.interval
+        lo, hi = self.interval or (Fraction(0), Fraction(1))
+        if self.cf_terms:
+            x, y = sorted(Fraction(*pq) for pq in self.convergents[-2:])
+            if not (lo < y and x < hi):
+                raise ValueError(f"interval ({lo}, {hi}) does not meet the continued-fraction prefix's bracket ({x}, {y})")
+            lo, hi = max(lo, x), min(hi, y)
         return (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
 
     def turns(self, a: Rat, b: Rat) -> float:
@@ -515,18 +497,14 @@ class ThetaParam(Record):
     @cached_property
     def _reflected(self) -> "ThetaParam":
         a = self.cf_terms
-        if not a or a == (1,):
+        new = ()  # a prefix () or (1,) pins no term of 1 - theta: the mirrored interval alone carries it
+        if a and a != (1,):
+            new = (a[1] + 1,) + a[2:] if a[0] == 1 else (1, a[0] - 1) + a[1:]
+        elif self.interval is None:
             raise PrecisionExhausted("insufficient-cf-data: prefix too short to reflect")
-        if a[0] == 1:
-            new = (a[1] + 1,) + a[2:]
-        else:
-            new = (1, a[0] - 1) + a[1:]
-        interval = None
-        if self.interval is not None:
-            lo, hi = self.interval
-            interval = (1 - hi, 1 - lo)
+        interval = None if self.interval is None else (1 - self.interval[1], 1 - self.interval[0])
         name = None if self.name is None else f"1-{self.name}"
-        return ThetaParam(cf_terms=new, name=name, interval=interval)
+        return ThetaParam(new, name, interval)
 
 
 def parse_theta(spec: str) -> ThetaParam:

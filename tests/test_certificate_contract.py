@@ -14,6 +14,7 @@ is meant to change) with ``PYTHONPATH=src python tests/test_certificate_contract
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,31 @@ def test_serializer_and_verifier_match_the_contract(spec):
     assert len(got["mutants"]) == len(entry["mutants"])
     for mine, theirs in zip(got["mutants"], entry["mutants"]):
         assert mine == theirs
+
+
+def _node_at(payload, path):
+    """The JSON value a replay failure path names: after its root segment (the root's kind), each
+    ``.key`` and ``[index]`` step taken into the certificate's JSON."""
+    _, _, steps = path.partition(".")
+    assert re.fullmatch(r"(?:\w+(?:\[\d+\])*(?:\.\w+(?:\[\d+\])*)*)?", steps), path
+    for key, index in re.findall(r"(\w+)|\[(\d+)\]", steps):
+        payload = payload[key] if key else payload[int(index)]
+    return payload
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: "-".join(s))
+def test_every_failure_path_names_a_node_of_the_certificate(spec):
+    entry = _stored()[tuple(spec)]
+    payload = json.loads(entry["json"])
+    # "theta" names the angle a sign could not be settled under, not a node
+    paths = {path for _, _, report in entry["mutants"] for path, _ in report["failures"]} - {"theta"}
+    assert paths
+    for path in sorted(paths):
+        try:
+            node = _node_at(payload, path)
+        except (KeyError, IndexError, TypeError):
+            node = None
+        assert isinstance(node, dict) and "node" in node, path
 
 
 if __name__ == "__main__":

@@ -408,6 +408,16 @@ def test_realize_rejects_a_semicyclic_target_with_no_step_that_fits(capsys):
     assert err == "error: insufficient-cf-data: no stored convergent fits a step between t and 1/2\n"
 
 
+@pytest.mark.parametrize("trace", ["t", "1-t"], ids=["direct", "reflected"])
+def test_realize_reflects_a_decimal_whose_prefix_is_empty(tmp_path, capsys, trace):
+    # 0.50 pins no continued-fraction term; its interval (0.495, 0.505) places 1 - theta as well
+    path = tmp_path / "c.json"
+    code, _, err = run(capsys, "realize", "--theta", "0.50", "--kind", "fourier_invariant", "--trace", trace,
+                       "-o", str(path))
+    assert code == 0, err
+    assert run(capsys, "verify", str(path))[0] == 0
+
+
 def test_realize_unknown_kind_exits_2(capsys):
     code, _, err = run(capsys, "realize", "--kind", "bogus", "--trace", "2t-1")
     assert code == 2 and "unknown kind 'bogus'" in err and "semiflat" in err

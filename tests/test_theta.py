@@ -1,5 +1,7 @@
 import math
+import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -48,6 +50,18 @@ def test_any_iterable_of_terms_is_read_once():
 def test_an_interval_outside_the_unit_interval_is_refused(interval):
     with pytest.raises(ValueError, match=r"^interval must satisfy 0 < lo < hi < 1$"):
         ThetaParam((1,), interval=interval)
+
+
+@pytest.mark.parametrize("terms, interval, bracket", [
+    ((1, 1), (Fraction(1, 3), Fraction(2, 5)), "(1/2, 1)"),
+    ((1, 1), (Fraction(1, 3), Fraction(1, 2)), "(1/2, 1)"),  # open ends that touch do not meet
+    ((2,), (Fraction(3, 5), Fraction(7, 10)), "(0, 1/2)"),
+])
+def test_an_interval_that_misses_the_prefix_is_refused(terms, interval, bracket):
+    lo, hi = interval
+    message = f"interval ({lo}, {hi}) does not meet the continued-fraction prefix's bracket {bracket}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ThetaParam(terms, interval=interval)
 
 
 def test_sign_linear_exact():
@@ -118,13 +132,23 @@ def test_convergents_are_every_stored_one():
     assert ThetaParam([1, 1, 1]).convergents == ((0, 1), (1, 1), (1, 2), (2, 3))
     assert len(ThetaParam.preset("sqrt2").convergents) == 161
     assert parse_theta("0.5").convergents == ((0, 1),)  # an exactly-rational input pins no terms
+    assert ThetaParam([7]).convergents == ((0, 1), (1, 7))
 
 
 def test_reflect_of_empty_prefix_is_precision_exhausted():
-    with pytest.raises(PrecisionExhausted):
-        parse_theta("0.5").reflect()
-    with pytest.raises(PrecisionExhausted):
+    # the prefix (1,) pins no term of 1 - theta, and no interval carries it
+    with pytest.raises(PrecisionExhausted, match="^insufficient-cf-data: prefix too short to reflect$"):
         ThetaParam([1]).reflect()
+
+
+@pytest.mark.parametrize("spec, mirrored", [
+    ("0.5", (Fraction(9, 20), Fraction(11, 20))),
+    ("0.75e0", (Fraction(49, 200), Fraction(51, 200))),  # the prefix (1,)
+])
+def test_reflect_of_a_short_decimal_prefix_is_its_mirrored_interval(spec, mirrored):
+    r = parse_theta(spec).reflect()
+    assert (r.cf_terms, r.interval, r.convergents) == ((), mirrored, ((0, 1),))
+    assert r._bracket == tuple(x.as_integer_ratio() for x in mirrored)
 
 
 def test_reflect_is_cached():
@@ -291,18 +315,8 @@ def test_floor_ratio_calls_a_denominator_the_prefix_cannot_place_unsettled():
 # ------------------------------------------------------ the narrowest bracket
 
 
-def _reflections(thetas):
-    out = []
-    for th in thetas:
-        try:
-            out.append(th.reflect())
-        except PrecisionExhausted:
-            pass
-    return out
-
-
-BRACKET_THETAS = THETAS + (parse_theta("0.5"), parse_theta("0.25e0"))
-BRACKET_THETAS += tuple(_reflections(BRACKET_THETAS))
+BRACKET_THETAS = THETAS + (parse_theta("0.5"), parse_theta("0.25e0"), parse_theta("0.75e0"))
+BRACKET_THETAS += tuple(th.reflect() for th in BRACKET_THETAS)
 
 
 @pytest.mark.parametrize("th", BRACKET_THETAS, ids=lambda th: f"{th.cf_terms[:4]}-{len(th.cf_terms)}-{th.interval}")
@@ -448,3 +462,57 @@ def test_hypothesis_decimal_spec_roundtrip_and_junk_suffix(n, k, junk):
     assert th == parse_theta(f"0.{digits}")
     with pytest.raises(ValueError):
         parse_theta(spec + junk)
+
+
+def reference_cf_terms_of_fraction(x):
+    """The first 128 terms a1, a2, ... of x = [0; a1, a2, ...] for rational x in (0, 1), by Fractions: the
+    expansion of each end of the interval that from_decimal's one Euclid pass must agree with."""
+    out = []
+    frac = x
+    for _ in range(128):
+        if frac == 0:
+            break
+        inv = 1 / frac
+        a = inv.numerator // inv.denominator
+        out.append(a)
+        frac = inv - a
+    return out
+
+
+def reference_from_decimal(text):
+    """(cf_terms, interval) of a decimal in (0, 1) by the two 128-term expansions and their zip."""
+    d = Decimal(text)
+    r = Fraction(d)
+    u = Fraction(10) ** d.as_tuple().exponent / 2
+    lo, hi = r - u, r + u
+    ta = reference_cf_terms_of_fraction(lo)
+    tb = reference_cf_terms_of_fraction(hi)
+    common = []
+    for x, y in zip(ta, tb):
+        if x != y:
+            break
+        common.append(x)
+    return tuple(common), (lo, hi)
+
+
+@st.composite
+def decimal_in_the_unit_interval(draw):
+    """A decimal of 1 to 60 digits in (0, 1), written with or without an exponent."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=60).filter(lambda ds: ds.strip("0")))
+    shift = draw(st.integers(0, 3))
+    return draw(st.sampled_from((
+        "0." + "0" * shift + digits,
+        f"{digits}e-{len(digits) + shift}",
+        f"0.{digits}E+0",
+        f".{digits}e0",
+    )))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(decimal_in_the_unit_interval())
+def test_from_decimal_matches_the_two_expansion_reference(text):
+    th = ThetaParam.from_decimal(text)
+    assert (th.cf_terms, th.interval) == reference_from_decimal(text)
+    # a decimal's interval lies inside its prefix's deepest pair, so the one clip leaves the interval
+    for t in (th, th.reflect()):
+        assert t._bracket == tuple(x.as_integer_ratio() for x in t.interval)
