@@ -23,7 +23,14 @@ replay checks every certificate node's target against its own row before
 the node's other claims.  A negative theta-coefficient is normalized
 through the angle reflection theta -> 1 - theta, which maps (a, b) to
 (a + b, -b); the reflection keeps the subgroup and the value, so `realize`
-checks a target's domain once.
+checks a target's domain once, and a rejection met over 1 - theta is
+restated in the caller's terms.
+
+Each node is checked against its declared layout once, where it is made:
+the parser checks each field as it reads it, a node's constructor checks a
+node that a caller builds, and `realize`, whose fields are typed by
+construction, builds without the check (the tests rebuild its certificates
+through the constructors).
 """
 
 from __future__ import annotations
@@ -289,7 +296,11 @@ class _Node(Record):
     the field of that name (``__slots__ = tuple(layout)``): ``int``, ``str``, ``TraceValue``,
     ``Convergent``, ``FourSquares``, a leaf node class, a pair of leaf classes, or ``_Certificate``
     for the certificate child, which comes last and is left to the replay; the other fields'
-    ``_codec`` rows are the constructor's type check and the serializer's and parser's table."""
+    ``_codec`` rows are the constructor's type check and the serializer's and parser's table.
+
+    The constructor checks a node that a caller builds, and a certificate's walks the chain below
+    it.  The parser, which checks each field as it reads it and bounds the depth first, and
+    ``realize``, whose fields are typed by construction, build through ``_of``, which only sets the slots."""
 
     __slots__ = ()
 
@@ -322,6 +333,14 @@ class _Node(Record):
         for set_field, value in zip(self._setters, args):
             set_field(self, value)
 
+    @classmethod
+    def _of(cls, *fields) -> "_Node":
+        """The node over fields already known to fit its layout, and a chain already within MAX_NESTING."""
+        node = object.__new__(cls)
+        for set_field, value in zip(cls._setters, fields):
+            set_field(node, value)
+        return node
+
     def _to_json(self) -> dict:
         """This node's JSON, without its certificate child."""
         out = {"node": self.tag, "lemma": self.lemma}
@@ -331,7 +350,7 @@ class _Node(Record):
 
     @classmethod
     def _from_json(cls, raw, where: str, child=None) -> "_Node":
-        """The node in raw, strictly checked, built by the constructor; a certificate is given its parsed child."""
+        """The node in raw, strictly checked field by field, then built; a certificate is given its parsed child."""
         if not isinstance(raw, dict) or raw.get("node") != cls.tag or raw.keys() != cls._keys:
             raise _shape_error(raw, cls._keys, where, cls.tag)
         values = []
@@ -340,7 +359,7 @@ class _Node(Record):
                 want = {int: "an integer", str: "a string", dict: "an object", list: "a list"}[json_type]
                 raise CertificateFormatError(f"{where}.{key}: expected {want}, got {value!r}")
             values.append(value if load is None else load(value, f"{where}.{key}"))
-        node = cls(*values, child) if cls._child else cls(*values)
+        node = cls._of(*values, child) if cls._child else cls._of(*values)
         if raw["lemma"] != node.lemma:
             raise CertificateFormatError(f"{where}: a {cls.tag} node has lemma {node.lemma!r}, not {raw['lemma']!r}")
         return node
@@ -425,8 +444,8 @@ class FlatCert(_Certificate):
         # exact identity check in (1, theta) coordinates
         if 4 * (a * low.q - b * high.q) != t.b or 4 * (b * high.p - a * low.p) != t.a:
             raise AssertionError("convergent split identity failed")
-        legs = OrbitFlat(ApproximantCyclic(a, *low)), OrbitFlat(ApproximantCyclic(b, *high))
-        return cls(t, k, n, m, low, high, a, b, legs)
+        legs = OrbitFlat._of(ApproximantCyclic._of(a, *low)), OrbitFlat._of(ApproximantCyclic._of(b, *high))
+        return cls._of(t, k, n, m, low, high, a, b, legs)
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str) -> None:
         t, k, n, m, low, high, a, b, (leg1, leg2) = self._astuple(self)
@@ -459,7 +478,7 @@ class CyclicCert(_Certificate):
 
     @classmethod
     def _realize(cls, t: TraceValue, theta: ThetaParam) -> "CyclicCert":
-        return cls(t, FlatCert._realize(t.scale(4), theta))
+        return cls._of(t, FlatCert._realize(t.scale(4), theta))
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
         t, flat = self.target, self.flat
@@ -488,7 +507,7 @@ class SemicyclicCert(_Certificate):
     @classmethod
     def _realize(cls, t: TraceValue, theta: ThetaParam) -> "SemicyclicCert":
         if t.in_subgroup(2):
-            return cls("orbit-double", t, CyclicCert._realize(TraceValue(t.a // 2, t.b // 2), theta))
+            return cls._of("orbit-double", t, CyclicCert._realize(TraceValue(t.a // 2, t.b // 2), theta))
         # find an even bound 2x with t < 2x < 1/2, via a positive step 2(q*theta - p)
         # smaller than the room 1/2 - t above t: 1/2 - t - 2(q*theta - p) > 0, doubled
         for p, q in theta.convergents:
@@ -501,7 +520,7 @@ class SemicyclicCert(_Certificate):
         if (not theta.in_open_interval(bound.a, bound.b, *cls.domain[:2])
                 or theta.sign_linear(bound.a - t.a, bound.b - t.b) <= 0):
             raise AssertionError("even bound selection failed")
-        return cls("subprojection", t, cls._realize(bound, theta))
+        return cls._of("subprojection", t, cls._realize(bound, theta))
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
         t, inner = self.target, self.inner
@@ -531,7 +550,7 @@ class SemiflatCert(_Certificate):
 
     @classmethod
     def _realize(cls, t: TraceValue, theta: ThetaParam) -> "SemiflatCert":
-        return cls(t, SemicyclicCert._realize(TraceValue(t.a // 2, t.b // 2), theta))
+        return cls._of(t, SemicyclicCert._realize(TraceValue(t.a // 2, t.b // 2), theta))
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str):
         t, inner = self.target, self.inner
@@ -581,12 +600,12 @@ class FourierInvariantCert(_Certificate):
     def _realize(cls, t: TraceValue, theta: ThetaParam) -> "FourierInvariantCert":
         sq = four_squares(t.b)
         s2 = sq.m3**2 + sq.m4**2
-        leg1 = EmbeddingLeg(sq.m1, sq.m2, theta.floor_linear(sq.m1**2 + sq.m2**2))
-        leg2 = EmbeddingLeg(sq.m3, sq.m4, theta.floor_linear(s2) if s2 else 0)
+        leg1 = EmbeddingLeg._of(sq.m1, sq.m2, theta.floor_linear(sq.m1**2 + sq.m2**2))
+        leg2 = EmbeddingLeg._of(sq.m3, sq.m4, theta.floor_linear(s2) if s2 else 0)
         k = -t.a - leg1.n_shift - leg2.n_shift
         if k not in (0, 1):
             raise AssertionError(f"combination defect k = {k} escaped {{0, 1}}")
-        return cls(t, sq, (leg1, leg2), k, "orthogonal-sum" if k == 0 else "complement-subtraction")
+        return cls._of(t, sq, (leg1, leg2), k, "orthogonal-sum" if k == 0 else "complement-subtraction")
 
     def _replay(self, v: "_Replay", theta: ThetaParam, path: str) -> None:
         t, sq, (leg1, leg2), k, branch = self._astuple(self)
@@ -647,14 +666,23 @@ def realize(kind: str, t: TraceValue, theta: ThetaParam) -> Certificate:
     outside its subgroup raises WrongSubgroup, one outside its interval OutOfRange.
     The convergent searches walk every stored convergent of theta; a target the
     stored prefix cannot settle raises PrecisionExhausted (insufficient-cf-data).
+    A target with a negative theta-coefficient is realized over 1 - theta, and a
+    rejection there keeps its class and code and names the target it was given.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r} (expected one of {KINDS})")
     cls = _BY_KIND[kind]
     t = _admit(cls.domain, t, theta)
-    if t.b < 0:  # the reflection keeps the subgroup and the value: the admission holds for it
-        return ReflectedCert(t, cls._realize(t.reflected(), theta.reflect()))
-    return cls._realize(t, theta)
+    if t.b >= 0:
+        return cls._realize(t, theta)
+    mirrored, reflected = t.reflected(), theta.reflect()  # same subgroup and value: the admission holds
+    try:
+        inner = cls._realize(mirrored, reflected)
+    except ValueError as exc:  # a rejection in the mirrored terms, restated in the caller's
+        code, _, why = str(exc).partition(": ")
+        raise type(exc)(f"{code}: {t} has a negative theta-coefficient and was taken to {mirrored} by the "
+                        f"angle reflection theta -> 1 - theta; in the reflected terms, {why}") from exc
+    return ReflectedCert._of(t, inner)
 
 
 def _admit(domain: tuple, t: TraceValue, theta: ThetaParam) -> TraceValue:

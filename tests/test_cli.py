@@ -408,6 +408,14 @@ def test_realize_rejects_a_semicyclic_target_with_no_step_that_fits(capsys):
     assert err == "error: insufficient-cf-data: no stored convergent fits a step between t and 1/2\n"
 
 
+def test_realize_names_the_callers_target_in_a_rejection_under_the_reflection(capsys):
+    code, out, err = run(capsys, "realize", "--theta", "0.6", "--kind", "semicyclic", "--trace=1-t")
+    assert (code, out) == (2, "")
+    assert err == ("error: insufficient-cf-data: 1-t has a negative theta-coefficient and was taken to t by the "
+                   "angle reflection theta -> 1 - theta; in the reflected terms, no stored convergent fits a step "
+                   "between t and 1/2\n")
+
+
 @pytest.mark.parametrize("trace", ["t", "1-t"], ids=["direct", "reflected"])
 def test_realize_reflects_a_decimal_whose_prefix_is_empty(tmp_path, capsys, trace):
     # 0.50 pins no continued-fraction term; its interval (0.495, 0.505) places 1 - theta as well

@@ -12,13 +12,15 @@ an int argument the outcome of its Fraction, bool or numpy twin.  Last, the
 count of Fractions each step of the certify path builds is pinned, and so
 is the count of arguments realize and verify send through the rational
 normaliser, and how often a vector's lattice system is solved and realize
-splits a flat node.
+splits a flat node, and that the parser and realize build no node through a constructor.
 """
 
+import copy
 import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -396,6 +398,25 @@ def test_realize_splits_each_flat_node_once(kind, t, calls):
         flat_nodes += isinstance(node, FlatCert)
         node = getattr(node, node._child) if node._child else None
     assert flat_nodes == (kind != "fourier_invariant") and splits == flat_nodes
+
+
+CONTRACT = json.loads((Path(__file__).parent / "data" / "certificate_contract.json").read_text())
+
+
+@pytest.mark.parametrize("entry", CONTRACT, ids=lambda entry: "-".join(entry["spec"]))
+def test_the_parser_builds_each_node_once(entry, calls):
+    # every field is checked as it is read, so no node goes through the constructor's check again
+    cert, made = calls(realization._Node, "__init__", certificate_from_json, json.loads(entry["json"]))
+    assert made == 0
+    assert certificate_to_json(cert) == json.loads(entry["json"])
+
+
+@pytest.mark.parametrize("kind, t", [row[:2] for row in RATIONALS_READ], ids=str)
+def test_realize_builds_each_node_once(kind, t, calls):
+    cert, made = calls(realization._Node, "__init__", realize, kind, t, ThetaParam.preset("golden"))
+    assert made == 0
+    # the count sees the constructor: a copy rebuilds the root through it
+    assert calls(realization._Node, "__init__", copy.copy, cert) == (cert, 1)
 
 
 # one vector per reason on golden

@@ -34,10 +34,11 @@ from nctorus.realization import (
     subalgebra_generators,
     verify_certificate,
 )
-from nctorus.realization import _Certificate
+from nctorus.realization import ApproximantCyclic, OrbitFlat, _Certificate
 from nctorus.theta import PrecisionExhausted, Record, ThetaParam, parse_theta
 
 from conftest import reflected_chain_json
+from test_certificate_contract import SPECS as CONTRACT_SPECS
 
 GOLDEN = ThetaParam.preset("golden")
 SQRT2 = ThetaParam.preset("sqrt2")
@@ -411,6 +412,19 @@ def test_the_semicyclic_search_rejects_a_prefix_with_no_step_that_fits():
         realize("semicyclic", TraceValue(0, 1), parse_theta("0.3"))
 
 
+def test_a_rejection_under_the_reflection_names_the_callers_target():
+    # 0.6 reflects to the prefix [0; 2] with the interval (0.35, 0.45), and 1 - t to t over it: the stored
+    # convergents 0/1 and 1/2 give no step that fits between t and 1/2, and every sign on the way settles
+    with pytest.raises(PrecisionExhausted) as raised:
+        realize("semicyclic", TraceValue(1, -1), parse_theta("0.6"))
+    assert str(raised.value) == (
+        "insufficient-cf-data: 1-t has a negative theta-coefficient and was taken to t by the angle reflection "
+        "theta -> 1 - theta; in the reflected terms, no stored convergent fits a step between t and 1/2")
+    # the same class, and the inner kind's own text as its cause
+    assert type(raised.value.__cause__) is PrecisionExhausted
+    assert str(raised.value.__cause__) == "insufficient-cf-data: no stored convergent fits a step between t and 1/2"
+
+
 def test_fourier_k_always_binary(rng):
     for th in PRESETS:
         for _ in range(100):
@@ -603,14 +617,10 @@ def test_deep_convergent_targets_realize_and_verify(theta, depth, kind, scale):
 SEARCH_THETAS = (ThetaParam([1] * 20), ThetaParam([2] * 30), GOLDEN, SQRT2)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_realize_writes_only_certificates_that_verify(kind, data):
-    """m * frac(b*theta) in the kind's subgroup, b a multiple of a stored convergent denominator:
-    realize rejects it or returns a certificate that verifies, also where the prefix runs out."""
+def _drawn_certificate(kind, data):
+    """(theta, realize's certificate) for m * frac(b*theta) in the kind's subgroup, b of either sign a multiple
+    of a stored convergent denominator; None where the prefix cannot place it or realize rejects it."""
     from nctorus.realization import RealizationError, _BY_KIND
-    from nctorus.theta import PrecisionExhausted
 
     theta = data.draw(st.sampled_from(SEARCH_THETAS))
     mult = _BY_KIND[kind].domain[2]
@@ -621,14 +631,62 @@ def test_realize_writes_only_certificates_that_verify(kind, data):
     try:
         x = TraceValue(-theta.floor_linear(b), b)  # frac(b*theta)
     except PrecisionExhausted:
-        return
+        return None
     t = x.scale(mult * data.draw(st.integers(1, 64)))
     try:
-        cert = realize(kind, t, theta)
+        return theta, realize(kind, t, theta)
     except (PrecisionExhausted, RealizationError):
-        return
-    report = verify_certificate(cert, theta)
-    assert report.ok, (t, report.first_failure)
+        return None
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_realize_writes_only_certificates_that_verify(kind, data):
+    """realize rejects a drawn target or returns a certificate that verifies, also where the prefix runs out."""
+    if (drawn := _drawn_certificate(kind, data)) is not None:
+        theta, cert = drawn
+        report = verify_certificate(cert, theta)
+        assert report.ok, (cert.target, report.first_failure)
+
+
+# ------------------------------------ realize's certificates pass the constructors' check
+
+
+def _rebuilt(value):
+    """value rebuilt through the public constructors, field by field and leaf by leaf: a node (its layout
+    check and chain walk), a TraceValue, Convergent, FourSquares or pair; any other value is a field,
+    left as it is for the constructor of its node to judge."""
+    if isinstance(value, Record):
+        return type(value)(*map(_rebuilt, value._astuple(value)))
+    if isinstance(value, tuple):
+        parts = tuple(map(_rebuilt, value))
+        return parts if type(value) is tuple else type(value)(*parts)
+    return value
+
+
+@pytest.mark.parametrize("spec", CONTRACT_SPECS, ids=lambda s: "-".join(s))
+def test_a_contract_certificate_rebuilds_through_the_constructors(spec):
+    # realize builds without the constructors' check; a field of another type than its layout's
+    # (a bool, a numpy integer or a Fraction where an int belongs) would be refused here
+    name, kind, trace = spec
+    cert = realize(kind, parse_trace(trace), ThetaParam.preset(name))
+    assert _rebuilt(cert) == cert
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_drawn_certificate_rebuilds_through_the_constructors(kind, data):
+    if (drawn := _drawn_certificate(kind, data)) is not None:
+        _, cert = drawn
+        assert _rebuilt(cert) == cert
+
+
+def test_a_rebuild_refuses_a_field_of_another_type():
+    leaked = OrbitFlat._of(ApproximantCyclic._of(np.int64(1), 3, 5))  # built past the check, as realize builds
+    with pytest.raises(CertificateFormatError, match=r"needs an integer k, got np.int64\(1\)$"):
+        _rebuilt(leaked)
 
 
 # ----------------------------------------------------------- strict parsing
